@@ -7,7 +7,7 @@ from .errors import (AmbiguousRootError, DomainError, InputFormatError,
                      InsufficientDataError, NoRootError, UsageError,
                      ZipfestError)
 from .law import PowerLaw, make_zipf_law, zeta_normalization
-from .occupancy import StatisticsSnapshot, StreamAccumulator, summarize
+from .occupancy import StatisticsSnapshot, StreamAccumulator
 from .sampler import (OccupancyCounts, SeedSpec, sample_fixed,
                       sample_poissonized, sample_trajectory)
 from .estimators import (EstimateResult, ImplicitSolver, implicit_estimate,
@@ -25,7 +25,7 @@ __all__ = [
     "ZipfestError", "DomainError", "UsageError", "InsufficientDataError",
     "InputFormatError", "NoRootError", "AmbiguousRootError",
     "PowerLaw", "make_zipf_law", "zeta_normalization",
-    "StatisticsSnapshot", "StreamAccumulator", "summarize",
+    "StatisticsSnapshot", "StreamAccumulator",
     "OccupancyCounts", "SeedSpec", "sample_fixed", "sample_poissonized",
     "sample_trajectory",
     "EstimateResult", "ImplicitSolver", "implicit_estimate",

@@ -25,35 +25,27 @@ from datetime import datetime, timezone
 
 from . import __version__
 from .errors import AmbiguousRootError, UsageError, ZipfestError
-from .estimators import (ImplicitSolver, log_ratio_estimate, ratio_estimate_k,
-                         ratio_estimate_r1)
+from .estimators import (ESTIMATORS, ImplicitSolver, expand_estimators,
+                         log_ratio_estimate, snapshot_k_max)
 from .ingest import load_counts, to_occupancy, tokenize_file
 from .law import make_zipf_law, zeta_normalization
-from .montecarlo import (ExperimentConfig, covariance_study, normality_study,
-                         remainder_study)
+from .montecarlo import (NORMALITY_ESTIMATORS, ExperimentConfig,
+                         covariance_study, normality_study)
 from .occupancy import DEFAULT_K_MAX
 from .sampler import (SeedSpec, read_counts_csv, sample_fixed,
                       sample_poissonized, write_counts_csv)
 from . import asymptotics
-
-ALL_ESTIMATORS = ("implicit-r", "implicit-u", "implicit-rk",
-                  "ratio-r1", "ratio-k", "log-ratio")
 
 
 # ----------------------------------------------------------------------
 # deterministic numeric formatting
 # ----------------------------------------------------------------------
 
-def _fmt(value) -> str:
-    """10-significant-digit literal for floats; plain repr otherwise."""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        if value != value:
-            return "NaN"
-        text = f"{value:.10g}"
-        return text
-    return repr(value) if not isinstance(value, (int, str)) else None
+def _fmt(value: float) -> str:
+    """10-significant-digit literal of a float."""
+    if value != value:
+        return "NaN"
+    return f"{value:.10g}"
 
 
 def _json_write(obj, indent=0) -> str:
@@ -136,49 +128,12 @@ def _write_manifest(output_path, command: str, config: dict, inputs=()) -> None:
 # shared argument plumbing
 # ----------------------------------------------------------------------
 
-def _apply_config_file(args: argparse.Namespace, parser: argparse.ArgumentParser) -> None:
-    """key=value lines; command-line flags override file values."""
-    if not getattr(args, "config", None):
-        return
-    overridden = {a.dest for a in parser._actions}
-    explicit = set()
-    for token in sys.argv:
-        if token.startswith("--"):
-            explicit.add(token[2:].split("=")[0].replace("-", "_"))
-    with open(args.config, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise UsageError(f"{args.config}:{line_no}: expected key=value")
-            key, _, value = line.partition("=")
-            dest = key.strip().replace("-", "_")
-            if dest not in overridden:
-                raise UsageError(f"{args.config}:{line_no}: unknown key {key.strip()!r}")
-            if dest in explicit:
-                continue
-            current = getattr(args, dest, None)
-            if isinstance(current, bool):
-                setattr(args, dest, value.strip().lower() in ("1", "true", "yes"))
-            elif isinstance(current, int) and not isinstance(current, bool):
-                setattr(args, dest, int(value))
-            elif isinstance(current, float):
-                setattr(args, dest, float(value))
-            else:
-                setattr(args, dest, value.strip())
-
-
 def _parse_estimators(spec: str) -> list[str]:
     tags = [t.strip() for t in spec.split(",") if t.strip()]
     if not tags:
         raise UsageError("empty estimator list")
     if tags == ["all"]:
-        return list(ALL_ESTIMATORS)
-    for tag in tags:
-        if tag not in ALL_ESTIMATORS:
-            raise UsageError(f"unknown estimator {tag!r}; choose from "
-                             f"{', '.join(ALL_ESTIMATORS)} or 'all'")
+        return list(ESTIMATORS)
     return tags
 
 
@@ -192,12 +147,15 @@ def _parse_k_list(spec: str) -> list[int]:
     return ks
 
 
-def _parse_grid(spec: str) -> tuple[float, ...]:
+def _parse_float(text: str, what: str) -> float:
     try:
-        grid = tuple(float(t) for t in spec.split(",") if t.strip())
-    except ValueError as exc:
-        raise UsageError(f"bad grid {spec!r}: {exc}")
-    return grid
+        return float(text)
+    except ValueError:
+        raise UsageError(f"bad {what} {text!r}: not a number") from None
+
+
+def _parse_floats(spec: str, what: str) -> tuple[float, ...]:
+    return tuple(_parse_float(t, what) for t in spec.split(",") if t.strip())
 
 
 def _build_c_model(spec: str | None):
@@ -206,7 +164,7 @@ def _build_c_model(spec: str | None):
     if spec == "zeta":
         return zeta_normalization
     if spec.startswith("const:"):
-        value = float(spec.split(":", 1)[1])
+        value = _parse_float(spec.split(":", 1)[1], "const c model value")
         if value <= 0:
             raise UsageError("const c model must be positive")
         return lambda theta: value
@@ -218,6 +176,11 @@ def _build_c_model(spec: str | None):
 # ----------------------------------------------------------------------
 
 def _cmd_estimate(args) -> int:
+    requested = expand_estimators(_parse_estimators(args.estimators),
+                                  _parse_k_list(args.k))
+    c_model = _build_c_model(args.c_model)
+    if any(ESTIMATORS[tag].solver_kind for _, tag, _ in requested) and c_model is None:
+        raise UsageError("implicit estimators need a known normalization: pass --c-model")
     if args.input_format == "text":
         corpus = tokenize_file(args.input)
         occupancy = to_occupancy(corpus)
@@ -228,40 +191,24 @@ def _cmd_estimate(args) -> int:
     else:
         raise UsageError(f"unknown input format {args.input_format!r}")
 
-    k_values = _parse_k_list(args.k)
-    k_max = max(DEFAULT_K_MAX, max(k_values) + 1)
-    snapshot = occupancy.snapshot(k_max=k_max)
+    snapshot = occupancy.snapshot(k_max=snapshot_k_max(requested))
     n = int(occupancy.total)
-    tags = _parse_estimators(args.estimators)
-    c_model = _build_c_model(args.c_model)
-    if any(t.startswith("implicit") for t in tags) and c_model is None:
-        raise UsageError("implicit estimators need a known normalization: pass --c-model")
 
     results = []
     baseline = None
-    for tag in tags:
-        if tag == "log-ratio":
-            results.append(log_ratio_estimate(snapshot, level=args.level))
-        elif tag == "ratio-r1":
-            results.append(ratio_estimate_r1(snapshot, level=args.level))
-        elif tag == "ratio-k":
-            for k in k_values:
-                results.append(ratio_estimate_k(snapshot, k, level=args.level))
-        else:
-            which = {"implicit-r": "r", "implicit-u": "u", "implicit-rk": "rk"}[tag]
-            stats = {"r": [(None, float(snapshot.r))],
-                     "u": [(None, float(snapshot.u))],
-                     "rk": [(k, float(snapshot.exact_count(k))) for k in k_values]}[which]
-            for k, stat_value in stats:
-                solver = ImplicitSolver(which, n, c_model, k=k)
-                try:
-                    results.append(solver.solve(stat_value, level=args.level))
-                except AmbiguousRootError as exc:
-                    if baseline is None:
-                        baseline = log_ratio_estimate(snapshot).theta_hat
-                    root = min(exc.roots, key=lambda r: abs(r - baseline))
-                    results.append(solver.result_for_root(root, stat_value,
-                                                          level=args.level))
+    for _, tag, k in requested:
+        spec = ESTIMATORS[tag]
+        solver = (ImplicitSolver(spec.solver_kind, n, c_model, k=k)
+                  if spec.solver_kind else None)
+        try:
+            results.append(spec.estimate(snapshot, k, args.level, solver))
+        except AmbiguousRootError as exc:
+            # several roots: take the one nearest the log-ratio baseline
+            if baseline is None:
+                baseline = log_ratio_estimate(snapshot).theta_hat
+            root = min(exc.roots, key=lambda r: abs(r - baseline))
+            results.append(solver.result_for_root(
+                root, float(spec.statistic(snapshot, k)), level=args.level))
 
     payload = {"n": n, "estimates": [r.to_json_dict() for r in results]}
     if args.format == "json":
@@ -300,48 +247,37 @@ def _cmd_simulate(args) -> int:
 # studies
 # ----------------------------------------------------------------------
 
-def _study_config(args, estimators=None) -> ExperimentConfig:
+def _study_config(args, estimators=NORMALITY_ESTIMATORS) -> ExperimentConfig:
     return ExperimentConfig(
         theta=args.theta, n=args.n, m=args.m, i0=args.i0,
-        estimators=tuple(estimators) if estimators is not None else NORMALITY_DEFAULT,
+        estimators=tuple(estimators),
         k_values=tuple(_parse_k_list(args.k)) if hasattr(args, "k") else (1,),
-        grid=_parse_grid(args.grid) if hasattr(args, "grid") else (0.5, 1.0),
+        grid=_parse_floats(args.grid, "grid value") if hasattr(args, "grid") else (0.5, 1.0),
         nu=getattr(args, "nu", 1), seed=args.seed, level=getattr(args, "level", 0.95),
-        k_max=getattr(args, "k_max", DEFAULT_K_MAX),
         tail_epsilon=args.tail_epsilon,
-        variance_tolerance=getattr(args, "variance_tolerance", 0.2),
         workers=args.workers)
 
 
-NORMALITY_DEFAULT = ("implicit-r", "implicit-u", "implicit-rk", "ratio-r1", "ratio-k")
-
-
-def _cmd_study_normality(args) -> int:
-    estimators = _parse_estimators(args.estimators)
-    config = _study_config(args, estimators=estimators)
-    report = normality_study(config)
+def _emit_study(args, report, fields) -> int:
     if args.format == "json":
         _emit(_json_write(report.to_json_dict()) + "\n", args.output)
     else:
-        fields = ["estimator", "m_included", "m_excluded", "mean", "variance",
-                  "skewness", "excess_kurtosis", "ks_distance", "ks_pvalue",
-                  "target_variance", "variance_ratio", "coverage"]
         _emit(_csv_text(fields, [r.to_json_dict() for r in report.rows]), args.output)
-    _write_manifest(args.output, "study-normality", report.config)
+    _write_manifest(args.output, args.command, report.config)
     return 0
+
+
+def _cmd_study_normality(args) -> int:
+    config = _study_config(args, estimators=_parse_estimators(args.estimators))
+    return _emit_study(args, normality_study(config), [
+        "estimator", "m_included", "m_excluded", "mean", "variance", "skewness",
+        "excess_kurtosis", "ks_distance", "ks_pvalue", "target_variance",
+        "variance_ratio", "coverage"])
 
 
 def _cmd_study_covariance(args) -> int:
-    config = _study_config(args, estimators=NORMALITY_DEFAULT)
-    table = covariance_study(config)
-    if args.format == "json":
-        _emit(_json_write(table.to_json_dict()) + "\n", args.output)
-    else:
-        fields = ["i", "j", "tau", "t", "empirical", "theoretical", "std_error",
-                  "z_score"]
-        _emit(_csv_text(fields, [r.to_json_dict() for r in table.rows]), args.output)
-    _write_manifest(args.output, "study-covariance", table.config)
-    return 0
+    return _emit_study(args, covariance_study(_study_config(args)), [
+        "i", "j", "tau", "t", "empirical", "theoretical", "std_error", "z_score"])
 
 
 # ----------------------------------------------------------------------
@@ -357,50 +293,46 @@ def _parse_tau_t(spec: str) -> list[tuple[float, float]]:
         if ":" not in chunk:
             raise UsageError(f"bad tau:t pair {chunk!r}")
         tau, _, t = chunk.partition(":")
-        pairs.append((float(tau), float(t)))
+        pairs.append((_parse_float(tau, "tau"), _parse_float(t, "t")))
     return pairs
 
 
 def _cmd_eval_asymptotics(args) -> int:
-    thetas = [float(t) for t in args.theta.split(",") if t.strip()]
+    thetas = _parse_floats(args.theta, "theta")
     k_values = _parse_k_list(args.k)
     pairs = _parse_tau_t(args.tau_t) if args.tau_t else []
+    fields = ["kind", "theta", "k", "i", "j", "tau", "t", "value"]
     rows = []
+
+    def add(kind, theta, value, k=None, i=None, j=None, tau=None, t=None):
+        rows.append(dict(zip(fields, (kind, theta, k, i, j, tau, t, value))))
+
     for theta in thetas:
-        rows.append({"kind": "ratio-r1-variance", "theta": theta, "k": None,
-                     "i": None, "j": None, "tau": None, "t": None,
-                     "value": asymptotics.ratio_r1_variance(theta)})
+        add("ratio-r1-variance", theta, asymptotics.ratio_r1_variance(theta))
         for k in k_values:
-            rows.append({"kind": "ratio-k-variance", "theta": theta, "k": k,
-                         "i": None, "j": None, "tau": None, "t": None,
-                         "value": asymptotics.ratio_k_variance(theta, k)})
+            add("ratio-k-variance", theta, asymptotics.ratio_k_variance(theta, k), k=k)
         for which in ("r", "u"):
-            rows.append({"kind": f"implicit-variance-{which}", "theta": theta,
-                         "k": None, "i": None, "j": None, "tau": None, "t": None,
-                         "value": asymptotics.implicit_variance(theta, which)})
+            add(f"implicit-variance-{which}", theta,
+                asymptotics.implicit_variance(theta, which))
         for k in k_values:
-            rows.append({"kind": "implicit-variance-rk", "theta": theta, "k": k,
-                         "i": None, "j": None, "tau": None, "t": None,
-                         "value": asymptotics.implicit_variance(theta, "rk", k)})
+            add("implicit-variance-rk", theta,
+                asymptotics.implicit_variance(theta, "rk", k), k=k)
         if pairs:
             spec = asymptotics.CovarianceSpec(theta, nu=args.nu)
             for i in range(args.nu + 1):
                 for j in range(args.nu + 1):
                     for tau, t in pairs:
-                        rows.append({"kind": "cov", "theta": theta, "k": None,
-                                     "i": i, "j": j, "tau": tau, "t": t,
-                                     "value": spec.cov(i, j, tau, t)})
+                        add("cov", theta, spec.cov(i, j, tau, t), i=i, j=j, tau=tau, t=t)
     if args.format == "json":
         _emit(_json_write(rows) + "\n", args.output)
     else:
-        _emit(_csv_text(["kind", "theta", "k", "i", "j", "tau", "t", "value"], rows),
-              args.output)
+        _emit(_csv_text(fields, rows), args.output)
     _write_manifest(args.output, "eval-asymptotics", _echo_args(args))
     return 0
 
 
 def _echo_args(args) -> dict:
-    skip = {"func", "config"}
+    skip = {"func"}
     return {k: v for k, v in sorted(vars(args).items())
             if k not in skip and not k.startswith("_")}
 
@@ -435,7 +367,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "occupancy: urn_index,count CSV")
     p.add_argument("--estimators", default="ratio-r1,ratio-k,log-ratio",
                    help="comma list or 'all' "
-                        f"(choices: {', '.join(ALL_ESTIMATORS)})")
+                        f"(choices: {', '.join(ESTIMATORS)})")
     p.add_argument("--k", default="1", help="comma list of k values (ball counts)")
     p.add_argument("--c-model", default=None,
                    help="normalization c(theta) for implicit estimators: "
@@ -469,23 +401,19 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--n", type=int, default=100000, help="balls per replication")
         p.add_argument("--m", type=int, default=2000, help="replications (>= 100)")
         p.add_argument("--seed", type=int, default=0, help="master seed (64-bit)")
-        p.add_argument("--workers", type=int, default=None,
-                       help="parallel workers (default: ZIPFEST_WORKERS env or 1)")
+        p.add_argument("--workers", type=int, default=1,
+                       help="parallel worker processes")
         p.add_argument("--format", choices=("json", "csv"), default="json",
                        help="output format")
         p.add_argument("--output", default="-", help="output path ('-' = stdout)")
-        p.add_argument("--config", default=None,
-                       help="key=value config file; flags override file values")
 
     p = sub.add_parser("study-normality", formatter_class=fmt,
                        help="Monte Carlo normality/variance check of the estimators")
     add_study_common(p)
-    p.add_argument("--estimators", default="implicit-r,implicit-u,implicit-rk,ratio-r1,ratio-k",
+    p.add_argument("--estimators", default=",".join(NORMALITY_ESTIMATORS),
                    help="comma list (log-ratio not allowed here)")
     p.add_argument("--k", default="1", help="comma list of k values")
     p.add_argument("--level", type=float, default=0.95, help="CI level in (0,1)")
-    p.add_argument("--variance-tolerance", type=float, default=0.2,
-                   help="relative band around each variance target")
     p.set_defaults(func=_cmd_study_normality)
 
     p = sub.add_parser("study-covariance", formatter_class=fmt,
@@ -519,7 +447,6 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        _apply_config_file(args, parser)
         return args.func(args)
     except UsageError as exc:
         print(f"zipfest: usage error: {exc}", file=sys.stderr)

@@ -12,6 +12,10 @@ Three families:
 
 Confidence intervals are plug-in: the limiting variance formula evaluated at
 the estimate itself.
+
+:data:`ESTIMATORS` maps each estimator tag to the statistic it reads, how it
+is computed, how it is standardized and its limiting variance; the CLI and
+the Monte Carlo studies both dispatch through it.
 """
 
 from __future__ import annotations
@@ -25,12 +29,13 @@ import numpy as np
 from . import asymptotics
 from .errors import (AmbiguousRootError, DomainError, InsufficientDataError,
                      NoRootError, UsageError)
-from .occupancy import StatisticsSnapshot
+from .occupancy import DEFAULT_K_MAX, StatisticsSnapshot
 from .specfun import ln_gamma
 
 __all__ = ["EstimateResult", "ImplicitSolver", "implicit_estimate",
            "ratio_estimate_r1", "ratio_estimate_k", "log_ratio_estimate",
-           "normal_quantile", "normal_cdf"]
+           "normal_quantile", "normal_cdf", "EstimatorSpec", "ESTIMATORS",
+           "expand_estimators", "snapshot_k_max"]
 
 #: 97.5% normal quantile used for the default 95% intervals.
 Z_95 = 1.959963985
@@ -349,3 +354,77 @@ def log_ratio_estimate(snapshot: StatisticsSnapshot, level: float = 0.95) -> Est
         estimator_id="log-ratio", theta_hat=theta_hat, stderr=0.0,
         ci=(theta_hat, theta_hat), level=level, flags=tuple(flags),
         diagnostics={"r": snapshot.r, "n": int(n)})
+
+
+# ----------------------------------------------------------------------
+# the estimator table
+# ----------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class EstimatorSpec:
+    """How one estimator tag reads a snapshot, and its limit theorem.
+
+    ``statistic(snapshot, k)`` is the S_n of the standardized error:
+    ln n sqrt(S_n) (theta_hat - theta) for implicit estimators and
+    sqrt(S_n) (theta_hat - theta) for ratio estimators.  ``target(theta, k)``
+    is its limiting variance, None when there is no normal limit.
+    """
+
+    statistic: Callable
+    highest_count: Callable             # k -> highest exact count read
+    target: Callable | None
+    per_k: bool = False                 # one estimate per requested k
+    solver_kind: str | None = None      # ImplicitSolver kind, implicit only
+    closed_form: Callable | None = None  # (snapshot, k, level) -> EstimateResult
+
+    def estimate(self, snapshot, k, level, solver=None) -> EstimateResult:
+        """``solver``: an ImplicitSolver of :attr:`solver_kind` for this n, k."""
+        if self.solver_kind is None:
+            return self.closed_form(snapshot, k, level)
+        return solver.solve(float(self.statistic(snapshot, k)), level=level)
+
+    def standardize(self, theta_hat, theta, snapshot, k) -> float:
+        scale = math.sqrt(self.statistic(snapshot, k))
+        if self.solver_kind is not None:
+            scale = math.log(snapshot.total) * scale
+        return scale * (theta_hat - theta)
+
+
+ESTIMATORS = {
+    "implicit-r": EstimatorSpec(
+        lambda snap, k: snap.r, lambda k: 0, solver_kind="r",
+        target=lambda theta, k: asymptotics.implicit_variance(theta, "r")),
+    "implicit-u": EstimatorSpec(
+        lambda snap, k: snap.u, lambda k: 0, solver_kind="u",
+        target=lambda theta, k: asymptotics.implicit_variance(theta, "u")),
+    "implicit-rk": EstimatorSpec(
+        lambda snap, k: snap.exact_count(k), lambda k: k, per_k=True, solver_kind="rk",
+        target=lambda theta, k: asymptotics.implicit_variance(theta, "rk", k)),
+    "ratio-r1": EstimatorSpec(
+        lambda snap, k: snap.r, lambda k: 1,
+        closed_form=lambda snap, k, level: ratio_estimate_r1(snap, level),
+        target=lambda theta, k: asymptotics.ratio_r1_variance(theta)),
+    "ratio-k": EstimatorSpec(
+        lambda snap, k: snap.exact_count(k), lambda k: k + 1, per_k=True,
+        closed_form=ratio_estimate_k, target=asymptotics.ratio_k_variance),
+    "log-ratio": EstimatorSpec(
+        lambda snap, k: snap.r, lambda k: 0, target=None,
+        closed_form=lambda snap, k, level: log_ratio_estimate(snap, level)),
+}
+
+
+def expand_estimators(tags, k_values) -> list[tuple[str, str, int | None]]:
+    """(report id, tag, k) of each estimate ``tags`` ask for."""
+    out = []
+    for tag in tags:
+        if tag not in ESTIMATORS:
+            raise UsageError(f"unknown estimator {tag!r}; choose from "
+                             f"{', '.join(ESTIMATORS)}")
+        ks = k_values if ESTIMATORS[tag].per_k else (None,)
+        out.extend((tag if k is None else f"{tag}({k})", tag, k) for k in ks)
+    return out
+
+
+def snapshot_k_max(requested, floor: int = DEFAULT_K_MAX) -> int:
+    """The count range a snapshot must track for ``expand_estimators`` output."""
+    return max([floor] + [ESTIMATORS[tag].highest_count(k) for _, tag, k in requested])

@@ -4,18 +4,23 @@
 estimator's standardized statistic exactly as its limit theorem states it
 (using the true exponent), and reports moments, a Kolmogorov-Smirnov
 diagnostic against the standard normal, plug-in CI coverage, and the
-theoretical variance target.
+theoretical variance target.  Statistic, standardization and target all come
+from the estimator table ``estimators.ESTIMATORS``.
 
 ``covariance_study`` samples nested trajectories, centers every component
 with the exact finite-n expectation oracle, scales by sqrt(alpha(n)) and
 compares empirical covariances against the limiting covariance function.
+
+Both studies draw replication ``rep`` with ``sample_trajectory`` on stream
+``SeedSpec(seed, rep)``; the normality study uses the one-point grid (1.0,).
 
 ``remainder_study`` is deterministic: exact oracle expectations minus
 leading terms, normalized by n^(theta/2).
 
 Replications are independent jobs keyed by replication index, so results
 are identical for any worker count; the aggregation is a commutative merge
-over replication-indexed slots.
+over replication-indexed slots.  The worker count is
+``ExperimentConfig.workers`` (default 1).
 """
 
 from __future__ import annotations
@@ -23,7 +28,6 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 
@@ -31,18 +35,18 @@ import numpy as np
 
 from . import asymptotics
 from .errors import UsageError, ZipfestError
-from .estimators import (ImplicitSolver, log_ratio_estimate, normal_cdf,
-                         ratio_estimate_k, ratio_estimate_r1)
+from .estimators import (ESTIMATORS, ImplicitSolver, expand_estimators,
+                         normal_cdf, snapshot_k_max)
 from .law import PowerLaw, make_zipf_law, zeta_normalization
-from .occupancy import summarize_count_values
-from .sampler import SeedSpec, _count_values, _draw_positions
+from .sampler import SeedSpec, sample_trajectory
 
 __all__ = ["ExperimentConfig", "EstimatorReport", "StudyReport",
            "CovarianceRow", "CovarianceTable", "RemainderRow",
            "normality_study", "covariance_study", "remainder_study", "ks_test"]
 
-NORMALITY_ESTIMATORS = ("implicit-r", "implicit-u", "implicit-rk",
-                        "ratio-r1", "ratio-k")
+#: every estimator with a normal limit, in table order
+NORMALITY_ESTIMATORS = tuple(tag for tag, spec in ESTIMATORS.items()
+                             if spec.target is not None)
 
 
 @dataclass(frozen=True)
@@ -61,8 +65,7 @@ class ExperimentConfig:
     level: float = 0.95
     k_max: int = 8
     tail_epsilon: float = 1e-12
-    variance_tolerance: float = 0.2
-    workers: int | None = None
+    workers: int = 1
 
     def content_hash(self) -> str:
         payload = asdict(self)
@@ -75,36 +78,6 @@ class ExperimentConfig:
         out.pop("workers")
         out["config_hash"] = self.content_hash()
         return out
-
-
-def _resolve_workers(workers) -> int:
-    if workers is not None:
-        return max(1, int(workers))
-    env = os.environ.get("ZIPFEST_WORKERS")
-    if env:
-        return max(1, int(env))
-    return 1
-
-
-def _expand_estimators(tags, k_values) -> list[tuple[str, str, int | None]]:
-    """-> list of (report id, family, k)."""
-    out = []
-    for tag in tags:
-        if tag == "implicit-r":
-            out.append(("implicit-r", "implicit-r", None))
-        elif tag == "implicit-u":
-            out.append(("implicit-u", "implicit-u", None))
-        elif tag == "implicit-rk":
-            out.extend((f"implicit-rk({k})", "implicit-rk", k) for k in k_values)
-        elif tag == "ratio-r1":
-            out.append(("ratio-r1", "ratio-r1", None))
-        elif tag == "ratio-k":
-            out.extend((f"ratio-k({k})", "ratio-k", k) for k in k_values)
-        elif tag == "log-ratio":
-            out.append(("log-ratio", "log-ratio", None))
-        else:
-            raise UsageError(f"unknown estimator tag {tag!r}")
-    return out
 
 
 # ----------------------------------------------------------------------
@@ -190,52 +163,32 @@ def _law_from_config(cfg: ExperimentConfig) -> PowerLaw:
 def _normality_chunk(cfg: ExperimentConfig, rep_lo: int, rep_hi: int):
     """Standardized values / coverage flags for one block of replications."""
     law = _law_from_config(cfg)
-    specs = _expand_estimators(cfg.estimators, cfg.k_values)
-    solvers = {}
-    for name, family, k in specs:
-        if family == "implicit-r":
-            solvers[name] = ImplicitSolver("r", cfg.n, zeta_normalization)
-        elif family == "implicit-u":
-            solvers[name] = ImplicitSolver("u", cfg.n, zeta_normalization)
-        elif family == "implicit-rk":
-            solvers[name] = ImplicitSolver("rk", cfg.n, zeta_normalization, k=k)
+    requested = expand_estimators(cfg.estimators, cfg.k_values)
+    k_max = snapshot_k_max(requested, floor=cfg.k_max)
+    solvers = {name: ImplicitSolver(ESTIMATORS[tag].solver_kind, cfg.n,
+                                    zeta_normalization, k=k)
+               for name, tag, k in requested if ESTIMATORS[tag].solver_kind}
     theta = cfg.theta
-    log_n = math.log(cfg.n)
     n_rows = rep_hi - rep_lo
-    values = {name: np.full(n_rows, np.nan) for name, _, _ in specs}
-    covered = {name: np.full(n_rows, np.nan) for name, _, _ in specs}
+    values = {name: np.full(n_rows, np.nan) for name, _, _ in requested}
+    covered = {name: np.full(n_rows, np.nan) for name, _, _ in requested}
     for offset, rep in enumerate(range(rep_lo, rep_hi)):
-        rng = SeedSpec(cfg.seed, rep).generator()
-        pos, far = _draw_positions(law, cfg.n, rng)
-        snap = summarize_count_values(_count_values(pos, far), cfg.n, k_max=cfg.k_max)
-        for name, family, k in specs:
+        snap, = sample_trajectory(law, cfg.n, (1.0,), SeedSpec(cfg.seed, rep),
+                                  k_max=k_max)
+        for name, tag, k in requested:
+            spec = ESTIMATORS[tag]
             try:
-                if family == "implicit-r":
-                    est = solvers[name].solve(float(snap.r), level=cfg.level)
-                    value = log_n * math.sqrt(snap.r) * (est.theta_hat - theta)
-                elif family == "implicit-u":
-                    est = solvers[name].solve(float(snap.u), level=cfg.level)
-                    value = log_n * math.sqrt(snap.u) * (est.theta_hat - theta)
-                elif family == "implicit-rk":
-                    stat = float(snap.exact_count(k))
-                    est = solvers[name].solve(stat, level=cfg.level)
-                    value = log_n * math.sqrt(stat) * (est.theta_hat - theta)
-                elif family == "ratio-r1":
-                    est = ratio_estimate_r1(snap, level=cfg.level)
-                    value = math.sqrt(snap.r) * (est.theta_hat - theta)
-                else:  # ratio-k
-                    est = ratio_estimate_k(snap, k, level=cfg.level)
-                    value = math.sqrt(snap.exact_count(k)) * (est.theta_hat - theta)
+                est = spec.estimate(snap, k, cfg.level, solvers.get(name))
             except ZipfestError:
                 continue
-            values[name][offset] = value
+            values[name][offset] = spec.standardize(est.theta_hat, theta, snap, k)
             if est.stderr > 0.0:
                 covered[name][offset] = float(est.ci[0] <= theta <= est.ci[1])
     return values, covered
 
 
-def _run_chunked(cfg: ExperimentConfig, chunk_fn, merge_width: int):
-    workers = _resolve_workers(cfg.workers)
+def _run_chunked(cfg: ExperimentConfig, chunk_fn):
+    workers = max(1, int(cfg.workers))
     if workers == 1:
         return [chunk_fn(cfg, 0, cfg.m)]
     bounds = np.linspace(0, cfg.m, workers * 2 + 1).astype(int)
@@ -249,25 +202,17 @@ def normality_study(config: ExperimentConfig) -> StudyReport:
     """Check asymptotic normality and variance targets of the estimators."""
     if config.m < 100:
         raise UsageError(f"normality studies need M >= 100, got {config.m}")
-    if "log-ratio" in config.estimators:
-        raise UsageError("log-ratio has no normal limit; drop it from normality studies")
-    specs = _expand_estimators(config.estimators, config.k_values)
-    chunks = _run_chunked(config, _normality_chunk, len(specs))
-    values = {name: np.concatenate([c[0][name] for c in chunks]) for name, _, _ in specs}
-    covered = {name: np.concatenate([c[1][name] for c in chunks]) for name, _, _ in specs}
+    requested = expand_estimators(config.estimators, config.k_values)
+    for _, tag, _ in requested:
+        if ESTIMATORS[tag].target is None:
+            raise UsageError(f"{tag} has no normal limit; drop it from normality studies")
+    chunks = _run_chunked(config, _normality_chunk)
+    values = {name: np.concatenate([c[0][name] for c in chunks]) for name, _, _ in requested}
+    covered = {name: np.concatenate([c[1][name] for c in chunks]) for name, _, _ in requested}
 
     rows = []
-    for name, family, k in specs:
-        if family == "implicit-r":
-            target = asymptotics.implicit_variance(config.theta, "r")
-        elif family == "implicit-u":
-            target = asymptotics.implicit_variance(config.theta, "u")
-        elif family == "implicit-rk":
-            target = asymptotics.implicit_variance(config.theta, "rk", k)
-        elif family == "ratio-r1":
-            target = asymptotics.ratio_r1_variance(config.theta)
-        else:
-            target = asymptotics.ratio_k_variance(config.theta, k)
+    for name, tag, k in requested:
+        target = ESTIMATORS[tag].target(config.theta, k)
         vals = values[name]
         included = vals[~np.isnan(vals)]
         m_excluded = int(np.isnan(vals).sum())
@@ -324,16 +269,11 @@ class CovarianceTable:
 def _covariance_chunk(cfg: ExperimentConfig, rep_lo: int, rep_hi: int):
     law = _law_from_config(cfg)
     comps = cfg.nu + 1
-    grid = cfg.grid
-    out = np.empty((rep_hi - rep_lo, len(grid), comps))
+    out = np.empty((rep_hi - rep_lo, len(cfg.grid), comps))
     for offset, rep in enumerate(range(rep_lo, rep_hi)):
-        rng = SeedSpec(cfg.seed, rep).generator()
-        pos, far = _draw_positions(law, cfg.n, rng)
-        for a, t in enumerate(grid):
-            m = int(math.floor(cfg.n * t))
-            far_prefix = {s: v for s, v in far.items() if s < m} if far else {}
-            snap = summarize_count_values(_count_values(pos[:m], far_prefix), m,
-                                          k_max=max(cfg.k_max, cfg.nu))
+        snaps = sample_trajectory(law, cfg.n, cfg.grid, SeedSpec(cfg.seed, rep),
+                                  k_max=max(cfg.k_max, cfg.nu))
+        for a, snap in enumerate(snaps):
             out[offset, a, 0] = snap.r
             for j in range(1, comps):
                 out[offset, a, j] = snap.exact_count(j)
@@ -351,7 +291,7 @@ def covariance_study(config: ExperimentConfig) -> CovarianceTable:
         raise UsageError(f"nu must lie in 1..{min(config.k_max, 8)}, got {config.nu}")
     law = _law_from_config(config)
     comps = config.nu + 1
-    chunks = _run_chunked(config, _covariance_chunk, comps)
+    chunks = _run_chunked(config, _covariance_chunk)
     raw = np.concatenate(chunks, axis=0)
 
     scale = math.sqrt(law.counting_function(float(config.n)))

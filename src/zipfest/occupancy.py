@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import UsageError
 
-__all__ = ["StatisticsSnapshot", "summarize", "summarize_count_values", "StreamAccumulator"]
+__all__ = ["StatisticsSnapshot", "summarize_count_values", "StreamAccumulator"]
 
 DEFAULT_K_MAX = 8
 
@@ -80,12 +80,6 @@ def summarize_count_values(values: np.ndarray, total, k_max: int = DEFAULT_K_MAX
         r_star.append(r - below)
         below += int(hist[k])
     return StatisticsSnapshot(total=total, r=r, r_k=r_k, r_star_k=tuple(r_star), u=u)
-
-
-def summarize(counts, k_max: int = DEFAULT_K_MAX) -> StatisticsSnapshot:
-    """Snapshot from an OccupancyCounts (or any object with .counts/.total)."""
-    values = np.fromiter(counts.counts.values(), dtype=np.int64, count=len(counts.counts))
-    return summarize_count_values(values, counts.total, k_max=k_max)
 
 
 class StreamAccumulator:

@@ -4,7 +4,8 @@ import pytest
 
 from zipfest.law import make_zipf_law
 
-# Heavy Monte Carlo tests honor the same env override as the CLI.
+# Worker count of the heavy Monte Carlo tests, overridable from the
+# environment; the package itself reads no environment variable.
 WORKERS = int(os.environ.get("ZIPFEST_WORKERS", str(min(2, os.cpu_count() or 1))))
 
 

@@ -7,14 +7,14 @@ from hypothesis import strategies as hst
 
 from zipfest.errors import UsageError
 from zipfest.occupancy import (StatisticsSnapshot, StreamAccumulator,
-                               summarize, summarize_count_values)
+                               summarize_count_values)
 from zipfest.sampler import OccupancyCounts, SeedSpec, sample_fixed
 
 
 def snap_of(counts_map, k_max=8):
     total = sum(counts_map.values())
-    return summarize(OccupancyCounts(counts=counts_map, total=total, mode="fixed"),
-                     k_max=k_max)
+    return OccupancyCounts(counts=counts_map, total=total, mode="fixed").snapshot(
+        k_max=k_max)
 
 
 class TestSummarize:
@@ -84,7 +84,7 @@ class TestInvariants:
     def test_sampled_configurations(self, law05):
         for seed in range(5):
             counts = sample_fixed(law05, 5000, SeedSpec(100, seed))
-            snap = summarize(counts)
+            snap = counts.snapshot()
             values = np.fromiter(counts.counts.values(), dtype=np.int64)
             total = int(sum(k * v for k, v in zip(range(1, 9), snap.r_k)))
             beyond = values[values > 8].sum()
@@ -117,8 +117,8 @@ class TestStreamAccumulator:
         for urn in urns:
             acc.add_ball(urn)
             counts[urn] = counts.get(urn, 0) + 1
-        expected = summarize(
-            OccupancyCounts(counts=counts, total=len(urns), mode="fixed"), k_max=k_max)
+        expected = OccupancyCounts(counts=counts, total=len(urns),
+                                   mode="fixed").snapshot(k_max=k_max)
         assert acc.snapshot(k_max=k_max) == expected
 
     def test_large_random_sequence(self, law05):
@@ -129,7 +129,7 @@ class TestStreamAccumulator:
         for urn in urns.tolist():
             acc.add_ball(urn)
             counts[urn] = counts.get(urn, 0) + 1
-        expected = summarize(
-            OccupancyCounts(counts=counts, total=len(urns), mode="fixed"))
+        expected = OccupancyCounts(counts=counts, total=len(urns),
+                                   mode="fixed").snapshot()
         assert acc.snapshot() == expected
         assert acc.counts() == counts

@@ -7,7 +7,6 @@ from hypothesis import strategies as hst
 
 from zipfest.errors import DomainError, InputFormatError, UsageError
 from zipfest.law import PowerLaw, make_zipf_law
-from zipfest.montecarlo import _resolve_workers
 from zipfest.sampler import (OccupancyCounts, SeedSpec, read_counts_csv,
                              sample_fixed, sample_poissonized,
                              sample_trajectory, write_counts_csv)
@@ -201,11 +200,3 @@ def test_sample_invariants_property(theta, n, seed):
     assert sum(counts.counts.values()) == n
     assert all(c >= 1 for c in counts.counts.values())
     assert all(i > law.i0 for i in counts.counts)
-
-
-def test_resolve_workers_env(monkeypatch):
-    monkeypatch.delenv("ZIPFEST_WORKERS", raising=False)
-    assert _resolve_workers(None) == 1
-    monkeypatch.setenv("ZIPFEST_WORKERS", "3")
-    assert _resolve_workers(None) == 3
-    assert _resolve_workers(2) == 2
