@@ -25,8 +25,8 @@ from datetime import datetime, timezone
 
 from . import __version__
 from .errors import AmbiguousRootError, UsageError, ZipfestError
-from .estimators import (ESTIMATORS, ImplicitSolver, expand_estimators,
-                         log_ratio_estimate, snapshot_k_max)
+from .estimators import (ESTIMATORS, expand_estimators, log_ratio_estimate,
+                         snapshot_k_max)
 from .ingest import load_counts, to_occupancy, tokenize_file
 from .law import make_zipf_law, zeta_normalization
 from .montecarlo import (NORMALITY_ESTIMATORS, ExperimentConfig,
@@ -84,20 +84,26 @@ def _emit(text: str, path: str | None) -> None:
             fh.write(text)
 
 
+def _csv_cell(value) -> str:
+    if isinstance(value, float):
+        return _fmt(value)
+    return "" if value is None else str(value)
+
+
 def _csv_text(fieldnames, rows) -> str:
     lines = [",".join(fieldnames)]
-    for row in rows:
-        cells = []
-        for name in fieldnames:
-            value = row.get(name, "")
-            if isinstance(value, float):
-                cells.append(_fmt(value))
-            elif value is None:
-                cells.append("")
-            else:
-                cells.append(str(value))
-        lines.append(",".join(cells))
+    lines += [",".join(_csv_cell(row.get(name, "")) for name in fieldnames) for row in rows]
     return "\n".join(lines) + "\n"
+
+
+def _emit_result(args, payload, rows, fields, config, inputs=()) -> int:
+    """Write ``payload`` (JSON) or ``rows`` (CSV) per ``--format``, then the manifest."""
+    if args.format == "json":
+        _emit(_json_write(payload) + "\n", args.output)
+    else:
+        _emit(_csv_text(fields, rows), args.output)
+    _write_manifest(args.output, args.command, config, inputs=inputs)
+    return 0
 
 
 def _sha256_file(path) -> str:
@@ -198,8 +204,7 @@ def _cmd_estimate(args) -> int:
     baseline = None
     for _, tag, k in requested:
         spec = ESTIMATORS[tag]
-        solver = (ImplicitSolver(spec.solver_kind, n, c_model, k=k)
-                  if spec.solver_kind else None)
+        solver = spec.solver(n, c_model, k)
         try:
             results.append(spec.estimate(snapshot, k, args.level, solver))
         except AmbiguousRootError as exc:
@@ -207,18 +212,13 @@ def _cmd_estimate(args) -> int:
             if baseline is None:
                 baseline = log_ratio_estimate(snapshot).theta_hat
             root = min(exc.roots, key=lambda r: abs(r - baseline))
-            results.append(solver.result_for_root(
-                root, float(spec.statistic(snapshot, k)), level=args.level))
+            results.append(solver.result_for_root(root, exc.target, level=args.level))
 
     payload = {"n": n, "estimates": [r.to_json_dict() for r in results]}
-    if args.format == "json":
-        _emit(_json_write(payload) + "\n", args.output)
-    else:
-        rows = [{**r.to_json_dict(), "flags": ";".join(r.flags)} for r in results]
-        _emit(_csv_text(["estimator", "theta_hat", "stderr", "ci_lo", "ci_hi",
-                         "level", "flags"], rows), args.output)
-    _write_manifest(args.output, "estimate", _echo_args(args), inputs=[args.input])
-    return 0
+    rows = [{**r.to_json_dict(), "flags": ";".join(r.flags)} for r in results]
+    return _emit_result(args, payload, rows, ["estimator", "theta_hat", "stderr", "ci_lo",
+                                              "ci_hi", "level", "flags"],
+                        _echo_args(args), inputs=[args.input])
 
 
 # ----------------------------------------------------------------------
@@ -259,12 +259,8 @@ def _study_config(args, estimators=NORMALITY_ESTIMATORS) -> ExperimentConfig:
 
 
 def _emit_study(args, report, fields) -> int:
-    if args.format == "json":
-        _emit(_json_write(report.to_json_dict()) + "\n", args.output)
-    else:
-        _emit(_csv_text(fields, [r.to_json_dict() for r in report.rows]), args.output)
-    _write_manifest(args.output, args.command, report.config)
-    return 0
+    return _emit_result(args, report.to_json_dict(),
+                        [r.to_json_dict() for r in report.rows], fields, report.config)
 
 
 def _cmd_study_normality(args) -> int:
@@ -323,18 +319,12 @@ def _cmd_eval_asymptotics(args) -> int:
                 for j in range(args.nu + 1):
                     for tau, t in pairs:
                         add("cov", theta, spec.cov(i, j, tau, t), i=i, j=j, tau=tau, t=t)
-    if args.format == "json":
-        _emit(_json_write(rows) + "\n", args.output)
-    else:
-        _emit(_csv_text(fields, rows), args.output)
-    _write_manifest(args.output, "eval-asymptotics", _echo_args(args))
-    return 0
+    return _emit_result(args, rows, rows, fields, _echo_args(args))
 
 
 def _echo_args(args) -> dict:
-    skip = {"func"}
     return {k: v for k, v in sorted(vars(args).items())
-            if k not in skip and not k.startswith("_")}
+            if k != "func" and not k.startswith("_")}
 
 
 # ----------------------------------------------------------------------

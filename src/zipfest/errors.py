@@ -46,9 +46,11 @@ class NoRootError(ZipfestError):
 class AmbiguousRootError(ZipfestError):
     """The implicit-estimator equation has several roots; the caller must choose.
 
-    ``roots`` lists every refined root in increasing order.
+    ``roots`` lists every refined root in increasing order; ``target`` is
+    the statistic value they solve for.
     """
 
-    def __init__(self, message, roots):
+    def __init__(self, message, roots, target):
         super().__init__(message)
         self.roots = list(roots)
+        self.target = target

@@ -242,7 +242,8 @@ class ImplicitSolver:
             iterations += its
         if len(roots) > 1:
             raise AmbiguousRootError(
-                f"g(theta) = {stat_value!r} has {len(roots)} roots", roots=roots)
+                f"g(theta) = {stat_value!r} has {len(roots)} roots", roots=roots,
+                target=float(stat_value))
         theta_star = roots[0]
         return self._result(theta_star, stat_value, level, iterations,
                             (float(self._grid[sign_change[0]]),
@@ -377,8 +378,13 @@ class EstimatorSpec:
     solver_kind: str | None = None      # ImplicitSolver kind, implicit only
     closed_form: Callable | None = None  # (snapshot, k, level) -> EstimateResult
 
+    def solver(self, n, c_of_theta, k) -> ImplicitSolver | None:
+        """The ImplicitSolver :meth:`estimate` needs; None for closed forms."""
+        if self.solver_kind is not None:
+            return ImplicitSolver(self.solver_kind, n, c_of_theta, k=k)
+
     def estimate(self, snapshot, k, level, solver=None) -> EstimateResult:
-        """``solver``: an ImplicitSolver of :attr:`solver_kind` for this n, k."""
+        """``solver``: what :meth:`solver` returns for this n and k."""
         if self.solver_kind is None:
             return self.closed_form(snapshot, k, level)
         return solver.solve(float(self.statistic(snapshot, k)), level=level)
@@ -425,6 +431,6 @@ def expand_estimators(tags, k_values) -> list[tuple[str, str, int | None]]:
     return out
 
 
-def snapshot_k_max(requested, floor: int = DEFAULT_K_MAX) -> int:
+def snapshot_k_max(requested) -> int:
     """The count range a snapshot must track for ``expand_estimators`` output."""
-    return max([floor] + [ESTIMATORS[tag].highest_count(k) for _, tag, k in requested])
+    return max([DEFAULT_K_MAX] + [ESTIMATORS[tag].highest_count(k) for _, tag, k in requested])

@@ -35,8 +35,8 @@ import numpy as np
 
 from . import asymptotics
 from .errors import UsageError, ZipfestError
-from .estimators import (ESTIMATORS, ImplicitSolver, expand_estimators,
-                         normal_cdf, snapshot_k_max)
+from .estimators import (ESTIMATORS, expand_estimators, normal_cdf,
+                         snapshot_k_max)
 from .law import PowerLaw, make_zipf_law, zeta_normalization
 from .sampler import SeedSpec, sample_trajectory
 
@@ -67,16 +67,12 @@ class ExperimentConfig:
     tail_epsilon: float = 1e-12
     workers: int = 1
 
-    def content_hash(self) -> str:
-        payload = asdict(self)
-        payload.pop("workers")
-        blob = json.dumps(payload, sort_keys=True, default=str).encode()
-        return hashlib.sha256(blob).hexdigest()
-
     def echo(self) -> dict:
+        """Every field but ``workers``, plus ``config_hash``, their SHA-256."""
         out = asdict(self)
         out.pop("workers")
-        out["config_hash"] = self.content_hash()
+        blob = json.dumps(out, sort_keys=True, default=str).encode()
+        out["config_hash"] = hashlib.sha256(blob).hexdigest()
         return out
 
 
@@ -164,10 +160,9 @@ def _normality_chunk(cfg: ExperimentConfig, rep_lo: int, rep_hi: int):
     """Standardized values / coverage flags for one block of replications."""
     law = _law_from_config(cfg)
     requested = expand_estimators(cfg.estimators, cfg.k_values)
-    k_max = snapshot_k_max(requested, floor=cfg.k_max)
-    solvers = {name: ImplicitSolver(ESTIMATORS[tag].solver_kind, cfg.n,
-                                    zeta_normalization, k=k)
-               for name, tag, k in requested if ESTIMATORS[tag].solver_kind}
+    k_max = snapshot_k_max(requested)
+    solvers = {name: ESTIMATORS[tag].solver(cfg.n, zeta_normalization, k)
+               for name, tag, k in requested}
     theta = cfg.theta
     n_rows = rep_hi - rep_lo
     values = {name: np.full(n_rows, np.nan) for name, _, _ in requested}
@@ -178,7 +173,7 @@ def _normality_chunk(cfg: ExperimentConfig, rep_lo: int, rep_hi: int):
         for name, tag, k in requested:
             spec = ESTIMATORS[tag]
             try:
-                est = spec.estimate(snap, k, cfg.level, solvers.get(name))
+                est = spec.estimate(snap, k, cfg.level, solvers[name])
             except ZipfestError:
                 continue
             values[name][offset] = spec.standardize(est.theta_hat, theta, snap, k)

@@ -8,7 +8,7 @@ import scipy.stats as st
 from zipfest.asymptotics import ratio_k_variance, ratio_r1_variance
 from zipfest.errors import (AmbiguousRootError, DomainError,
                             InsufficientDataError, NoRootError, UsageError)
-from zipfest.estimators import (ImplicitSolver, implicit_estimate,
+from zipfest.estimators import (ESTIMATORS, ImplicitSolver, implicit_estimate,
                                 log_ratio_estimate, normal_quantile,
                                 ratio_estimate_k, ratio_estimate_r1)
 from zipfest.law import make_zipf_law, zeta_normalization
@@ -82,6 +82,7 @@ class TestImplicit:
             implicit_estimate(50.0, 10 ** 4, "r", wiggly)
         assert len(err.value.roots) >= 2
         assert err.value.roots == sorted(err.value.roots)
+        assert err.value.target == 50.0
 
     def test_non_differentiable_flag(self):
         result = implicit_estimate(200.0, 10 ** 4, "r", zeta_normalization,
@@ -111,6 +112,15 @@ class TestImplicit:
                 except (NoRootError, InsufficientDataError, AmbiguousRootError):
                     continue
                 assert 0.0 < result.theta_hat < 1.0
+
+
+def test_table_solver_only_for_implicit_tags():
+    for spec in ESTIMATORS.values():
+        solver = spec.solver(10 ** 4, zeta_normalization, 2)
+        if spec.solver_kind is None:
+            assert solver is None
+        else:
+            assert (solver.which, solver.n) == (spec.solver_kind, 10 ** 4)
 
 
 class TestRatioR1:
