@@ -164,6 +164,12 @@ def _parse_floats(spec: str, what: str) -> tuple[float, ...]:
     return tuple(_parse_float(t, what) for t in spec.split(",") if t.strip())
 
 
+def _check_theta(theta: float) -> float:
+    if not 0.0 < theta < 1.0:
+        raise UsageError(f"theta must lie in (0, 1), got {theta!r}")
+    return theta
+
+
 def _build_c_model(spec: str | None):
     if spec is None:
         return None
@@ -226,7 +232,8 @@ def _cmd_estimate(args) -> int:
 # ----------------------------------------------------------------------
 
 def _cmd_simulate(args) -> int:
-    law = make_zipf_law(args.theta, i0=args.i0, tail_epsilon=args.tail_epsilon)
+    law = make_zipf_law(_check_theta(args.theta), i0=args.i0,
+                        tail_epsilon=args.tail_epsilon)
     seed = SeedSpec(args.seed, args.stream)
     if args.mode == "fixed":
         if args.n < 1:
@@ -249,7 +256,7 @@ def _cmd_simulate(args) -> int:
 
 def _study_config(args, estimators=NORMALITY_ESTIMATORS) -> ExperimentConfig:
     return ExperimentConfig(
-        theta=args.theta, n=args.n, m=args.m, i0=args.i0,
+        theta=_check_theta(args.theta), n=args.n, m=args.m, i0=args.i0,
         estimators=tuple(estimators),
         k_values=tuple(_parse_k_list(args.k)) if hasattr(args, "k") else (1,),
         grid=_parse_floats(args.grid, "grid value") if hasattr(args, "grid") else (0.5, 1.0),
@@ -294,7 +301,7 @@ def _parse_tau_t(spec: str) -> list[tuple[float, float]]:
 
 
 def _cmd_eval_asymptotics(args) -> int:
-    thetas = _parse_floats(args.theta, "theta")
+    thetas = [_check_theta(t) for t in _parse_floats(args.theta, "theta")]
     k_values = _parse_k_list(args.k)
     pairs = _parse_tau_t(args.tau_t) if args.tau_t else []
     fields = ["kind", "theta", "k", "i", "j", "tau", "t", "value"]

@@ -1,4 +1,4 @@
-"""Power-law urn models and their exact finite-n moment oracles.
+"""Power-law urn models, their exact finite-n moment oracles and ball draws.
 
 The central object is :class:`PowerLaw`, either an exact zeta law
 
@@ -13,7 +13,11 @@ or a generic law given by an explicit probability table.  A law knows how to
   definition of alpha forces),
 * compute exact expectations of the occupancy statistics R, U, R_k, R*_k
   for a fixed number of balls or a poissonized horizon, and
-* serve the samplers through an inverse CDF.
+* draw the support positions of independent balls: zeta laws by
+  rejection-inversion (Hoermann & Derflinger, "Rejection-inversion to
+  generate variates from monotone discrete distributions", ACM TOMACS 6(3),
+  1996), which needs no table and costs O(1) per ball at any exponent;
+  table laws by inverting their cumulative table.
 
 Truncation policy: the support is cut at the smallest index whose remaining
 tail mass is below ``tail_epsilon`` (default 1e-12).  Oracles never
@@ -22,30 +26,31 @@ through alternating series in the exact zeta tail sums, with the truncation
 remainder bounded explicitly.  Sampling renormalizes over the retained
 support and records the discarded mass.
 
-For exponents near 1 the cutoff is astronomically large (far beyond any
-dense table), so only a prefix of the CDF is materialized and the rest is
-evaluated analytically on demand.
+For exponents near 1 the cutoff is astronomically large.  Zeta-law positions
+are float64: exact integers below 2^53, 53 significant bits beyond it.  A law
+whose cutoff exceeds the float64 range (theta above about 0.963 at the
+default ``tail_epsilon``, 0.981 at 1e-6) still has its oracles but cannot be
+sampled.
 """
 
 from __future__ import annotations
 
 import csv
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .errors import DomainError, InputFormatError, UsageError
-from .specfun import ln_gamma, zeta, zeta_tail, zeta_tail_batch
+from .specfun import ln_gamma, zeta, zeta_tail
 
 __all__ = ["PowerLaw", "make_zipf_law", "load_probability_csv"]
 
-_HEAD_SIZE = 1 << 20
 # Enumeration window for the expectation oracles stops once n * p <= this.
 _ORACLE_SMALLNESS = 0.125
 _ORACLE_MIN_WINDOW = 4096
-_FLOAT_EXACT_INT = float(1 << 53)
 
 _STATS = ("r", "u", "rk", "rstar")
 
@@ -88,19 +93,16 @@ class PowerLaw:
     total_mass: float
     _s: float | None = field(repr=False, default=None)
     _zeta_s: float | None = field(repr=False, default=None)
-    _cum_head: np.ndarray = field(repr=False, default=None)
+    _table_cum: np.ndarray = field(repr=False, default=None)
     _table_probs: np.ndarray = field(repr=False, default=None)
     _table_indices: np.ndarray = field(repr=False, default=None)
-    _alias_prob: np.ndarray = field(repr=False, default=None)
-    _alias_idx: np.ndarray = field(repr=False, default=None)
 
     # ------------------------------------------------------------------
     # constructors
     # ------------------------------------------------------------------
 
     @staticmethod
-    def zipf(theta: float, i0: int = 0, tail_epsilon: float = 1e-12,
-             sample_method: str = "bisect") -> "PowerLaw":
+    def zipf(theta: float, i0: int = 0, tail_epsilon: float = 1e-12) -> "PowerLaw":
         """Exact zeta law with exponent ``theta`` and index shift ``i0``."""
         if not (isinstance(theta, (int, float)) and 0.0 < theta < 1.0):
             raise DomainError(f"theta must lie in (0, 1), got {theta!r}")
@@ -109,30 +111,17 @@ class PowerLaw:
         if not (0.0 < tail_epsilon <= 1e-6):
             raise DomainError(
                 f"tail_epsilon must lie in (0, 1e-6], got {tail_epsilon!r}")
-        if sample_method not in ("bisect", "alias"):
-            raise UsageError(f"unknown sample_method {sample_method!r}")
         theta = float(theta)
         s = 1.0 / theta
         zeta_s = zeta(s)
         c = 1.0 / zeta_s
         cutoff = _minimal_cutoff(s, c, tail_epsilon)
-        head_len = min(cutoff, _HEAD_SIZE)
-        m = np.arange(1, head_len + 1, dtype=float)
-        # extended-precision accumulation keeps the table consistent with the
-        # analytic CDF at the head/tail boundary
-        cum_head = np.cumsum((c * m ** (-s)).astype(np.longdouble)).astype(float)
         discarded = c * zeta_tail(s, cutoff)
-        total = 1.0 - discarded
-        law = PowerLaw(
+        return PowerLaw(
             kind="zeta", theta=theta, i0=int(i0), c=c, cutoff=cutoff,
             tail_epsilon=float(tail_epsilon), discarded_mass=discarded,
-            total_mass=total, _s=s, _zeta_s=zeta_s, _cum_head=cum_head,
+            total_mass=1.0 - discarded, _s=s, _zeta_s=zeta_s,
         )
-        if sample_method == "alias":
-            prob, idx = _build_alias(law)
-            object.__setattr__(law, "_alias_prob", prob)
-            object.__setattr__(law, "_alias_idx", idx)
-        return law
 
     @staticmethod
     def from_probabilities(probabilities: Sequence[float],
@@ -168,7 +157,7 @@ class PowerLaw:
             kind="table", theta=theta, i0=int(idx[0] - 1),
             c=c, cutoff=int(probs.size), tail_epsilon=0.0,
             discarded_mass=0.0, total_mass=1.0,
-            _cum_head=np.cumsum(probs), _table_probs=probs, _table_indices=idx,
+            _table_cum=np.cumsum(probs), _table_probs=probs, _table_indices=idx,
         )
 
     @staticmethod
@@ -179,12 +168,6 @@ class PowerLaw:
     # ------------------------------------------------------------------
     # point evaluations
     # ------------------------------------------------------------------
-
-    @property
-    def cdf(self) -> np.ndarray:
-        """Materialized cumulative prefix (full table for table laws,
-        sampling head for zeta laws with huge cutoffs)."""
-        return self._cum_head
 
     def probability(self, i: int) -> float:
         """Model probability of urn ``i`` (0.0 off the support)."""
@@ -374,73 +357,61 @@ class PowerLaw:
         return front * total
 
     # ------------------------------------------------------------------
-    # inverse CDF (sampling support)
+    # ball draws
     # ------------------------------------------------------------------
 
-    def _positions_from_uniforms(self, u: np.ndarray):
-        """Map uniforms scaled to [0, total_mass) to 1-based support positions.
+    def draw_positions(self, n: int, rng: np.random.Generator) -> np.ndarray:
+        """1-based support positions of ``n`` independent balls.
 
-        Returns ``(pos, far)`` where ``pos`` is an int64 array and ``far``
-        maps slot index -> exact Python-int position for the (essentially
-        never hit) draws beyond 2^53 where float bisection loses integer
-        resolution; those slots hold -1 in ``pos``.
+        Table laws invert their cumulative table (int64 positions).  Zeta
+        laws use rejection-inversion over {1, ..., cutoff} with the hat
+        x^-s, s = 1/theta, redrawing only the balls still rejected; their
+        positions are float64, exact below 2^53.
         """
-        cum = self._cum_head
-        pos = np.searchsorted(cum, u, side="right").astype(np.int64) + 1
-        far: dict[int, int] = {}
-        head_len = cum.size
-        if head_len < self.cutoff:
-            over = np.flatnonzero(pos > head_len)
-            if over.size:
-                resolved, far_local = self._invert_tail(u[over])
-                pos[over] = resolved
-                far = {int(over[slot]): value for slot, value in far_local.items()}
-        else:
-            np.minimum(pos, head_len, out=pos)
-        return pos, far
+        if self.kind == "table":
+            pos = np.searchsorted(self._table_cum, rng.random(n), side="right") + 1
+            return np.minimum(pos, self.cutoff)
+        if self.cutoff > sys.float_info.max:
+            raise DomainError(
+                f"cannot sample theta={self.theta!r}: its support cutoff "
+                f"10^{math.log10(self.cutoff):.1f} exceeds the float64 range; "
+                "raise tail_epsilon (at 1e-6, theta up to about 0.98 can be sampled)")
+        s = self._s
+        # u is uniform on (H(3/2) - 1, H(cutoff + 1/2)]; x = H^-1(u) rounds to
+        # k, and k is kept when u lies in the top h(k) = k^-s of its stretch
+        # (H(k - 1/2), H(k + 1/2)], which convexity makes longer than h(k);
+        # k = 1 owns (H(3/2) - 1, H(3/2)], of length exactly h(1) = 1.
+        top = _hat_integral(math.log(self.cutoff + 0.5), s)
+        bottom = _hat_integral(math.log(1.5), s) - 1.0
+        # x >= k - quick puts u in the kept part of k for every k >= 2, so only
+        # the other balls need the exact test; beyond 2^53, where x has no
+        # fraction left, this is the test that decides
+        quick = 2.0 - _hat_integral_inverse(_hat_integral(math.log(2.5), s) - 2.0 ** -s, s)
+        cutoff = float(self.cutoff)
 
-    def _invert_tail(self, u: np.ndarray):
-        """Analytic inverse CDF beyond the head table: find the smallest
-        position m with F(m) >= u, where F(m) = 1 - c * zeta_tail(s, m)."""
-        s, c = self._s, self.c
-        cap = min(self.cutoff, int(_FLOAT_EXACT_INT))
-        lo = np.full(u.shape, float(self._cum_head.size))
-        hi = np.full(u.shape, float(cap))
-        far: dict[int, int] = {}
-        if cap < self.cutoff:
-            f_cap = 1.0 - c * zeta_tail(s, cap)
-            for slot in np.flatnonzero(u > f_cap):
-                far[int(slot)] = self._invert_far_scalar(float(u[slot]))
-        for _ in range(140):
-            gap = hi - lo
-            if not np.any(gap > 1.0):
-                break
-            mid = np.floor((lo + hi) * 0.5)
-            mid = np.minimum(np.maximum(mid, lo + 1.0), hi)
-            f_mid = 1.0 - c * zeta_tail_batch(s, mid)
-            take = f_mid >= u
-            hi = np.where(take, mid, hi)
-            lo = np.where(take, lo, np.maximum(mid, lo))
-        out = hi.astype(np.int64)
-        for slot in far:
-            out[slot] = -1
-        return out, far
+        def attempt(size):
+            u = top + rng.random(size) * (bottom - top)
+            x = _hat_integral_inverse(u, s)
+            k = np.minimum(np.maximum(np.floor(x + 0.5), 1.0), cutoff)
+            ok = k - x <= quick
+            slow = np.flatnonzero(~ok)
+            ks = k[slow]
+            ok[slow] = u[slow] >= _hat_integral(np.log(ks + 0.5), s) - ks ** -s
+            return k, ok
 
-    def _invert_far_scalar(self, u: float) -> int:
-        s, c = self._s, self.c
-        lo, hi = int(_FLOAT_EXACT_INT), self.cutoff
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if 1.0 - c * zeta_tail(s, mid) >= u:
-                hi = mid
-            else:
-                lo = mid
-        return hi
+        out, ok = attempt(n)
+        todo = np.flatnonzero(~ok)
+        while todo.size:
+            k, ok = attempt(todo.size)
+            out[todo[ok]] = k[ok]
+            todo = todo[~ok]
+        return out
 
-    def positions_to_urns(self, positions: np.ndarray) -> np.ndarray:
+    def positions_to_urns(self, positions: np.ndarray) -> list[int]:
+        """Urn indices, as Python ints, of 1-based support positions."""
         if self.kind == "zeta":
-            return positions + self.i0
-        return self._table_indices[positions - 1]
+            return [int(p) + self.i0 for p in positions.tolist()]
+        return self._table_indices[positions - 1].tolist()
 
     def describe(self) -> dict:
         out = {
@@ -481,35 +452,20 @@ def _minimal_cutoff(s: float, c: float, eps: float) -> int:
     return hi
 
 
-def _build_alias(law: PowerLaw):
-    """Walker alias table over the head cells plus one escape cell carrying
-    the analytic tail mass."""
-    cum = law._cum_head
-    probs = np.diff(np.concatenate(([0.0], cum)))
-    escape = law.total_mass - cum[-1]
-    cells = np.concatenate((probs, [max(escape, 0.0)])) / law.total_mass
-    n_cells = cells.size
-    scaled = cells * n_cells
-    alias = np.arange(n_cells, dtype=np.int64)
-    prob = np.ones(n_cells)
-    small = [i for i, v in enumerate(scaled) if v < 1.0]
-    large = [i for i, v in enumerate(scaled) if v >= 1.0]
-    scaled = scaled.copy()
-    while small and large:
-        s_i = small.pop()
-        l_i = large.pop()
-        prob[s_i] = scaled[s_i]
-        alias[s_i] = l_i
-        scaled[l_i] = scaled[l_i] - (1.0 - scaled[s_i])
-        (small if scaled[l_i] < 1.0 else large).append(l_i)
-    return prob, alias
+def _hat_integral(log_x, s: float):
+    """H(x) = (x^(1-s) - 1) / (1-s), the antiderivative of the hat x^-s with
+    H(1) = 0, from ln x; increasing, with H(x) -> 1/(s-1) as x -> inf."""
+    return np.expm1((1.0 - s) * log_x) / (1.0 - s)
 
 
-def make_zipf_law(theta: float, i0: int = 0, tail_epsilon: float = 1e-12,
-                  sample_method: str = "bisect") -> PowerLaw:
+def _hat_integral_inverse(y, s: float):
+    """H^-1(y) = (1 + (1-s) y)^(1/(1-s)) for y < 1/(s-1)."""
+    return np.exp(np.log1p((1.0 - s) * y) / (1.0 - s))
+
+
+def make_zipf_law(theta: float, i0: int = 0, tail_epsilon: float = 1e-12) -> PowerLaw:
     """Construct the exact zeta law p_i = (i-i0)^(-1/theta) / zeta(1/theta)."""
-    return PowerLaw.zipf(theta, i0=i0, tail_epsilon=tail_epsilon,
-                         sample_method=sample_method)
+    return PowerLaw.zipf(theta, i0=i0, tail_epsilon=tail_epsilon)
 
 
 def zeta_normalization(theta):

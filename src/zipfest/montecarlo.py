@@ -38,6 +38,7 @@ from .errors import UsageError, ZipfestError
 from .estimators import (ESTIMATORS, expand_estimators, normal_cdf,
                          snapshot_k_max)
 from .law import PowerLaw, make_zipf_law, zeta_normalization
+from .occupancy import DEFAULT_K_MAX
 from .sampler import SeedSpec, sample_trajectory
 
 __all__ = ["ExperimentConfig", "EstimatorReport", "StudyReport",
@@ -63,9 +64,15 @@ class ExperimentConfig:
     nu: int = 1
     seed: int = 0
     level: float = 0.95
-    k_max: int = 8
     tail_epsilon: float = 1e-12
     workers: int = 1
+
+    @property
+    def k_max(self) -> int:
+        """Highest exact count a covariance snapshot tracks (``nu`` may not
+        exceed it).  A constant, not a setting; kept readable because the
+        traced replay in ``perfbench/replay.py`` reads it."""
+        return DEFAULT_K_MAX
 
     def echo(self) -> dict:
         """Every field but ``workers``, plus ``config_hash``, their SHA-256."""
@@ -266,8 +273,7 @@ def _covariance_chunk(cfg: ExperimentConfig, rep_lo: int, rep_hi: int):
     comps = cfg.nu + 1
     out = np.empty((rep_hi - rep_lo, len(cfg.grid), comps))
     for offset, rep in enumerate(range(rep_lo, rep_hi)):
-        snaps = sample_trajectory(law, cfg.n, cfg.grid, SeedSpec(cfg.seed, rep),
-                                  k_max=max(cfg.k_max, cfg.nu))
+        snaps = sample_trajectory(law, cfg.n, cfg.grid, SeedSpec(cfg.seed, rep))
         for a, snap in enumerate(snaps):
             out[offset, a, 0] = snap.r
             for j in range(1, comps):
@@ -282,8 +288,8 @@ def covariance_study(config: ExperimentConfig) -> CovarianceTable:
         raise UsageError("covariance studies need a non-empty time grid")
     if config.m < 100:
         raise UsageError(f"covariance studies need M >= 100, got {config.m}")
-    if config.nu < 1 or config.nu > min(config.k_max, 8):
-        raise UsageError(f"nu must lie in 1..{min(config.k_max, 8)}, got {config.nu}")
+    if config.nu < 1 or config.nu > DEFAULT_K_MAX:
+        raise UsageError(f"nu must lie in 1..{DEFAULT_K_MAX}, got {config.nu}")
     law = _law_from_config(config)
     comps = config.nu + 1
     chunks = _run_chunked(config, _covariance_chunk)

@@ -1,11 +1,9 @@
 """Samplers for occupancy configurations.
 
-Draws are inverse-CDF: a uniform is scaled to the retained support mass
-(renormalizing the truncated law; the discarded mass is recorded in the
-sample metadata) and mapped through the law's cumulative table, falling back
-to the analytic tail inversion beyond the materialized head.  An optional
-alias mode trades table setup for O(1) cell lookups in repeated-sampling
-studies.
+Every sampler draws ball positions with ``PowerLaw.draw_positions`` (the
+retained support, renormalized; the discarded mass is recorded in the sample
+metadata) and counts them one way: for each prefix of the draw it reports,
+the distinct positions among those balls and the ball count of each.
 
 Streams: any (master seed, stream index) pair yields an independent Philox
 counter-based generator (period 2^256), so replications can run in parallel
@@ -15,7 +13,6 @@ and still reproduce bit-for-bit.
 from __future__ import annotations
 
 import csv
-from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -62,79 +59,15 @@ class OccupancyCounts:
         return summarize_count_values(values, self.total, k_max=k_max)
 
 
-# ----------------------------------------------------------------------
-# position draws
-# ----------------------------------------------------------------------
-
-def _draw_positions(law: PowerLaw, n: int, rng: np.random.Generator):
-    """n support positions; returns (int64 array with -1 at far slots,
-    {slot: exact position} for the far slots)."""
-    if law._alias_prob is not None:
-        return _draw_positions_alias(law, n, rng)
-    u = rng.random(n) * law.total_mass
-    return law._positions_from_uniforms(u)
+def _tally(pos: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct positions among the first m balls of a draw, and the ball
+    count of each."""
+    return np.unique(pos[:m], return_counts=True)
 
 
-def _draw_positions_alias(law: PowerLaw, n: int, rng: np.random.Generator):
-    prob, alias = law._alias_prob, law._alias_idx
-    n_cells = prob.size
-    cells = rng.integers(0, n_cells, size=n)
-    v = rng.random(n)
-    chosen = np.where(v < prob[cells], cells, alias[cells])
-    pos = chosen.astype(np.int64) + 1
-    far: dict[int, int] = {}
-    head_len = law._cum_head.size
-    escape = np.flatnonzero(chosen == n_cells - 1)
-    if escape.size and head_len < law.cutoff:
-        lo = law._cum_head[-1]
-        u = lo + rng.random(escape.size) * (law.total_mass - lo)
-        resolved, far_local = law._invert_tail(u)
-        pos[escape] = resolved
-        far = {int(escape[slot]): value for slot, value in far_local.items()}
-    elif escape.size:
-        pos[escape] = head_len
-    return pos, far
-
-
-_BINCOUNT_SPLIT = 1 << 22
-
-
-def _count_values(pos: np.ndarray, far: dict) -> np.ndarray:
-    """Multiset of per-urn ball counts from a position draw.
-
-    Positions below a fixed boundary are tallied with bincount (linear);
-    the sparse remainder falls back to sort-based unique counting.
-    """
-    valid = pos[pos >= 0] if far else pos
-    parts = []
-    if valid.size:
-        small_mask = valid < _BINCOUNT_SPLIT
-        small = valid[small_mask]
-        if small.size:
-            tally = np.bincount(small)
-            parts.append(tally[tally > 0])
-        big = valid[~small_mask]
-        if big.size:
-            parts.append(np.unique(big, return_counts=True)[1])
-    if far:
-        extra = Counter(far.values())
-        parts.append(np.fromiter(extra.values(), dtype=np.int64))
-    if not parts:
-        return np.zeros(0, dtype=np.int64)
-    return np.concatenate(parts) if len(parts) > 1 else parts[0]
-
-
-def _counts_dict(law: PowerLaw, pos: np.ndarray, far: dict) -> dict:
-    valid = pos[pos >= 0] if far else pos
-    out: dict = {}
-    if valid.size:
-        upos, ucnt = np.unique(valid, return_counts=True)
-        urns = law.positions_to_urns(upos)
-        out = {int(i): int(c) for i, c in zip(urns, ucnt)}
-    for position in far.values():
-        urn = law.i0 + position
-        out[urn] = out.get(urn, 0) + 1
-    return out
+def _counts_dict(law: PowerLaw, pos: np.ndarray) -> dict:
+    upos, counts = _tally(pos, pos.size)
+    return dict(zip(law.positions_to_urns(upos), counts.tolist()))
 
 
 # ----------------------------------------------------------------------
@@ -146,9 +79,9 @@ def sample_fixed(law: PowerLaw, n: int, seed) -> OccupancyCounts:
     if not (isinstance(n, (int, np.integer)) and n >= 1):
         raise DomainError(f"n must be a positive integer, got {n!r}")
     spec = _as_seed(seed)
-    pos, far = _draw_positions(law, int(n), spec.generator())
     return OccupancyCounts(
-        counts=_counts_dict(law, pos, far), total=int(n), mode="fixed",
+        counts=_counts_dict(law, law.draw_positions(int(n), spec.generator())),
+        total=int(n), mode="fixed",
         meta={"seed": spec.master, "stream": spec.stream,
               "discarded_mass": law.discarded_mass, **law.describe()},
     )
@@ -171,15 +104,9 @@ def sample_trajectory(law: PowerLaw, n: int, grid, seed,
     if any(not 0.0 < t <= 1.0 for t in grid) or any(b <= a for a, b in zip(grid, grid[1:])):
         raise UsageError(f"grid must be strictly increasing within (0, 1], got {grid!r}")
     spec = _as_seed(seed)
-    pos, far = _draw_positions(law, int(n), spec.generator())
-    snapshots = []
-    for t in grid:
-        m = int(np.floor(n * t))
-        prefix = pos[:m]
-        far_prefix = {slot: v for slot, v in far.items() if slot < m} if far else {}
-        values = _count_values(prefix, far_prefix)
-        snapshots.append(summarize_count_values(values, m, k_max=k_max))
-    return snapshots
+    pos = law.draw_positions(int(n), spec.generator())
+    sizes = [int(np.floor(n * t)) for t in grid]
+    return [summarize_count_values(_tally(pos, m)[1], m, k_max=k_max) for m in sizes]
 
 
 def sample_poissonized(law: PowerLaw, t: float, seed) -> OccupancyCounts:
@@ -191,8 +118,7 @@ def sample_poissonized(law: PowerLaw, t: float, seed) -> OccupancyCounts:
     rng = spec.generator()
     total = int(rng.poisson(t * law.total_mass))
     if total:
-        pos, far = _draw_positions(law, total, rng)
-        counts = _counts_dict(law, pos, far)
+        counts = _counts_dict(law, law.draw_positions(total, rng))
     else:
         counts = {}
     return OccupancyCounts(

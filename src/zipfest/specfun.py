@@ -8,8 +8,8 @@ ln_gamma on [0.05, 50] (measured against the Gamma scale near the zeros of
 ln Gamma), <= 1e-10 for zeta on (1, inf).
 
 ``ln_gamma`` accepts scalars or numpy arrays; ``zeta`` and ``zeta_tail`` are
-scalar (``zeta_tail_batch`` is the vectorized tail used by the sampler's
-analytic inverse CDF).
+scalar.  ``zeta_tail`` takes bases of any size as Python ints, since the zeta
+law's cutoff, discarded mass and oracle tail sums need them near theta = 1.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import DomainError
 
-__all__ = ["ln_gamma", "gamma", "zeta", "zeta_tail", "zeta_tail_batch", "ln_beta"]
+__all__ = ["ln_gamma", "gamma", "zeta", "zeta_tail", "ln_beta"]
 
 _HALF_LOG_TWO_PI = 0.9189385332046727417803297364
 
@@ -163,29 +163,6 @@ def zeta_tail(s, n):
             return total
         base *= 2
     return total
-
-
-def zeta_tail_batch(s, bases):
-    """Vectorized sum_{m > base} m^-s for an array of large bases (>= 32).
-
-    Intended for the analytic inverse-CDF search where bases start at the
-    sampling head table (about 1e6) and the Euler-Maclaurin correction terms
-    are already microscopic.
-    """
-    b = np.asarray(bases, dtype=float)
-    inv = 1.0 / b
-    n_pow_ms = b ** (-s)
-    value = b ** (1.0 - s) / (s - 1.0) - 0.5 * n_pow_ms
-    rising = s
-    power = n_pow_ms * inv
-    factorial = 2.0
-    for idx, bern in enumerate(_BERNOULLI_EVEN[:3]):
-        value = value + bern / factorial * rising * power
-        two_k = 2 * (idx + 1)
-        rising *= (s + two_k - 1.0) * (s + two_k)
-        power *= inv * inv
-        factorial *= (two_k + 1.0) * (two_k + 2.0)
-    return value
 
 
 def zeta(s):

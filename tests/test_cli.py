@@ -58,15 +58,23 @@ def test_estimate_all_reruns_byte_identical(capsys, corpus):
     ["estimate", "--k", "0"],
     ["study-normality", "--theta", "0.5", "--n", "2000", "--m", "100",
      "--estimators", "log-ratio"],
+    ["eval-asymptotics", "--theta", "1.5"],
+    ["eval-asymptotics", "--theta", "0.5,0"],
+    ["study-normality", "--theta", "0", "--n", "1000", "--m", "100"],
+    ["study-covariance", "--theta", "1", "--n", "1000", "--m", "100"],
+    ["simulate", "--theta", "-0.5", "--n", "100"],
 ])
-def test_usage_error_is_one_line_with_exit_2(capsys, corpus, argv):
+def test_usage_error_is_one_line_with_exit_2(capsys, corpus, tmp_path, argv):
     if argv[0] == "estimate":
         argv = argv + ["--input", str(corpus[0])]
+    if argv[0] == "simulate":
+        argv = argv + ["--output", str(tmp_path / "counts.csv")]
     code, out, err = run(capsys, argv)
     assert code == 2
     assert out == ""
     assert err.startswith("zipfest: usage error: ")
     assert err.count("\n") == 1 and "Traceback" not in err
+    assert not any(tmp_path.iterdir())
 
 
 @pytest.mark.parametrize("flag", [["--config", "study.cfg"],

@@ -47,11 +47,6 @@ class TestConstruction:
         assert c * zeta_tail(s, law03.cutoff) < 1e-12
         assert c * zeta_tail(s, law03.cutoff - 1) >= 1e-12
 
-    def test_cdf_monotone(self, law05):
-        cdf = law05.cdf
-        assert np.all(np.diff(cdf) > 0)
-        assert cdf[0] == pytest.approx(law05.probability(1), rel=1e-14)
-
     def test_domain_errors(self):
         with pytest.raises(DomainError):
             make_zipf_law(0.0)

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from zipfest.law import PowerLaw, make_zipf_law
 from zipfest.sampler import (OccupancyCounts, SeedSpec, read_counts_csv,
                              sample_fixed, sample_poissonized,
                              sample_trajectory, write_counts_csv)
+from zipfest.specfun import zeta_tail
 
 from conftest import WORKERS
 
@@ -61,20 +63,74 @@ class TestFixed:
             sample_fixed(law05, 2.5, 1)
 
     def test_heavy_tail_support_reached(self, law07):
-        # theta = 0.7 pushes ~0.2% of draws beyond the materialized head
+        # theta = 0.7 puts ~0.2% of draws beyond position 2^20
         counts = sample_fixed(law07, 10 ** 5, 11)
-        head = law07.cdf.size
+        head = 1 << 20
         beyond = [i for i in counts.counts if i - law07.i0 > head]
-        assert beyond, "analytic tail inversion never exercised"
+        assert beyond, "no draw beyond position 2^20"
         assert max(counts.counts) <= law07.cutoff
 
-    def test_alias_mode_matches_distribution(self, law05):
-        law_alias = make_zipf_law(0.5, sample_method="alias")
+
+class _Uniforms:
+    """Stand-in generator: the given uniforms first, then a seeded stream."""
+
+    def __init__(self, first):
+        self.first = np.asarray(first, dtype=float)
+        self.rest = np.random.default_rng(0)
+
+    def random(self, size):
+        out, self.first = self.first[:size], self.first[size:]
+        return np.concatenate([out, self.rest.random(size - out.size)])
+
+
+class TestRejectionInversion:
+    @pytest.mark.parametrize("theta", [0.3, 0.9])
+    def test_head_frequencies(self, theta):
+        # the rejection step decides only near the head, so check urns 1-5
+        law = make_zipf_law(theta)
+        n = 10 ** 6
+        pos = law.draw_positions(n, SeedSpec(2024).generator())
+        for i in range(1, 6):
+            p = law.probability(i) / law.total_mass
+            se = math.sqrt(p * (1.0 - p) / n)
+            assert abs(np.count_nonzero(pos == i) / n - p) <= 5.0 * se, i
+
+    def test_urns_beyond_2_53_are_python_ints(self):
+        law = make_zipf_law(0.9, i0=7)
         n = 10 ** 5
-        expected = law05.expected_statistic(n, "r")
-        snap = sample_fixed(law_alias, n, 3).snapshot()
-        assert abs(snap.r - expected) <= 5.0 * math.sqrt(expected)
-        assert sum(sample_fixed(law_alias, 1000, 7).counts.values()) == 1000
+        counts = sample_fixed(law, n, 5).counts
+        assert sum(counts.values()) == n
+        assert all(type(i) is int and i > law.i0 for i in counts)
+        assert max(counts) - law.i0 > 2 ** 53
+
+    def test_false_collision_beyond_2_53_is_rarer_than_1e_6(self):
+        """Beyond 2^53 a position is a float, so two balls in distinct urns
+        merge when they get the same value v.  In one draw of n balls that
+        happens with chance at most C(n, 2) P(K > 2^53) q, where q bounds the
+        chance of any one value.  A round of the sampler maps each 53-bit
+        uniform (chance 2^-53) monotonically to a value, so a value takes a
+        run of adjacent uniforms; the run is at most two long, since two
+        uniforms can round to the same point of the hat integral (checked
+        below at the far end, where values are coarsest).  A round keeps its
+        ball with chance at least (3/4)^s: urn 1 owns hat area 1 = 1^-s, and
+        urn k >= 2 at most (k - 1/2)^-s <= (4/3)^s k^-s.  So
+        q <= 2 * 2^-53 / (3/4)^s."""
+        law = make_zipf_law(0.9)
+        n = 10 ** 5
+        s = 1.0 / law.theta
+        p_far = law.c * zeta_tail(s, 2 ** 53) / law.total_mass
+        q = 2 * 2.0 ** -53 / 0.75 ** s
+        assert math.comb(n, 2) * p_far * q < 1e-6
+        smallest = np.arange(4000) * 2.0 ** -53
+        pos = law.draw_positions(smallest.size, _Uniforms(smallest))
+        assert pos.min() > 2 ** 53
+        assert np.unique(pos, return_counts=True)[1].max() <= 2
+
+    def test_cutoff_beyond_float64_is_a_domain_error(self):
+        law = make_zipf_law(0.97)
+        assert law.cutoff > sys.float_info.max
+        with pytest.raises(DomainError):
+            sample_fixed(law, 10, 1)
 
 
 class TestTrajectory:
@@ -179,6 +235,13 @@ class TestCountsCsv:
         back = read_counts_csv(path)
         assert back.counts == counts.counts
         assert back.total == counts.total
+
+    def test_roundtrip_beyond_2_53(self, tmp_path):
+        counts = sample_fixed(make_zipf_law(0.9), 10 ** 4, 3)
+        assert max(counts.counts) > 2 ** 53
+        path = tmp_path / "counts.csv"
+        write_counts_csv(counts, path)
+        assert read_counts_csv(path).counts == counts.counts
 
     def test_malformed(self, tmp_path):
         path = tmp_path / "bad.csv"
