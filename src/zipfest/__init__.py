@@ -7,12 +7,11 @@ from .errors import (AmbiguousRootError, DomainError, InputFormatError,
                      InsufficientDataError, NoRootError, UsageError,
                      ZipfestError)
 from .law import PowerLaw, make_zipf_law, zeta_normalization
-from .occupancy import StatisticsSnapshot, StreamAccumulator
+from .occupancy import StatisticsSnapshot
 from .sampler import (OccupancyCounts, SeedSpec, sample_fixed,
                       sample_poissonized, sample_trajectory)
-from .estimators import (EstimateResult, ImplicitSolver, implicit_estimate,
-                         log_ratio_estimate, ratio_estimate_k,
-                         ratio_estimate_r1)
+from .estimators import (EstimateResult, ImplicitSolver, log_ratio_estimate,
+                         ratio_estimate_k, ratio_estimate_r1)
 from .asymptotics import (CovarianceSpec, implicit_variance,
                           limiting_cov_matrix, ratio_k_variance,
                           ratio_r1_variance)
@@ -25,11 +24,11 @@ __all__ = [
     "ZipfestError", "DomainError", "UsageError", "InsufficientDataError",
     "InputFormatError", "NoRootError", "AmbiguousRootError",
     "PowerLaw", "make_zipf_law", "zeta_normalization",
-    "StatisticsSnapshot", "StreamAccumulator",
+    "StatisticsSnapshot",
     "OccupancyCounts", "SeedSpec", "sample_fixed", "sample_poissonized",
     "sample_trajectory",
-    "EstimateResult", "ImplicitSolver", "implicit_estimate",
-    "log_ratio_estimate", "ratio_estimate_k", "ratio_estimate_r1",
+    "EstimateResult", "ImplicitSolver", "log_ratio_estimate",
+    "ratio_estimate_k", "ratio_estimate_r1",
     "CovarianceSpec", "implicit_variance", "limiting_cov_matrix",
     "ratio_k_variance", "ratio_r1_variance",
     "ExperimentConfig", "StudyReport", "covariance_study", "ks_test",

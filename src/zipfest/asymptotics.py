@@ -1,4 +1,5 @@
-"""Closed-form limiting variances and the limiting covariance function.
+"""Growth terms, closed-form limiting variances and the limiting covariance
+function.
 
 All quantities describe the Gaussian limits of the centered occupancy paths
 
@@ -23,8 +24,10 @@ import numpy as np
 from .errors import DomainError, UsageError
 from .specfun import ln_beta, ln_gamma
 
-__all__ = ["implicit_variance", "ratio_r1_variance", "ratio_k_variance",
-           "CovarianceSpec", "limiting_cov_matrix"]
+__all__ = ["log_growth", "implicit_variance", "ratio_r1_variance",
+           "ratio_k_variance", "CovarianceSpec", "limiting_cov_matrix"]
+
+_LN2 = math.log(2.0)
 
 
 def _check_theta(theta: float) -> float:
@@ -37,6 +40,31 @@ def _check_k(k) -> int:
     if not (isinstance(k, (int, np.integer)) and k >= 1):
         raise DomainError(f"k must be a positive integer, got {k!r}")
     return int(k)
+
+
+def log_growth(theta, log_cn, stat: str, k: int | None = None):
+    """ln g, with g the first-order growth term of E[S_n] and log_cn = ln(c n):
+
+        r      Gamma(1-theta) (c n)^theta
+        u      2^(theta-1) Gamma(1-theta) (c n)^theta
+        rk     theta Gamma(k-theta)/k! (c n)^theta
+        rstar  Gamma(k-theta)/(k-1)! (c n)^theta
+
+    ``theta`` and ``log_cn`` are floats or arrays of one shape.  A float stays
+    on ``math`` and the scalar ``ln_gamma``, so a bisection step costs
+    microseconds; callers check ``stat`` and ``k``.
+    """
+    scale = theta * log_cn
+    if stat == "r":
+        return ln_gamma(1.0 - theta) + scale
+    if stat == "u":
+        return ln_gamma(1.0 - theta) + scale + (theta - 1.0) * _LN2
+    if stat == "rk":
+        log = math.log if isinstance(theta, float) else np.log
+        return log(theta) + ln_gamma(k - theta) - ln_gamma(k + 1.0) + scale
+    if stat == "rstar":
+        return ln_gamma(k - theta) - ln_gamma(float(k)) + scale
+    raise UsageError(f"unknown statistic {stat!r}")
 
 
 def implicit_variance(theta: float, which: str, k: int | None = None) -> float:

@@ -164,10 +164,31 @@ def _parse_floats(spec: str, what: str) -> tuple[float, ...]:
     return tuple(_parse_float(t, what) for t in spec.split(",") if t.strip())
 
 
-def _check_theta(theta: float) -> float:
-    if not 0.0 < theta < 1.0:
-        raise UsageError(f"theta must lie in (0, 1), got {theta!r}")
-    return theta
+# flag -> (test, rule) of each numeric flag with a restricted range
+_FLAG_RANGES = {
+    "theta": (lambda v: 0.0 < v < 1.0, "lie in (0, 1)"),
+    "i0": (lambda v: v >= 0, "be >= 0"),
+    "tail_epsilon": (lambda v: 0.0 < v <= 1e-6, "lie in (0, 1e-6]"),
+    "n": (lambda v: v >= 1, "be >= 1"),
+    "t": (lambda v: v > 0.0, "be positive"),
+    "k_max": (lambda v: v >= 1, "be >= 1"),
+    "level": (lambda v: 0.0 < v < 1.0, "lie in (0, 1)"),
+}
+
+
+def _check_range(name: str, value):
+    ok, rule = _FLAG_RANGES[name]
+    if not ok(value):
+        raise UsageError(f"--{name.replace('_', '-')} must {rule}, got {value!r}")
+    return value
+
+
+def _check_ranges(args) -> None:
+    """Reject an out-of-range flag before the command reads or writes a file."""
+    for name in _FLAG_RANGES:
+        value = getattr(args, name, None)
+        if isinstance(value, (int, float)):  # eval-asymptotics' --theta is a list
+            _check_range(name, value)
 
 
 def _build_c_model(spec: str | None):
@@ -179,7 +200,7 @@ def _build_c_model(spec: str | None):
         value = _parse_float(spec.split(":", 1)[1], "const c model value")
         if value <= 0:
             raise UsageError("const c model must be positive")
-        return lambda theta: value
+        return value
     raise UsageError(f"unknown c model {spec!r}; use 'zeta' or 'const:<value>'")
 
 
@@ -232,12 +253,9 @@ def _cmd_estimate(args) -> int:
 # ----------------------------------------------------------------------
 
 def _cmd_simulate(args) -> int:
-    law = make_zipf_law(_check_theta(args.theta), i0=args.i0,
-                        tail_epsilon=args.tail_epsilon)
+    law = make_zipf_law(args.theta, i0=args.i0, tail_epsilon=args.tail_epsilon)
     seed = SeedSpec(args.seed, args.stream)
     if args.mode == "fixed":
-        if args.n < 1:
-            raise UsageError("--n must be >= 1 for fixed mode")
         counts = sample_fixed(law, args.n, seed)
     else:
         horizon = args.t if args.t is not None else float(args.n)
@@ -256,7 +274,7 @@ def _cmd_simulate(args) -> int:
 
 def _study_config(args, estimators=NORMALITY_ESTIMATORS) -> ExperimentConfig:
     return ExperimentConfig(
-        theta=_check_theta(args.theta), n=args.n, m=args.m, i0=args.i0,
+        theta=args.theta, n=args.n, m=args.m, i0=args.i0,
         estimators=tuple(estimators),
         k_values=tuple(_parse_k_list(args.k)) if hasattr(args, "k") else (1,),
         grid=_parse_floats(args.grid, "grid value") if hasattr(args, "grid") else (0.5, 1.0),
@@ -301,7 +319,7 @@ def _parse_tau_t(spec: str) -> list[tuple[float, float]]:
 
 
 def _cmd_eval_asymptotics(args) -> int:
-    thetas = [_check_theta(t) for t in _parse_floats(args.theta, "theta")]
+    thetas = [_check_range("theta", t) for t in _parse_floats(args.theta, "theta")]
     k_values = _parse_k_list(args.k)
     pairs = _parse_tau_t(args.tau_t) if args.tau_t else []
     fields = ["kind", "theta", "k", "i", "j", "tau", "t", "value"]
@@ -444,6 +462,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_ranges(args)
         return args.func(args)
     except UsageError as exc:
         print(f"zipfest: usage error: {exc}", file=sys.stderr)

@@ -3,15 +3,17 @@
 Three families:
 
 * implicit estimators: theta* solves  S_n = g(theta)  where g is the
-  first-order growth curve of E[S_n] (needs the normalization c(theta) to be
-  known); asymptotic standard error sigma(theta*) / (ln n sqrt(S_n)),
+  first-order growth curve of E[S_n] (``asymptotics.log_growth``; needs the
+  normalization c(theta) to be known); asymptotic standard error
+  sigma(theta*) / (ln n sqrt(S_n)),
 * ratio estimators built from two statistics (no c needed):
   R_{n,1}/R_n and (k R_{n,k} - (k+1) R_{n,k+1}) / R_{n,k},
 * the log-ratio baseline ln R_n / ln n, consistent but with a
   non-vanishing ln-scale bias, so it gets no normal confidence interval.
 
 Confidence intervals are plug-in: the limiting variance formula evaluated at
-the estimate itself.
+the estimate itself, with the normal quantile of ``statistics.NormalDist``
+(the fixed ``Z_95`` at the default level 0.95).
 
 :data:`ESTIMATORS` maps each estimator tag to the statistic it reads, how it
 is computed, how it is standardized and its limiting variance; the CLI and
@@ -22,6 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from statistics import NormalDist
 from typing import Callable
 
 import numpy as np
@@ -30,12 +33,10 @@ from . import asymptotics
 from .errors import (AmbiguousRootError, DomainError, InsufficientDataError,
                      NoRootError, UsageError)
 from .occupancy import DEFAULT_K_MAX, StatisticsSnapshot
-from .specfun import ln_gamma
 
-__all__ = ["EstimateResult", "ImplicitSolver", "implicit_estimate",
-           "ratio_estimate_r1", "ratio_estimate_k", "log_ratio_estimate",
-           "normal_quantile", "normal_cdf", "EstimatorSpec", "ESTIMATORS",
-           "expand_estimators", "snapshot_k_max"]
+__all__ = ["EstimateResult", "ImplicitSolver", "ratio_estimate_r1",
+           "ratio_estimate_k", "log_ratio_estimate", "normal_cdf",
+           "EstimatorSpec", "ESTIMATORS", "expand_estimators", "snapshot_k_max"]
 
 #: 97.5% normal quantile used for the default 95% intervals.
 Z_95 = 1.959963985
@@ -72,45 +73,11 @@ class EstimateResult:
 
 
 # ----------------------------------------------------------------------
-# normal CDF / quantile (erf-based; Acklam initializer plus one Halley step)
+# normal CDF and confidence intervals
 # ----------------------------------------------------------------------
 
 def normal_cdf(x: float) -> float:
     return 0.5 * (1.0 + math.erf(x / math.sqrt(2.0)))
-
-
-_ACKLAM_A = (-3.969683028665376e+01, 2.209460984245205e+02, -2.759285104469687e+02,
-             1.383577518672690e+02, -3.066479806614716e+01, 2.506628277459239e+00)
-_ACKLAM_B = (-5.447609879822406e+01, 1.615858368580409e+02, -1.556989798598866e+02,
-             6.680131188771972e+01, -1.328068155288572e+01)
-_ACKLAM_C = (-7.784894002430293e-03, -3.223964580411365e-01, -2.400758277161838e+00,
-             -2.549732539343734e+00, 4.374664141464968e+00, 2.938163982698783e+00)
-_ACKLAM_D = (7.784695709041462e-03, 3.224671290700398e-01, 2.445134137142996e+00,
-             3.754408661907416e+00)
-
-
-def normal_quantile(p: float) -> float:
-    """Inverse standard normal CDF for p in (0, 1)."""
-    if not 0.0 < p < 1.0:
-        raise DomainError(f"quantile level must lie in (0, 1), got {p!r}")
-    a, b, c, d = _ACKLAM_A, _ACKLAM_B, _ACKLAM_C, _ACKLAM_D
-    if p < 0.02425:
-        q = math.sqrt(-2.0 * math.log(p))
-        x = ((((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5])
-             / ((((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0))
-    elif p <= 0.97575:
-        q = p - 0.5
-        r = q * q
-        x = ((((((a[0] * r + a[1]) * r + a[2]) * r + a[3]) * r + a[4]) * r + a[5]) * q
-             / (((((b[0] * r + b[1]) * r + b[2]) * r + b[3]) * r + b[4]) * r + 1.0))
-    else:
-        q = math.sqrt(-2.0 * math.log(1.0 - p))
-        x = -((((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5])
-              / ((((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0))
-    # one Halley refinement through the erf CDF
-    err = normal_cdf(x) - p
-    u = err * math.sqrt(2.0 * math.pi) * math.exp(0.5 * x * x)
-    return x - u / (1.0 + 0.5 * x * u)
 
 
 def _z_for_level(level: float) -> float:
@@ -118,7 +85,7 @@ def _z_for_level(level: float) -> float:
         raise DomainError(f"confidence level must lie in (0, 1), got {level!r}")
     if level == 0.95:
         return Z_95
-    return normal_quantile(0.5 + 0.5 * level)
+    return NormalDist().inv_cdf(0.5 + 0.5 * level)
 
 
 def _clamped_ci(theta_hat: float, stderr: float, level: float) -> tuple[float, float]:
@@ -139,6 +106,9 @@ class ImplicitSolver:
     call to |delta theta| < 1e-10.  g need not be monotone for a general
     c(theta): zero brackets raise NoRootError, several raise
     AmbiguousRootError listing every refined root.
+
+    ``c_of_theta`` is a positive number or a function of theta that also
+    takes an array of theta, as ``law.zeta_normalization`` does.
     """
 
     GRID_POINTS = 2000
@@ -146,8 +116,7 @@ class ImplicitSolver:
     THETA_HI = 1.0 - 1e-4
     BISECT_TOL = 1e-10
 
-    def __init__(self, which: str, n: int, c_of_theta, k: int | None = None,
-                 differentiable_c: bool = True):
+    def __init__(self, which: str, n: int, c_of_theta, k: int | None = None):
         if which not in _IMPLICIT_TAGS:
             raise UsageError(f"unknown implicit estimator tag {which!r}")
         if not (isinstance(n, (int, np.integer)) and n >= 2):
@@ -161,51 +130,25 @@ class ImplicitSolver:
         self.which = which
         self.n = int(n)
         self.k = k
-        self.differentiable_c = bool(differentiable_c)
-        if callable(c_of_theta):
-            self._c_fn = c_of_theta
-        else:
+        if not callable(c_of_theta):
             const = float(c_of_theta)
             if not const > 0.0:
                 raise DomainError(f"c must be positive, got {c_of_theta!r}")
-            self._c_fn = lambda th: const
+            c_of_theta = lambda theta: const
+        self._c_of_theta = c_of_theta
+        self._log_n = math.log(self.n)
         self._grid = np.linspace(self.THETA_LO, self.THETA_HI, self.GRID_POINTS)
-        self._g_grid = self._g_batch(self._grid)
-
-    def _c_batch(self, thetas: np.ndarray) -> np.ndarray:
-        try:
-            values = np.asarray(self._c_fn(thetas), dtype=float)
-            if values.shape == thetas.shape:
-                return values
-        except Exception:
-            pass
-        return np.array([float(self._c_fn(float(t))) for t in thetas])
-
-    def _g_batch(self, thetas: np.ndarray) -> np.ndarray:
-        c_vals = self._c_batch(thetas)
-        if np.any(~np.isfinite(c_vals)) or np.any(c_vals <= 0.0):
+        c_grid = np.broadcast_to(np.asarray(c_of_theta(self._grid), dtype=float),
+                                 self._grid.shape)
+        if not np.all(np.isfinite(c_grid) & (c_grid > 0.0)):
             raise DomainError("c(theta) must be finite and positive on (0, 1)")
-        log_g = ln_gamma(1.0 - thetas) + thetas * (np.log(c_vals) + math.log(self.n))
-        if self.which == "u":
-            log_g = log_g + (thetas - 1.0) * math.log(2.0)
-        elif self.which == "rk":
-            k = self.k
-            log_g = (np.log(thetas) + ln_gamma(k - thetas) - ln_gamma(k + 1.0)
-                     + thetas * (np.log(c_vals) + math.log(self.n)))
-        return np.exp(log_g)
+        self._g_grid = np.exp(asymptotics.log_growth(
+            self._grid, np.log(c_grid) + self._log_n, which, k))
 
     def growth(self, theta: float) -> float:
         """g(theta) for this statistic and sample size."""
-        c_val = float(self._c_fn(theta))
-        if not (math.isfinite(c_val) and c_val > 0.0):
-            raise DomainError(f"c({theta!r}) must be finite and positive, got {c_val!r}")
-        log_g = ln_gamma(1.0 - theta) + theta * (math.log(c_val) + math.log(self.n))
-        if self.which == "u":
-            log_g += (theta - 1.0) * math.log(2.0)
-        elif self.which == "rk":
-            log_g += (math.log(theta) + ln_gamma(self.k - theta)
-                      - ln_gamma(self.k + 1.0) - ln_gamma(1.0 - theta))
-        return math.exp(log_g)
+        return math.exp(asymptotics.log_growth(
+            theta, math.log(self._c_of_theta(theta)) + self._log_n, self.which, self.k))
 
     def _bisect(self, lo: float, hi: float, target: float) -> tuple[float, int]:
         f_lo = self.growth(lo) - target
@@ -259,9 +202,6 @@ class ImplicitSolver:
                 extra_flags=()):
         sigma_sq = asymptotics.implicit_variance(theta_star, self.which, self.k)
         stderr = math.sqrt(sigma_sq) / (math.log(self.n) * math.sqrt(stat_value))
-        flags = list(extra_flags)
-        if not self.differentiable_c:
-            flags.append("ci-unjustified")
         tag = f"implicit-{self.which}" if self.which != "rk" else f"implicit-rk({self.k})"
         diagnostics = {"iterations": iterations, "stat_value": float(stat_value)}
         if bracket is not None:
@@ -269,28 +209,12 @@ class ImplicitSolver:
         return EstimateResult(
             estimator_id=tag, theta_hat=theta_star, stderr=stderr,
             ci=_clamped_ci(theta_star, stderr, level), level=level,
-            flags=tuple(flags), diagnostics=diagnostics)
-
-
-def implicit_estimate(stat_value: float, n: int, which: str, c_of_theta,
-                      k: int | None = None, level: float = 0.95,
-                      differentiable_c: bool = True) -> EstimateResult:
-    """One-shot implicit estimate; build an :class:`ImplicitSolver` directly
-    when inverting the same curve many times."""
-    solver = ImplicitSolver(which, n, c_of_theta, k=k,
-                            differentiable_c=differentiable_c)
-    return solver.solve(stat_value, level=level)
+            flags=tuple(extra_flags), diagnostics=diagnostics)
 
 
 # ----------------------------------------------------------------------
 # ratio estimators
 # ----------------------------------------------------------------------
-
-def _sigma0_sq_closed(theta: float) -> float:
-    # same expression as asymptotics.ratio_r1_variance but tolerant of the
-    # closed interval for boundary plug-ins (value 0 at both ends)
-    return theta * (1.0 - theta) * (1.0 - 2.0 ** (theta - 2.0))
-
 
 def ratio_estimate_r1(snapshot: StatisticsSnapshot, level: float = 0.95) -> EstimateResult:
     """theta_hat = R_{n,1} / R_n with plug-in standard error
@@ -298,13 +222,13 @@ def ratio_estimate_r1(snapshot: StatisticsSnapshot, level: float = 0.95) -> Esti
     if snapshot.r < 1:
         raise InsufficientDataError("ratio estimator needs at least one occupied urn")
     theta_hat = snapshot.exact_count(1) / snapshot.r
-    flags = []
-    if not 0.0 < theta_hat < 1.0:
-        flags.append("degenerate")
-    stderr = math.sqrt(max(_sigma0_sq_closed(theta_hat), 0.0) / snapshot.r)
+    if 0.0 < theta_hat < 1.0:
+        flags, stderr = (), math.sqrt(asymptotics.ratio_r1_variance(theta_hat) / snapshot.r)
+    else:  # the variance formula is 0 at both ends
+        flags, stderr = ("degenerate",), 0.0
     return EstimateResult(
         estimator_id="ratio-r1", theta_hat=theta_hat, stderr=stderr,
-        ci=_clamped_ci(theta_hat, stderr, level), level=level, flags=tuple(flags),
+        ci=_clamped_ci(theta_hat, stderr, level), level=level, flags=flags,
         diagnostics={"r": snapshot.r, "r_1": snapshot.exact_count(1)})
 
 

@@ -1,6 +1,8 @@
 """Turn raw text or token-count tables into occupancy configurations.
 
-Tokens play the role of urns: the estimators only consume the
+Two inputs: UTF-8 text (``tokenize_text``, ``tokenize_file``) and a
+``token,count`` CSV (``load_counts``).  The module reads and writes no other
+format.  Tokens play the role of urns: the estimators only consume the
 count-of-count profile, so `to_occupancy` drops token identities and keeps
 the multiset of counts.
 
@@ -20,8 +22,8 @@ from dataclasses import dataclass, field
 from .errors import InputFormatError, InsufficientDataError
 from .sampler import OccupancyCounts
 
-__all__ = ["CorpusCounts", "tokenize_text", "load_counts", "to_occupancy",
-           "write_corpus_csv", "TOKENIZER_VERSION"]
+__all__ = ["CorpusCounts", "tokenize_text", "tokenize_file", "load_counts",
+           "to_occupancy", "TOKENIZER_VERSION"]
 
 TOKENIZER_VERSION = "letters-casefold-1"
 
@@ -103,15 +105,6 @@ def load_counts(path) -> CorpusCounts:
             counts[token] = counts.get(token, 0) + cnt
             total += cnt
     return CorpusCounts(counts=counts, total=total, meta={"source": str(path)})
-
-
-def write_corpus_csv(corpus: CorpusCounts, path) -> None:
-    """CSV (token, count) sorted by descending count, then token."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["token", "count"])
-        for token in sorted(corpus.counts, key=lambda t: (-corpus.counts[t], t)):
-            writer.writerow([token, corpus.counts[token]])
 
 
 def to_occupancy(corpus: CorpusCounts) -> OccupancyCounts:

@@ -35,7 +35,6 @@ sampled.
 
 from __future__ import annotations
 
-import csv
 import math
 import sys
 from dataclasses import dataclass, field
@@ -43,10 +42,11 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import DomainError, InputFormatError, UsageError
+from .asymptotics import log_growth
+from .errors import DomainError, UsageError
 from .specfun import ln_gamma, zeta, zeta_tail
 
-__all__ = ["PowerLaw", "make_zipf_law", "load_probability_csv"]
+__all__ = ["PowerLaw", "make_zipf_law", "zeta_normalization"]
 
 # Enumeration window for the expectation oracles stops once n * p <= this.
 _ORACLE_SMALLNESS = 0.125
@@ -79,8 +79,8 @@ def _pow_one_minus(x: np.ndarray, n: int) -> np.ndarray:
 class PowerLaw:
     """Immutable urn probability law, shareable across workers.
 
-    Use :func:`make_zipf_law`, :meth:`PowerLaw.from_probabilities` or
-    :meth:`PowerLaw.from_csv` to construct one.
+    Use :func:`make_zipf_law` or :meth:`PowerLaw.from_probabilities` to
+    construct one.
     """
 
     kind: str  # "zeta" | "table"
@@ -160,11 +160,6 @@ class PowerLaw:
             _table_cum=np.cumsum(probs), _table_probs=probs, _table_indices=idx,
         )
 
-    @staticmethod
-    def from_csv(path, theta: float | None = None, c: float | None = None) -> "PowerLaw":
-        indices, probs = load_probability_csv(path)
-        return PowerLaw.from_probabilities(probs, indices=indices, theta=theta, c=c)
-
     # ------------------------------------------------------------------
     # point evaluations
     # ------------------------------------------------------------------
@@ -206,27 +201,14 @@ class PowerLaw:
     # ------------------------------------------------------------------
 
     def leading_term(self, n: float, stat: str, k: int | None = None) -> float:
-        """First-order growth term of E[stat] as a function of n:
-
-            R      Gamma(1-theta) (c n)^theta
-            U      2^(theta-1) Gamma(1-theta) (c n)^theta
-            R_k    theta Gamma(k-theta)/k! (c n)^theta
-            R*_k   Gamma(k-theta)/(k-1)! (c n)^theta
-        """
+        """First-order growth term of E[stat] as a function of n
+        (:func:`asymptotics.log_growth` lists the four)."""
         stat, k = _check_stat(stat, k)
         if self.theta is None or self.c is None:
             raise DomainError("leading_term needs theta and c; this law has no such metadata")
         if not n > 0:
             raise DomainError(f"n must be positive, got {n!r}")
-        th = self.theta
-        scale = (self.c * n) ** th
-        if stat == "r":
-            return math.exp(ln_gamma(1.0 - th)) * scale
-        if stat == "u":
-            return 2.0 ** (th - 1.0) * math.exp(ln_gamma(1.0 - th)) * scale
-        if stat == "rk":
-            return th * math.exp(ln_gamma(k - th) - ln_gamma(k + 1.0)) * scale
-        return math.exp(ln_gamma(k - th) - ln_gamma(float(k))) * scale
+        return math.exp(log_growth(self.theta, math.log(self.c * n), stat, k))
 
     # ------------------------------------------------------------------
     # exact expectation oracle
@@ -477,29 +459,3 @@ def zeta_normalization(theta):
             raise DomainError(f"theta must lie in (0, 1), got {theta!r}")
         return 1.0 / zeta(1.0 / th)
     return np.array([zeta_normalization(float(t)) for t in np.asarray(theta)])
-
-
-def load_probability_csv(path):
-    """Read a probability table CSV with header ``index,probability``."""
-    indices: list[int] = []
-    probs: list[float] = []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip().lower() for h in header[:2]] != ["index", "probability"]:
-            raise InputFormatError("expected header 'index,probability'", location=1)
-        for line_no, row in enumerate(reader, start=2):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if len(row) < 2:
-                raise InputFormatError(f"malformed row {row!r}", location=line_no)
-            try:
-                idx = int(row[0])
-                p = float(row[1])
-            except ValueError as exc:
-                raise InputFormatError(f"malformed row {row!r}: {exc}", location=line_no)
-            indices.append(idx)
-            probs.append(p)
-    if not probs:
-        raise InputFormatError("empty probability table", location=1)
-    return np.asarray(indices, dtype=np.int64), np.asarray(probs, dtype=float)

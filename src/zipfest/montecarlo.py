@@ -34,7 +34,8 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import asymptotics
-from .errors import UsageError, ZipfestError
+from .errors import (AmbiguousRootError, InsufficientDataError, NoRootError,
+                     UsageError, ZipfestError)
 from .estimators import (ESTIMATORS, expand_estimators, normal_cdf,
                          snapshot_k_max)
 from .law import PowerLaw, make_zipf_law, zeta_normalization
@@ -181,7 +182,7 @@ def _normality_chunk(cfg: ExperimentConfig, rep_lo: int, rep_hi: int):
             spec = ESTIMATORS[tag]
             try:
                 est = spec.estimate(snap, k, cfg.level, solvers[name])
-            except ZipfestError:
+            except (NoRootError, AmbiguousRootError, InsufficientDataError):
                 continue
             values[name][offset] = spec.standardize(est.theta_hat, theta, snap, k)
             if est.stderr > 0.0:
@@ -204,6 +205,8 @@ def normality_study(config: ExperimentConfig) -> StudyReport:
     """Check asymptotic normality and variance targets of the estimators."""
     if config.m < 100:
         raise UsageError(f"normality studies need M >= 100, got {config.m}")
+    if not 0.0 < config.level < 1.0:
+        raise UsageError(f"confidence level must lie in (0, 1), got {config.level!r}")
     requested = expand_estimators(config.estimators, config.k_values)
     for _, tag, _ in requested:
         if ESTIMATORS[tag].target is None:

@@ -7,8 +7,10 @@ A :class:`StatisticsSnapshot` carries, for one configuration,
     r_star_k   urns holding at least k balls, k = 1..k_max+1,
     u          urns holding an odd number of balls.
 
-``u`` comes from a parity tally over all counts, so it stays exact even when
-some urns hold more than ``k_max`` balls.
+``summarize_count_values`` builds it from the multiset of per-urn counts;
+every snapshot (``OccupancyCounts.snapshot``) goes through it.  ``u`` comes
+from a parity tally over all counts, so it stays exact even when some urns
+hold more than ``k_max`` balls.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import numpy as np
 
 from .errors import UsageError
 
-__all__ = ["StatisticsSnapshot", "summarize_count_values", "StreamAccumulator"]
+__all__ = ["StatisticsSnapshot", "summarize_count_values"]
 
 DEFAULT_K_MAX = 8
 
@@ -80,57 +82,3 @@ def summarize_count_values(values: np.ndarray, total, k_max: int = DEFAULT_K_MAX
         r_star.append(r - below)
         below += int(hist[k])
     return StatisticsSnapshot(total=total, r=r, r_k=r_k, r_star_k=tuple(r_star), u=u)
-
-
-class StreamAccumulator:
-    """Incremental occupancy tally: O(1) per ball, snapshots on demand.
-
-    Maintains the urn->count map, the count-of-counts map, and running
-    r/u/total so a snapshot never scans the urns.
-    """
-
-    def __init__(self):
-        self._counts: dict[int, int] = {}
-        self._count_of_counts: dict[int, int] = {}
-        self._r = 0
-        self._u = 0
-        self._total = 0
-
-    def add_ball(self, urn) -> None:
-        counts = self._counts
-        new = counts.get(urn, 0) + 1
-        counts[urn] = new
-        cc = self._count_of_counts
-        if new > 1:
-            prev = new - 1
-            left = cc[prev] - 1
-            if left:
-                cc[prev] = left
-            else:
-                del cc[prev]
-        else:
-            self._r += 1
-        cc[new] = cc.get(new, 0) + 1
-        self._u += 1 if new & 1 else -1
-        self._total += 1
-
-    @property
-    def total(self) -> int:
-        return self._total
-
-    def counts(self) -> dict[int, int]:
-        return dict(self._counts)
-
-    def snapshot(self, k_max: int = DEFAULT_K_MAX) -> StatisticsSnapshot:
-        if k_max < 1:
-            raise UsageError(f"k_max must be >= 1, got {k_max!r}")
-        cc = self._count_of_counts
-        r_k = tuple(cc.get(k, 0) for k in range(1, k_max + 1))
-        beyond = sum(v for k, v in cc.items() if k > k_max + 1)
-        r_star = [0] * (k_max + 1)
-        running = beyond
-        for k in range(k_max + 1, 0, -1):
-            running += cc.get(k, 0)
-            r_star[k - 1] = running
-        return StatisticsSnapshot(total=self._total, r=self._r, r_k=r_k,
-                                  r_star_k=tuple(r_star), u=self._u)

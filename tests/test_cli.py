@@ -63,8 +63,19 @@ def test_estimate_all_reruns_byte_identical(capsys, corpus):
     ["study-normality", "--theta", "0", "--n", "1000", "--m", "100"],
     ["study-covariance", "--theta", "1", "--n", "1000", "--m", "100"],
     ["simulate", "--theta", "-0.5", "--n", "100"],
+    ["simulate", "--theta", "0.5", "--i0", "-1"],
+    ["study-normality", "--theta", "0.5", "--n", "1000", "--m", "100",
+     "--tail-epsilon", "1e-3"],
+    ["study-normality", "--theta", "0.5", "--n", "0", "--m", "100"],
+    ["study-covariance", "--theta", "0.5", "--n", "0", "--m", "100"],
+    ["simulate", "--theta", "0.5", "--mode", "poisson", "--t", "-1"],
+    ["estimate", "--estimators", "ratio-r1", "--level", "0"],
+    ["study-normality", "--theta", "0.5", "--n", "2000", "--m", "100", "--level", "1.5"],
+    ["estimate", "--estimators", "log-ratio", "--level", "1.5"],
+    ["simulate", "--theta", "0.5", "--k-max", "0", "--snapshot", "{tmp}/snapshot.json"],
 ])
 def test_usage_error_is_one_line_with_exit_2(capsys, corpus, tmp_path, argv):
+    argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
     if argv[0] == "estimate":
         argv = argv + ["--input", str(corpus[0])]
     if argv[0] == "simulate":
@@ -73,6 +84,24 @@ def test_usage_error_is_one_line_with_exit_2(capsys, corpus, tmp_path, argv):
     assert code == 2
     assert out == ""
     assert err.startswith("zipfest: usage error: ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("argv", [
+    # the cutoff of theta = 0.97 exceeds the float64 range, so it cannot be sampled
+    ["simulate", "--theta", "0.97", "--n", "100"],
+    # R_8 = 0 in about half of the replications at n = 2000
+    ["study-normality", "--theta", "0.5", "--n", "2000", "--m", "100", "--k", "8",
+     "--estimators", "ratio-k"],
+])
+def test_runtime_failure_is_one_line_with_exit_1(capsys, tmp_path, argv):
+    if argv[0] == "simulate":
+        argv = argv + ["--output", str(tmp_path / "counts.csv")]
+    code, out, err = run(capsys, argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("zipfest: error: ")
     assert err.count("\n") == 1 and "Traceback" not in err
     assert not any(tmp_path.iterdir())
 

@@ -8,8 +8,7 @@ import scipy.stats as st
 from zipfest.asymptotics import ratio_k_variance, ratio_r1_variance
 from zipfest.errors import (AmbiguousRootError, DomainError,
                             InsufficientDataError, NoRootError, UsageError)
-from zipfest.estimators import (ESTIMATORS, ImplicitSolver, implicit_estimate,
-                                log_ratio_estimate, normal_quantile,
+from zipfest.estimators import (ESTIMATORS, ImplicitSolver, log_ratio_estimate,
                                 ratio_estimate_k, ratio_estimate_r1)
 from zipfest.law import make_zipf_law, zeta_normalization
 from zipfest.occupancy import StatisticsSnapshot
@@ -56,8 +55,8 @@ class TestImplicit:
                 assert got == pytest.approx(theta, abs=1e-8)
 
     def test_constant_c_model(self):
-        result = implicit_estimate(200.0, 10 ** 4, "r", 1.0)
-        check = implicit_estimate(200.0, 10 ** 4, "r", lambda th: 1.0)
+        result = ImplicitSolver("r", 10 ** 4, 1.0).solve(200.0)
+        check = ImplicitSolver("r", 10 ** 4, lambda th: 1.0).solve(200.0)
         assert result.theta_hat == pytest.approx(check.theta_hat, abs=1e-12)
 
     def test_stderr_formula(self):
@@ -70,7 +69,7 @@ class TestImplicit:
 
     def test_no_root_carries_endpoints(self):
         with pytest.raises(NoRootError) as err:
-            implicit_estimate(1.0, 10 ** 4, "r", zeta_normalization)
+            ImplicitSolver("r", 10 ** 4, zeta_normalization).solve(1.0)
         assert err.value.g_lo > 1.0
         assert err.value.target == 1.0
 
@@ -79,27 +78,24 @@ class TestImplicit:
             return 1.0 + 0.9 * np.sin(20.0 * np.pi * np.asarray(theta))
 
         with pytest.raises(AmbiguousRootError) as err:
-            implicit_estimate(50.0, 10 ** 4, "r", wiggly)
+            ImplicitSolver("r", 10 ** 4, wiggly).solve(50.0)
         assert len(err.value.roots) >= 2
         assert err.value.roots == sorted(err.value.roots)
         assert err.value.target == 50.0
 
-    def test_non_differentiable_flag(self):
-        result = implicit_estimate(200.0, 10 ** 4, "r", zeta_normalization,
-                                   differentiable_c=False)
-        assert "ci-unjustified" in result.flags
-
     def test_validation(self):
         with pytest.raises(UsageError):
-            implicit_estimate(10.0, 100, "sideways", 1.0)
+            ImplicitSolver("sideways", 100, 1.0)
         with pytest.raises(DomainError):
-            implicit_estimate(10.0, 1, "r", 1.0)
+            ImplicitSolver("r", 1, 1.0)
         with pytest.raises(InsufficientDataError):
-            implicit_estimate(0.5, 100, "r", 1.0)
+            ImplicitSolver("r", 100, 1.0).solve(0.5)
         with pytest.raises(UsageError):
             ImplicitSolver("rk", 100, 1.0)  # k missing
         with pytest.raises(DomainError):
-            implicit_estimate(10.0, 100, "r", -1.0)
+            ImplicitSolver("r", 100, -1.0)
+        with pytest.raises(DomainError):
+            ImplicitSolver("r", 100, lambda th: 0.5 - th)  # c <= 0 on part of (0, 1)
 
     def test_tiny_sample_robustness(self, law05):
         # n = 10: estimates either land in (0,1) or raise a typed error
@@ -107,8 +103,8 @@ class TestImplicit:
             snap = sample_fixed(law05, 10, SeedSpec(2000, seed)).snapshot()
             for which, stat in (("r", snap.r), ("u", snap.u)):
                 try:
-                    result = implicit_estimate(float(stat), 10, which,
-                                               zeta_normalization)
+                    result = ImplicitSolver(which, 10, zeta_normalization).solve(
+                        float(stat))
                 except (NoRootError, InsufficientDataError, AmbiguousRootError):
                     continue
                 assert 0.0 < result.theta_hat < 1.0
@@ -260,9 +256,11 @@ def _estimate_batch(rep_lo, rep_hi):
 
 
 class TestNormalQuantile:
-    def test_against_scipy(self):
-        for p in (1e-6, 0.001, 0.025, 0.3, 0.5, 0.8, 0.975, 0.999, 1 - 1e-6):
-            assert normal_quantile(p) == pytest.approx(st.norm.ppf(p), abs=1e-9)
+    def test_level_090_half_width(self):
+        snap = make_snapshot(10 ** 5, 1000, [500])
+        result = ratio_estimate_r1(snap, level=0.9)
+        half = (result.ci[1] - result.ci[0]) / 2.0
+        assert half == pytest.approx(st.norm.ppf(0.95) * result.stderr, rel=1e-12)
 
     def test_hardcoded_95(self):
         snap = make_snapshot(10 ** 5, 1000, [500])
@@ -271,7 +269,7 @@ class TestNormalQuantile:
         assert half == pytest.approx(1.959963985 * result.stderr, rel=1e-12)
 
     def test_domain(self):
-        with pytest.raises(DomainError):
-            normal_quantile(0.0)
-        with pytest.raises(DomainError):
-            normal_quantile(1.0)
+        snap = make_snapshot(10 ** 5, 1000, [500])
+        for level in (0.0, 1.0):
+            with pytest.raises(DomainError):
+                ratio_estimate_r1(snap, level=level)

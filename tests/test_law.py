@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.stats as st
 
-from zipfest.errors import DomainError, InputFormatError, UsageError
+from zipfest.errors import DomainError, UsageError
 from zipfest.law import PowerLaw, make_zipf_law, zeta_normalization
 from zipfest.specfun import ln_gamma, zeta
 
@@ -67,18 +67,6 @@ class TestConstruction:
         assert law.total_mass == 1.0
         assert law.probability(2) == pytest.approx(0.3, rel=1e-12)
         assert law.probability(7) == 0.0
-
-    def test_table_law_csv_roundtrip(self, tmp_path):
-        path = tmp_path / "law.csv"
-        path.write_text("index,probability\n1,0.5\n2,0.3\n3,0.2\n")
-        law = PowerLaw.from_csv(path, theta=0.4)
-        assert law.theta == 0.4
-        assert law.probability(3) == pytest.approx(0.2)
-        bad = tmp_path / "bad.csv"
-        bad.write_text("index,probability\n1,0.5\n2,oops\n")
-        with pytest.raises(InputFormatError) as err:
-            PowerLaw.from_csv(bad)
-        assert err.value.location == 3
 
 
 class TestCountingFunction:

@@ -6,7 +6,9 @@ import pytest
 from zipfest import montecarlo
 from zipfest.errors import UsageError
 from zipfest.estimators import ESTIMATORS
-from zipfest.montecarlo import ExperimentConfig, covariance_study, normality_study
+from zipfest.law import make_zipf_law
+from zipfest.montecarlo import (ExperimentConfig, covariance_study, normality_study,
+                                remainder_study)
 
 SMALL = ExperimentConfig(theta=0.5, n=2000, m=100, seed=5)
 
@@ -55,7 +57,21 @@ def test_ratio_k_beyond_default_count_range():
     (normality_study, {"estimators": ("ratio-x",)}, "unknown estimator"),
     (normality_study, {"m": 99}, "M >= 100"),
     (covariance_study, {"m": 99}, "M >= 100"),
+    (normality_study, {"level": 1.5}, "level must lie in"),
 ])
 def test_usage_errors(study, changes, message):
     with pytest.raises(UsageError, match=message):
         study(replace(SMALL, **changes))
+
+
+def test_remainder_study_rejects_unordered_sizes():
+    with pytest.raises(UsageError, match="strictly increasing"):
+        remainder_study(make_zipf_law(0.5), [1000, 1000])
+
+
+def test_remainder_study_counting_function_within_one():
+    # with i0 = 0, alpha(n) = floor((c n)^theta)
+    rows = remainder_study(make_zipf_law(0.5), [10, 100, 10 ** 4, 10 ** 6])
+    alpha = [row for row in rows if row.statistic == "alpha"]
+    assert [row.n for row in alpha] == [10, 100, 10 ** 4, 10 ** 6]
+    assert all(abs(row.remainder) <= 1.0 for row in alpha)

@@ -6,8 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as hst
 
 from zipfest.errors import UsageError
-from zipfest.occupancy import (StatisticsSnapshot, StreamAccumulator,
-                               summarize_count_values)
+from zipfest.occupancy import summarize_count_values
 from zipfest.sampler import OccupancyCounts, SeedSpec, sample_fixed
 
 
@@ -76,6 +75,7 @@ class TestInvariants:
         # exact counts difference the survival counts
         for k in range(1, k_max + 1):
             assert snap.exact_count(k) == snap.at_least(k) - snap.at_least(k + 1)
+            assert snap.exact_count(k) == int(np.count_nonzero(values == k))
         # parity tally equals the odd exact counts over the full range
         assert snap.u == int(np.count_nonzero(values % 2 == 1))
         # ball conservation
@@ -90,46 +90,3 @@ class TestInvariants:
             beyond = values[values > 8].sum()
             assert total + int(beyond) == 5000
             assert snap.u == int(np.count_nonzero(values % 2 == 1))
-
-
-class TestStreamAccumulator:
-    def test_single_ball(self):
-        acc = StreamAccumulator()
-        acc.add_ball(7)
-        snap = acc.snapshot()
-        assert snap.r == 1 and snap.u == 1
-
-    def test_parity_flip(self):
-        acc = StreamAccumulator()
-        acc.add_ball(7)
-        acc.add_ball(7)
-        snap = acc.snapshot()
-        assert snap.r == 1
-        assert snap.exact_count(2) == 1
-        assert snap.u == 0
-
-    @settings(max_examples=40, deadline=None)
-    @given(urns=hst.lists(hst.integers(1, 40), min_size=0, max_size=500),
-           k_max=hst.integers(1, 10))
-    def test_matches_batch_summarize(self, urns, k_max):
-        acc = StreamAccumulator()
-        counts = {}
-        for urn in urns:
-            acc.add_ball(urn)
-            counts[urn] = counts.get(urn, 0) + 1
-        expected = OccupancyCounts(counts=counts, total=len(urns),
-                                   mode="fixed").snapshot(k_max=k_max)
-        assert acc.snapshot(k_max=k_max) == expected
-
-    def test_large_random_sequence(self, law05):
-        rng = SeedSpec(11, 0).generator()
-        urns = rng.integers(1, 2000, size=10 ** 4)
-        acc = StreamAccumulator()
-        counts = {}
-        for urn in urns.tolist():
-            acc.add_ball(urn)
-            counts[urn] = counts.get(urn, 0) + 1
-        expected = OccupancyCounts(counts=counts, total=len(urns),
-                                   mode="fixed").snapshot()
-        assert acc.snapshot() == expected
-        assert acc.counts() == counts
