@@ -102,10 +102,12 @@ def _clamped_ci(theta_hat: float, stderr: float, level: float) -> tuple[float, f
 class ImplicitSolver:
     """Reusable inverter of one growth curve g(theta) = E-first-order[S_n].
 
-    Precomputes g on a dense grid once (bracket scan), then bisects each
-    call to |delta theta| < 1e-10.  g need not be monotone for a general
-    c(theta): zero brackets raise NoRootError, several raise
-    AmbiguousRootError listing every refined root.
+    Precomputes g on a dense grid once (bracket scan).  :meth:`solve_many`
+    bisects every bracketed root of a whole array of statistic values in one
+    batch to |delta theta| < 1e-10; :meth:`solve` runs the same batch on one
+    value.  g need not be monotone for a general c(theta): zero brackets
+    raise NoRootError, several raise AmbiguousRootError listing every
+    refined root.
 
     ``c_of_theta`` is a positive number or a function of theta that also
     takes an array of theta, as ``law.zeta_normalization`` does.
@@ -115,6 +117,10 @@ class ImplicitSolver:
     THETA_LO = 1e-4
     THETA_HI = 1.0 - 1e-4
     BISECT_TOL = 1e-10
+    BISECT_MAX_STEPS = 80
+
+    #: outcomes of :meth:`solve_many`
+    ROOT, NO_ROOT, AMBIGUOUS, BELOW_ONE = range(4)
 
     def __init__(self, which: str, n: int, c_of_theta, k: int | None = None):
         if which not in _IMPLICIT_TAGS:
@@ -138,74 +144,140 @@ class ImplicitSolver:
         self._c_of_theta = c_of_theta
         self._log_n = math.log(self.n)
         self._grid = np.linspace(self.THETA_LO, self.THETA_HI, self.GRID_POINTS)
-        c_grid = np.broadcast_to(np.asarray(c_of_theta(self._grid), dtype=float),
-                                 self._grid.shape)
+        c_grid = np.asarray(c_of_theta(self._grid), dtype=float)
         if not np.all(np.isfinite(c_grid) & (c_grid > 0.0)):
             raise DomainError("c(theta) must be finite and positive on (0, 1)")
-        self._g_grid = np.exp(asymptotics.log_growth(
-            self._grid, np.log(c_grid) + self._log_n, which, k))
+        g = self._g_array(self._grid, c_grid)
+        # grid interval j brackets s exactly when s lies in (_g_min[j], _g_max[j]]
+        self._g_ends = (float(g[0]), float(g[-1]))
+        self._g_min = np.minimum(g[:-1], g[1:])
+        self._g_max = np.maximum(g[:-1], g[1:])
 
     def growth(self, theta: float) -> float:
         """g(theta) for this statistic and sample size."""
         return math.exp(asymptotics.log_growth(
             theta, math.log(self._c_of_theta(theta)) + self._log_n, self.which, self.k))
 
-    def _bisect(self, lo: float, hi: float, target: float) -> tuple[float, int]:
-        f_lo = self.growth(lo) - target
-        iterations = 0
-        while hi - lo > self.BISECT_TOL and iterations < 80:
+    def _g_array(self, theta: np.ndarray, c=None) -> np.ndarray:
+        """g at an array of theta; ``c``: c(theta) there, if already known."""
+        if c is None:
+            c = self._c_of_theta(theta)
+        return np.exp(asymptotics.log_growth(theta, np.log(c) + self._log_n,
+                                             self.which, self.k))
+
+    def _bisect(self, lo, hi, target):
+        """Bisect g - target on every bracket [lo, hi] at once.
+
+        Each bracket halves until it is at most BISECT_TOL wide (then its
+        midpoint is the root) or g hits the target exactly at a midpoint,
+        after at most BISECT_MAX_STEPS halvings.  All live brackets have
+        taken the same number of steps, so that count is one integer.
+        Returns the roots and each one's step count.
+        """
+        roots = np.empty(target.size)
+        steps = np.zeros(target.size, dtype=int)
+        live = np.arange(target.size)
+        f_lo = self._g_array(lo) - target
+        step = 0
+        while live.size:
+            done = hi - lo <= self.BISECT_TOL
+            if step == self.BISECT_MAX_STEPS:
+                done[:] = True
+            if done.any():
+                roots[live[done]] = 0.5 * (lo[done] + hi[done])
+                steps[live[done]] = step
+                keep = ~done
+                live, lo, hi, f_lo, target = (live[keep], lo[keep], hi[keep],
+                                              f_lo[keep], target[keep])
+                if not live.size:
+                    break
             mid = 0.5 * (lo + hi)
-            f_mid = self.growth(mid) - target
-            if f_mid == 0.0:
-                return mid, iterations
-            if (f_mid < 0.0) == (f_lo < 0.0):
-                lo, f_lo = mid, f_mid
-            else:
-                hi = mid
-            iterations += 1
-        return 0.5 * (lo + hi), iterations
+            f_mid = self._g_array(mid) - target
+            hit = f_mid == 0.0
+            if hit.any():
+                roots[live[hit]] = mid[hit]
+                steps[live[hit]] = step
+                keep = ~hit
+                live, lo, hi, f_lo, target, mid, f_mid = (
+                    live[keep], lo[keep], hi[keep], f_lo[keep], target[keep],
+                    mid[keep], f_mid[keep])
+            up = (f_mid < 0.0) == (f_lo < 0.0)
+            lo = np.where(up, mid, lo)
+            f_lo = np.where(up, f_mid, f_lo)
+            hi = np.where(up, hi, mid)
+            step += 1
+        return roots, steps
+
+    def _roots(self, stats: np.ndarray):
+        """Every bracketed root of g(theta) = s for each s >= 1 of ``stats``.
+
+        Returns (owner, interval, root, steps), one entry per bracket, ordered
+        by the index of its statistic and then by grid interval.
+        """
+        usable = np.flatnonzero(stats >= 1.0)
+        order = usable[np.argsort(stats[usable], kind="stable")]
+        ranked = stats[order]
+        first = np.searchsorted(ranked, self._g_min, side="right")
+        count = np.searchsorted(ranked, self._g_max, side="right") - first
+        # interval j brackets ranked[first[j]:first[j] + count[j]]: one entry each
+        interval = np.repeat(np.arange(count.size), count)
+        within = np.arange(interval.size) - np.repeat(np.cumsum(count) - count, count)
+        owner = order[np.repeat(first, count) + within]
+        by_owner = np.argsort(owner, kind="stable")
+        owner, interval = owner[by_owner], interval[by_owner]
+        roots, steps = self._bisect(self._grid[interval], self._grid[interval + 1],
+                                    stats[owner])
+        return owner, interval, roots, steps
+
+    def solve_many(self, stats) -> tuple[np.ndarray, np.ndarray]:
+        """theta* for each statistic value, in one batched bisection.
+
+        Returns (theta_hat, outcome): outcome is ROOT, NO_ROOT, AMBIGUOUS or
+        BELOW_ONE (a value below 1, or NaN) per value, and theta_hat is NaN
+        wherever it is not ROOT.  Each ROOT value equals what :meth:`solve`
+        returns for it, bit for bit.
+        """
+        stats = np.asarray(stats, dtype=float).ravel()
+        owner, _, roots, _ = self._roots(stats)
+        n_roots = np.bincount(owner, minlength=stats.size)
+        outcome = np.select(
+            [~(stats >= 1.0), n_roots == 0, n_roots > 1],
+            [self.BELOW_ONE, self.NO_ROOT, self.AMBIGUOUS], self.ROOT)
+        theta_hat = np.full(stats.size, np.nan)
+        single = n_roots[owner] == 1
+        theta_hat[owner[single]] = roots[single]
+        return theta_hat, outcome
 
     def solve(self, stat_value: float, level: float = 0.95) -> EstimateResult:
         if not stat_value >= 1.0:
             raise InsufficientDataError(
                 f"implicit estimation needs a statistic >= 1, got {stat_value!r}")
-        diff = self._g_grid - stat_value
-        sign_change = np.flatnonzero(np.signbit(diff[:-1]) != np.signbit(diff[1:]))
-        if sign_change.size == 0:
+        _, interval, roots, steps = self._roots(np.array([float(stat_value)]))
+        if roots.size == 0:
             raise NoRootError(
                 f"no root of g(theta) = {stat_value!r} on "
                 f"[{self.THETA_LO}, {self.THETA_HI}]",
-                g_lo=float(self._g_grid[0]), g_hi=float(self._g_grid[-1]),
-                target=float(stat_value))
-        roots = []
-        iterations = 0
-        for idx in sign_change:
-            root, its = self._bisect(self._grid[idx], self._grid[idx + 1], stat_value)
-            roots.append(root)
-            iterations += its
-        if len(roots) > 1:
+                g_lo=self._g_ends[0], g_hi=self._g_ends[1], target=float(stat_value))
+        if roots.size > 1:
             raise AmbiguousRootError(
-                f"g(theta) = {stat_value!r} has {len(roots)} roots", roots=roots,
+                f"g(theta) = {stat_value!r} has {roots.size} roots", roots=roots.tolist(),
                 target=float(stat_value))
-        theta_star = roots[0]
-        return self._result(theta_star, stat_value, level, iterations,
-                            (float(self._grid[sign_change[0]]),
-                             float(self._grid[sign_change[0] + 1])))
+        j = int(interval[0])
+        return self._result(float(roots[0]), stat_value, level, {
+            "iterations": int(steps[0]),
+            "bracket": (float(self._grid[j]), float(self._grid[j + 1]))})
 
     def result_for_root(self, theta_star: float, stat_value: float,
                         level: float = 0.95) -> EstimateResult:
         """Package a caller-chosen root (after AmbiguousRootError)."""
-        return self._result(theta_star, stat_value, level, 0, None,
+        return self._result(theta_star, stat_value, level, {"iterations": 0},
                             extra_flags=("root-ambiguous",))
 
-    def _result(self, theta_star, stat_value, level, iterations, bracket,
-                extra_flags=()):
+    def _result(self, theta_star, stat_value, level, diagnostics, extra_flags=()):
         sigma_sq = asymptotics.implicit_variance(theta_star, self.which, self.k)
         stderr = math.sqrt(sigma_sq) / (math.log(self.n) * math.sqrt(stat_value))
         tag = f"implicit-{self.which}" if self.which != "rk" else f"implicit-rk({self.k})"
-        diagnostics = {"iterations": iterations, "stat_value": float(stat_value)}
-        if bracket is not None:
-            diagnostics["bracket"] = bracket
+        diagnostics = {**diagnostics, "stat_value": float(stat_value)}
         return EstimateResult(
             estimator_id=tag, theta_hat=theta_star, stderr=stderr,
             ci=_clamped_ci(theta_star, stderr, level), level=level,
@@ -312,6 +384,23 @@ class EstimatorSpec:
         if self.solver_kind is None:
             return self.closed_form(snapshot, k, level)
         return solver.solve(float(self.statistic(snapshot, k)), level=level)
+
+    def estimate_many(self, snapshots, stats, k, level, solver=None) -> list:
+        """:meth:`estimate` of each snapshot, None where it has no root, several
+        roots or too little data.  ``stats[i]`` is the statistic of
+        ``snapshots[i]``; an implicit tag solves them all in one batch."""
+        if self.solver_kind is None:
+            out = []
+            for snapshot in snapshots:
+                try:
+                    out.append(self.closed_form(snapshot, k, level))
+                except InsufficientDataError:
+                    out.append(None)
+            return out
+        theta_hat, outcome = solver.solve_many(stats)
+        return [solver._result(float(theta), stat, level, {})
+                if kind == solver.ROOT else None
+                for theta, stat, kind in zip(theta_hat, stats.tolist(), outcome)]
 
     def standardize(self, theta_hat, theta, snapshot, k) -> float:
         scale = math.sqrt(self.statistic(snapshot, k))

@@ -17,6 +17,7 @@ from __future__ import annotations
 import csv
 import re
 import warnings
+from collections import Counter
 from dataclasses import dataclass, field
 
 from .errors import InputFormatError, InsufficientDataError
@@ -29,6 +30,10 @@ TOKENIZER_VERSION = "letters-casefold-1"
 
 # maximal runs of Unicode letters: word characters minus digits/underscore
 _TOKEN_RE = re.compile(r"[^\W\d_]+", re.UNICODE)
+# any other character, where a block of text may end without cutting a token
+_SEPARATOR_RE = re.compile(r"[\W\d_]", re.UNICODE)
+# characters per block that ``tokenize_text`` matches at once
+_BLOCK_CHARS = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -55,17 +60,24 @@ def tokenize_text(data, source: str = "<memory>") -> CorpusCounts:
         except UnicodeDecodeError as exc:
             raise InputFormatError(
                 f"invalid UTF-8 at byte offset {exc.start}", location=exc.start)
+        del data  # frees the bytes during counting when no caller keeps them
     elif isinstance(data, str):
         text = data
     else:
         raise InputFormatError(f"expected str or bytes, got {type(data).__name__}")
+    # count the raw tokens of one block at a time, so the list of matches
+    # stays small, and case-fold each distinct one once per block; keys keep
+    # the order in which their first occurrence appears in the text
     counts: dict = {}
-    total = 0
-    for match in _TOKEN_RE.finditer(text):
-        token = match.group().casefold()
-        counts[token] = counts.get(token, 0) + 1
-        total += 1
-    return CorpusCounts(counts=counts, total=total,
+    start = 0
+    while start < len(text):
+        cut = _SEPARATOR_RE.search(text, start + _BLOCK_CHARS)
+        stop = cut.start() if cut else len(text)
+        for token, count in Counter(_TOKEN_RE.findall(text, start, stop)).items():
+            folded = token.casefold()
+            counts[folded] = counts.get(folded, 0) + count
+        start = stop
+    return CorpusCounts(counts=counts, total=sum(counts.values()),
                         meta={"source": source, "tokenizer": TOKENIZER_VERSION})
 
 

@@ -43,7 +43,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .asymptotics import log_growth
-from .errors import DomainError, UsageError
+from .errors import DomainError, UsageError, ZipfestError
 from .specfun import ln_gamma, zeta, zeta_tail
 
 __all__ = ["PowerLaw", "make_zipf_law", "zeta_normalization"]
@@ -311,7 +311,7 @@ class PowerLaw:
                           else n ** (depth + 1) / math.factorial(depth + 1))
             bound = bound_coef * scale ** (depth + 1) * t[depth + 1]
             if not abs(bound) <= 1e-9:
-                raise AssertionError(f"tail series under-converged: bound={bound!r}")
+                raise ZipfestError(f"tail series under-converged: bound={bound!r}")
             return (0.5 * total) if stat == "u" else total
         # stat == "rk"
         depth = 14
@@ -335,7 +335,7 @@ class PowerLaw:
             last = t[k + depth + 1]
             bound = 0.0 if last == 0.0 else front * n ** (depth + 1) / math.factorial(depth + 1) * last
         if not abs(bound) <= 1e-9:
-            raise AssertionError(f"tail series under-converged: bound={bound!r}")
+            raise ZipfestError(f"tail series under-converged: bound={bound!r}")
         return front * total
 
     # ------------------------------------------------------------------
@@ -452,10 +452,14 @@ def make_zipf_law(theta: float, i0: int = 0, tail_epsilon: float = 1e-12) -> Pow
 
 def zeta_normalization(theta):
     """c(theta) = 1 / zeta(1/theta), the zeta-law normalization constant as a
-    (differentiable) function of the exponent.  Accepts scalars or arrays."""
+    (differentiable) function of the exponent.  Accepts scalars or arrays;
+    an array takes one call of the array ``zeta``."""
     if np.ndim(theta) == 0:
         th = float(theta)
         if not 0.0 < th < 1.0:
             raise DomainError(f"theta must lie in (0, 1), got {theta!r}")
         return 1.0 / zeta(1.0 / th)
-    return np.array([zeta_normalization(float(t)) for t in np.asarray(theta)])
+    th = np.asarray(theta, dtype=float)
+    if not np.all((th > 0.0) & (th < 1.0)):
+        raise DomainError(f"theta must lie in (0, 1), got {theta!r}")
+    return 1.0 / zeta(1.0 / th)

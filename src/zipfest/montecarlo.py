@@ -13,6 +13,10 @@ compares empirical covariances against the limiting covariance function.
 
 Both studies draw replication ``rep`` with ``sample_trajectory`` on stream
 ``SeedSpec(seed, rep)``; the normality study uses the one-point grid (1.0,).
+A block of normality replications runs in four stages: draw every snapshot,
+tabulate each estimator's statistic over them, estimate (one batched
+``ImplicitSolver.solve_many`` per implicit estimator, one closed-form call
+per replication otherwise), then standardize and check coverage.
 
 ``remainder_study`` is deterministic: exact oracle expectations minus
 leading terms, normalized by n^(theta/2).
@@ -34,8 +38,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import asymptotics
-from .errors import (AmbiguousRootError, InsufficientDataError, NoRootError,
-                     UsageError, ZipfestError)
+from .errors import UsageError, ZipfestError
 from .estimators import (ESTIMATORS, expand_estimators, normal_cdf,
                          snapshot_k_max)
 from .law import PowerLaw, make_zipf_law, zeta_normalization
@@ -165,28 +168,31 @@ def _law_from_config(cfg: ExperimentConfig) -> PowerLaw:
 
 
 def _normality_chunk(cfg: ExperimentConfig, rep_lo: int, rep_hi: int):
-    """Standardized values / coverage flags for one block of replications."""
+    """Standardized values / coverage flags for one block of replications,
+    NaN where an estimator has no usable estimate."""
     law = _law_from_config(cfg)
     requested = expand_estimators(cfg.estimators, cfg.k_values)
     k_max = snapshot_k_max(requested)
-    solvers = {name: ESTIMATORS[tag].solver(cfg.n, zeta_normalization, k)
-               for name, tag, k in requested}
+    snaps = [sample_trajectory(law, cfg.n, (1.0,), SeedSpec(cfg.seed, rep),
+                               k_max=k_max)[0]
+             for rep in range(rep_lo, rep_hi)]
+    stats = {name: np.array([ESTIMATORS[tag].statistic(snap, k) for snap in snaps],
+                            dtype=float)
+             for name, tag, k in requested}
     theta = cfg.theta
-    n_rows = rep_hi - rep_lo
-    values = {name: np.full(n_rows, np.nan) for name, _, _ in requested}
-    covered = {name: np.full(n_rows, np.nan) for name, _, _ in requested}
-    for offset, rep in enumerate(range(rep_lo, rep_hi)):
-        snap, = sample_trajectory(law, cfg.n, (1.0,), SeedSpec(cfg.seed, rep),
-                                  k_max=k_max)
-        for name, tag, k in requested:
-            spec = ESTIMATORS[tag]
-            try:
-                est = spec.estimate(snap, k, cfg.level, solvers[name])
-            except (NoRootError, AmbiguousRootError, InsufficientDataError):
+    values, covered = {}, {}
+    for name, tag, k in requested:
+        spec = ESTIMATORS[tag]
+        estimates = spec.estimate_many(snaps, stats[name], k, cfg.level,
+                                       spec.solver(cfg.n, zeta_normalization, k))
+        values[name] = np.full(len(snaps), np.nan)
+        covered[name] = np.full(len(snaps), np.nan)
+        for i, (snap, est) in enumerate(zip(snaps, estimates)):
+            if est is None:
                 continue
-            values[name][offset] = spec.standardize(est.theta_hat, theta, snap, k)
+            values[name][i] = spec.standardize(est.theta_hat, theta, snap, k)
             if est.stderr > 0.0:
-                covered[name][offset] = float(est.ci[0] <= theta <= est.ci[1])
+                covered[name][i] = float(est.ci[0] <= theta <= est.ci[1])
     return values, covered
 
 
@@ -205,6 +211,8 @@ def normality_study(config: ExperimentConfig) -> StudyReport:
     """Check asymptotic normality and variance targets of the estimators."""
     if config.m < 100:
         raise UsageError(f"normality studies need M >= 100, got {config.m}")
+    if config.n < 2:
+        raise UsageError(f"normality studies need n >= 2, got {config.n}")
     if not 0.0 < config.level < 1.0:
         raise UsageError(f"confidence level must lie in (0, 1), got {config.level!r}")
     requested = expand_estimators(config.estimators, config.k_values)
@@ -293,6 +301,10 @@ def covariance_study(config: ExperimentConfig) -> CovarianceTable:
         raise UsageError(f"covariance studies need M >= 100, got {config.m}")
     if config.nu < 1 or config.nu > DEFAULT_K_MAX:
         raise UsageError(f"nu must lie in 1..{DEFAULT_K_MAX}, got {config.nu}")
+    # (``sample_trajectory`` rejects a grid that does not lie in (0, 1])
+    if config.grid[0] > 0.0 and math.floor(config.n * config.grid[0]) < 1:
+        raise UsageError(f"covariance studies need n * t >= 1 at the first grid time "
+                         f"t = {config.grid[0]}, got n = {config.n}")
     law = _law_from_config(config)
     comps = config.nu + 1
     chunks = _run_chunked(config, _covariance_chunk)

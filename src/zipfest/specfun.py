@@ -7,9 +7,11 @@ an external math library.  Accuracy targets: relative error <= 1e-12 for
 ln_gamma on [0.05, 50] (measured against the Gamma scale near the zeros of
 ln Gamma), <= 1e-10 for zeta on (1, inf).
 
-``ln_gamma`` accepts scalars or numpy arrays; ``zeta`` and ``zeta_tail`` are
-scalar.  ``zeta_tail`` takes bases of any size as Python ints, since the zeta
-law's cutoff, discarded mass and oracle tail sums need them near theta = 1.
+``ln_gamma`` and ``zeta`` accept scalars or numpy arrays; ``zeta_tail`` is
+scalar.  A float keeps ``zeta`` on the scalar path; an array of s takes a
+fixed head sum and one Euler-Maclaurin tail, within a few ulp of it.
+``zeta_tail`` takes bases of any size as Python ints, since the zeta law's
+cutoff, discarded mass and oracle tail sums need them near theta = 1.
 """
 
 from __future__ import annotations
@@ -54,8 +56,9 @@ def _lanczos_ln_gamma(z):
     """Lanczos series for z >= 0.5 (array-safe)."""
     z = np.asarray(z, dtype=float)
     series = np.full_like(z, _LANCZOS_COEF[0])
+    z_minus_1 = z - 1.0
     for k, coef in enumerate(_LANCZOS_COEF[1:], start=1):
-        series = series + coef / (z - 1.0 + k)
+        series = series + coef / (z_minus_1 + k)
     base = z + _LANCZOS_G - 0.5
     return _HALF_LOG_TWO_PI + (z - 0.5) * np.log(base) - base + np.log(series)
 
@@ -126,10 +129,11 @@ def _em_tail(s, n_base):
     term = 0.0
     for idx, bern in enumerate(_BERNOULLI_EVEN):
         term = bern / factorial * rising * power
-        value += term
+        value = value + term
         two_k = 2 * (idx + 1)
-        rising *= (s + two_k - 1.0) * (s + two_k)
-        power *= inv * inv
+        # not in place: for an array of s, ``rising`` starts as the caller's s
+        rising = rising * ((s + two_k - 1.0) * (s + two_k))
+        power = power * (inv * inv)
         factorial *= (two_k + 1.0) * (two_k + 2.0)
     # First omitted term (B_14 = 7/6), doubled as a safety margin.
     bound = 2.0 * (7.0 / 6.0) / (factorial) * rising * power
@@ -151,7 +155,8 @@ def zeta_tail(s, n):
         head = 0.0
         if base > n:
             if base - int(n) > 50_000_000:
-                raise AssertionError("zeta_tail explicit window blew up")
+                raise DomainError(f"zeta_tail(s={s!r}, n={n!r}) needs more than "
+                                  "5e7 explicit terms; s is too large")
             if base - int(n) <= 512:
                 head = sum(m ** (-s) for m in range(int(n) + 1, base + 1))
             else:
@@ -165,16 +170,38 @@ def zeta_tail(s, n):
     return total
 
 
+# The array path of ``zeta`` sums j^-s for j = 2.._ZETA_HEAD in the scalar
+# path's order, for blocks of _ZETA_BLOCK values of s at a time (temporaries
+# of about 64 KiB), and adds one Euler-Maclaurin tail at _ZETA_HEAD.
+_ZETA_HEAD = 32
+_ZETA_BLOCK = 256
+
+
 def zeta(s):
     """Riemann zeta(s) = sum_{j>=1} j^-s for s > 1.
 
-    Partial sum plus Euler-Maclaurin tail; the cutoff adapts so the
-    remainder bound stays below 1e-12 of the result even as s -> 1 where the
-    bare series converges too slowly to sum directly.
+    Partial sum plus Euler-Maclaurin tail.  For a float the cutoff adapts so
+    the remainder bound stays below 1e-12 of the result even as s -> 1 where
+    the bare series converges too slowly to sum directly.  An array of s
+    shares the scalar path's first cutoff, 32, where the remainder bound is
+    below 1e-22 of the result for every s in (1, 1e4]; there it agrees with
+    the scalar path within a few ulp.
     """
-    if not math.isfinite(s) or s <= 1.0:
+    if np.ndim(s) == 0:
+        if not math.isfinite(s) or s <= 1.0:
+            raise DomainError(f"zeta requires s > 1, got {s!r}")
+        return 1.0 + zeta_tail(s, 1)
+    arr = np.asarray(s, dtype=float)
+    if not np.all(np.isfinite(arr) & (arr > 1.0)):
         raise DomainError(f"zeta requires s > 1, got {s!r}")
-    return 1.0 + zeta_tail(s, 1)
+    flat = arr.ravel()
+    head = np.empty_like(flat)
+    terms = np.arange(2.0, _ZETA_HEAD + 1.0)
+    for lo in range(0, flat.size, _ZETA_BLOCK):
+        block = flat[lo:lo + _ZETA_BLOCK, None]
+        head[lo:lo + _ZETA_BLOCK] = np.cumsum(terms ** -block, axis=1)[:, -1]
+    tail, _ = _em_tail(flat, _ZETA_HEAD)
+    return (1.0 + (head + tail)).reshape(arr.shape)
 
 
 def ln_beta(a, b):

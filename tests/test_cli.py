@@ -73,6 +73,8 @@ def test_estimate_all_reruns_byte_identical(capsys, corpus):
     ["study-normality", "--theta", "0.5", "--n", "2000", "--m", "100", "--level", "1.5"],
     ["estimate", "--estimators", "log-ratio", "--level", "1.5"],
     ["simulate", "--theta", "0.5", "--k-max", "0", "--snapshot", "{tmp}/snapshot.json"],
+    ["study-normality", "--theta", "0.5", "--n", "1", "--m", "100"],
+    ["study-covariance", "--theta", "0.5", "--n", "1", "--m", "100"],
 ])
 def test_usage_error_is_one_line_with_exit_2(capsys, corpus, tmp_path, argv):
     argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
@@ -94,6 +96,8 @@ def test_usage_error_is_one_line_with_exit_2(capsys, corpus, tmp_path, argv):
     # R_8 = 0 in about half of the replications at n = 2000
     ["study-normality", "--theta", "0.5", "--n", "2000", "--m", "100", "--k", "8",
      "--estimators", "ratio-k"],
+    # zeta(1/theta) would need an explicit sum of more than 5e7 terms
+    ["simulate", "--theta", "2.5e-8", "--n", "10"],
 ])
 def test_runtime_failure_is_one_line_with_exit_1(capsys, tmp_path, argv):
     if argv[0] == "simulate":

@@ -4,6 +4,8 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 import pytest
 import scipy.stats as st
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 from zipfest.asymptotics import ratio_k_variance, ratio_r1_variance
 from zipfest.errors import (AmbiguousRootError, DomainError,
@@ -108,6 +110,109 @@ class TestImplicit:
                 except (NoRootError, InsufficientDataError, AmbiguousRootError):
                     continue
                 assert 0.0 < result.theta_hat < 1.0
+
+
+# one solver per kind at n = 2000: R and U have one root for statistics up to
+# about 2000, and R_2 two roots for statistics up to about 54
+SOLVE_MANY_KINDS = [("r", None), ("u", None), ("rk", 1), ("rk", 2)]
+_SOLVERS: dict = {}
+
+
+def _solver(which, k):
+    if (which, k) not in _SOLVERS:
+        _SOLVERS[which, k] = ImplicitSolver(which, 2000, zeta_normalization, k=k)
+    return _SOLVERS[which, k]
+
+
+def _solve_one(solver, stat):
+    """(outcome, theta_hat) of solve(), in solve_many's terms."""
+    try:
+        return solver.ROOT, solver.solve(stat).theta_hat
+    except NoRootError:
+        return solver.NO_ROOT, None
+    except AmbiguousRootError:
+        return solver.AMBIGUOUS, None
+    except InsufficientDataError:
+        return solver.BELOW_ONE, None
+
+
+def _assert_solve_many_matches_solve(solver, stats):
+    theta_hat, outcome = solver.solve_many(np.array(stats, dtype=float))
+    for stat, theta, kind in zip(stats, theta_hat.tolist(), outcome.tolist()):
+        expected_kind, expected_theta = _solve_one(solver, stat)
+        assert kind == expected_kind, stat
+        if kind == solver.ROOT:
+            assert theta == expected_theta, stat  # bit for bit
+        else:
+            assert math.isnan(theta), stat
+
+
+def _scalar_bisect(solver, lo, hi, target):
+    """The bisection of one bracket with the scalar ``growth``: the rule the
+    batched bisection follows (width 1e-10, at most 80 steps, exact hits)."""
+    f_lo = solver.growth(lo) - target
+    steps = 0
+    while hi - lo > 1e-10 and steps < 80:
+        mid = 0.5 * (lo + hi)
+        f_mid = solver.growth(mid) - target
+        if f_mid == 0.0:
+            return mid, steps
+        if (f_mid < 0.0) == (f_lo < 0.0):
+            lo, f_lo = mid, f_mid
+        else:
+            hi = mid
+        steps += 1
+    return 0.5 * (lo + hi), steps
+
+
+class TestSolveMany:
+    @pytest.mark.parametrize("which, k", SOLVE_MANY_KINDS)
+    def test_matches_scalar_bisection(self, which, k):
+        solver = _solver(which, k)
+        for stat in (1.5, 2.0, 7.0, 30.0, 137.0, 800.0, 1999.0):
+            try:
+                result = solver.solve(stat)
+            except (NoRootError, AmbiguousRootError):
+                continue
+            root, steps = _scalar_bisect(solver, *result.diagnostics["bracket"], stat)
+            assert (result.theta_hat, result.diagnostics["iterations"]) == (root, steps)
+
+    @pytest.mark.parametrize("which, k", SOLVE_MANY_KINDS)
+    def test_every_outcome_matches_solve(self, which, k):
+        stats = [0.0, 0.5, float("nan"), 1.0, 2.0, 3.0, 10.0, 40.0, 54.0, 60.0,
+                 137.0, 1999.0, 2000.2, 2500.0, 1e6, 10.0, 3.0]
+        solver = _solver(which, k)
+        _assert_solve_many_matches_solve(solver, stats)
+        _, outcome = solver.solve_many(stats)
+        expected = {solver.BELOW_ONE, solver.NO_ROOT,
+                    solver.AMBIGUOUS if k == 2 else solver.ROOT}
+        assert expected <= set(outcome.tolist())
+
+    @pytest.mark.parametrize("which, k", SOLVE_MANY_KINDS)
+    @settings(max_examples=15, deadline=None)
+    @given(stats=hst.lists(hst.one_of(hst.floats(-2.0, 3000.0),
+                                      hst.integers(0, 3000).map(float),
+                                      hst.just(float("nan"))),
+                           min_size=1, max_size=6))
+    def test_equals_solve_bit_for_bit(self, which, k, stats):
+        _assert_solve_many_matches_solve(_solver(which, k), stats)
+
+    def test_solve_keeps_its_diagnostics(self):
+        solver = _solver("r", None)
+        result = solver.solve(137.0)
+        lo, hi = result.diagnostics["bracket"]
+        assert lo < result.theta_hat < hi
+        assert hi - lo == pytest.approx(solver._grid[1] - solver._grid[0])
+        # 1/2000 halves below the 1e-10 tolerance after 23 steps
+        assert result.diagnostics["iterations"] == 23
+
+    def test_empty_and_constant_c(self):
+        theta_hat, outcome = _solver("u", None).solve_many([])
+        assert theta_hat.size == outcome.size == 0
+        solver = ImplicitSolver("r", 10 ** 4, 0.3)
+        theta_hat, outcome = solver.solve_many([50.0, 200.0])
+        assert theta_hat.tolist() == [solver.solve(50.0).theta_hat,
+                                      solver.solve(200.0).theta_hat]
 
 
 def test_table_solver_only_for_implicit_tags():

@@ -1,8 +1,26 @@
-import pytest
+import random
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
+
+from zipfest import ingest
 from zipfest.errors import InputFormatError, InsufficientDataError
 from zipfest.ingest import (CorpusCounts, load_counts, to_occupancy,
                             tokenize_file, tokenize_text)
+
+# letters whose case folding changes their length or needs a combining mark,
+# plus digits, underscores, punctuation and whitespace as separators
+ALPHABET = "aAbZßẞǰİıﬁÉé" + "09_-., \n\t"
+
+
+def _reference_counts(text):
+    """Tokenization as one match at a time, case-folded as it goes."""
+    counts = {}
+    for match in ingest._TOKEN_RE.finditer(text):
+        token = match.group().casefold()
+        counts[token] = counts.get(token, 0) + 1
+    return counts
 
 
 def test_invalid_utf8_reports_its_byte_offset(tmp_path):
@@ -21,6 +39,34 @@ def test_tokens_are_casefolded_letter_runs():
     corpus = tokenize_text("The cat, the CAT2dog_x; 42 straße")
     assert corpus.counts == {"the": 2, "cat": 2, "dog": 1, "x": 1, "strasse": 1}
     assert corpus.total == 7
+
+
+def _assert_matches_reference(text):
+    corpus = tokenize_text(text)
+    expected = _reference_counts(text)
+    assert list(corpus.counts.items()) == list(expected.items())  # order too
+    assert corpus.total == sum(expected.values())
+
+
+def test_blocks_match_one_match_at_a_time():
+    rng = random.Random(11)
+    text = "".join(rng.choice(ALPHABET) for _ in range(3 * ingest._BLOCK_CHARS + 17))
+    _assert_matches_reference(text)
+    assert tokenize_text(text.encode("utf-8")) == tokenize_text(text)
+    # one token longer than a block is never cut
+    corpus = tokenize_text("ab" * ingest._BLOCK_CHARS + " ab")
+    assert corpus.counts == {"ab" * ingest._BLOCK_CHARS: 1, "ab": 1}
+
+
+@settings(max_examples=100, deadline=None)
+@given(text=hst.text(alphabet=ALPHABET, max_size=60), block=hst.integers(1, 8))
+def test_any_block_size_matches_reference(text, block):
+    saved = ingest._BLOCK_CHARS
+    ingest._BLOCK_CHARS = block
+    try:
+        _assert_matches_reference(text)
+    finally:
+        ingest._BLOCK_CHARS = saved
 
 
 def test_load_counts_sums_duplicate_tokens(tmp_path):

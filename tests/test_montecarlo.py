@@ -1,12 +1,15 @@
 import json
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from zipfest import montecarlo
-from zipfest.errors import UsageError
-from zipfest.estimators import ESTIMATORS
-from zipfest.law import make_zipf_law
+from zipfest.errors import (AmbiguousRootError, InsufficientDataError, NoRootError,
+                            UsageError)
+from zipfest.estimators import ESTIMATORS, expand_estimators, snapshot_k_max
+from zipfest.law import make_zipf_law, zeta_normalization
+from zipfest.sampler import SeedSpec, sample_trajectory
 from zipfest.montecarlo import (ExperimentConfig, covariance_study, normality_study,
                                 remainder_study)
 
@@ -51,6 +54,42 @@ def test_ratio_k_beyond_default_count_range():
     assert 0.5 < row.variance_ratio < 2.0
 
 
+def _reference_chunk(cfg, rep_lo, rep_hi):
+    """_normality_chunk as a loop over replications and ``spec.estimate``."""
+    law = make_zipf_law(cfg.theta, i0=cfg.i0, tail_epsilon=cfg.tail_epsilon)
+    requested = expand_estimators(cfg.estimators, cfg.k_values)
+    solvers = {name: ESTIMATORS[tag].solver(cfg.n, zeta_normalization, k)
+               for name, tag, k in requested}
+    values = {name: np.full(rep_hi - rep_lo, np.nan) for name, _, _ in requested}
+    covered = {name: np.full(rep_hi - rep_lo, np.nan) for name, _, _ in requested}
+    for offset, rep in enumerate(range(rep_lo, rep_hi)):
+        snap, = sample_trajectory(law, cfg.n, (1.0,), SeedSpec(cfg.seed, rep),
+                                  k_max=snapshot_k_max(requested))
+        for name, tag, k in requested:
+            spec = ESTIMATORS[tag]
+            try:
+                est = spec.estimate(snap, k, cfg.level, solvers[name])
+            except (NoRootError, AmbiguousRootError, InsufficientDataError):
+                continue
+            values[name][offset] = spec.standardize(est.theta_hat, cfg.theta, snap, k)
+            if est.stderr > 0.0:
+                covered[name][offset] = float(est.ci[0] <= cfg.theta <= est.ci[1])
+    return values, covered
+
+
+def test_staged_chunk_matches_a_loop_over_estimate():
+    config = replace(SMALL, k_values=(1, 2))
+    values, covered = montecarlo._normality_chunk(config, 3, 43)
+    ref_values, ref_covered = _reference_chunk(config, 3, 43)
+    assert list(values) == list(ref_values)
+    for name in ref_values:
+        assert np.array_equal(values[name], ref_values[name], equal_nan=True), name
+        assert np.array_equal(covered[name], ref_covered[name], equal_nan=True), name
+    # R_2 has two roots at every replication: g_rk(2) falls back to 0 as theta -> 1
+    assert np.isnan(values["implicit-rk(2)"]).all()
+    assert not np.isnan(values["implicit-r"]).any()
+
+
 @pytest.mark.parametrize("study, changes, message", [
     (normality_study, {"estimators": ("ratio-r1", "log-ratio")},
      "log-ratio has no normal limit"),
@@ -58,6 +97,8 @@ def test_ratio_k_beyond_default_count_range():
     (normality_study, {"m": 99}, "M >= 100"),
     (covariance_study, {"m": 99}, "M >= 100"),
     (normality_study, {"level": 1.5}, "level must lie in"),
+    (normality_study, {"n": 1}, "n >= 2"),
+    (covariance_study, {"n": 1}, "n \\* t >= 1"),
 ])
 def test_usage_errors(study, changes, message):
     with pytest.raises(UsageError, match=message):

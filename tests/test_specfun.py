@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 import scipy.special as sp
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 from zipfest.errors import DomainError
 from zipfest.specfun import gamma, ln_beta, ln_gamma, zeta, zeta_tail
@@ -119,6 +121,45 @@ class TestZeta:
 
     def test_tail_huge_base(self):
         assert zeta_tail(1.5, 10 ** 20) == pytest.approx(2.0 * 10 ** -10.0, rel=1e-6)
+
+
+def _assert_array_zeta_within_4_ulp(s):
+    got = zeta(s)
+    expected = np.array([zeta(float(v)) for v in s])
+    assert np.all(np.abs(got - expected) <= 4.0 * np.spacing(expected))
+
+
+class TestZetaArray:
+    def test_within_4_ulp_of_scalar_on_a_grid(self):
+        # near the pole, across the solver's range 1/theta for theta in
+        # [1e-4, 1 - 1e-4], and the solver grid itself
+        s = np.concatenate([1.0 + np.logspace(-15, 0, 400), np.logspace(0.01, 4, 800),
+                            1.0 / np.linspace(1e-4, 1.0 - 1e-4, 2000)])
+        _assert_array_zeta_within_4_ulp(s)
+
+    @settings(max_examples=50, deadline=None)
+    @given(s=hst.lists(hst.floats(1.0, 1e4, exclude_min=True), min_size=1, max_size=300))
+    def test_within_4_ulp_of_scalar(self, s):
+        _assert_array_zeta_within_4_ulp(np.array(s))
+
+    def test_shape_kept_and_input_untouched(self):
+        s = np.array([[1.5, 2.0], [3.0, 20.0]])
+        before = s.copy()
+        out = zeta(s)
+        assert out.shape == (2, 2)
+        assert np.array_equal(s, before)
+        assert out[0, 1] == pytest.approx(math.pi ** 2 / 6.0, rel=1e-15)
+        assert zeta(np.array([])).size == 0
+
+    def test_domain_errors(self):
+        for bad in (1.0, 0.5, math.nan, math.inf):
+            with pytest.raises(DomainError):
+                zeta(np.array([2.0, bad]))
+
+    def test_huge_s_is_a_domain_error(self):
+        # 1/theta for theta = 2.5e-8: the scalar path's explicit window is too large
+        with pytest.raises(DomainError, match="explicit terms"):
+            zeta(4e7)
 
 
 class TestLnBeta:
