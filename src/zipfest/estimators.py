@@ -147,9 +147,8 @@ class ImplicitSolver:
         c_grid = np.asarray(c_of_theta(self._grid), dtype=float)
         if not np.all(np.isfinite(c_grid) & (c_grid > 0.0)):
             raise DomainError("c(theta) must be finite and positive on (0, 1)")
-        g = self._g_array(self._grid, c_grid)
+        self._g = g = self._g_array(self._grid, c_grid)
         # grid interval j brackets s exactly when s lies in (_g_min[j], _g_max[j]]
-        self._g_ends = (float(g[0]), float(g[-1]))
         self._g_min = np.minimum(g[:-1], g[1:])
         self._g_max = np.maximum(g[:-1], g[1:])
 
@@ -165,8 +164,9 @@ class ImplicitSolver:
         return np.exp(asymptotics.log_growth(theta, np.log(c) + self._log_n,
                                              self.which, self.k))
 
-    def _bisect(self, lo, hi, target):
-        """Bisect g - target on every bracket [lo, hi] at once.
+    def _bisect(self, interval, target):
+        """Bisect g - target on the grid interval ``interval[i]`` for each
+        ``target[i]``, every bracket at once.
 
         Each bracket halves until it is at most BISECT_TOL wide (then its
         midpoint is the root) or g hits the target exactly at a midpoint,
@@ -177,33 +177,34 @@ class ImplicitSolver:
         roots = np.empty(target.size)
         steps = np.zeros(target.size, dtype=int)
         live = np.arange(target.size)
-        f_lo = self._g_array(lo) - target
+        lo, hi = self._grid[interval], self._grid[interval + 1]
+        # lo only ever moves to a midpoint where g - target has its sign
+        lo_below = self._g[interval] - target < 0.0
         step = 0
         while live.size:
             done = hi - lo <= self.BISECT_TOL
             if step == self.BISECT_MAX_STEPS:
                 done[:] = True
-            if done.any():
+            if np.count_nonzero(done):
                 roots[live[done]] = 0.5 * (lo[done] + hi[done])
                 steps[live[done]] = step
                 keep = ~done
-                live, lo, hi, f_lo, target = (live[keep], lo[keep], hi[keep],
-                                              f_lo[keep], target[keep])
+                live, lo, hi, lo_below, target = (live[keep], lo[keep], hi[keep],
+                                                  lo_below[keep], target[keep])
                 if not live.size:
                     break
             mid = 0.5 * (lo + hi)
             f_mid = self._g_array(mid) - target
-            hit = f_mid == 0.0
-            if hit.any():
+            if np.count_nonzero(f_mid) < f_mid.size:
+                hit = f_mid == 0.0
                 roots[live[hit]] = mid[hit]
                 steps[live[hit]] = step
                 keep = ~hit
-                live, lo, hi, f_lo, target, mid, f_mid = (
-                    live[keep], lo[keep], hi[keep], f_lo[keep], target[keep],
+                live, lo, hi, lo_below, target, mid, f_mid = (
+                    live[keep], lo[keep], hi[keep], lo_below[keep], target[keep],
                     mid[keep], f_mid[keep])
-            up = (f_mid < 0.0) == (f_lo < 0.0)
+            up = (f_mid < 0.0) == lo_below
             lo = np.where(up, mid, lo)
-            f_lo = np.where(up, f_mid, f_lo)
             hi = np.where(up, hi, mid)
             step += 1
         return roots, steps
@@ -225,8 +226,7 @@ class ImplicitSolver:
         owner = order[np.repeat(first, count) + within]
         by_owner = np.argsort(owner, kind="stable")
         owner, interval = owner[by_owner], interval[by_owner]
-        roots, steps = self._bisect(self._grid[interval], self._grid[interval + 1],
-                                    stats[owner])
+        roots, steps = self._bisect(interval, stats[owner])
         return owner, interval, roots, steps
 
     def solve_many(self, stats) -> tuple[np.ndarray, np.ndarray]:
@@ -257,7 +257,7 @@ class ImplicitSolver:
             raise NoRootError(
                 f"no root of g(theta) = {stat_value!r} on "
                 f"[{self.THETA_LO}, {self.THETA_HI}]",
-                g_lo=self._g_ends[0], g_hi=self._g_ends[1], target=float(stat_value))
+                g_lo=float(self._g[0]), g_hi=float(self._g[-1]), target=float(stat_value))
         if roots.size > 1:
             raise AmbiguousRootError(
                 f"g(theta) = {stat_value!r} has {roots.size} roots", roots=roots.tolist(),

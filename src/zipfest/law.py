@@ -1,4 +1,4 @@
-"""Power-law urn models, their exact finite-n moment oracles and ball draws.
+"""Power-law urn models, their exact finite-n moment oracles and occupancy draws.
 
 The central object is :class:`PowerLaw`, either an exact zeta law
 
@@ -13,11 +13,15 @@ or a generic law given by an explicit probability table.  A law knows how to
   definition of alpha forces),
 * compute exact expectations of the occupancy statistics R, U, R_k, R*_k
   for a fixed number of balls or a poissonized horizon, and
-* draw the support positions of independent balls: zeta laws by
-  rejection-inversion (Hoermann & Derflinger, "Rejection-inversion to
+* draw the occupancy of n independent balls without drawing each ball:
+  the counts of the heaviest urns 1..W, W about alpha(n), as one
+  multinomial by conditional binomials (Devroye, "Non-Uniform Random
+  Variate Generation", 1986, ch. XI), and the balls beyond urn W one by one
+  by rejection-inversion (Hoermann & Derflinger, "Rejection-inversion to
   generate variates from monotone discrete distributions", ACM TOMACS 6(3),
-  1996), which needs no table and costs O(1) per ball at any exponent;
-  table laws by inverting their cumulative table.
+  1996), which needs no table and costs O(1) per ball at any exponent.  The
+  cost follows the number of occupied urns, about n^theta, not n.  A table
+  law draws all of its urns as the multinomial.
 
 Truncation policy: the support is cut at the smallest index whose remaining
 tail mass is below ``tail_epsilon`` (default 1e-12).  Oracles never
@@ -26,11 +30,11 @@ through alternating series in the exact zeta tail sums, with the truncation
 remainder bounded explicitly.  Sampling renormalizes over the retained
 support and records the discarded mass.
 
-For exponents near 1 the cutoff is astronomically large.  Zeta-law positions
-are float64: exact integers below 2^53, 53 significant bits beyond it.  A law
-whose cutoff exceeds the float64 range (theta above about 0.963 at the
-default ``tail_epsilon``, 0.981 at 1e-6) still has its oracles but cannot be
-sampled.
+For exponents near 1 the cutoff is astronomically large.  Zeta-law tail
+positions are float64: exact integers below 2^53, 53 significant bits beyond
+it.  A law whose cutoff exceeds the float64 range (theta above about 0.963
+at the default ``tail_epsilon``, 0.981 at 1e-6) still has its oracles but
+cannot be sampled.
 """
 
 from __future__ import annotations
@@ -93,7 +97,6 @@ class PowerLaw:
     total_mass: float
     _s: float | None = field(repr=False, default=None)
     _zeta_s: float | None = field(repr=False, default=None)
-    _table_cum: np.ndarray = field(repr=False, default=None)
     _table_probs: np.ndarray = field(repr=False, default=None)
     _table_indices: np.ndarray = field(repr=False, default=None)
 
@@ -157,7 +160,7 @@ class PowerLaw:
             kind="table", theta=theta, i0=int(idx[0] - 1),
             c=c, cutoff=int(probs.size), tail_epsilon=0.0,
             discarded_mass=0.0, total_mass=1.0,
-            _table_cum=np.cumsum(probs), _table_probs=probs, _table_indices=idx,
+            _table_probs=probs, _table_indices=idx,
         )
 
     # ------------------------------------------------------------------
@@ -339,49 +342,97 @@ class PowerLaw:
         return front * total
 
     # ------------------------------------------------------------------
-    # ball draws
+    # occupancy draws
     # ------------------------------------------------------------------
 
-    def draw_positions(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        """1-based support positions of ``n`` independent balls.
-
-        Table laws invert their cumulative table (int64 positions).  Zeta
-        laws use rejection-inversion over {1, ..., cutoff} with the hat
-        x^-s, s = 1/theta, redrawing only the balls still rejected; their
-        positions are float64, exact below 2^53.
-        """
+    def head_width(self, n: int) -> int:
+        """W, the urns whose ball counts :meth:`draw_prefixes` draws as one
+        multinomial for n balls: about alpha(n) = (c n)^theta, the urns with
+        n p >= 1, at least one and at most the cutoff; every urn of a table
+        law."""
         if self.kind == "table":
-            pos = np.searchsorted(self._table_cum, rng.random(n), side="right") + 1
-            return np.minimum(pos, self.cutoff)
+            return self.cutoff
+        return max(1, min(self.cutoff, int((self.c * n) ** self.theta)))
+
+    def draw_prefixes(self, sizes, rng: np.random.Generator) -> list:
+        """Occupancy of the first m balls of one draw of independent balls,
+        for each m of the non-decreasing ``sizes``.
+
+        Returns one (positions, counts) pair per m: the increasing 1-based
+        support positions of the occupied urns, as float64, and the ball
+        count of each.  Balls sizes[j-1]+1..sizes[j] form batch j.  Each
+        batch draws the counts of positions 1..W, W =
+        ``head_width(sizes[-1])``, as one multinomial by conditional
+        binomials, and its other balls by :meth:`draw_tail`; the balls are
+        independent, so adding up the batches' counts and joining their tails
+        gives the exact joint law of the prefixes.  A table law, and a zeta
+        law whose head reaches the cutoff, has no tail.
+        """
+        width = self.head_width(sizes[-1])
+        if self.kind == "table":
+            probs = self._table_probs.copy()
+        else:
+            m = np.arange(1, width + 1, dtype=float)
+            probs = self.c * m ** (-self._s) / self.total_mass
+        if width < self.cutoff:
+            probs = np.append(probs, 0.0)  # the tail's share
+        # the last category gets the mass the others leave, which numpy
+        # assumes; p_1 / total_mass alone can round above 1 at cutoff 1
+        probs[-1] = max(0.0, 1.0 - probs[:-1].sum())
+        batches = [rng.multinomial(b - a, probs) for a, b in zip([0, *sizes], sizes)]
+        if width == self.cutoff:
+            tails = [np.empty(0)] * len(batches)
+        else:
+            tails = [self.draw_tail(width + 1, int(c[-1]), rng) for c in batches]
+        out, head, tail = [], 0, np.empty(0)
+        for counts, more in zip(batches, tails):
+            head, tail = head + counts[:width], np.concatenate([tail, more])
+            occupied = np.flatnonzero(head)
+            # a sort per prefix beats one sort with an inverse and a count
+            tail_pos, tail_counts = np.unique(tail, return_counts=True)
+            out.append((np.concatenate([occupied + 1.0, tail_pos]),
+                        np.concatenate([head[occupied], tail_counts])))
+        return out
+
+    def draw_tail(self, first: int, size: int, rng: np.random.Generator) -> np.ndarray:
+        """Support positions of ``size`` independent balls of a zeta law
+        conditioned on positions first..cutoff, first >= 2.
+
+        Rejection-inversion with the hat x^-s, s = 1/theta, redrawing only
+        the balls still rejected; positions are float64, exact below 2^53.
+        """
         if self.cutoff > sys.float_info.max:
             raise DomainError(
                 f"cannot sample theta={self.theta!r}: its support cutoff "
                 f"10^{math.log10(self.cutoff):.1f} exceeds the float64 range; "
                 "raise tail_epsilon (at 1e-6, theta up to about 0.98 can be sampled)")
+        if not size:
+            return np.empty(0)
         s = self._s
-        # u is uniform on (H(3/2) - 1, H(cutoff + 1/2)]; x = H^-1(u) rounds to
-        # k, and k is kept when u lies in the top h(k) = k^-s of its stretch
-        # (H(k - 1/2), H(k + 1/2)], which convexity makes longer than h(k);
-        # k = 1 owns (H(3/2) - 1, H(3/2)], of length exactly h(1) = 1.
+        # u is uniform on (H(first + 1/2) - first^-s, H(cutoff + 1/2)];
+        # x = H^-1(u) rounds to k, and k is kept when u lies in the top
+        # h(k) = k^-s of its stretch (H(k - 1/2), H(k + 1/2)], which convexity
+        # makes longer than h(k); k = first owns (H(first + 1/2) - first^-s,
+        # H(first + 1/2)], of length exactly h(first).
         top = _hat_integral(math.log(self.cutoff + 0.5), s)
-        bottom = _hat_integral(math.log(1.5), s) - 1.0
+        bottom = _hat_integral(math.log(first + 0.5), s) - float(first) ** -s
         # x >= k - quick puts u in the kept part of k for every k >= 2, so only
         # the other balls need the exact test; beyond 2^53, where x has no
         # fraction left, this is the test that decides
         quick = 2.0 - _hat_integral_inverse(_hat_integral(math.log(2.5), s) - 2.0 ** -s, s)
-        cutoff = float(self.cutoff)
+        first, cutoff = float(first), float(self.cutoff)
 
-        def attempt(size):
-            u = top + rng.random(size) * (bottom - top)
+        def attempt(count):
+            u = top + rng.random(count) * (bottom - top)
             x = _hat_integral_inverse(u, s)
-            k = np.minimum(np.maximum(np.floor(x + 0.5), 1.0), cutoff)
+            k = np.minimum(np.maximum(np.floor(x + 0.5), first), cutoff)
             ok = k - x <= quick
             slow = np.flatnonzero(~ok)
             ks = k[slow]
             ok[slow] = u[slow] >= _hat_integral(np.log(ks + 0.5), s) - ks ** -s
             return k, ok
 
-        out, ok = attempt(n)
+        out, ok = attempt(size)
         todo = np.flatnonzero(~ok)
         while todo.size:
             k, ok = attempt(todo.size)
@@ -390,10 +441,10 @@ class PowerLaw:
         return out
 
     def positions_to_urns(self, positions: np.ndarray) -> list[int]:
-        """Urn indices, as Python ints, of 1-based support positions."""
+        """Urn indices, as Python ints, of 1-based float support positions."""
         if self.kind == "zeta":
             return [int(p) + self.i0 for p in positions.tolist()]
-        return self._table_indices[positions - 1].tolist()
+        return self._table_indices[positions.astype(np.int64) - 1].tolist()
 
     def describe(self) -> dict:
         out = {

@@ -13,6 +13,10 @@ compares empirical covariances against the limiting covariance function.
 
 Both studies draw replication ``rep`` with ``sample_trajectory`` on stream
 ``SeedSpec(seed, rep)``; the normality study uses the one-point grid (1.0,).
+A draw is an occupancy profile, not n balls: one multinomial over the
+heaviest urns per grid increment plus the balls beyond them, so its cost
+follows the number of occupied urns, about n^theta
+(``law.PowerLaw.draw_prefixes``).
 A block of normality replications runs in four stages: draw every snapshot,
 tabulate each estimator's statistic over them, estimate (one batched
 ``ImplicitSolver.solve_many`` per implicit estimator, one closed-form call

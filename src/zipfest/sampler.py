@@ -1,9 +1,12 @@
 """Samplers for occupancy configurations.
 
-Every sampler draws ball positions with ``PowerLaw.draw_positions`` (the
-retained support, renormalized; the discarded mass is recorded in the sample
-metadata) and counts them one way: for each prefix of the draw it reports,
-the distinct positions among those balls and the ball count of each.
+The occupancy statistics read only how many balls each urn holds, so no
+sampler draws every ball.  All three take the occupied urns and their ball
+counts from ``PowerLaw.draw_prefixes``: the counts of the W heaviest urns as
+one multinomial, and only the balls beyond them by rejection-inversion, over
+the retained support, renormalized; the discarded mass is recorded in the
+sample metadata.  A trajectory draws one multinomial per grid increment and
+adds them up; a poissonized sample draws a Poisson total first.
 
 Streams: any (master seed, stream index) pair yields an independent Philox
 counter-based generator (period 2^256), so replications can run in parallel
@@ -59,15 +62,9 @@ class OccupancyCounts:
         return summarize_count_values(values, self.total, k_max=k_max)
 
 
-def _tally(pos: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """Distinct positions among the first m balls of a draw, and the ball
-    count of each."""
-    return np.unique(pos[:m], return_counts=True)
-
-
-def _counts_dict(law: PowerLaw, pos: np.ndarray) -> dict:
-    upos, counts = _tally(pos, pos.size)
-    return dict(zip(law.positions_to_urns(upos), counts.tolist()))
+def _counts_dict(law: PowerLaw, n: int, rng: np.random.Generator) -> dict:
+    (positions, counts), = law.draw_prefixes([n], rng)
+    return dict(zip(law.positions_to_urns(positions), counts.tolist()))
 
 
 # ----------------------------------------------------------------------
@@ -80,7 +77,7 @@ def sample_fixed(law: PowerLaw, n: int, seed) -> OccupancyCounts:
         raise DomainError(f"n must be a positive integer, got {n!r}")
     spec = _as_seed(seed)
     return OccupancyCounts(
-        counts=_counts_dict(law, law.draw_positions(int(n), spec.generator())),
+        counts=_counts_dict(law, int(n), spec.generator()),
         total=int(n), mode="fixed",
         meta={"seed": spec.master, "stream": spec.stream,
               "discarded_mass": law.discarded_mass, **law.describe()},
@@ -91,10 +88,9 @@ def sample_trajectory(law: PowerLaw, n: int, grid, seed,
                       k_max: int = DEFAULT_K_MAX) -> list[StatisticsSnapshot]:
     """Snapshots of one nested sample along ``grid``.
 
-    The first floor(n*t) balls of the single underlying insertion stream
-    form the sample at time t, so earlier snapshots are prefixes of later
-    ones by construction; with the same seed, the snapshot at t = 1 matches
-    ``sample_fixed`` exactly.
+    The first floor(n*t) balls of one draw of n form the sample at time t,
+    so earlier snapshots are prefixes of later ones by construction; with
+    the same seed, the snapshot at t = 1 matches ``sample_fixed`` exactly.
     """
     if not (isinstance(n, (int, np.integer)) and n >= 1):
         raise DomainError(f"n must be a positive integer, got {n!r}")
@@ -104,9 +100,10 @@ def sample_trajectory(law: PowerLaw, n: int, grid, seed,
     if any(not 0.0 < t <= 1.0 for t in grid) or any(b <= a for a, b in zip(grid, grid[1:])):
         raise UsageError(f"grid must be strictly increasing within (0, 1], got {grid!r}")
     spec = _as_seed(seed)
-    pos = law.draw_positions(int(n), spec.generator())
     sizes = [int(np.floor(n * t)) for t in grid]
-    return [summarize_count_values(_tally(pos, m)[1], m, k_max=k_max) for m in sizes]
+    profiles = law.draw_prefixes(sizes, spec.generator())
+    return [summarize_count_values(counts, m, k_max=k_max)
+            for (_, counts), m in zip(profiles, sizes)]
 
 
 def sample_poissonized(law: PowerLaw, t: float, seed) -> OccupancyCounts:
@@ -118,7 +115,7 @@ def sample_poissonized(law: PowerLaw, t: float, seed) -> OccupancyCounts:
     rng = spec.generator()
     total = int(rng.poisson(t * law.total_mass))
     if total:
-        counts = _counts_dict(law, law.draw_positions(total, rng))
+        counts = _counts_dict(law, total, rng)
     else:
         counts = {}
     return OccupancyCounts(

@@ -140,6 +140,11 @@ def _em_tail(s, n_base):
     return value, abs(bound)
 
 
+# zeta_tail sums at most this many terms explicitly before its
+# Euler-Maclaurin base; zeta refuses the s that would need more.
+_MAX_EXPLICIT_TERMS = 50_000_000
+
+
 def zeta_tail(s, n):
     """sum_{m > n} m^-s for s > 1, n >= 0.
 
@@ -154,7 +159,7 @@ def zeta_tail(s, n):
     for _ in range(8):
         head = 0.0
         if base > n:
-            if base - int(n) > 50_000_000:
+            if base - int(n) > _MAX_EXPLICIT_TERMS:
                 raise DomainError(f"zeta_tail(s={s!r}, n={n!r}) needs more than "
                                   "5e7 explicit terms; s is too large")
             if base - int(n) <= 512:
@@ -192,7 +197,15 @@ def zeta(s):
             raise DomainError(f"zeta requires s > 1, got {s!r}")
         return 1.0 + zeta_tail(s, 1)
     arr = np.asarray(s, dtype=float)
-    if not np.all(np.isfinite(arr) & (arr > 1.0)):
+    # as the scalar path, which refuses s once its first base, ceil(1.5 s),
+    # lies more than 5e7 terms out; for s above about 1e23 the
+    # Euler-Maclaurin tail below would overflow
+    ok = (arr > 1.0) & (arr <= (_MAX_EXPLICIT_TERMS + 1) / 1.5)
+    if not ok.all():
+        bad = float(arr[~ok][0])
+        if 1.0 < bad < math.inf:
+            raise DomainError(f"zeta(s) for s = {bad!r} needs more than 5e7 "
+                              "explicit terms; s is too large")
         raise DomainError(f"zeta requires s > 1, got {s!r}")
     flat = arr.ravel()
     head = np.empty_like(flat)

@@ -110,6 +110,18 @@ def test_runtime_failure_is_one_line_with_exit_1(capsys, tmp_path, argv):
     assert not any(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("args", [["--theta", "0.01"], ["--theta", "0.05"],
+                                  ["--theta", "0.01", "--tail-epsilon", "1e-40"]])
+def test_simulate_at_tiny_theta_is_silent(capsys, tmp_path, args):
+    # the law's cutoff is 1 at theta = 0.01 (no tail to draw) and 3 at 0.05;
+    # at tail_epsilon 1e-40 theta = 0.01 has a tail that no ball reaches
+    path = tmp_path / "counts.csv"
+    code, out, err = run(capsys, ["simulate", *args, "--n", "100",
+                                  "--output", str(path)])
+    assert (code, out, err) == (0, "", "")
+    assert path.read_text().startswith("urn_index,count\n1,")
+
+
 @pytest.mark.parametrize("flag", [["--config", "study.cfg"],
                                   ["--variance-tolerance", "0.2"]])
 def test_removed_flags_are_rejected(capsys, flag):

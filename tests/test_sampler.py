@@ -46,6 +46,14 @@ class TestFixed:
                    for seed in range(50))
         assert hits >= 45  # each all-in-urn-1 event has probability ~0.9999
 
+    @pytest.mark.parametrize("theta", [0.01, 0.018534, 0.020038])
+    def test_cutoff_one_holds_every_ball(self, theta):
+        # p_1 / total_mass can round above 1 here; the multinomial must not see it
+        law = make_zipf_law(theta)
+        assert law.cutoff == 1
+        assert sample_fixed(law, 50, 1).counts == {1: 50}
+        assert [s.r for s in sample_trajectory(law, 50, [0.5, 1.0], 1)] == [1, 1]
+
     def test_r_within_five_sd_of_oracle(self, law05):
         n = 10 ** 5
         expected = law05.expected_statistic(n, "r")
@@ -83,17 +91,38 @@ class _Uniforms:
         return np.concatenate([out, self.rest.random(size - out.size)])
 
 
+def _tail_mass(law, first):
+    """Mass of support positions first..cutoff of a zeta law."""
+    s = 1.0 / law.theta
+    return law.c * (zeta_tail(s, first - 1) - zeta_tail(s, law.cutoff))
+
+
 class TestRejectionInversion:
     @pytest.mark.parametrize("theta", [0.3, 0.9])
     def test_head_frequencies(self, theta):
-        # the rejection step decides only near the head, so check urns 1-5
+        # the rejection step decides only near the tail drawer's first urn L,
+        # so check urns L..L+4, with L where a draw of 1e5 balls puts it
         law = make_zipf_law(theta)
+        first = law.head_width(10 ** 5) + 1
         n = 10 ** 6
-        pos = law.draw_positions(n, SeedSpec(2024).generator())
-        for i in range(1, 6):
-            p = law.probability(i) / law.total_mass
+        pos = law.draw_tail(first, n, SeedSpec(2024).generator())
+        mass = _tail_mass(law, first)
+        for i in range(first, first + 5):
+            p = law.probability(i) / mass
             se = math.sqrt(p * (1.0 - p) / n)
             assert abs(np.count_nonzero(pos == i) / n - p) <= 5.0 * se, i
+
+    def test_far_tail_share(self):
+        # beyond 2^53 positions have no fraction left, and only the quick
+        # acceptance test keeps the exact test's rounding from rejecting them
+        law = make_zipf_law(0.9)
+        s = 1.0 / law.theta
+        first = law.head_width(10 ** 5) + 1
+        n = 10 ** 6
+        pos = law.draw_tail(first, n, SeedSpec(2025).generator())
+        p = law.c * (zeta_tail(s, 2 ** 53) - zeta_tail(s, law.cutoff)) / _tail_mass(law, first)
+        se = math.sqrt(p * (1.0 - p) / n)
+        assert abs(np.count_nonzero(pos > 2 ** 53) / n - p) <= 5.0 * se
 
     def test_urns_beyond_2_53_are_python_ints(self):
         law = make_zipf_law(0.9, i0=7)
@@ -104,27 +133,33 @@ class TestRejectionInversion:
         assert max(counts) - law.i0 > 2 ** 53
 
     def test_false_collision_beyond_2_53_is_rarer_than_1e_6(self):
-        """Beyond 2^53 a position is a float, so two balls in distinct urns
-        merge when they get the same value v.  In one draw of n balls that
-        happens with chance at most C(n, 2) P(K > 2^53) q, where q bounds the
-        chance of any one value.  A round of the sampler maps each 53-bit
-        uniform (chance 2^-53) monotonically to a value, so a value takes a
-        run of adjacent uniforms; the run is at most two long, since two
-        uniforms can round to the same point of the hat integral (checked
-        below at the far end, where values are coarsest).  A round keeps its
-        ball with chance at least (3/4)^s: urn 1 owns hat area 1 = 1^-s, and
-        urn k >= 2 at most (k - 1/2)^-s <= (4/3)^s k^-s.  So
-        q <= 2 * 2^-53 / (3/4)^s."""
+        """Beyond 2^53 a tail position is a float, so two balls in distinct
+        urns merge when they get the same value v.  Of n balls about n tau
+        reach the tail drawer, tau = its share of the mass, so in one draw
+        that happens with chance at most C(n, 2) tau^2 (p_far / tau) q, where
+        p_far = P(K > 2^53) and q bounds the chance that a tail ball takes
+        any one value.  A round maps each 53-bit uniform r (chance 2^-53) to
+        u = top + r (bottom - top), monotonically, and u to a value; far out
+        distinct u give distinct values, so a value takes the run of uniforms
+        that round to one u: at most 1 + ulp(top) 2^53 / (top - bottom).  The
+        hat area top - bottom is at least the tail's mass over c, and top lies
+        below 1/(s - 1), which bounds the run (checked below at the far end,
+        where values are coarsest).  A round keeps its ball with chance at
+        least (3/4)^s: the first urn L owns hat area L^-s, and urn k > L at
+        most (k - 1/2)^-s <= (4/3)^s k^-s.  So q <= run 2^-53 / (3/4)^s."""
         law = make_zipf_law(0.9)
         n = 10 ** 5
         s = 1.0 / law.theta
+        first = law.head_width(n) + 1
+        mass = _tail_mass(law, first)
+        run = 1 + math.floor(math.ulp(1.0 / (s - 1.0)) * 2.0 ** 53 * law.c / mass)
         p_far = law.c * zeta_tail(s, 2 ** 53) / law.total_mass
-        q = 2 * 2.0 ** -53 / 0.75 ** s
-        assert math.comb(n, 2) * p_far * q < 1e-6
+        q = run * 2.0 ** -53 / 0.75 ** s
+        assert math.comb(n, 2) * (mass / law.total_mass) * p_far * q < 1e-6
         smallest = np.arange(4000) * 2.0 ** -53
-        pos = law.draw_positions(smallest.size, _Uniforms(smallest))
+        pos = law.draw_tail(first, smallest.size, _Uniforms(smallest))
         assert pos.min() > 2 ** 53
-        assert np.unique(pos, return_counts=True)[1].max() <= 2
+        assert np.unique(pos, return_counts=True)[1].max() <= run
 
     def test_cutoff_beyond_float64_is_a_domain_error(self):
         law = make_zipf_law(0.97)
@@ -147,6 +182,20 @@ class TestTrajectory:
             stars = [s.at_least(k) for s in snaps]
             assert stars == sorted(stars)
 
+    @pytest.mark.parametrize("law", ["law05", "law07"])
+    def test_prefixes_are_nested(self, law, request):
+        # ball m + 1 raises one urn's count by one, so from m to m' every
+        # R*_k rises by at most m' - m and U moves by at most m' - m; prefixes
+        # drawn apart from each other would break this at 10 balls apart
+        law = request.getfixturevalue(law)
+        for seed in range(20):
+            early, late = sample_trajectory(law, 10 ** 4, [0.999, 1.0], seed)
+            gap = late.total - early.total
+            assert gap == 10
+            for k in range(1, 10):
+                assert 0 <= late.at_least(k) - early.at_least(k) <= gap, (seed, k)
+            assert abs(late.u - early.u) <= gap, seed
+
     def test_grid_validation(self, law05):
         with pytest.raises(UsageError):
             sample_trajectory(law05, 100, [], 1)
@@ -156,6 +205,23 @@ class TestTrajectory:
             sample_trajectory(law05, 100, [0.0, 1.0], 1)
         with pytest.raises(UsageError):
             sample_trajectory(law05, 100, [0.5, 1.5], 1)
+
+    @pytest.mark.parametrize("theta", [0.3, 0.5, 0.7, 0.9])
+    def test_prefix_means_match_oracle(self, theta):
+        # each prefix joins one multinomial head and one tail draw per grid
+        # increment; R, R_1 and R_2 of each must average to the exact oracle
+        law = make_zipf_law(theta)
+        n, reps, grid = 4000, 1500, (0.25, 0.5, 1.0)
+        values = np.array([[(s.r, s.exact_count(1), s.exact_count(2))
+                            for s in sample_trajectory(law, n, grid, SeedSpec(606, rep))]
+                           for rep in range(reps)], dtype=float)
+        for a, t in enumerate(grid):
+            m = int(n * t)
+            for j, (stat, k) in enumerate((("r", None), ("rk", 1), ("rk", 2))):
+                sample = values[:, a, j]
+                se = sample.std(ddof=1) / math.sqrt(reps)
+                expected = law.expected_statistic(m, stat, k=k)
+                assert abs(sample.mean() - expected) <= 5.0 * se, (m, stat, k)
 
     def test_ball_counts_match_grid(self, law05):
         snaps = sample_trajectory(law05, 1000, [0.31, 0.62, 1.0], 2)

@@ -161,6 +161,14 @@ class TestZetaArray:
         with pytest.raises(DomainError, match="explicit terms"):
             zeta(4e7)
 
+    def test_huge_s_is_a_domain_error_in_the_array_path(self):
+        # as in the scalar path; above about 1e23 the Euler-Maclaurin tail
+        # would overflow, and for larger s return NaN
+        for huge in (4e7, 1e24, 1e300):
+            with pytest.raises(DomainError, match="explicit terms"):
+                zeta(np.array([2.0, huge]))
+        assert zeta(np.array([3e7]))[0] == 1.0
+
 
 class TestLnBeta:
     def test_reciprocal_identity(self):
