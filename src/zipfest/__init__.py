@@ -16,7 +16,7 @@ from .asymptotics import (CovarianceSpec, implicit_variance,
                           limiting_cov_matrix, ratio_k_variance,
                           ratio_r1_variance)
 from .montecarlo import (ExperimentConfig, StudyReport, covariance_study,
-                         ks_test, normality_study, remainder_study)
+                         ks_test, normality_study)
 from .ingest import CorpusCounts, load_counts, to_occupancy, tokenize_text
 
 __all__ = [
@@ -32,6 +32,6 @@ __all__ = [
     "CovarianceSpec", "implicit_variance", "limiting_cov_matrix",
     "ratio_k_variance", "ratio_r1_variance",
     "ExperimentConfig", "StudyReport", "covariance_study", "ks_test",
-    "normality_study", "remainder_study",
+    "normality_study",
     "CorpusCounts", "load_counts", "to_occupancy", "tokenize_text",
 ]

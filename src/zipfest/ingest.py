@@ -7,9 +7,19 @@ count-of-count profile, so `to_occupancy` drops token identities and keeps
 the multiset of counts.
 
 Tokenization is deliberately minimal and versioned: tokens are maximal runs
-of Unicode letters, case-folded; digits, punctuation and whitespace
-separate.  No stemming or stop-word handling, since none of it changes the
-count-of-count profile in a way the estimators could use.
+of token characters, case-folded, where a token character is a regex word
+character other than a decimal digit or the underscore (``_TOKEN_RE``): the
+Unicode letters plus a few non-decimal numerals such as ``²`` and ``½``.
+Decimal digits, punctuation and whitespace separate.  No stemming or
+stop-word handling, since none of it changes the count-of-count profile in a
+way the estimators could use.
+
+Counting goes word first.  ``str.split`` cuts the text into whitespace
+words; a word with ``str.isalpha`` true is one token as it stands, and only
+the other distinct words are matched with ``_TOKEN_RE``.  Two facts about
+every code point make this exact: each alphabetic character is a token
+character, so an all-letter word is a single token, and no whitespace
+character is a token character, so ``split`` never cuts a token.
 """
 
 from __future__ import annotations
@@ -32,8 +42,8 @@ TOKENIZER_VERSION = "letters-casefold-1"
 _TOKEN_RE = re.compile(r"[^\W\d_]+", re.UNICODE)
 # any other character, where a block of text may end without cutting a token
 _SEPARATOR_RE = re.compile(r"[\W\d_]", re.UNICODE)
-# characters per block that ``tokenize_text`` matches at once
-_BLOCK_CHARS = 1 << 13
+# characters per block that ``tokenize_text`` splits at once
+_BLOCK_CHARS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -65,17 +75,21 @@ def tokenize_text(data, source: str = "<memory>") -> CorpusCounts:
         text = data
     else:
         raise InputFormatError(f"expected str or bytes, got {type(data).__name__}")
-    # count the raw tokens of one block at a time, so the list of matches
-    # stays small, and case-fold each distinct one once per block; keys keep
-    # the order in which their first occurrence appears in the text
+    # count the whitespace words of one block at a time, so the list of
+    # words stays small; blocks end at a separator, so no token straddles
+    # two.  An all-letter word is one token (every letter is a token
+    # character); only the other distinct words go through the regex, which
+    # loses nothing because no whitespace character is a token character.
+    # Keys keep the order in which their first occurrence appears in the text.
     counts: dict = {}
     start = 0
     while start < len(text):
         cut = _SEPARATOR_RE.search(text, start + _BLOCK_CHARS)
         stop = cut.start() if cut else len(text)
-        for token, count in Counter(_TOKEN_RE.findall(text, start, stop)).items():
-            folded = token.casefold()
-            counts[folded] = counts.get(folded, 0) + count
+        for word, count in Counter(text[start:stop].split()).items():
+            for token in (word,) if word.isalpha() else _TOKEN_RE.findall(word):
+                folded = token.casefold()
+                counts[folded] = counts.get(folded, 0) + count
         start = stop
     return CorpusCounts(counts=counts, total=sum(counts.values()),
                         meta={"source": source, "tokenizer": TOKENIZER_VERSION})
@@ -121,11 +135,13 @@ def load_counts(path) -> CorpusCounts:
 
 def to_occupancy(corpus: CorpusCounts) -> OccupancyCounts:
     """Drop token identities, keep counts: tokens become urns 1..V ranked by
-    descending count (ties broken by token), preserving the count-of-count
-    profile exactly."""
+    descending count, preserving the count-of-count profile exactly.
+
+    Ties need no tie-break: tied tokens carry equal counts, so any order
+    among them gives the same rank -> count map.
+    """
     if corpus.total < 1:
         raise InsufficientDataError("empty corpus")
-    ranked = sorted(corpus.counts, key=lambda t: (-corpus.counts[t], t))
-    counts = {rank: corpus.counts[token] for rank, token in enumerate(ranked, start=1)}
+    counts = dict(enumerate(sorted(corpus.counts.values(), reverse=True), start=1))
     return OccupancyCounts(counts=counts, total=corpus.total, mode="fixed",
                            meta=dict(corpus.meta))

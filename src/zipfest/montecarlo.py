@@ -22,9 +22,6 @@ tabulate each estimator's statistic over them, estimate (one batched
 ``ImplicitSolver.solve_many`` per implicit estimator, one closed-form call
 per replication otherwise), then standardize and check coverage.
 
-``remainder_study`` is deterministic: exact oracle expectations minus
-leading terms, normalized by n^(theta/2).
-
 Replications are independent jobs keyed by replication index, so results
 are identical for any worker count; the aggregation is a commutative merge
 over replication-indexed slots.  The worker count is
@@ -50,8 +47,8 @@ from .occupancy import DEFAULT_K_MAX
 from .sampler import SeedSpec, sample_trajectory
 
 __all__ = ["ExperimentConfig", "EstimatorReport", "StudyReport",
-           "CovarianceRow", "CovarianceTable", "RemainderRow",
-           "normality_study", "covariance_study", "remainder_study", "ks_test"]
+           "CovarianceRow", "CovarianceTable",
+           "normality_study", "covariance_study", "ks_test"]
 
 #: every estimator with a normal limit, in table order
 NORMALITY_ESTIMATORS = tuple(tag for tag, spec in ESTIMATORS.items()
@@ -342,49 +339,3 @@ def covariance_study(config: ExperimentConfig) -> CovarianceTable:
                         i=i, j=j, tau=tau, t=t, empirical=emp, theoretical=theo,
                         std_error=se, z_score=(emp - theo) / se))
     return CovarianceTable(config=config.echo(), rows=tuple(rows))
-
-
-# ----------------------------------------------------------------------
-# remainder study (deterministic)
-# ----------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class RemainderRow:
-    n: int
-    statistic: str
-    exact: float
-    leading: float
-    remainder: float
-    normalized_remainder: float
-
-    def to_json_dict(self) -> dict:
-        return asdict(self)
-
-
-def remainder_study(law: PowerLaw, n_list,
-                    stats=(("r", None), ("u", None), ("rk", 1), ("rk", 2))) -> list[RemainderRow]:
-    """Exact-oracle expectations minus leading terms, normalized by
-    n^(theta/2); plus the counting-function remainder alpha(n) - (c n)^theta."""
-    n_list = [int(n) for n in n_list]
-    if any(b <= a for a, b in zip(n_list, n_list[1:])):
-        raise UsageError("n_list must be strictly increasing")
-    theta = law.theta
-    if theta is None or law.c is None:
-        raise UsageError("remainder studies need a law with theta and c metadata")
-    rows = []
-    for n in n_list:
-        for stat, k in stats:
-            exact = law.expected_statistic(n, stat, k=k)
-            leading = law.leading_term(n, stat, k=k)
-            rem = exact - leading
-            label = stat if k is None else f"{stat}({k})"
-            rows.append(RemainderRow(
-                n=n, statistic=label, exact=exact, leading=leading, remainder=rem,
-                normalized_remainder=rem / n ** (theta / 2.0)))
-        alpha = law.counting_function(float(n))
-        power = (law.c * n) ** theta
-        rows.append(RemainderRow(
-            n=n, statistic="alpha", exact=float(alpha), leading=power,
-            remainder=alpha - power,
-            normalized_remainder=(alpha - power) / n ** (theta / 2.0)))
-    return rows

@@ -145,11 +145,27 @@ def _em_tail(s, n_base):
 _MAX_EXPLICIT_TERMS = 50_000_000
 
 
+def _last_positive_term(s, n, base):
+    """The largest m in (n, base] with m^-s > 0 in float64, or n if none."""
+    if float(base) ** (-s) > 0.0:
+        return base
+    lo, hi = n, base  # lo is n or has a positive term; hi's term is 0
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if float(mid) ** (-s) > 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
 def zeta_tail(s, n):
     """sum_{m > n} m^-s for s > 1, n >= 0.
 
     The base point is pushed out by explicit summation until the
-    Euler-Maclaurin remainder bound drops below 1e-13 of the result.
+    Euler-Maclaurin remainder bound drops below 1e-13 of the result.  The
+    explicit window ends at its last term that does not underflow to 0, so
+    a huge s sums no zeros.
     """
     if not math.isfinite(s) or s <= 1.0:
         raise DomainError(f"zeta_tail requires s > 1, got {s!r}")
@@ -162,10 +178,11 @@ def zeta_tail(s, n):
             if base - int(n) > _MAX_EXPLICIT_TERMS:
                 raise DomainError(f"zeta_tail(s={s!r}, n={n!r}) needs more than "
                                   "5e7 explicit terms; s is too large")
-            if base - int(n) <= 512:
-                head = sum(m ** (-s) for m in range(int(n) + 1, base + 1))
+            stop = _last_positive_term(s, int(n), base)
+            if stop - int(n) <= 512:
+                head = sum(m ** (-s) for m in range(int(n) + 1, stop + 1))
             else:
-                m = np.arange(int(n) + 1, base + 1, dtype=float)
+                m = np.arange(int(n) + 1, stop + 1, dtype=float)
                 head = float(np.sum(m ** (-s)))
         value, bound = _em_tail(s, base)
         total = head + value

@@ -9,9 +9,12 @@ from zipfest.errors import InputFormatError, InsufficientDataError
 from zipfest.ingest import (CorpusCounts, load_counts, to_occupancy,
                             tokenize_file, tokenize_text)
 
-# letters whose case folding changes their length or needs a combining mark,
-# plus digits, underscores, punctuation and whitespace as separators
-ALPHABET = "aAbZßẞǰİıﬁÉé" + "09_-., \n\t"
+# letters whose case folding changes their length or needs a combining mark;
+# token characters that are not letters (so their words take the regex);
+# a combining mark, digits, underscores and punctuation as separators inside
+# a word; and whitespace that only ``str.split`` knows to split on
+ALPHABET = ("aAbZßẞǰİıﬁÉé" + "²½" + "\u0301" + "09_-.,"
+            + " \n\t\u3000\u00a0\x1c")
 
 
 def _reference_counts(text):
@@ -39,6 +42,20 @@ def test_tokens_are_casefolded_letter_runs():
     corpus = tokenize_text("The cat, the CAT2dog_x; 42 straße")
     assert corpus.counts == {"the": 2, "cat": 2, "dog": 1, "x": 1, "strasse": 1}
     assert corpus.total == 7
+    # words that are not all letters: non-letter token characters, a
+    # combining mark, and whitespace that only str.split splits on
+    corpus = tokenize_text("Ünïcode x²y a_b 12,3\tÉté\n\t½ e\u0301\u3000é")
+    assert corpus.counts == {"ünïcode": 1, "x²y": 1, "a": 1, "b": 1, "été": 1,
+                             "½": 1, "e": 1, "é": 1}
+
+
+def test_letters_are_token_characters_and_whitespace_is_not():
+    # the two facts the word-first count rests on, over every code point
+    chars = [chr(cp) for cp in range(0x110000)]
+    letters = "".join(c for c in chars if c.isalpha())
+    spaces = "".join(c for c in chars if c.isspace())
+    assert ingest._TOKEN_RE.fullmatch(letters)
+    assert ingest._TOKEN_RE.search(spaces) is None
 
 
 def _assert_matches_reference(text):

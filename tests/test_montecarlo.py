@@ -10,8 +10,7 @@ from zipfest.errors import (AmbiguousRootError, InsufficientDataError, NoRootErr
 from zipfest.estimators import ESTIMATORS, expand_estimators, snapshot_k_max
 from zipfest.law import make_zipf_law, zeta_normalization
 from zipfest.sampler import SeedSpec, sample_trajectory
-from zipfest.montecarlo import (ExperimentConfig, covariance_study, normality_study,
-                                remainder_study)
+from zipfest.montecarlo import ExperimentConfig, covariance_study, normality_study
 
 SMALL = ExperimentConfig(theta=0.5, n=2000, m=100, seed=5)
 
@@ -103,16 +102,3 @@ def test_staged_chunk_matches_a_loop_over_estimate():
 def test_usage_errors(study, changes, message):
     with pytest.raises(UsageError, match=message):
         study(replace(SMALL, **changes))
-
-
-def test_remainder_study_rejects_unordered_sizes():
-    with pytest.raises(UsageError, match="strictly increasing"):
-        remainder_study(make_zipf_law(0.5), [1000, 1000])
-
-
-def test_remainder_study_counting_function_within_one():
-    # with i0 = 0, alpha(n) = floor((c n)^theta)
-    rows = remainder_study(make_zipf_law(0.5), [10, 100, 10 ** 4, 10 ** 6])
-    alpha = [row for row in rows if row.statistic == "alpha"]
-    assert [row.n for row in alpha] == [10, 100, 10 ** 4, 10 ** 6]
-    assert all(abs(row.remainder) <= 1.0 for row in alpha)

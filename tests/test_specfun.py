@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -121,6 +122,24 @@ class TestZeta:
 
     def test_tail_huge_base(self):
         assert zeta_tail(1.5, 10 ** 20) == pytest.approx(2.0 * 10 ** -10.0, rel=1e-6)
+
+    @pytest.mark.parametrize("s", [300.0, 1000.0, 1100.0])
+    def test_tail_window_cut_at_underflow_matches_direct_sum(self, s):
+        # the window n + 1..ceil(1.5 s) ends where m^-s underflows to 0
+        for n in (0, 1, 2, 5):
+            direct = math.fsum(m ** -s for m in range(n + 1, 10 ** 4))
+            assert abs(zeta_tail(s, n) - direct) <= math.ulp(direct)
+
+    def test_huge_s_allocates_no_window(self):
+        # 2^-3e6 underflows, so none of the 4.5e6 terms is summed
+        tracemalloc.start()
+        try:
+            assert zeta(3e6) == 1.0
+            assert zeta_tail(3e6, 1) == 0.0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
 
 def _assert_array_zeta_within_4_ulp(s):
