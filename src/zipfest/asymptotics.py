@@ -25,7 +25,7 @@ from .errors import DomainError, UsageError
 from .specfun import ln_beta, ln_gamma
 
 __all__ = ["log_growth", "implicit_variance", "ratio_r1_variance",
-           "ratio_k_variance", "CovarianceSpec", "limiting_cov_matrix"]
+           "ratio_k_variance", "CovarianceSpec"]
 
 _LN2 = math.log(2.0)
 
@@ -48,7 +48,6 @@ def log_growth(theta, log_cn, stat: str, k: int | None = None):
         r      Gamma(1-theta) (c n)^theta
         u      2^(theta-1) Gamma(1-theta) (c n)^theta
         rk     theta Gamma(k-theta)/k! (c n)^theta
-        rstar  Gamma(k-theta)/(k-1)! (c n)^theta
 
     ``theta`` and ``log_cn`` are floats or arrays of one shape.  A float stays
     on ``math`` and the scalar ``ln_gamma``, so a bisection step costs
@@ -62,8 +61,6 @@ def log_growth(theta, log_cn, stat: str, k: int | None = None):
     if stat == "rk":
         log = math.log if isinstance(theta, float) else np.log
         return log(theta) + ln_gamma(k - theta) - ln_gamma(k + 1.0) + scale
-    if stat == "rstar":
-        return ln_gamma(k - theta) - ln_gamma(float(k)) + scale
     raise UsageError(f"unknown statistic {stat!r}")
 
 
@@ -94,8 +91,8 @@ def ratio_r1_variance(theta: float) -> float:
         theta (1 - theta) (1 - 2^(theta-2)).
 
     Equals the quadratic form (v11 + theta^2 v00 - 2 theta v01) / Gamma(1-theta)
-    of :func:`limiting_cov_matrix`, and is confirmed by direct simulation of
-    the ratio statistic.
+    of v_ij = ``CovarianceSpec(theta).cov(i, j, 1, 1)``, and is confirmed by
+    direct simulation of the ratio statistic.
     """
     theta = _check_theta(theta)
     return theta * (1.0 - theta) * (1.0 - 2.0 ** (theta - 2.0))
@@ -159,38 +156,3 @@ class CovarianceSpec:
         # i > j >= 1
         g_second = math.exp(ln_gamma(i + j - th) - ln_gamma(i + 1.0) - ln_gamma(j + 1.0))
         return -th * tau ** i * t ** j * (t + tau) ** (th - i - j) * g_second
-
-    def matrix(self, times, components=None) -> np.ndarray:
-        """Full covariance matrix over a time grid: entry for (a, i), (b, j)
-        blocks, ordered time-major."""
-        times = [float(t) for t in times]
-        if any(t <= 0 for t in times) or any(b <= a for a, b in zip(times, times[1:])):
-            raise UsageError(f"times must be positive and strictly increasing, got {times!r}")
-        comps = list(range(self.nu + 1)) if components is None else list(components)
-        dim = len(times) * len(comps)
-        out = np.empty((dim, dim))
-        for a, ta in enumerate(times):
-            for ii, i in enumerate(comps):
-                for b, tb in enumerate(times):
-                    for jj, j in enumerate(comps):
-                        out[a * len(comps) + ii, b * len(comps) + jj] = self.cov(i, j, ta, tb)
-        return out
-
-
-def limiting_cov_matrix(theta: float) -> np.ndarray:
-    """2x2 limiting covariance of the (occupied, singleton) components at
-    t = 1:
-
-        Gamma(1-theta) [[2^theta - 1,        theta 2^(theta-1)],
-                        [theta 2^(theta-1),  theta (1 - 2^(theta-2) (1-theta))]]
-
-    The off-diagonal is positive: per urn, {exactly one ball} implies
-    {occupied}, so the two indicator sums co-fluctuate.
-    """
-    theta = _check_theta(theta)
-    g = math.exp(ln_gamma(1.0 - theta))
-    off = theta * 2.0 ** (theta - 1.0)
-    return g * np.array([
-        [2.0 ** theta - 1.0, off],
-        [off, theta * (1.0 - 2.0 ** (theta - 2.0) * (1.0 - theta))],
-    ])

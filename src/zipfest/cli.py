@@ -24,9 +24,8 @@ import sys
 from datetime import datetime, timezone
 
 from . import __version__
-from .errors import AmbiguousRootError, UsageError, ZipfestError
-from .estimators import (ESTIMATORS, expand_estimators, log_ratio_estimate,
-                         snapshot_k_max)
+from .errors import UsageError, ZipfestError
+from .estimators import ESTIMATORS, expand_estimators, snapshot_k_max
 from .ingest import load_counts, to_occupancy, tokenize_file
 from .law import make_zipf_law, zeta_normalization
 from .montecarlo import (NORMALITY_ESTIMATORS, ExperimentConfig,
@@ -227,19 +226,9 @@ def _cmd_estimate(args) -> int:
     snapshot = occupancy.snapshot(k_max=snapshot_k_max(requested))
     n = int(occupancy.total)
 
-    results = []
-    baseline = None
-    for _, tag, k in requested:
-        spec = ESTIMATORS[tag]
-        solver = spec.solver(n, c_model, k)
-        try:
-            results.append(spec.estimate(snapshot, k, args.level, solver))
-        except AmbiguousRootError as exc:
-            # several roots: take the one nearest the log-ratio baseline
-            if baseline is None:
-                baseline = log_ratio_estimate(snapshot).theta_hat
-            root = min(exc.roots, key=lambda r: abs(r - baseline))
-            results.append(solver.result_for_root(root, exc.target, level=args.level))
+    results = [ESTIMATORS[tag].estimate(snapshot, k, args.level,
+                                        ESTIMATORS[tag].solver(n, c_model, k))
+               for _, tag, k in requested]
 
     payload = {"n": n, "estimates": [r.to_json_dict() for r in results]}
     rows = [{**r.to_json_dict(), "flags": ";".join(r.flags)} for r in results]

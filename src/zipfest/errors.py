@@ -30,10 +30,11 @@ class InputFormatError(ZipfestError, ValueError):
 
 
 class NoRootError(ZipfestError):
-    """The implicit-estimator equation has no root on the search interval.
+    """The implicit-estimator equation has no root where g rises on the search
+    interval.
 
-    Carries the growth-curve values at both interval endpoints so callers can
-    see which side the statistic fell on.
+    Carries g at the lower end of the interval (``g_lo``) and at its peak
+    (``g_hi``), so callers can see which side the statistic fell on.
     """
 
     def __init__(self, message, g_lo, g_hi, target):
@@ -44,13 +45,4 @@ class NoRootError(ZipfestError):
 
 
 class AmbiguousRootError(ZipfestError):
-    """The implicit-estimator equation has several roots; the caller must choose.
-
-    ``roots`` lists every refined root in increasing order; ``target`` is
-    the statistic value they solve for.
-    """
-
-    def __init__(self, message, roots, target):
-        super().__init__(message)
-        self.roots = list(roots)
-        self.target = target
+    """Never raised; kept only for perfbench/replay.py's import until ROADMAP item 2 drops it."""

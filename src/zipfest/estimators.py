@@ -5,7 +5,9 @@ Three families:
 * implicit estimators: theta* solves  S_n = g(theta)  where g is the
   first-order growth curve of E[S_n] (``asymptotics.log_growth``; needs the
   normalization c(theta) to be known); asymptotic standard error
-  sigma(theta*) / (ln n sqrt(S_n)),
+  sigma(theta*) / (ln n sqrt(S_n)); theta* is the lowest root where g
+  rises (with c(theta) = 1/zeta(1/theta), g_rk peaks below theta = 1 for
+  every k >= 2, and the second root, beyond the peak, is spurious),
 * ratio estimators built from two statistics (no c needed):
   R_{n,1}/R_n and (k R_{n,k} - (k+1) R_{n,k+1}) / R_{n,k},
 * the log-ratio baseline ln R_n / ln n, consistent but with a
@@ -30,8 +32,7 @@ from typing import Callable
 import numpy as np
 
 from . import asymptotics
-from .errors import (AmbiguousRootError, DomainError, InsufficientDataError,
-                     NoRootError, UsageError)
+from .errors import DomainError, InsufficientDataError, NoRootError, UsageError
 from .occupancy import DEFAULT_K_MAX, StatisticsSnapshot
 
 __all__ = ["EstimateResult", "ImplicitSolver", "ratio_estimate_r1",
@@ -102,12 +103,14 @@ def _clamped_ci(theta_hat: float, stderr: float, level: float) -> tuple[float, f
 class ImplicitSolver:
     """Reusable inverter of one growth curve g(theta) = E-first-order[S_n].
 
-    Precomputes g on a dense grid once (bracket scan).  :meth:`solve_many`
-    bisects every bracketed root of a whole array of statistic values in one
-    batch to |delta theta| < 1e-10; :meth:`solve` runs the same batch on one
-    value.  g need not be monotone for a general c(theta): zero brackets
-    raise NoRootError, several raise AmbiguousRootError listing every
-    refined root.
+    Precomputes g on a dense grid once (bracket scan).  Only grid intervals
+    where g rises (g[j+1] > g[j]) bracket a statistic, and each statistic
+    takes its root in the lowest such bracket, so g need not be monotone:
+    a statistic above the peak of g, or one no rising interval reaches,
+    has no root.  :meth:`solve_many` bisects the roots of a whole array of
+    statistic values in one batch to |delta theta| < 1e-10; :meth:`solve`
+    runs the same batch on one value and raises NoRootError where there is
+    no root.
 
     ``c_of_theta`` is a positive number or a function of theta that also
     takes an array of theta, as ``law.zeta_normalization`` does.
@@ -120,7 +123,7 @@ class ImplicitSolver:
     BISECT_MAX_STEPS = 80
 
     #: outcomes of :meth:`solve_many`
-    ROOT, NO_ROOT, AMBIGUOUS, BELOW_ONE = range(4)
+    ROOT, NO_ROOT, BELOW_ONE = range(3)
 
     def __init__(self, which: str, n: int, c_of_theta, k: int | None = None):
         if which not in _IMPLICIT_TAGS:
@@ -148,8 +151,9 @@ class ImplicitSolver:
         if not np.all(np.isfinite(c_grid) & (c_grid > 0.0)):
             raise DomainError("c(theta) must be finite and positive on (0, 1)")
         self._g = g = self._g_array(self._grid, c_grid)
-        # grid interval j brackets s exactly when s lies in (_g_min[j], _g_max[j]]
-        self._g_min = np.minimum(g[:-1], g[1:])
+        # grid interval j brackets s exactly when s lies in (_g_min[j], _g_max[j]],
+        # which is empty wherever g does not rise
+        self._g_min = g[:-1]
         self._g_max = np.maximum(g[:-1], g[1:])
 
     def growth(self, theta: float) -> float:
@@ -171,15 +175,14 @@ class ImplicitSolver:
         Each bracket halves until it is at most BISECT_TOL wide (then its
         midpoint is the root) or g hits the target exactly at a midpoint,
         after at most BISECT_MAX_STEPS halvings.  All live brackets have
-        taken the same number of steps, so that count is one integer.
+        taken the same number of steps, so that count is one integer.  g
+        rises across each bracket, so g - target < 0 at its lower end.
         Returns the roots and each one's step count.
         """
         roots = np.empty(target.size)
         steps = np.zeros(target.size, dtype=int)
         live = np.arange(target.size)
         lo, hi = self._grid[interval], self._grid[interval + 1]
-        # lo only ever moves to a midpoint where g - target has its sign
-        lo_below = self._g[interval] - target < 0.0
         step = 0
         while live.size:
             done = hi - lo <= self.BISECT_TOL
@@ -189,8 +192,7 @@ class ImplicitSolver:
                 roots[live[done]] = 0.5 * (lo[done] + hi[done])
                 steps[live[done]] = step
                 keep = ~done
-                live, lo, hi, lo_below, target = (live[keep], lo[keep], hi[keep],
-                                                  lo_below[keep], target[keep])
+                live, lo, hi, target = live[keep], lo[keep], hi[keep], target[keep]
                 if not live.size:
                     break
             mid = 0.5 * (lo + hi)
@@ -200,20 +202,20 @@ class ImplicitSolver:
                 roots[live[hit]] = mid[hit]
                 steps[live[hit]] = step
                 keep = ~hit
-                live, lo, hi, lo_below, target, mid, f_mid = (
-                    live[keep], lo[keep], hi[keep], lo_below[keep], target[keep],
-                    mid[keep], f_mid[keep])
-            up = (f_mid < 0.0) == lo_below
+                live, lo, hi, target, mid, f_mid = (
+                    live[keep], lo[keep], hi[keep], target[keep], mid[keep], f_mid[keep])
+            up = f_mid < 0.0
             lo = np.where(up, mid, lo)
             hi = np.where(up, hi, mid)
             step += 1
         return roots, steps
 
     def _roots(self, stats: np.ndarray):
-        """Every bracketed root of g(theta) = s for each s >= 1 of ``stats``.
+        """The root of g(theta) = s in the lowest rising bracket of each
+        s >= 1 of ``stats``.
 
-        Returns (owner, interval, root, steps), one entry per bracket, ordered
-        by the index of its statistic and then by grid interval.
+        Returns (owner, interval, root, steps), one entry per statistic that
+        has a root, ordered by the index of that statistic.
         """
         usable = np.flatnonzero(stats >= 1.0)
         order = usable[np.argsort(stats[usable], kind="stable")]
@@ -224,28 +226,26 @@ class ImplicitSolver:
         interval = np.repeat(np.arange(count.size), count)
         within = np.arange(interval.size) - np.repeat(np.cumsum(count) - count, count)
         owner = order[np.repeat(first, count) + within]
-        by_owner = np.argsort(owner, kind="stable")
-        owner, interval = owner[by_owner], interval[by_owner]
+        # entries run by interval, so each owner's first one is its lowest bracket
+        owner, lowest = np.unique(owner, return_index=True)
+        interval = interval[lowest]
         roots, steps = self._bisect(interval, stats[owner])
         return owner, interval, roots, steps
 
     def solve_many(self, stats) -> tuple[np.ndarray, np.ndarray]:
         """theta* for each statistic value, in one batched bisection.
 
-        Returns (theta_hat, outcome): outcome is ROOT, NO_ROOT, AMBIGUOUS or
-        BELOW_ONE (a value below 1, or NaN) per value, and theta_hat is NaN
-        wherever it is not ROOT.  Each ROOT value equals what :meth:`solve`
-        returns for it, bit for bit.
+        Returns (theta_hat, outcome): outcome is ROOT, NO_ROOT or BELOW_ONE (a
+        value below 1, or NaN) per value, and theta_hat is NaN wherever it is
+        not ROOT.  Each ROOT value equals what :meth:`solve` returns for it,
+        bit for bit.
         """
         stats = np.asarray(stats, dtype=float).ravel()
         owner, _, roots, _ = self._roots(stats)
-        n_roots = np.bincount(owner, minlength=stats.size)
-        outcome = np.select(
-            [~(stats >= 1.0), n_roots == 0, n_roots > 1],
-            [self.BELOW_ONE, self.NO_ROOT, self.AMBIGUOUS], self.ROOT)
         theta_hat = np.full(stats.size, np.nan)
-        single = n_roots[owner] == 1
-        theta_hat[owner[single]] = roots[single]
+        theta_hat[owner] = roots
+        outcome = np.select([~(stats >= 1.0), np.isnan(theta_hat)],
+                            [self.BELOW_ONE, self.NO_ROOT], self.ROOT)
         return theta_hat, outcome
 
     def solve(self, stat_value: float, level: float = 0.95) -> EstimateResult:
@@ -256,24 +256,14 @@ class ImplicitSolver:
         if roots.size == 0:
             raise NoRootError(
                 f"no root of g(theta) = {stat_value!r} on "
-                f"[{self.THETA_LO}, {self.THETA_HI}]",
-                g_lo=float(self._g[0]), g_hi=float(self._g[-1]), target=float(stat_value))
-        if roots.size > 1:
-            raise AmbiguousRootError(
-                f"g(theta) = {stat_value!r} has {roots.size} roots", roots=roots.tolist(),
-                target=float(stat_value))
+                f"[{self.THETA_LO}, {self.THETA_HI}] where g rises",
+                g_lo=float(self._g[0]), g_hi=float(self._g.max()), target=float(stat_value))
         j = int(interval[0])
         return self._result(float(roots[0]), stat_value, level, {
             "iterations": int(steps[0]),
             "bracket": (float(self._grid[j]), float(self._grid[j + 1]))})
 
-    def result_for_root(self, theta_star: float, stat_value: float,
-                        level: float = 0.95) -> EstimateResult:
-        """Package a caller-chosen root (after AmbiguousRootError)."""
-        return self._result(theta_star, stat_value, level, {"iterations": 0},
-                            extra_flags=("root-ambiguous",))
-
-    def _result(self, theta_star, stat_value, level, diagnostics, extra_flags=()):
+    def _result(self, theta_star, stat_value, level, diagnostics):
         sigma_sq = asymptotics.implicit_variance(theta_star, self.which, self.k)
         stderr = math.sqrt(sigma_sq) / (math.log(self.n) * math.sqrt(stat_value))
         tag = f"implicit-{self.which}" if self.which != "rk" else f"implicit-rk({self.k})"
@@ -281,7 +271,7 @@ class ImplicitSolver:
         return EstimateResult(
             estimator_id=tag, theta_hat=theta_star, stderr=stderr,
             ci=_clamped_ci(theta_star, stderr, level), level=level,
-            flags=tuple(extra_flags), diagnostics=diagnostics)
+            diagnostics=diagnostics)
 
 
 # ----------------------------------------------------------------------
@@ -386,8 +376,8 @@ class EstimatorSpec:
         return solver.solve(float(self.statistic(snapshot, k)), level=level)
 
     def estimate_many(self, snapshots, stats, k, level, solver=None) -> list:
-        """:meth:`estimate` of each snapshot, None where it has no root, several
-        roots or too little data.  ``stats[i]`` is the statistic of
+        """:meth:`estimate` of each snapshot, None where it has no root or too
+        little data.  ``stats[i]`` is the statistic of
         ``snapshots[i]``; an implicit tag solves them all in one batch."""
         if self.solver_kind is None:
             out = []

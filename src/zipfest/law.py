@@ -46,7 +46,6 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .asymptotics import log_growth
 from .errors import DomainError, UsageError, ZipfestError
 from .specfun import ln_gamma, zeta, zeta_tail
 
@@ -133,9 +132,8 @@ class PowerLaw:
                            c: float | None = None) -> "PowerLaw":
         """Law from an explicit probability table (non-increasing, positive).
 
-        ``theta``/``c`` are optional metadata enabling the closed-form
-        operations (leading terms) that need them.  Probabilities must sum
-        to 1 within 1e-6 and are renormalized exactly.
+        ``theta``/``c`` are optional metadata that :meth:`describe` reports.
+        Probabilities must sum to 1 within 1e-6 and are renormalized exactly.
         """
         probs = np.asarray(probabilities, dtype=float)
         if probs.ndim != 1 or probs.size == 0:
@@ -198,20 +196,6 @@ class PowerLaw:
         while j >= 1 and p_of(j) < inv_x:
             j -= 1
         return 0 if j < 1 else self.i0 + j
-
-    # ------------------------------------------------------------------
-    # leading-order growth terms
-    # ------------------------------------------------------------------
-
-    def leading_term(self, n: float, stat: str, k: int | None = None) -> float:
-        """First-order growth term of E[stat] as a function of n
-        (:func:`asymptotics.log_growth` lists the four)."""
-        stat, k = _check_stat(stat, k)
-        if self.theta is None or self.c is None:
-            raise DomainError("leading_term needs theta and c; this law has no such metadata")
-        if not n > 0:
-            raise DomainError(f"n must be positive, got {n!r}")
-        return math.exp(log_growth(self.theta, math.log(self.c * n), stat, k))
 
     # ------------------------------------------------------------------
     # exact expectation oracle

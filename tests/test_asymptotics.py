@@ -5,13 +5,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
-from zipfest.asymptotics import (CovarianceSpec, implicit_variance,
-                                 limiting_cov_matrix, ratio_k_variance,
+from zipfest.asymptotics import (CovarianceSpec, implicit_variance, ratio_k_variance,
                                  ratio_r1_variance)
 from zipfest.errors import DomainError, UsageError
 from zipfest.specfun import ln_gamma
 
 SQRT_PI = math.sqrt(math.pi)
+
+
+def cov_matrix(spec, times):
+    """Covariance of every component at every time, ordered time-major."""
+    keys = [(t, i) for t in times for i in range(spec.nu + 1)]
+    return np.array([[spec.cov(i, j, ta, tb) for tb, j in keys] for ta, i in keys])
 
 
 class TestImplicitVariance:
@@ -79,16 +84,25 @@ class TestCovarianceFunction:
         assert spec.cov(2, 2, 1.0, 1.0) == pytest.approx(0.1848385437, abs=1e-9)
 
     def test_matrix_matches_covariance_entries(self):
+        # closed form of the (occupied, singleton) covariance at t = 1:
+        #   Gamma(1-theta) [[2^theta - 1,        theta 2^(theta-1)],
+        #                   [theta 2^(theta-1),  theta (1 - 2^(theta-2) (1-theta))]]
+        # the off-diagonal is positive: per urn, {exactly one ball} implies
+        # {occupied}, so the two indicator sums co-fluctuate
         for theta in (0.2, 0.5, 0.8):
+            off = theta * 2.0 ** (theta - 1.0)
+            closed = math.exp(ln_gamma(1.0 - theta)) * np.array([
+                [2.0 ** theta - 1.0, off],
+                [off, theta * (1.0 - 2.0 ** (theta - 2.0) * (1.0 - theta))]])
             spec = CovarianceSpec(theta, nu=1)
-            matrix = limiting_cov_matrix(theta)
             for i in range(2):
                 for j in range(2):
-                    assert matrix[i, j] == pytest.approx(spec.cov(i, j, 1.0, 1.0),
-                                                         rel=1e-12)
+                    assert spec.cov(i, j, 1.0, 1.0) == pytest.approx(closed[i, j],
+                                                                     rel=1e-12)
+            assert closed[0, 1] > 0.0
 
     def test_matrix_determinant_positive(self):
-        m = limiting_cov_matrix(0.5)
+        m = cov_matrix(CovarianceSpec(0.5, nu=1), [1.0])
         det = float(np.linalg.det(m))
         assert det == pytest.approx(0.1429271625, abs=1e-9)
         assert det > 0.0
@@ -96,7 +110,7 @@ class TestCovarianceFunction:
     def test_ratio_identity_spot_grid(self):
         # ratio-r1 variance equals the quadratic form of the 2x2 matrix
         for theta in (0.05, 0.31, 0.5, 0.77, 0.95):
-            v = limiting_cov_matrix(theta)
+            v = cov_matrix(CovarianceSpec(theta, nu=1), [1.0])
             lhs = (v[1, 1] + theta ** 2 * v[0, 0] - 2.0 * theta * v[0, 1]) \
                 / math.exp(ln_gamma(1.0 - theta))
             assert lhs == pytest.approx(ratio_r1_variance(theta), abs=1e-12)
@@ -136,7 +150,7 @@ class TestCovarianceFunction:
                            unique=True))
     def test_grid_matrix_psd(self, theta, nu, times):
         spec = CovarianceSpec(theta, nu=nu)
-        matrix = spec.matrix(sorted(times))
+        matrix = cov_matrix(spec, sorted(times))
         eigenvalues = np.linalg.eigvalsh(matrix)
         assert eigenvalues.min() >= -1e-8
 

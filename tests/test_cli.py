@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from zipfest.cli import main
+from zipfest.estimators import ImplicitSolver
+from zipfest.law import zeta_normalization
 
 ALL_ESTIMATES = ["implicit-r", "implicit-u", "implicit-rk(1)", "implicit-rk(2)",
                  "ratio-r1", "ratio-k(1)", "ratio-k(2)", "log-ratio"]
@@ -47,6 +49,22 @@ def test_estimate_all_reruns_byte_identical(capsys, corpus):
     occupied = counts[counts > 0]
     r1_over_r = np.count_nonzero(occupied == 1) / occupied.size
     assert estimates["ratio-r1"]["theta_hat"] == float(f"{r1_over_r:.10g}")
+
+
+def test_estimate_takes_the_lower_of_two_rk2_roots(capsys, corpus):
+    path, counts = corpus
+    solver = ImplicitSolver("rk", 20_000, zeta_normalization, k=2)
+    r_2 = np.count_nonzero(counts == 2)
+    # g_rk(2) rises above R_2 by theta = 0.9 and falls back below it, so R_2
+    # has a root on each side of 0.9
+    assert solver.growth(solver.THETA_HI) < r_2 < solver.growth(0.9)
+    code, out, err = run(capsys, ["estimate", "--input", str(path), "--estimators",
+                                  "implicit-rk", "--c-model", "zeta", "--k", "2"])
+    assert (code, err) == (0, "")
+    estimate, = json.loads(out)["estimates"]
+    assert (estimate["estimator"], estimate["flags"]) == ("implicit-rk(2)", [])
+    assert estimate["theta_hat"] == float(f"{solver.solve(float(r_2)).theta_hat:.10g}")
+    assert estimate["theta_hat"] < 0.9
 
 
 @pytest.mark.parametrize("argv", [

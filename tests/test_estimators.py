@@ -8,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as hst
 
 from zipfest.asymptotics import ratio_k_variance, ratio_r1_variance
-from zipfest.errors import (AmbiguousRootError, DomainError,
-                            InsufficientDataError, NoRootError, UsageError)
+from zipfest.errors import (DomainError, InsufficientDataError, NoRootError,
+                            UsageError)
 from zipfest.estimators import (ESTIMATORS, ImplicitSolver, log_ratio_estimate,
                                 ratio_estimate_k, ratio_estimate_r1)
 from zipfest.law import make_zipf_law, zeta_normalization
@@ -27,6 +27,12 @@ def make_snapshot(total, r, r_k, u=0, k_max=8):
         r_star.append(running)
         running -= r_k[k - 1] if k <= k_max else 0
     return StatisticsSnapshot(total=total, r=r, r_k=r_k, r_star_k=tuple(r_star), u=u)
+
+
+def scan(solver):
+    """The solver's theta grid and g on it, from the scalar growth curve."""
+    grid = np.linspace(solver.THETA_LO, solver.THETA_HI, solver.GRID_POINTS)
+    return grid, np.array([solver.growth(float(theta)) for theta in grid])
 
 
 class TestImplicit:
@@ -76,14 +82,44 @@ class TestImplicit:
         assert err.value.target == 1.0
 
     def test_ambiguous_roots_listed(self):
+        # g crosses each statistic several times; the root lies in the lowest
+        # grid interval where g rises, as scanned here with the scalar growth
+        # curve.  At n = 2, g starts just above 1 and falls through it first.
         def wiggly(theta):
             return 1.0 + 0.9 * np.sin(20.0 * np.pi * np.asarray(theta))
 
-        with pytest.raises(AmbiguousRootError) as err:
-            ImplicitSolver("r", 10 ** 4, wiggly).solve(50.0)
-        assert len(err.value.roots) >= 2
-        assert err.value.roots == sorted(err.value.roots)
-        assert err.value.target == 50.0
+        for n, stat in ((10 ** 4, 50.0), (2, 1.0)):
+            solver = ImplicitSolver("r", n, wiggly)
+            grid, g = scan(solver)
+            rising = np.flatnonzero((g[:-1] < stat) & (g[1:] >= stat))
+            falling = np.flatnonzero((g[:-1] >= stat) & (g[1:] < stat))
+            assert rising.size >= 2 and falling.size >= 1
+            result = solver.solve(stat)
+            j = rising[0]
+            assert result.diagnostics["bracket"] == (grid[j], grid[j + 1])
+            assert solver.growth(result.theta_hat) == pytest.approx(stat, rel=1e-8)
+            assert result.flags == ()
+        assert falling[0] < rising[0]
+
+    def test_rk2_takes_the_root_on_the_rising_branch(self):
+        # g_rk(2) at n = 2000 peaks at about 54.13 near theta = 0.871 and falls
+        # back to 0.1 at the top of the grid, so 40 has a second root above 0.871
+        solver = ImplicitSolver("rk", 2000, zeta_normalization, k=2)
+        grid, g = scan(solver)
+        assert grid[np.argmax(g)] == pytest.approx(0.8714, abs=1e-3)
+        assert g[-1] < 40.0 < g.max()
+        result = solver.solve(40.0)
+        assert result.theta_hat == pytest.approx(0.75626, abs=1e-5)
+        assert solver.growth(result.theta_hat) == pytest.approx(40.0, rel=1e-8)
+        assert result.flags == ()
+
+    def test_rk2_above_the_peak_has_no_root(self):
+        solver = ImplicitSolver("rk", 2000, zeta_normalization, k=2)
+        with pytest.raises(NoRootError) as err:
+            solver.solve(60.0)
+        assert err.value.g_hi == pytest.approx(54.13, abs=0.01)
+        assert err.value.g_hi == pytest.approx(scan(solver)[1].max(), rel=1e-12)
+        assert err.value.target == 60.0
 
     def test_validation(self):
         with pytest.raises(UsageError):
@@ -107,13 +143,14 @@ class TestImplicit:
                 try:
                     result = ImplicitSolver(which, 10, zeta_normalization).solve(
                         float(stat))
-                except (NoRootError, InsufficientDataError, AmbiguousRootError):
+                except (NoRootError, InsufficientDataError):
                     continue
                 assert 0.0 < result.theta_hat < 1.0
 
 
 # one solver per kind at n = 2000: R and U have one root for statistics up to
-# about 2000, and R_2 two roots for statistics up to about 54
+# about 2000, and R_2 two roots for statistics up to its peak of about 54, of
+# which the solver takes the lower one
 SOLVE_MANY_KINDS = [("r", None), ("u", None), ("rk", 1), ("rk", 2)]
 _SOLVERS: dict = {}
 
@@ -130,8 +167,6 @@ def _solve_one(solver, stat):
         return solver.ROOT, solver.solve(stat).theta_hat
     except NoRootError:
         return solver.NO_ROOT, None
-    except AmbiguousRootError:
-        return solver.AMBIGUOUS, None
     except InsufficientDataError:
         return solver.BELOW_ONE, None
 
@@ -172,7 +207,7 @@ class TestSolveMany:
         for stat in (1.5, 2.0, 7.0, 30.0, 137.0, 800.0, 1999.0):
             try:
                 result = solver.solve(stat)
-            except (NoRootError, AmbiguousRootError):
+            except NoRootError:
                 continue
             root, steps = _scalar_bisect(solver, *result.diagnostics["bracket"], stat)
             assert (result.theta_hat, result.diagnostics["iterations"]) == (root, steps)
@@ -184,9 +219,7 @@ class TestSolveMany:
         solver = _solver(which, k)
         _assert_solve_many_matches_solve(solver, stats)
         _, outcome = solver.solve_many(stats)
-        expected = {solver.BELOW_ONE, solver.NO_ROOT,
-                    solver.AMBIGUOUS if k == 2 else solver.ROOT}
-        assert expected <= set(outcome.tolist())
+        assert set(outcome.tolist()) == {solver.BELOW_ONE, solver.NO_ROOT, solver.ROOT}
 
     @pytest.mark.parametrize("which, k", SOLVE_MANY_KINDS)
     @settings(max_examples=15, deadline=None)

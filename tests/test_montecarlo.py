@@ -5,8 +5,7 @@ import numpy as np
 import pytest
 
 from zipfest import montecarlo
-from zipfest.errors import (AmbiguousRootError, InsufficientDataError, NoRootError,
-                            UsageError)
+from zipfest.errors import InsufficientDataError, NoRootError, UsageError
 from zipfest.estimators import ESTIMATORS, expand_estimators, snapshot_k_max
 from zipfest.law import make_zipf_law, zeta_normalization
 from zipfest.sampler import SeedSpec, sample_trajectory
@@ -68,7 +67,7 @@ def _reference_chunk(cfg, rep_lo, rep_hi):
             spec = ESTIMATORS[tag]
             try:
                 est = spec.estimate(snap, k, cfg.level, solvers[name])
-            except (NoRootError, AmbiguousRootError, InsufficientDataError):
+            except (NoRootError, InsufficientDataError):
                 continue
             values[name][offset] = spec.standardize(est.theta_hat, cfg.theta, snap, k)
             if est.stderr > 0.0:
@@ -84,9 +83,20 @@ def test_staged_chunk_matches_a_loop_over_estimate():
     for name in ref_values:
         assert np.array_equal(values[name], ref_values[name], equal_nan=True), name
         assert np.array_equal(covered[name], ref_covered[name], equal_nan=True), name
-    # R_2 has two roots at every replication: g_rk(2) falls back to 0 as theta -> 1
-    assert np.isnan(values["implicit-rk(2)"]).all()
+    # R_2 has two roots at every replication (g_rk(2) falls back to 0 as
+    # theta -> 1), and the lower one is the estimate
+    assert not np.isnan(values["implicit-rk(2)"]).any()
     assert not np.isnan(values["implicit-r"]).any()
+
+
+def test_implicit_rk_rows_exclude_no_replication():
+    config = ExperimentConfig(theta=0.5, n=5000, m=100, k_values=(1, 2, 3),
+                              estimators=("implicit-rk",))
+    report = normality_study(config)
+    assert [row.estimator for row in report.rows] == [
+        "implicit-rk(1)", "implicit-rk(2)", "implicit-rk(3)"]
+    for row in report.rows:
+        assert (row.m_included, row.m_excluded) == (100, 0), row.estimator
 
 
 @pytest.mark.parametrize("study, changes, message", [
