@@ -1,7 +1,7 @@
 """Growth terms, closed-form limiting variances and the limiting covariance
 function.
 
-All quantities describe the Gaussian limits of the centered occupancy paths
+All quantities belong to the Gaussian limits of the centered occupancy paths
 
     Y*_1(t)  from R_[nt]        (component index 0),
     Y_j(t)   from R_[nt],j      (component index j >= 1),

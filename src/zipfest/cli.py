@@ -172,6 +172,10 @@ _FLAG_RANGES = {
     "t": (lambda v: v > 0.0, "be positive"),
     "k_max": (lambda v: v >= 1, "be >= 1"),
     "level": (lambda v: 0.0 < v < 1.0, "lie in (0, 1)"),
+    "seed": (lambda v: v >= 0, "be >= 0"),
+    "stream": (lambda v: v >= 0, "be >= 0"),
+    "workers": (lambda v: v >= 1, "be >= 1"),
+    "nu": (lambda v: v >= 1, "be >= 1"),
 }
 
 

@@ -57,10 +57,6 @@ class EstimateResult:
     flags: tuple[str, ...] = ()
     diagnostics: dict = field(default_factory=dict)
 
-    @property
-    def degenerate(self) -> bool:
-        return "degenerate" in self.flags
-
     def to_json_dict(self) -> dict:
         return {
             "estimator": self.estimator_id,

@@ -6,13 +6,13 @@ format.  Tokens play the role of urns: the estimators only consume the
 count-of-count profile, so `to_occupancy` drops token identities and keeps
 the multiset of counts.
 
-Tokenization is deliberately minimal and versioned: tokens are maximal runs
-of token characters, case-folded, where a token character is a regex word
-character other than a decimal digit or the underscore (``_TOKEN_RE``): the
-Unicode letters plus a few non-decimal numerals such as ``²`` and ``½``.
-Decimal digits, punctuation and whitespace separate.  No stemming or
-stop-word handling, since none of it changes the count-of-count profile in a
-way the estimators could use.
+Tokenization is deliberately minimal: tokens are maximal runs of token
+characters, case-folded, where a token character is a regex word character
+other than a decimal digit or the underscore (``_TOKEN_RE``): the Unicode
+letters plus a few non-decimal numerals such as ``²`` and ``½``.  Decimal
+digits, punctuation and whitespace separate.  No stemming or stop-word
+handling, since none of it changes the count-of-count profile in a way the
+estimators could use.
 
 Counting goes word first.  ``str.split`` cuts the text into whitespace
 words; a word with ``str.isalpha`` true is one token as it stands, and only
@@ -28,15 +28,13 @@ import csv
 import re
 import warnings
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import InputFormatError, InsufficientDataError
 from .sampler import OccupancyCounts
 
 __all__ = ["CorpusCounts", "tokenize_text", "tokenize_file", "load_counts",
-           "to_occupancy", "TOKENIZER_VERSION"]
-
-TOKENIZER_VERSION = "letters-casefold-1"
+           "to_occupancy"]
 
 # maximal runs of Unicode letters: word characters minus digits/underscore
 _TOKEN_RE = re.compile(r"[^\W\d_]+", re.UNICODE)
@@ -48,18 +46,13 @@ _BLOCK_CHARS = 1 << 16
 
 @dataclass(frozen=True)
 class CorpusCounts:
-    """Token frequency table with provenance."""
+    """Token frequency table."""
 
     counts: dict
     total: int
-    meta: dict = field(default_factory=dict)
-
-    @property
-    def vocabulary_size(self) -> int:
-        return len(self.counts)
 
 
-def tokenize_text(data, source: str = "<memory>") -> CorpusCounts:
+def tokenize_text(data) -> CorpusCounts:
     """Count tokens in UTF-8 text (str, or bytes that must decode cleanly).
 
     Invalid UTF-8 raises InputFormatError carrying the byte offset.
@@ -91,13 +84,12 @@ def tokenize_text(data, source: str = "<memory>") -> CorpusCounts:
                 folded = token.casefold()
                 counts[folded] = counts.get(folded, 0) + count
         start = stop
-    return CorpusCounts(counts=counts, total=sum(counts.values()),
-                        meta={"source": source, "tokenizer": TOKENIZER_VERSION})
+    return CorpusCounts(counts=counts, total=sum(counts.values()))
 
 
 def tokenize_file(path) -> CorpusCounts:
     with open(path, "rb") as fh:
-        return tokenize_text(fh.read(), source=str(path))
+        return tokenize_text(fh.read())
 
 
 def load_counts(path) -> CorpusCounts:
@@ -130,7 +122,7 @@ def load_counts(path) -> CorpusCounts:
                 warnings.warn(f"duplicate token {token!r} at line {line_no}; counts summed")
             counts[token] = counts.get(token, 0) + cnt
             total += cnt
-    return CorpusCounts(counts=counts, total=total, meta={"source": str(path)})
+    return CorpusCounts(counts=counts, total=total)
 
 
 def to_occupancy(corpus: CorpusCounts) -> OccupancyCounts:
@@ -143,5 +135,4 @@ def to_occupancy(corpus: CorpusCounts) -> OccupancyCounts:
     if corpus.total < 1:
         raise InsufficientDataError("empty corpus")
     counts = dict(enumerate(sorted(corpus.counts.values(), reverse=True), start=1))
-    return OccupancyCounts(counts=counts, total=corpus.total, mode="fixed",
-                           meta=dict(corpus.meta))
+    return OccupancyCounts(counts=counts, total=corpus.total)

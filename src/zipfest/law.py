@@ -1,17 +1,17 @@
 """Power-law urn models, their exact finite-n moment oracles and occupancy draws.
 
-The central object is :class:`PowerLaw`, either an exact zeta law
+The central object is :class:`PowerLaw`, the exact zeta law
 
-    p_i = (i - i0)^(-1/theta) / zeta(1/theta),   i > i0,
+    p_i = (i - i0)^(-1/theta) / zeta(1/theta),   i > i0.
 
-or a generic law given by an explicit probability table.  A law knows how to
+A law knows how to
 
 * evaluate per-urn probabilities and the counting function
-  alpha(x) = max{ j : p_j >= 1/x } (for the zeta law in closed form:
+  alpha(x) = max{ j : p_j >= 1/x }, in closed form
   alpha(x) = i0 + floor((x / zeta(1/theta))^theta), i.e. (c x)^theta with
   c = 1/zeta(1/theta); note the division by zeta, which is what the
-  definition of alpha forces),
-* compute exact expectations of the occupancy statistics R, U, R_k, R*_k
+  definition of alpha forces,
+* compute exact expectations of the occupancy statistics R, U and R_k
   for a fixed number of balls or a poissonized horizon, and
 * draw the occupancy of n independent balls without drawing each ball:
   the counts of the heaviest urns 1..W, W about alpha(n), as one
@@ -20,8 +20,7 @@ or a generic law given by an explicit probability table.  A law knows how to
   by rejection-inversion (Hoermann & Derflinger, "Rejection-inversion to
   generate variates from monotone discrete distributions", ACM TOMACS 6(3),
   1996), which needs no table and costs O(1) per ball at any exponent.  The
-  cost follows the number of occupied urns, about n^theta, not n.  A table
-  law draws all of its urns as the multinomial.
+  cost follows the number of occupied urns, about n^theta, not n.
 
 Truncation policy: the support is cut at the smallest index whose remaining
 tail mass is below ``tail_epsilon`` (default 1e-12).  Oracles never
@@ -42,7 +41,6 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
 
 import numpy as np
 
@@ -55,7 +53,7 @@ __all__ = ["PowerLaw", "make_zipf_law", "zeta_normalization"]
 _ORACLE_SMALLNESS = 0.125
 _ORACLE_MIN_WINDOW = 4096
 
-_STATS = ("r", "u", "rk", "rstar")
+_STATS = ("r", "u", "rk")
 
 
 def _binomial_coefficient(n: int, j: int) -> float:
@@ -80,86 +78,17 @@ def _pow_one_minus(x: np.ndarray, n: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class PowerLaw:
-    """Immutable urn probability law, shareable across workers.
+    """Immutable zeta law, shareable across workers; build one with
+    :func:`make_zipf_law`."""
 
-    Use :func:`make_zipf_law` or :meth:`PowerLaw.from_probabilities` to
-    construct one.
-    """
-
-    kind: str  # "zeta" | "table"
-    theta: float | None
+    theta: float
     i0: int
-    c: float | None
+    c: float
     cutoff: int
     tail_epsilon: float
     discarded_mass: float
     total_mass: float
-    _s: float | None = field(repr=False, default=None)
-    _zeta_s: float | None = field(repr=False, default=None)
-    _table_probs: np.ndarray = field(repr=False, default=None)
-    _table_indices: np.ndarray = field(repr=False, default=None)
-
-    # ------------------------------------------------------------------
-    # constructors
-    # ------------------------------------------------------------------
-
-    @staticmethod
-    def zipf(theta: float, i0: int = 0, tail_epsilon: float = 1e-12) -> "PowerLaw":
-        """Exact zeta law with exponent ``theta`` and index shift ``i0``."""
-        if not (isinstance(theta, (int, float)) and 0.0 < theta < 1.0):
-            raise DomainError(f"theta must lie in (0, 1), got {theta!r}")
-        if not (isinstance(i0, (int, np.integer)) and i0 >= 0):
-            raise DomainError(f"i0 must be a non-negative integer, got {i0!r}")
-        if not (0.0 < tail_epsilon <= 1e-6):
-            raise DomainError(
-                f"tail_epsilon must lie in (0, 1e-6], got {tail_epsilon!r}")
-        theta = float(theta)
-        s = 1.0 / theta
-        zeta_s = zeta(s)
-        c = 1.0 / zeta_s
-        cutoff = _minimal_cutoff(s, c, tail_epsilon)
-        discarded = c * zeta_tail(s, cutoff)
-        return PowerLaw(
-            kind="zeta", theta=theta, i0=int(i0), c=c, cutoff=cutoff,
-            tail_epsilon=float(tail_epsilon), discarded_mass=discarded,
-            total_mass=1.0 - discarded, _s=s, _zeta_s=zeta_s,
-        )
-
-    @staticmethod
-    def from_probabilities(probabilities: Sequence[float],
-                           indices: Sequence[int] | None = None,
-                           theta: float | None = None,
-                           c: float | None = None) -> "PowerLaw":
-        """Law from an explicit probability table (non-increasing, positive).
-
-        ``theta``/``c`` are optional metadata that :meth:`describe` reports.
-        Probabilities must sum to 1 within 1e-6 and are renormalized exactly.
-        """
-        probs = np.asarray(probabilities, dtype=float)
-        if probs.ndim != 1 or probs.size == 0:
-            raise DomainError("probability table must be a non-empty 1-d sequence")
-        if np.any(~np.isfinite(probs)) or np.any(probs <= 0.0):
-            raise DomainError("probabilities must be finite and positive")
-        if np.any(np.diff(probs) > 0.0):
-            raise DomainError("probabilities must be non-increasing")
-        total = float(probs.sum())
-        if abs(total - 1.0) > 1e-6:
-            raise DomainError(f"probabilities sum to {total!r}, expected 1 within 1e-6")
-        probs = probs / total
-        if indices is None:
-            idx = np.arange(1, probs.size + 1, dtype=np.int64)
-        else:
-            idx = np.asarray(indices, dtype=np.int64)
-            if idx.shape != probs.shape or np.any(np.diff(idx) <= 0):
-                raise DomainError("indices must be strictly increasing and match the table")
-        if theta is not None and not (0.0 < theta < 1.0):
-            raise DomainError(f"theta metadata must lie in (0, 1), got {theta!r}")
-        return PowerLaw(
-            kind="table", theta=theta, i0=int(idx[0] - 1),
-            c=c, cutoff=int(probs.size), tail_epsilon=0.0,
-            discarded_mass=0.0, total_mass=1.0,
-            _table_probs=probs, _table_indices=idx,
-        )
+    _s: float = field(repr=False)
 
     # ------------------------------------------------------------------
     # point evaluations
@@ -167,28 +96,20 @@ class PowerLaw:
 
     def probability(self, i: int) -> float:
         """Model probability of urn ``i`` (0.0 off the support)."""
-        if self.kind == "zeta":
-            m = i - self.i0
-            if m < 1:
-                return 0.0
-            return self.c * float(m) ** (-self._s)
-        pos = np.searchsorted(self._table_indices, i)
-        if pos < self._table_indices.size and self._table_indices[pos] == i:
-            return float(self._table_probs[pos])
-        return 0.0
+        m = i - self.i0
+        if m < 1:
+            return 0.0
+        return self.c * float(m) ** (-self._s)
 
     def counting_function(self, x: float) -> int:
         """alpha(x) = max{ j : p_j >= 1/x }; 0 when even the top urn is lighter.
 
-        Closed form for the zeta law (with a +-1 verification step so the
-        result matches the definition under float probabilities), rank count
-        by binary search for table laws.
+        Closed form, with a +-1 verification step so the result matches the
+        definition under float probabilities.
         """
         if not (x > 0.0 and math.isfinite(x)):
             raise DomainError(f"counting_function requires finite x > 0, got {x!r}")
         inv_x = 1.0 / x
-        if self.kind == "table":
-            return int(np.searchsorted(-self._table_probs, -inv_x, side="right"))
         j = int(math.floor((self.c * x) ** self.theta))
         p_of = lambda m: self.c * float(m) ** (-self._s)
         while p_of(j + 1) >= inv_x:
@@ -219,24 +140,14 @@ class PowerLaw:
             if float(n) != int(n):
                 raise DomainError(f"fixed mode needs an integer ball count, got {n!r}")
             n = int(n)
-        if stat == "rstar":
-            # I(J >= k) = I(J > 0) - sum_{m<k} I(J = m)
-            value = self.expected_statistic(n, "r", mode)
-            for m in range(1, k):
-                value -= self.expected_statistic(n, "rk", mode, k=m)
-            return value
-
-        if self.kind == "table":
-            probs = self._table_probs
-        else:
-            window = self._oracle_window(float(n))
-            m = np.arange(1, window + 1, dtype=float)
-            probs = self.c * m ** (-self._s)
+        window = self._oracle_window(float(n))
+        m = np.arange(1, window + 1, dtype=float)
+        probs = self.c * m ** (-self._s)
 
         head = self._head_expectation(probs, n, stat, mode, k)
         tail = 0.0
-        if self.kind == "zeta" and probs.size < self.cutoff:
-            tail = self._tail_expectation(probs.size, n, stat, mode, k)
+        if window < self.cutoff:
+            tail = self._tail_expectation(window, n, stat, mode, k)
         return head + tail
 
     def _oracle_window(self, n: float) -> int:
@@ -332,10 +243,7 @@ class PowerLaw:
     def head_width(self, n: int) -> int:
         """W, the urns whose ball counts :meth:`draw_prefixes` draws as one
         multinomial for n balls: about alpha(n) = (c n)^theta, the urns with
-        n p >= 1, at least one and at most the cutoff; every urn of a table
-        law."""
-        if self.kind == "table":
-            return self.cutoff
+        n p >= 1, at least one and at most the cutoff."""
         return max(1, min(self.cutoff, int((self.c * n) ** self.theta)))
 
     def draw_prefixes(self, sizes, rng: np.random.Generator) -> list:
@@ -349,15 +257,12 @@ class PowerLaw:
         ``head_width(sizes[-1])``, as one multinomial by conditional
         binomials, and its other balls by :meth:`draw_tail`; the balls are
         independent, so adding up the batches' counts and joining their tails
-        gives the exact joint law of the prefixes.  A table law, and a zeta
-        law whose head reaches the cutoff, has no tail.
+        gives the exact joint law of the prefixes.  A law whose head reaches
+        the cutoff has no tail.
         """
         width = self.head_width(sizes[-1])
-        if self.kind == "table":
-            probs = self._table_probs.copy()
-        else:
-            m = np.arange(1, width + 1, dtype=float)
-            probs = self.c * m ** (-self._s) / self.total_mass
+        m = np.arange(1, width + 1, dtype=float)
+        probs = self.c * m ** (-self._s) / self.total_mass
         if width < self.cutoff:
             probs = np.append(probs, 0.0)  # the tail's share
         # the last category gets the mass the others leave, which numpy
@@ -426,29 +331,13 @@ class PowerLaw:
 
     def positions_to_urns(self, positions: np.ndarray) -> list[int]:
         """Urn indices, as Python ints, of 1-based float support positions."""
-        if self.kind == "zeta":
-            return [int(p) + self.i0 for p in positions.tolist()]
-        return self._table_indices[positions.astype(np.int64) - 1].tolist()
-
-    def describe(self) -> dict:
-        out = {
-            "kind": self.kind,
-            "i0": self.i0,
-            "cutoff": self.cutoff,
-            "tail_epsilon": self.tail_epsilon,
-            "discarded_mass": self.discarded_mass,
-        }
-        if self.theta is not None:
-            out["theta"] = self.theta
-        if self.c is not None:
-            out["c"] = self.c
-        return out
+        return [int(p) + self.i0 for p in positions.tolist()]
 
 
 def _check_stat(stat: str, k):
     if stat not in _STATS:
         raise UsageError(f"unknown statistic {stat!r}; expected one of {_STATS}")
-    if stat in ("rk", "rstar"):
+    if stat == "rk":
         if k is None or int(k) < 1:
             raise UsageError(f"statistic {stat!r} needs k >= 1, got {k!r}")
         return stat, int(k)
@@ -482,7 +371,23 @@ def _hat_integral_inverse(y, s: float):
 
 def make_zipf_law(theta: float, i0: int = 0, tail_epsilon: float = 1e-12) -> PowerLaw:
     """Construct the exact zeta law p_i = (i-i0)^(-1/theta) / zeta(1/theta)."""
-    return PowerLaw.zipf(theta, i0=i0, tail_epsilon=tail_epsilon)
+    if not (isinstance(theta, (int, float)) and 0.0 < theta < 1.0):
+        raise DomainError(f"theta must lie in (0, 1), got {theta!r}")
+    if not (isinstance(i0, (int, np.integer)) and i0 >= 0):
+        raise DomainError(f"i0 must be a non-negative integer, got {i0!r}")
+    if not (0.0 < tail_epsilon <= 1e-6):
+        raise DomainError(
+            f"tail_epsilon must lie in (0, 1e-6], got {tail_epsilon!r}")
+    theta = float(theta)
+    s = 1.0 / theta
+    c = 1.0 / zeta(s)
+    cutoff = _minimal_cutoff(s, c, tail_epsilon)
+    discarded = c * zeta_tail(s, cutoff)
+    return PowerLaw(
+        theta=theta, i0=int(i0), c=c, cutoff=cutoff,
+        tail_epsilon=float(tail_epsilon), discarded_mass=discarded,
+        total_mass=1.0 - discarded, _s=s,
+    )
 
 
 def zeta_normalization(theta):

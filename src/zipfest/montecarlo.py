@@ -198,7 +198,9 @@ def _normality_chunk(cfg: ExperimentConfig, rep_lo: int, rep_hi: int):
 
 
 def _run_chunked(cfg: ExperimentConfig, chunk_fn):
-    workers = max(1, int(cfg.workers))
+    workers = int(cfg.workers)
+    if workers < 1:
+        raise UsageError(f"workers must be >= 1, got {workers!r}")
     if workers == 1:
         return [chunk_fn(cfg, 0, cfg.m)]
     bounds = np.linspace(0, cfg.m, workers * 2 + 1).astype(int)

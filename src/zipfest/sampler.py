@@ -4,9 +4,9 @@ The occupancy statistics read only how many balls each urn holds, so no
 sampler draws every ball.  All three take the occupied urns and their ball
 counts from ``PowerLaw.draw_prefixes``: the counts of the W heaviest urns as
 one multinomial, and only the balls beyond them by rejection-inversion, over
-the retained support, renormalized; the discarded mass is recorded in the
-sample metadata.  A trajectory draws one multinomial per grid increment and
-adds them up; a poissonized sample draws a Poisson total first.
+the retained support, renormalized; the law records the discarded mass.  A
+trajectory draws one multinomial per grid increment and adds them up; a
+poissonized sample draws a Poisson total first.
 
 Streams: any (master seed, stream index) pair yields an independent Philox
 counter-based generator (period 2^256), so replications can run in parallel
@@ -16,7 +16,7 @@ and still reproduce bit-for-bit.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -54,8 +54,6 @@ class OccupancyCounts:
 
     counts: dict
     total: float            # n for fixed mode, horizon t for poissonized
-    mode: str               # "fixed" | "poisson"
-    meta: dict = field(default_factory=dict)
 
     def snapshot(self, k_max: int = DEFAULT_K_MAX) -> StatisticsSnapshot:
         values = np.fromiter(self.counts.values(), dtype=np.int64, count=len(self.counts))
@@ -75,13 +73,8 @@ def sample_fixed(law: PowerLaw, n: int, seed) -> OccupancyCounts:
     """n independent balls thrown into the urns of ``law``."""
     if not (isinstance(n, (int, np.integer)) and n >= 1):
         raise DomainError(f"n must be a positive integer, got {n!r}")
-    spec = _as_seed(seed)
-    return OccupancyCounts(
-        counts=_counts_dict(law, int(n), spec.generator()),
-        total=int(n), mode="fixed",
-        meta={"seed": spec.master, "stream": spec.stream,
-              "discarded_mass": law.discarded_mass, **law.describe()},
-    )
+    counts = _counts_dict(law, int(n), _as_seed(seed).generator())
+    return OccupancyCounts(counts=counts, total=int(n))
 
 
 def sample_trajectory(law: PowerLaw, n: int, grid, seed,
@@ -111,18 +104,13 @@ def sample_poissonized(law: PowerLaw, t: float, seed) -> OccupancyCounts:
     (realized by splitting a Poisson(t * retained mass) total)."""
     if not t > 0.0:
         raise DomainError(f"t must be positive, got {t!r}")
-    spec = _as_seed(seed)
-    rng = spec.generator()
+    rng = _as_seed(seed).generator()
     total = int(rng.poisson(t * law.total_mass))
     if total:
         counts = _counts_dict(law, total, rng)
     else:
         counts = {}
-    return OccupancyCounts(
-        counts=counts, total=float(t), mode="poisson",
-        meta={"seed": spec.master, "stream": spec.stream,
-              "discarded_mass": law.discarded_mass, **law.describe()},
-    )
+    return OccupancyCounts(counts=counts, total=float(t))
 
 
 # ----------------------------------------------------------------------
@@ -139,7 +127,7 @@ def write_counts_csv(counts: OccupancyCounts, path) -> None:
 
 
 def read_counts_csv(path) -> OccupancyCounts:
-    """Inverse of :func:`write_counts_csv` (fixed mode, total = sum)."""
+    """Inverse of :func:`write_counts_csv`, with total the sum of the counts."""
     counts: dict = {}
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
@@ -162,5 +150,4 @@ def read_counts_csv(path) -> OccupancyCounts:
                 raise InputFormatError(f"duplicate urn index {urn}", location=line_no)
             counts[urn] = cnt
     total = sum(counts.values())
-    return OccupancyCounts(counts=counts, total=total, mode="fixed",
-                           meta={"source": str(path)})
+    return OccupancyCounts(counts=counts, total=total)

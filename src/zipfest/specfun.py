@@ -1,7 +1,7 @@
-"""Self-contained special functions: log-Gamma, Gamma, Riemann zeta, log-Beta.
+"""Self-contained special functions: log-Gamma, Riemann zeta, log-Beta.
 
 Everything downstream (growth curves, limiting variances, covariance
-branches, truncated-law normalization) is built on these four functions, so
+branches, truncated-law normalization) is built on these functions, so
 they carry their own fixed-coefficient implementations instead of pulling in
 an external math library.  Accuracy targets: relative error <= 1e-12 for
 ln_gamma on [0.05, 50] (measured against the Gamma scale near the zeros of
@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import DomainError
 
-__all__ = ["ln_gamma", "gamma", "zeta", "zeta_tail", "ln_beta"]
+__all__ = ["ln_gamma", "zeta", "zeta_tail", "ln_beta"]
 
 _HALF_LOG_TWO_PI = 0.9189385332046727417803297364
 
@@ -98,11 +98,6 @@ def ln_gamma(x):
     if np.isscalar(x) or np.ndim(x) == 0:
         return float(out)
     return out
-
-
-def gamma(x):
-    """Gamma(x) for x > 0."""
-    return np.exp(ln_gamma(x)) if np.ndim(x) else math.exp(ln_gamma(x))
 
 
 def _em_tail(s, n_base):

@@ -93,6 +93,12 @@ def test_estimate_takes_the_lower_of_two_rk2_roots(capsys, corpus):
     ["simulate", "--theta", "0.5", "--k-max", "0", "--snapshot", "{tmp}/snapshot.json"],
     ["study-normality", "--theta", "0.5", "--n", "1", "--m", "100"],
     ["study-covariance", "--theta", "0.5", "--n", "1", "--m", "100"],
+    ["simulate", "--theta", "0.5", "--seed", "-1"],
+    ["simulate", "--theta", "0.5", "--stream", "-1"],
+    ["study-normality", "--theta", "0.5", "--n", "1000", "--m", "100", "--seed", "-3"],
+    ["study-normality", "--theta", "0.5", "--n", "1000", "--m", "100", "--workers", "0"],
+    ["study-covariance", "--theta", "0.5", "--n", "1000", "--m", "100", "--workers", "0"],
+    ["eval-asymptotics", "--theta", "0.5", "--nu", "0", "--tau-t", "1:1"],
 ])
 def test_usage_error_is_one_line_with_exit_2(capsys, corpus, tmp_path, argv):
     argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]

@@ -6,7 +6,7 @@ import scipy.stats as st
 
 from zipfest.asymptotics import log_growth
 from zipfest.errors import DomainError, UsageError
-from zipfest.law import PowerLaw, make_zipf_law, zeta_normalization
+from zipfest.law import make_zipf_law, zeta_normalization
 from zipfest.specfun import ln_gamma, zeta
 
 ZETA2 = 1.6449340668482264
@@ -15,6 +15,11 @@ ZETA2 = 1.6449340668482264
 def leading_term(law, n, stat, k=None):
     """First-order growth term of E[stat] under ``law`` at n balls."""
     return math.exp(log_growth(law.theta, math.log(law.c * n), stat, k))
+
+
+def support_probabilities(law):
+    """p_i at every support position 1..cutoff of a zeta law with i0 = 0."""
+    return law.c * np.arange(1, law.cutoff + 1, dtype=float) ** (-1.0 / law.theta)
 
 
 class TestConstruction:
@@ -63,17 +68,6 @@ class TestConstruction:
         with pytest.raises(DomainError):
             make_zipf_law(0.5, tail_epsilon=1e-3)
 
-    def test_table_law_validation(self):
-        with pytest.raises(DomainError):
-            PowerLaw.from_probabilities([0.2, 0.3, 0.5])  # increasing
-        with pytest.raises(DomainError):
-            PowerLaw.from_probabilities([0.9, 0.2])  # sums to 1.1
-        law = PowerLaw.from_probabilities([0.5, 0.3, 0.2])
-        assert law.cutoff == 3
-        assert law.total_mass == 1.0
-        assert law.probability(2) == pytest.approx(0.3, rel=1e-12)
-        assert law.probability(7) == 0.0
-
 
 class TestCountingFunction:
     def test_closed_form_examples(self, law05):
@@ -91,13 +85,6 @@ class TestCountingFunction:
         law = make_zipf_law(0.5, i0=3)
         base = make_zipf_law(0.5)
         assert law.counting_function(100.0) == base.counting_function(100.0) + 3
-
-    def test_table_law_rank_count(self):
-        law = PowerLaw.from_probabilities([0.5, 0.3, 0.2])
-        assert law.counting_function(1.0 / 0.3) == 2
-        assert law.counting_function(10.0) == 3
-        assert law.counting_function(2.1) == 1
-        assert law.counting_function(1.9) == 0  # even the top urn is lighter than 1/x
 
     def test_power_remainder_bounded_and_decaying(self, law05):
         # alpha(x) = floor((c x)^theta), so the remainder is below 1 in
@@ -125,35 +112,38 @@ class TestExpectedStatistic:
         got = law05.expected_statistic(10 ** 4, "r")
         assert abs(got - lead) <= 10.0 ** 0.25
 
-    def test_against_binomial_enumeration(self):
-        probs = np.array([0.4, 0.25, 0.15, 0.1, 0.06, 0.04])
-        law = PowerLaw.from_probabilities(probs)
+    # The references sum every urn of law03's support, 91110 urns; the oracle
+    # enumerates 4096 of them and takes the rest from its tail series.  The
+    # references use expm1/log1p: 1 - (1 - 2p)^n alone is off by 6e-12.
+
+    def test_against_binomial_enumeration(self, law03):
+        probs = support_probabilities(law03)
+        assert probs.size == 91110
         n = 37
+        odd = np.empty_like(probs)  # P(odd count) = (1 - (1 - 2p)^n) / 2
+        below = probs < 0.5
+        odd[below] = -0.5 * np.expm1(n * np.log1p(-2.0 * probs[below]))
+        odd[~below] = 0.5 * (1.0 - (1.0 - 2.0 * probs[~below]) ** n)
         cases = {
-            ("r", None): sum(1.0 - st.binom.pmf(0, n, p) for p in probs),
-            ("u", None): sum(sum(st.binom.pmf(j, n, p) for j in range(1, n + 1, 2))
-                             for p in probs),
-            ("rk", 1): sum(st.binom.pmf(1, n, p) for p in probs),
-            ("rk", 3): sum(st.binom.pmf(3, n, p) for p in probs),
-            ("rstar", 2): sum(1.0 - st.binom.cdf(1, n, p) for p in probs),
+            ("r", None): np.sum(-np.expm1(n * np.log1p(-probs))),
+            ("u", None): np.sum(odd),
+            ("rk", 1): np.sum(st.binom.pmf(1, n, probs)),
+            ("rk", 3): np.sum(st.binom.pmf(3, n, probs)),
         }
         for (stat, k), expected in cases.items():
-            got = law.expected_statistic(n, stat, k=k)
+            got = law03.expected_statistic(n, stat, k=k)
             assert got == pytest.approx(expected, abs=1e-12)
 
-    def test_against_poisson_enumeration(self):
-        probs = np.array([0.4, 0.25, 0.15, 0.1, 0.06, 0.04])
-        law = PowerLaw.from_probabilities(probs)
+    def test_against_poisson_enumeration(self, law03):
+        probs = support_probabilities(law03)
         t = 8.5
         cases = {
-            ("r", None): sum(1.0 - st.poisson.pmf(0, t * p) for p in probs),
-            ("u", None): sum(sum(st.poisson.pmf(j, t * p) for j in range(1, 200, 2))
-                             for p in probs),
-            ("rk", 2): sum(st.poisson.pmf(2, t * p) for p in probs),
-            ("rstar", 3): sum(1.0 - st.poisson.cdf(2, t * p) for p in probs),
+            ("r", None): np.sum(-np.expm1(-t * probs)),
+            ("u", None): np.sum(-0.5 * np.expm1(-2.0 * t * probs)),
+            ("rk", 2): np.sum(st.poisson.pmf(2, t * probs)),
         }
         for (stat, k), expected in cases.items():
-            got = law.expected_statistic(t, stat, mode="poissonized", k=k)
+            got = law03.expected_statistic(t, stat, mode="poissonized", k=k)
             assert got == pytest.approx(expected, abs=1e-12)
 
     def test_zeta_tail_window_independence(self, law07):
@@ -166,15 +156,6 @@ class TestExpectedStatistic:
         finally:
             law_mod._ORACLE_SMALLNESS = old
         assert v1 == pytest.approx(v2, abs=1e-9)
-
-    def test_consistency_identities(self, law05):
-        n = 10 ** 4
-        er = law05.expected_statistic(n, "r")
-        r1 = law05.expected_statistic(n, "rk", k=1)
-        rstar2 = law05.expected_statistic(n, "rstar", k=2)
-        assert rstar2 == pytest.approx(er - r1, rel=1e-12)
-        rstar1 = law05.expected_statistic(n, "rstar", k=1)
-        assert rstar1 == pytest.approx(er, rel=1e-12)
 
     def test_leading_remainder_decays(self, law05):
         for stat, k in (("r", None), ("u", None), ("rk", 1), ("rk", 2), ("rk", 3)):

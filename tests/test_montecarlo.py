@@ -108,6 +108,8 @@ def test_implicit_rk_rows_exclude_no_replication():
     (normality_study, {"level": 1.5}, "level must lie in"),
     (normality_study, {"n": 1}, "n >= 2"),
     (covariance_study, {"n": 1}, "n \\* t >= 1"),
+    (normality_study, {"workers": 0}, "workers must be >= 1"),
+    (covariance_study, {"workers": 0}, "workers must be >= 1"),
 ])
 def test_usage_errors(study, changes, message):
     with pytest.raises(UsageError, match=message):

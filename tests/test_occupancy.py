@@ -12,7 +12,7 @@ from zipfest.sampler import OccupancyCounts, SeedSpec, sample_fixed
 
 def snap_of(counts_map, k_max=8):
     total = sum(counts_map.values())
-    return OccupancyCounts(counts=counts_map, total=total, mode="fixed").snapshot(
+    return OccupancyCounts(counts=counts_map, total=total).snapshot(
         k_max=k_max)
 
 

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as hst
 
 from zipfest.errors import DomainError
-from zipfest.specfun import gamma, ln_beta, ln_gamma, zeta, zeta_tail
+from zipfest.specfun import ln_beta, ln_gamma, zeta, zeta_tail
 
 # Reference values computed with mpmath at 30 digits.
 LN_GAMMA_TABLE = {
@@ -61,10 +61,9 @@ class TestLnGamma:
         assert math.exp(ln_gamma(4.0)) == pytest.approx(6.0, rel=1e-12)
 
     def test_recurrence(self):
+        # ln Gamma(x + 1) - ln Gamma(x) = ln x
         for x in np.arange(0.1, 5.01, 0.1):
-            lhs = gamma(x + 1.0)
-            rhs = x * gamma(x)
-            assert lhs == pytest.approx(rhs, rel=1e-10)
+            assert ln_gamma(x + 1.0) - ln_gamma(x) == pytest.approx(math.log(x), abs=1e-10)
 
     def test_domain_errors(self):
         for bad in (0.0, -1.0, math.nan, math.inf):
