@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 from datetime import datetime, timezone
 
@@ -169,7 +170,8 @@ _FLAG_RANGES = {
     "i0": (lambda v: v >= 0, "be >= 0"),
     "tail_epsilon": (lambda v: 0.0 < v <= 1e-6, "lie in (0, 1e-6]"),
     "n": (lambda v: v >= 1, "be >= 1"),
-    "t": (lambda v: v > 0.0, "be positive"),
+    # numpy's Poisson draw refuses a mean above about 9.2e18
+    "t": (lambda v: 0.0 < v <= 9.2e18, "lie in (0, 9.2e18]"),
     "k_max": (lambda v: v >= 1, "be >= 1"),
     "level": (lambda v: 0.0 < v < 1.0, "lie in (0, 1)"),
     "seed": (lambda v: v >= 0, "be >= 0"),
@@ -307,7 +309,10 @@ def _parse_tau_t(spec: str) -> list[tuple[float, float]]:
         if ":" not in chunk:
             raise UsageError(f"bad tau:t pair {chunk!r}")
         tau, _, t = chunk.partition(":")
-        pairs.append((_parse_float(tau, "tau"), _parse_float(t, "t")))
+        pair = (_parse_float(tau, "tau"), _parse_float(t, "t"))
+        if not all(0.0 < v < math.inf for v in pair):
+            raise UsageError(f"tau and t must be finite and positive, got {chunk!r}")
+        pairs.append(pair)
     return pairs
 
 

@@ -99,6 +99,10 @@ def test_estimate_takes_the_lower_of_two_rk2_roots(capsys, corpus):
     ["study-normality", "--theta", "0.5", "--n", "1000", "--m", "100", "--workers", "0"],
     ["study-covariance", "--theta", "0.5", "--n", "1000", "--m", "100", "--workers", "0"],
     ["eval-asymptotics", "--theta", "0.5", "--nu", "0", "--tau-t", "1:1"],
+    ["eval-asymptotics", "--theta", "0.5", "--tau-t", "0:1"],
+    ["eval-asymptotics", "--theta", "0.5", "--tau-t", "1:nan"],
+    ["simulate", "--theta", "0.5", "--mode", "poisson", "--t", "1e19"],
+    ["simulate", "--theta", "0.5", "--mode", "poisson", "--t", "1e300"],
 ])
 def test_usage_error_is_one_line_with_exit_2(capsys, corpus, tmp_path, argv):
     argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]

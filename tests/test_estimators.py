@@ -248,6 +248,92 @@ class TestSolveMany:
                                       solver.solve(200.0).theta_hat]
 
 
+def _plain_halving(solver, interval, target):
+    """The batched bisection that evaluates g at every midpoint: the
+    reference the solver's replayed halving must equal, root and step count."""
+    roots = np.empty(target.size)
+    steps = np.zeros(target.size, dtype=int)
+    live = np.arange(target.size)
+    lo, hi = solver._grid[interval], solver._grid[interval + 1]
+    step = 0
+    while live.size:
+        done = hi - lo <= solver.BISECT_TOL
+        if step == solver.BISECT_MAX_STEPS:
+            done[:] = True
+        if np.count_nonzero(done):
+            roots[live[done]] = 0.5 * (lo[done] + hi[done])
+            steps[live[done]] = step
+            keep = ~done
+            live, lo, hi, target = live[keep], lo[keep], hi[keep], target[keep]
+            if not live.size:
+                break
+        mid = 0.5 * (lo + hi)
+        f_mid = solver._g_array(mid) - target
+        if np.count_nonzero(f_mid) < f_mid.size:
+            hit = f_mid == 0.0
+            roots[live[hit]] = mid[hit]
+            steps[live[hit]] = step
+            keep = ~hit
+            live, lo, hi, target, mid, f_mid = (
+                live[keep], lo[keep], hi[keep], target[keep], mid[keep], f_mid[keep])
+        up = f_mid < 0.0
+        lo = np.where(up, mid, lo)
+        hi = np.where(up, hi, mid)
+        step += 1
+    return roots, steps
+
+
+def _assert_roots_match_plain_halving(solver, stats):
+    owner, interval, roots, steps = solver._roots(stats)
+    plain_roots, plain_steps = _plain_halving(solver, interval, stats[owner])
+    assert np.array_equal(roots, plain_roots)
+    assert np.array_equal(steps, plain_steps)
+
+
+class TestReplayedHalving:
+    @pytest.mark.parametrize("n", [2000, 2 * 10 ** 6])
+    @pytest.mark.parametrize("which, k", [("r", None), ("u", None), ("rk", 1),
+                                          ("rk", 2), ("rk", 8)])
+    def test_roots_match_plain_halving(self, which, k, n):
+        # every grid value of g is a bracket end, the hardest place to certify,
+        # and g is flattest just below its peak
+        solver = ImplicitSolver(which, n, zeta_normalization, k=k)
+        g = solver._g[solver._g >= 1.0]
+        rng = np.random.default_rng(n + (k or 0))
+        stats = np.concatenate([g, np.nextafter(g, 0.0), np.nextafter(g, np.inf),
+                                np.exp(rng.uniform(0.0, math.log(g.max()), 1000)),
+                                g.max() * (1.0 - rng.uniform(0.0, 1e-3, 1000))])
+        _assert_roots_match_plain_halving(solver, stats)
+
+    def test_peak_of_g_is_never_replayed(self):
+        # the grid value at the peak of g_rk(8) brackets its root at the end
+        # of an interval whose right neighbour falls; certified there, the
+        # replay would take one halving too many and miss the root by 1e-6
+        solver = ImplicitSolver("rk", 2 * 10 ** 6, zeta_normalization, k=8)
+        peak = int(np.argmax(solver._g))
+        assert peak == 1831
+        _assert_roots_match_plain_halving(solver, solver._g[peak:peak + 1])
+
+    def test_a_study_batch_takes_a_few_evaluations(self):
+        law = make_zipf_law(0.5)
+        stats = np.array([float(sample_fixed(law, 10 ** 5, SeedSpec(0, rep)).snapshot().r)
+                          for rep in range(200)])
+        solver = ImplicitSolver("r", 10 ** 5, zeta_normalization)
+        calls, g_array = [0], solver._g_array
+
+        def counted(*args):
+            calls[0] += 1
+            return g_array(*args)
+
+        solver._g_array = counted
+        solver.solve_many(stats)
+        assert calls[0] <= 8
+        for stat in stats[:20].tolist():
+            calls[0] = 0
+            assert solver.solve(stat).diagnostics["iterations"] == 23
+            assert calls[0] <= 6
+
+
 def test_table_solver_only_for_implicit_tags():
     for spec in ESTIMATORS.values():
         solver = spec.solver(10 ** 4, zeta_normalization, 2)

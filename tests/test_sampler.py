@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as hst
 
 from zipfest.errors import DomainError, InputFormatError, UsageError
-from zipfest.law import make_zipf_law
+from zipfest.law import _hat_integral, _hat_integral_inverse, make_zipf_law
 from zipfest.sampler import (OccupancyCounts, SeedSpec, read_counts_csv,
                              sample_fixed, sample_poissonized,
                              sample_trajectory, write_counts_csv)
@@ -80,13 +80,16 @@ class TestFixed:
 
 
 class _Uniforms:
-    """Stand-in generator: the given uniforms first, then a seeded stream."""
+    """Stand-in generator: the given uniforms first, then a seeded stream;
+    ``sizes`` records how many each call asked for."""
 
     def __init__(self, first):
         self.first = np.asarray(first, dtype=float)
         self.rest = np.random.default_rng(0)
+        self.sizes = []
 
     def random(self, size):
+        self.sizes.append(size)
         out, self.first = self.first[:size], self.first[size:]
         return np.concatenate([out, self.rest.random(size - out.size)])
 
@@ -160,6 +163,39 @@ class TestRejectionInversion:
         pos = law.draw_tail(first, smallest.size, _Uniforms(smallest))
         assert pos.min() > 2 ** 53
         assert np.unique(pos, return_counts=True)[1].max() <= run
+
+    def test_quick_bound_decides_where_the_exact_test_rounds(self):
+        """The drawer maps a uniform r to u = top + r (bottom - top) on the
+        hat integral H and x = H^-1(u) to urn k = round(x).  It keeps k when
+        u lies in the top k^-s of k's stretch (H(k - 1/2), H(k + 1/2)], at
+        once when k - x is within the quick bound, about 0.48 at theta = 0.9.
+        With urn 2 first, the rest of urn 3's stretch lies beyond the bound,
+        at x in (2.5, 2.509), and every ball there must be rejected.  For x
+        in (3e13, 1e14) the rest of a stretch is below 1e-40 while u has ulps
+        of 1e-15, so every ball must be kept; the exact test's rounding would
+        reject about 5% of them, and only the bound keeps them.  (Beyond 2^53
+        the exact test rejects no ball, so uniforms there cannot pin the
+        bound.)"""
+        law = make_zipf_law(0.9)
+        s = 1.0 / law.theta
+        # u as the drawer computes it for first = 2
+        top = _hat_integral(math.log(law.cutoff + 0.5), s)
+        bottom = _hat_integral(math.log(2.5), s) - 2.0 ** -s
+        rest_of_3 = np.linspace(_hat_integral(math.log(2.5), s),
+                                _hat_integral(math.log(3.5), s) - 3.0 ** -s, 102)[1:-1]
+        rejected = (rest_of_3 - top) / (bottom - top)
+        stub = _Uniforms(rejected)
+        law.draw_tail(2, rejected.size, stub)
+        assert stub.sizes[:2] == [rejected.size, rejected.size]
+
+        far = np.linspace(_hat_integral(math.log(3e13), s), _hat_integral(math.log(1e14), s), 4000)
+        r = (far - top) / (bottom - top)
+        x = _hat_integral_inverse(top + r * (bottom - top), s)
+        kept = r[np.floor(x + 0.5) - x <= 0.4]  # well inside the bound
+        assert kept.size > 2500
+        stub = _Uniforms(kept)
+        law.draw_tail(2, kept.size, stub)
+        assert stub.sizes == [kept.size]
 
     def test_cutoff_beyond_float64_is_a_domain_error(self):
         law = make_zipf_law(0.97)
