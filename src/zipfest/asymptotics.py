@@ -30,7 +30,12 @@ __all__ = ["log_growth", "implicit_variance", "ratio_r1_variance",
 _LN2 = math.log(2.0)
 
 
-def _check_theta(theta: float) -> float:
+def _check_theta(theta):
+    """theta as a float, or a float array as it is; each value in (0, 1)."""
+    if isinstance(theta, np.ndarray):
+        if not np.all((theta > 0.0) & (theta < 1.0)):
+            raise DomainError(f"theta must lie in (0, 1), got {theta!r}")
+        return theta
     if not (isinstance(theta, (int, float)) and 0.0 < theta < 1.0):
         raise DomainError(f"theta must lie in (0, 1), got {theta!r}")
     return float(theta)
@@ -40,6 +45,11 @@ def _check_k(k) -> int:
     if not (isinstance(k, (int, np.integer)) and k >= 1):
         raise DomainError(f"k must be a positive integer, got {k!r}")
     return int(k)
+
+
+def _exp(theta):
+    """math.exp for a float theta, np.exp for an array."""
+    return math.exp if isinstance(theta, float) else np.exp
 
 
 def log_growth(theta, log_cn, stat: str, k: int | None = None):
@@ -64,13 +74,17 @@ def log_growth(theta, log_cn, stat: str, k: int | None = None):
     raise UsageError(f"unknown statistic {stat!r}")
 
 
-def implicit_variance(theta: float, which: str, k: int | None = None) -> float:
+def implicit_variance(theta, which: str, k: int | None = None):
     """Limiting variance of ln n sqrt(S_n) (theta* - theta) for the implicit
     estimator based on S = R ("r"), U ("u") or R_k ("rk"):
 
         r    2^theta - 1
         u    2^(theta-1)
         rk   1 - 2^theta Gamma(2k-theta) / (2^(2k) k! Gamma(k-theta))
+
+    The variance formulas take a float or a float array of theta; a float
+    stays on ``math`` and the scalar ``ln_gamma``, an array may differ from
+    it in the last bits.
     """
     theta = _check_theta(theta)
     if which == "r":
@@ -81,11 +95,11 @@ def implicit_variance(theta: float, which: str, k: int | None = None) -> float:
         k = _check_k(k)
         log_ratio = (theta * math.log(2.0) + ln_gamma(2 * k - theta)
                      - 2 * k * math.log(2.0) - ln_gamma(k + 1.0) - ln_gamma(k - theta))
-        return 1.0 - math.exp(log_ratio)
+        return 1.0 - _exp(theta)(log_ratio)
     raise UsageError(f"unknown implicit estimator tag {which!r}")
 
 
-def ratio_r1_variance(theta: float) -> float:
+def ratio_r1_variance(theta):
     """Limiting variance of sqrt(R_n) (R_{n,1}/R_n - theta):
 
         theta (1 - theta) (1 - 2^(theta-2)).
@@ -98,7 +112,7 @@ def ratio_r1_variance(theta: float) -> float:
     return theta * (1.0 - theta) * (1.0 - 2.0 ** (theta - 2.0))
 
 
-def ratio_k_variance(theta: float, k: int) -> float:
+def ratio_k_variance(theta, k: int):
     """Limiting variance of sqrt(R_{n,k}) ((k R_{n,k} - (k+1) R_{n,k+1})/R_{n,k} - theta):
 
         (k-theta)(2k+1-theta) - (2k - theta + theta^2)
@@ -108,7 +122,8 @@ def ratio_k_variance(theta: float, k: int) -> float:
     k = _check_k(k)
     log_denom = (math.log(k) + (2 * k + 2 - theta) * math.log(2.0)
                  + ln_beta(k - theta, float(k)))
-    return (k - theta) * (2 * k + 1 - theta) - (2 * k - theta + theta ** 2) * math.exp(-log_denom)
+    return ((k - theta) * (2 * k + 1 - theta)
+            - (2 * k - theta + theta ** 2) * _exp(theta)(-log_denom))
 
 
 @dataclass(frozen=True)

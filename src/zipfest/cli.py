@@ -253,7 +253,8 @@ def _cmd_simulate(args) -> int:
     if args.mode == "fixed":
         counts = sample_fixed(law, args.n, seed)
     else:
-        horizon = args.t if args.t is not None else float(args.n)
+        # the horizon defaults to --n, so check the one in use by the t rule
+        horizon = _check_range("t", args.t if args.t is not None else float(args.n))
         counts = sample_poissonized(law, horizon, seed)
     write_counts_csv(counts, args.output)
     if args.snapshot:

@@ -21,7 +21,11 @@ the estimate itself, with the normal quantile of ``statistics.NormalDist``
 
 :data:`ESTIMATORS` maps each estimator tag to the statistic it reads, how it
 is computed, how it is standardized and its limiting variance; the CLI and
-the Monte Carlo studies both dispatch through it.
+the Monte Carlo studies both dispatch through it.  The CLI estimates one
+snapshot into an :class:`EstimateResult`; the normality study estimates the
+columns of many snapshots (``occupancy.SnapshotColumns``) into arrays of
+estimates, equal to the one-snapshot values bit for bit, and of standard
+errors, equal up to the last bits of the array variance formulas.
 """
 
 from __future__ import annotations
@@ -39,7 +43,8 @@ from .occupancy import DEFAULT_K_MAX, StatisticsSnapshot
 
 __all__ = ["EstimateResult", "ImplicitSolver", "ratio_estimate_r1",
            "ratio_estimate_k", "log_ratio_estimate", "normal_cdf",
-           "EstimatorSpec", "ESTIMATORS", "expand_estimators", "snapshot_k_max"]
+           "confidence_bounds", "EstimatorSpec", "ESTIMATORS",
+           "expand_estimators", "snapshot_k_max"]
 
 #: 97.5% normal quantile used for the default 95% intervals.
 Z_95 = 1.959963985
@@ -92,6 +97,13 @@ def _clamped_ci(theta_hat: float, stderr: float, level: float) -> tuple[float, f
         return (theta_hat, theta_hat)
     half = _z_for_level(level) * stderr
     return (max(theta_hat - half, 0.0), min(theta_hat + half, 1.0))
+
+
+def confidence_bounds(theta_hat: np.ndarray, stderr: np.ndarray, level: float):
+    """The plug-in intervals of arrays of estimates with positive standard
+    errors, as (lower, upper) arrays."""
+    half = _z_for_level(level) * stderr
+    return np.maximum(theta_hat - half, 0.0), np.minimum(theta_hat + half, 1.0)
 
 
 # ----------------------------------------------------------------------
@@ -289,19 +301,26 @@ class ImplicitSolver:
                 f"[{self.THETA_LO}, {self.THETA_HI}] where g rises",
                 g_lo=float(self._g[0]), g_hi=float(self._g.max()), target=float(stat_value))
         j = int(interval[0])
-        return self._result(float(roots[0]), stat_value, level, {
-            "iterations": int(steps[0]),
-            "bracket": (float(self._grid[j]), float(self._grid[j + 1]))})
-
-    def _result(self, theta_star, stat_value, level, diagnostics):
+        theta_star = float(roots[0])
         sigma_sq = asymptotics.implicit_variance(theta_star, self.which, self.k)
-        stderr = math.sqrt(sigma_sq) / (math.log(self.n) * math.sqrt(stat_value))
+        stderr = math.sqrt(sigma_sq) / (self._log_n * math.sqrt(stat_value))
         tag = f"implicit-{self.which}" if self.which != "rk" else f"implicit-rk({self.k})"
-        diagnostics = {**diagnostics, "stat_value": float(stat_value)}
         return EstimateResult(
             estimator_id=tag, theta_hat=theta_star, stderr=stderr,
             ci=_clamped_ci(theta_star, stderr, level), level=level,
-            diagnostics=diagnostics)
+            diagnostics={"iterations": int(steps[0]),
+                         "bracket": (float(self._grid[j]), float(self._grid[j + 1])),
+                         "stat_value": float(stat_value)})
+
+    def stderr_many(self, theta_hat: np.ndarray, stats: np.ndarray) -> np.ndarray:
+        """The standard error :meth:`solve` gives each root ``theta_hat[i]``
+        of ``stats[i]``, up to the last bits of the array variance formula;
+        NaN where theta_hat is NaN."""
+        stderr = np.full(theta_hat.size, np.nan)
+        ok = np.flatnonzero(~np.isnan(theta_hat))
+        sigma_sq = asymptotics.implicit_variance(theta_hat[ok], self.which, self.k)
+        stderr[ok] = np.sqrt(sigma_sq) / (self._log_n * np.sqrt(stats[ok]))
+        return stderr
 
 
 # ----------------------------------------------------------------------
@@ -351,6 +370,35 @@ def ratio_estimate_k(snapshot: StatisticsSnapshot, k: int, level: float = 0.95) 
         diagnostics={"r_k": r_k, "r_k1": r_k1})
 
 
+def _ratio_r1_many(columns):
+    """(theta_hat, stderr) arrays of :func:`ratio_estimate_r1` over the
+    snapshots of ``columns``, NaN where it raises; stderr up to the last bits
+    of the array variance formula."""
+    r = columns.r
+    theta_hat, stderr = np.full(r.size, np.nan), np.full(r.size, np.nan)
+    ok = np.flatnonzero(r >= 1)
+    theta_hat[ok] = columns.exact_count(1)[ok] / r[ok]
+    stderr[ok] = 0.0
+    inner = ok[(0.0 < theta_hat[ok]) & (theta_hat[ok] < 1.0)]
+    stderr[inner] = np.sqrt(asymptotics.ratio_r1_variance(theta_hat[inner]) / r[inner])
+    return theta_hat, stderr
+
+
+def _ratio_k_many(columns, k):
+    """(theta_hat, stderr) arrays of :func:`ratio_estimate_k` over the
+    snapshots of ``columns``, NaN where it raises InsufficientDataError;
+    stderr up to the last bits of the array variance formula."""
+    r_k, r_k1 = columns.exact_count(k), columns.exact_count(k + 1)
+    theta_hat, stderr = np.full(r_k.size, np.nan), np.full(r_k.size, np.nan)
+    ok = np.flatnonzero(r_k >= 1)
+    estimate = (k * r_k[ok] - (k + 1) * r_k1[ok]) / r_k[ok]
+    plug_in = np.where((0.0 < estimate) & (estimate < 1.0), estimate,
+                       np.clip(estimate, 0.01, 0.99))
+    theta_hat[ok] = estimate
+    stderr[ok] = np.sqrt(asymptotics.ratio_k_variance(plug_in, k) / r_k[ok])
+    return theta_hat, stderr
+
+
 def log_ratio_estimate(snapshot: StatisticsSnapshot, level: float = 0.95) -> EstimateResult:
     """Baseline theta_hat = ln R_n / ln n.
 
@@ -393,6 +441,8 @@ class EstimatorSpec:
     per_k: bool = False                 # one estimate per requested k
     solver_kind: str | None = None      # ImplicitSolver kind, implicit only
     closed_form: Callable | None = None  # (snapshot, k, level) -> EstimateResult
+    # (columns, k) -> (theta_hat, stderr) arrays; closed forms with a normal limit
+    closed_form_many: Callable | None = None
 
     def solver(self, n, c_of_theta, k) -> ImplicitSolver | None:
         """The ImplicitSolver :meth:`estimate` needs; None for closed forms."""
@@ -405,25 +455,22 @@ class EstimatorSpec:
             return self.closed_form(snapshot, k, level)
         return solver.solve(float(self.statistic(snapshot, k)), level=level)
 
-    def estimate_many(self, snapshots, stats, k, level, solver=None) -> list:
-        """:meth:`estimate` of each snapshot, None where it has no root or too
-        little data.  ``stats[i]`` is the statistic of
-        ``snapshots[i]``; an implicit tag solves them all in one batch."""
+    def estimate_many(self, columns, k, solver=None) -> tuple[np.ndarray, np.ndarray]:
+        """The theta_hat and stderr of :meth:`estimate` on each snapshot of
+        ``columns`` (an ``occupancy.SnapshotColumns``), as arrays, NaN where
+        it has no root or too little data; an implicit tag solves them all in
+        one batch.  theta_hat is equal bit for bit; stderr comes from the
+        array variance formulas, so may differ in the last bits."""
         if self.solver_kind is None:
-            out = []
-            for snapshot in snapshots:
-                try:
-                    out.append(self.closed_form(snapshot, k, level))
-                except InsufficientDataError:
-                    out.append(None)
-            return out
-        theta_hat, outcome = solver.solve_many(stats)
-        return [solver._result(float(theta), stat, level, {})
-                if kind == solver.ROOT else None
-                for theta, stat, kind in zip(theta_hat, stats.tolist(), outcome)]
+            return self.closed_form_many(columns, k)
+        stats = np.asarray(self.statistic(columns, k), dtype=float)
+        theta_hat, _ = solver.solve_many(stats)
+        return theta_hat, solver.stderr_many(theta_hat, stats)
 
-    def standardize(self, theta_hat, theta, snapshot, k) -> float:
-        scale = math.sqrt(self.statistic(snapshot, k))
+    def standardize(self, theta_hat, theta, snapshot, k):
+        """The standardized error of ``theta_hat``; ``snapshot`` may be
+        ``SnapshotColumns`` and ``theta_hat`` an array of its estimates."""
+        scale = np.sqrt(self.statistic(snapshot, k))
         if self.solver_kind is not None:
             scale = math.log(snapshot.total) * scale
         return scale * (theta_hat - theta)
@@ -442,10 +489,12 @@ ESTIMATORS = {
     "ratio-r1": EstimatorSpec(
         lambda snap, k: snap.r, lambda k: 1,
         closed_form=lambda snap, k, level: ratio_estimate_r1(snap, level),
+        closed_form_many=lambda columns, k: _ratio_r1_many(columns),
         target=lambda theta, k: asymptotics.ratio_r1_variance(theta)),
     "ratio-k": EstimatorSpec(
         lambda snap, k: snap.exact_count(k), lambda k: k + 1, per_k=True,
-        closed_form=ratio_estimate_k, target=asymptotics.ratio_k_variance),
+        closed_form=ratio_estimate_k, closed_form_many=_ratio_k_many,
+        target=asymptotics.ratio_k_variance),
     "log-ratio": EstimatorSpec(
         lambda snap, k: snap.r, lambda k: 0, target=None,
         closed_form=lambda snap, k, level: log_ratio_estimate(snap, level)),

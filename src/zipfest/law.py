@@ -79,7 +79,9 @@ def _pow_one_minus(x: np.ndarray, n: int) -> np.ndarray:
 @dataclass(frozen=True)
 class PowerLaw:
     """Immutable zeta law, shareable across workers; build one with
-    :func:`make_zipf_law`."""
+    :func:`make_zipf_law`.  It keeps the constants of its draws (head
+    probabilities, tail hat bounds) once computed, since they depend on the
+    law and the head width alone."""
 
     theta: float
     i0: int
@@ -89,6 +91,8 @@ class PowerLaw:
     discarded_mass: float
     total_mass: float
     _s: float = field(repr=False)
+    # draw constants by head width or first tail urn; see _constant
+    _constants: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     # ------------------------------------------------------------------
     # point evaluations
@@ -250,17 +254,42 @@ class PowerLaw:
         """Occupancy of the first m balls of one draw of independent balls,
         for each m of the non-decreasing ``sizes``.
 
-        Returns one (positions, counts) pair per m: the increasing 1-based
-        support positions of the occupied urns, as float64, and the ball
-        count of each.  Balls sizes[j-1]+1..sizes[j] form batch j.  Each
-        batch draws the counts of positions 1..W, W =
-        ``head_width(sizes[-1])``, as one multinomial by conditional
-        binomials, and its other balls by :meth:`draw_tail`; the balls are
-        independent, so adding up the batches' counts and joining their tails
-        gives the exact joint law of the prefixes.  A law whose head reaches
-        the cutoff has no tail.
+        Returns one (head, tail_positions, tail_counts) triple per m: head is
+        the int64 vector of ball counts of positions 1..W, W =
+        ``head_width(sizes[-1])``, empty urns included; tail_positions are the
+        increasing support positions beyond W that hold balls, as float64,
+        and tail_counts the ball count of each.  Balls sizes[j-1]+1..sizes[j]
+        form batch j.  Each batch draws the counts of positions 1..W as one
+        multinomial by conditional binomials, and its other balls by
+        :meth:`draw_tail`; the balls are independent, so adding up the
+        batches' counts and joining their tails gives the exact joint law of
+        the prefixes.  A law whose head reaches the cutoff has no tail.
         """
         width = self.head_width(sizes[-1])
+        probs = self._constant(("head", width), self._head_probabilities, width)
+        batches = [rng.multinomial(b - a, probs) for a, b in zip([0, *sizes], sizes)]
+        if width == self.cutoff:
+            tails = [np.empty(0)] * len(batches)
+        else:
+            tails = [self.draw_tail(width + 1, int(c[-1]), rng) for c in batches]
+        head, tail = batches[0][:width], np.sort(tails[0])
+        out = [(head, *_runs(tail))]
+        for counts, more in zip(batches[1:], tails[1:]):
+            head, tail = head + counts[:width], np.sort(np.concatenate([tail, more]))
+            out.append((head, *_runs(tail)))
+        return out
+
+    def _constant(self, key, make, arg):
+        """``make(arg)``, a pure function of the law, computed once per law
+        and ``key``."""
+        value = self._constants.get(key)
+        if value is None:
+            value = self._constants[key] = make(arg)
+        return value
+
+    def _head_probabilities(self, width: int) -> np.ndarray:
+        """The multinomial's probabilities for head width ``width``: positions
+        1..width, then the tail's share unless the head reaches the cutoff."""
         m = np.arange(1, width + 1, dtype=float)
         probs = self.c * m ** (-self._s) / self.total_mass
         if width < self.cutoff:
@@ -268,27 +297,33 @@ class PowerLaw:
         # the last category gets the mass the others leave, which numpy
         # assumes; p_1 / total_mass alone can round above 1 at cutoff 1
         probs[-1] = max(0.0, 1.0 - probs[:-1].sum())
-        batches = [rng.multinomial(b - a, probs) for a, b in zip([0, *sizes], sizes)]
-        if width == self.cutoff:
-            tails = [np.empty(0)] * len(batches)
-        else:
-            tails = [self.draw_tail(width + 1, int(c[-1]), rng) for c in batches]
-        out, head, tail = [], 0, np.empty(0)
-        for counts, more in zip(batches, tails):
-            head, tail = head + counts[:width], np.concatenate([tail, more])
-            occupied = np.flatnonzero(head)
-            # a sort per prefix beats one sort with an inverse and a count
-            tail_pos, tail_counts = np.unique(tail, return_counts=True)
-            out.append((np.concatenate([occupied + 1.0, tail_pos]),
-                        np.concatenate([head[occupied], tail_counts])))
-        return out
+        return probs
+
+    def _tail_bounds(self, first: int) -> tuple[float, float, float]:
+        """(top, bottom - top, quick) of :meth:`draw_tail` from urn ``first``.
+
+        u is uniform on (H(first + 1/2) - first^-s, H(cutoff + 1/2)] =
+        (bottom, top]; x = H^-1(u) rounds to k, and k is kept when u lies in
+        the top h(k) = k^-s of its stretch (H(k - 1/2), H(k + 1/2)], which
+        convexity makes longer than h(k); k = first owns (H(first + 1/2) -
+        first^-s, H(first + 1/2)], of length exactly h(first).  x >= k -
+        quick puts u in the kept part of k for every k >= 2, so only the
+        other balls need the exact test; beyond 2^53, where x has no fraction
+        left, this is the test that decides.
+        """
+        s = self._s
+        top = _hat_integral(math.log(self.cutoff + 0.5), s)
+        bottom = _hat_integral(math.log(first + 0.5), s) - float(first) ** -s
+        quick = 2.0 - _hat_integral_inverse(_hat_integral(math.log(2.5), s) - 2.0 ** -s, s)
+        return top, bottom - top, quick
 
     def draw_tail(self, first: int, size: int, rng: np.random.Generator) -> np.ndarray:
         """Support positions of ``size`` independent balls of a zeta law
         conditioned on positions first..cutoff, first >= 2.
 
-        Rejection-inversion with the hat x^-s, s = 1/theta, redrawing only
-        the balls still rejected; positions are float64, exact below 2^53.
+        Rejection-inversion with the hat x^-s, s = 1/theta (see
+        :meth:`_tail_bounds`), redrawing only the balls still rejected;
+        positions are float64, exact below 2^53.
         """
         if self.cutoff > sys.float_info.max:
             raise DomainError(
@@ -298,31 +333,22 @@ class PowerLaw:
         if not size:
             return np.empty(0)
         s = self._s
-        # u is uniform on (H(first + 1/2) - first^-s, H(cutoff + 1/2)];
-        # x = H^-1(u) rounds to k, and k is kept when u lies in the top
-        # h(k) = k^-s of its stretch (H(k - 1/2), H(k + 1/2)], which convexity
-        # makes longer than h(k); k = first owns (H(first + 1/2) - first^-s,
-        # H(first + 1/2)], of length exactly h(first).
-        top = _hat_integral(math.log(self.cutoff + 0.5), s)
-        bottom = _hat_integral(math.log(first + 0.5), s) - float(first) ** -s
-        # x >= k - quick puts u in the kept part of k for every k >= 2, so only
-        # the other balls need the exact test; beyond 2^53, where x has no
-        # fraction left, this is the test that decides
-        quick = 2.0 - _hat_integral_inverse(_hat_integral(math.log(2.5), s) - 2.0 ** -s, s)
+        top, span, quick = self._constant(("tail", first), self._tail_bounds, first)
         first, cutoff = float(first), float(self.cutoff)
 
         def attempt(count):
-            u = top + rng.random(count) * (bottom - top)
+            u = top + rng.random(count) * span
             x = _hat_integral_inverse(u, s)
             k = np.minimum(np.maximum(np.floor(x + 0.5), first), cutoff)
             ok = k - x <= quick
-            slow = np.flatnonzero(~ok)
-            ks = k[slow]
-            ok[slow] = u[slow] >= _hat_integral(np.log(ks + 0.5), s) - ks ** -s
+            slow = (~ok).nonzero()[0]
+            if slow.size:
+                ks = k[slow]
+                ok[slow] = u[slow] >= _hat_integral(np.log(ks + 0.5), s) - ks ** -s
             return k, ok
 
         out, ok = attempt(size)
-        todo = np.flatnonzero(~ok)
+        todo = (~ok).nonzero()[0]
         while todo.size:
             k, ok = attempt(todo.size)
             out[todo[ok]] = k[ok]
@@ -332,6 +358,18 @@ class PowerLaw:
     def positions_to_urns(self, positions: np.ndarray) -> list[int]:
         """Urn indices, as Python ints, of 1-based float support positions."""
         return [int(p) + self.i0 for p in positions.tolist()]
+
+
+def _runs(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct values of the sorted array ``values`` and how often each
+    occurs."""
+    if not values.size:
+        return values, np.empty(0, dtype=np.int64)
+    edge = np.empty(values.size + 1, dtype=bool)
+    edge[0] = edge[-1] = True
+    np.not_equal(values[1:], values[:-1], out=edge[1:-1])
+    edges = edge.nonzero()[0]
+    return values[edges[:-1]], edges[1:] - edges[:-1]
 
 
 def _check_stat(stat: str, k):

@@ -1,12 +1,15 @@
 """Samplers for occupancy configurations.
 
 The occupancy statistics read only how many balls each urn holds, so no
-sampler draws every ball.  All three take the occupied urns and their ball
-counts from ``PowerLaw.draw_prefixes``: the counts of the W heaviest urns as
-one multinomial, and only the balls beyond them by rejection-inversion, over
-the retained support, renormalized; the law records the discarded mass.  A
-trajectory draws one multinomial per grid increment and adds them up; a
-poissonized sample draws a Poisson total first.
+sampler draws every ball.  All three take their draw from
+``PowerLaw.draw_prefixes``: the count vector of the W heaviest urns, drawn as
+one multinomial, and the run lengths of the balls beyond them, drawn by
+rejection-inversion, over the retained support, renormalized; the law
+records the discarded mass.  A trajectory draws one multinomial per grid
+increment and adds them up, and summarizes each prefix straight from its
+head vector and tail run lengths; the urn -> count maps of ``sample_fixed``
+and ``sample_poissonized`` add the urn indices.  A poissonized sample draws a
+Poisson total first.
 
 Streams: any (master seed, stream index) pair yields an independent Philox
 counter-based generator (period 2^256), so replications can run in parallel
@@ -16,13 +19,14 @@ and still reproduce bit-for-bit.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError, InputFormatError, UsageError
 from .law import PowerLaw
-from .occupancy import DEFAULT_K_MAX, StatisticsSnapshot, summarize_count_values
+from .occupancy import DEFAULT_K_MAX, StatisticsSnapshot, summarize_counts
 
 __all__ = ["SeedSpec", "OccupancyCounts", "sample_fixed", "sample_trajectory",
            "sample_poissonized", "write_counts_csv", "read_counts_csv"]
@@ -57,12 +61,14 @@ class OccupancyCounts:
 
     def snapshot(self, k_max: int = DEFAULT_K_MAX) -> StatisticsSnapshot:
         values = np.fromiter(self.counts.values(), dtype=np.int64, count=len(self.counts))
-        return summarize_count_values(values, self.total, k_max=k_max)
+        return summarize_counts((values,), self.total, k_max=k_max)
 
 
 def _counts_dict(law: PowerLaw, n: int, rng: np.random.Generator) -> dict:
-    (positions, counts), = law.draw_prefixes([n], rng)
-    return dict(zip(law.positions_to_urns(positions), counts.tolist()))
+    (head, tail_positions, tail_counts), = law.draw_prefixes([n], rng)
+    occupied = np.flatnonzero(head)
+    urns = law.positions_to_urns(np.concatenate([occupied + 1.0, tail_positions]))
+    return dict(zip(urns, np.concatenate([head[occupied], tail_counts]).tolist()))
 
 
 # ----------------------------------------------------------------------
@@ -93,10 +99,10 @@ def sample_trajectory(law: PowerLaw, n: int, grid, seed,
     if any(not 0.0 < t <= 1.0 for t in grid) or any(b <= a for a, b in zip(grid, grid[1:])):
         raise UsageError(f"grid must be strictly increasing within (0, 1], got {grid!r}")
     spec = _as_seed(seed)
-    sizes = [int(np.floor(n * t)) for t in grid]
+    sizes = [math.floor(n * t) for t in grid]
     profiles = law.draw_prefixes(sizes, spec.generator())
-    return [summarize_count_values(counts, m, k_max=k_max)
-            for (_, counts), m in zip(profiles, sizes)]
+    return [summarize_counts((head, tail_counts), m, k_max=k_max)
+            for (head, _, tail_counts), m in zip(profiles, sizes)]
 
 
 def sample_poissonized(law: PowerLaw, t: float, seed) -> OccupancyCounts:

@@ -103,6 +103,8 @@ def test_estimate_takes_the_lower_of_two_rk2_roots(capsys, corpus):
     ["eval-asymptotics", "--theta", "0.5", "--tau-t", "1:nan"],
     ["simulate", "--theta", "0.5", "--mode", "poisson", "--t", "1e19"],
     ["simulate", "--theta", "0.5", "--mode", "poisson", "--t", "1e300"],
+    # without --t the horizon is --n, which the t rule checks too
+    ["simulate", "--theta", "0.5", "--mode", "poisson", "--n", "10000000000000000000"],
 ])
 def test_usage_error_is_one_line_with_exit_2(capsys, corpus, tmp_path, argv):
     argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]

@@ -75,18 +75,43 @@ def _reference_chunk(cfg, rep_lo, rep_hi):
     return values, covered
 
 
-def test_staged_chunk_matches_a_loop_over_estimate():
-    config = replace(SMALL, k_values=(1, 2))
+def _assert_chunk_matches_loop(config):
+    """_normality_chunk on replications 3..42 against the loop, NaN for NaN;
+    returns the chunk's values."""
     values, covered = montecarlo._normality_chunk(config, 3, 43)
     ref_values, ref_covered = _reference_chunk(config, 3, 43)
     assert list(values) == list(ref_values)
     for name in ref_values:
         assert np.array_equal(values[name], ref_values[name], equal_nan=True), name
         assert np.array_equal(covered[name], ref_covered[name], equal_nan=True), name
+    return values
+
+
+def test_staged_chunk_matches_a_loop_over_estimate():
+    values = _assert_chunk_matches_loop(replace(SMALL, k_values=(1, 2)))
     # R_2 has two roots at every replication (g_rk(2) falls back to 0 as
     # theta -> 1), and the lower one is the estimate
     assert not np.isnan(values["implicit-rk(2)"]).any()
     assert not np.isnan(values["implicit-r"]).any()
+
+    # at theta = 0.9, R_2 lies above the peak of g_rk(2), so has no root, in
+    # about a third of the replications
+    values = _assert_chunk_matches_loop(replace(SMALL, theta=0.9, k_values=(1, 2)))
+    assert 5 <= np.isnan(values["implicit-rk(2)"]).sum() <= 35
+
+    # R_8 = 0 in about half of the replications at n = 2000: ratio-k(8) has
+    # too little data there and implicit-rk(8) a statistic below 1
+    values = _assert_chunk_matches_loop(replace(
+        SMALL, k_values=(8,), estimators=("ratio-k", "implicit-rk")))
+    for name in ("ratio-k(8)", "implicit-rk(8)"):
+        assert 5 <= np.isnan(values[name]).sum() <= 35, name
+
+
+def test_coverage_near_a_tie_comes_from_the_estimate(monkeypatch):
+    # with every CI bound counted as near theta, each coverage flag comes
+    # from the replication's own EstimateResult
+    monkeypatch.setattr(montecarlo, "_TIE", 1.0)
+    _assert_chunk_matches_loop(replace(SMALL, k_values=(1, 2)))
 
 
 def test_implicit_rk_rows_exclude_no_replication():

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as hst
 
 from zipfest.errors import UsageError
-from zipfest.occupancy import summarize_count_values
+from zipfest.occupancy import summarize_counts
 from zipfest.sampler import OccupancyCounts, SeedSpec, sample_fixed
 
 
@@ -27,7 +27,7 @@ class TestSummarize:
         assert snap.u == 3
 
     def test_empty(self):
-        snap = summarize_count_values(np.zeros(0, dtype=np.int64), 0)
+        snap = summarize_counts((np.zeros(0, dtype=np.int64),), 0)
         assert snap.r == snap.u == 0
         assert all(v == 0 for v in snap.r_k)
         assert all(v == 0 for v in snap.r_star_k)
@@ -69,7 +69,12 @@ class TestInvariants:
            k_max=hst.integers(1, 12))
     def test_identities_hold(self, counts, k_max):
         values = np.asarray(counts, dtype=np.int64)
-        snap = summarize_count_values(values, int(values.sum()), k_max=k_max)
+        snap = summarize_counts((values,), int(values.sum()), k_max=k_max)
+        # the same multiset in two parts, with empty urns among the counts,
+        # as a drawn profile passes it
+        half = values.size // 2
+        head = np.concatenate([[0], values[:half], [0, 0]])
+        assert summarize_counts((head, values[half:]), snap.total, k_max=k_max) == snap
         # occupied urns equal the at-least-one count
         assert snap.at_least(1) == snap.r
         # exact counts difference the survival counts
