@@ -30,6 +30,7 @@ errors, equal up to the last bits of the array variance formulas.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from statistics import NormalDist
@@ -110,10 +111,22 @@ def confidence_bounds(theta_hat: np.ndarray, stderr: np.ndarray, level: float):
 # implicit estimators
 # ----------------------------------------------------------------------
 
+@functools.lru_cache(maxsize=8)
+def _c_on_grid(c_of_theta) -> np.ndarray:
+    """c(theta) on ``ImplicitSolver``'s theta grid, a class constant, so it
+    is computed once per normalization function (read-only, shared)."""
+    c_grid = np.asarray(c_of_theta(ImplicitSolver._grid), dtype=float)
+    if not np.all(np.isfinite(c_grid) & (c_grid > 0.0)):
+        raise DomainError("c(theta) must be finite and positive on (0, 1)")
+    c_grid.flags.writeable = False
+    return c_grid
+
+
 class ImplicitSolver:
     """Reusable inverter of one growth curve g(theta) = E-first-order[S_n].
 
-    Precomputes g on a dense grid once (bracket scan).  Only grid intervals
+    Precomputes g on a dense grid once (bracket scan), from c(theta) on that
+    grid, which every solver of one normalization shares.  Only grid intervals
     where g rises (g[j+1] > g[j]) bracket a statistic, and each statistic
     takes its root in the lowest such bracket, so g need not be monotone:
     a statistic above the peak of g, or one no rising interval reaches,
@@ -150,6 +163,8 @@ class ImplicitSolver:
     #: outcomes of :meth:`solve_many`
     ROOT, NO_ROOT, BELOW_ONE = range(3)
 
+    _grid = np.linspace(THETA_LO, THETA_HI, GRID_POINTS)
+
     def __init__(self, which: str, n: int, c_of_theta, k: int | None = None):
         if which not in _IMPLICIT_TAGS:
             raise UsageError(f"unknown implicit estimator tag {which!r}")
@@ -164,17 +179,15 @@ class ImplicitSolver:
         self.which = which
         self.n = int(n)
         self.k = k
-        if not callable(c_of_theta):
-            const = float(c_of_theta)
+        if callable(c_of_theta):
+            c_grid = _c_on_grid(c_of_theta)
+        else:
+            c_grid = const = float(c_of_theta)
             if not const > 0.0:
                 raise DomainError(f"c must be positive, got {c_of_theta!r}")
             c_of_theta = lambda theta: const
         self._c_of_theta = c_of_theta
         self._log_n = math.log(self.n)
-        self._grid = np.linspace(self.THETA_LO, self.THETA_HI, self.GRID_POINTS)
-        c_grid = np.asarray(c_of_theta(self._grid), dtype=float)
-        if not np.all(np.isfinite(c_grid) & (c_grid > 0.0)):
-            raise DomainError("c(theta) must be finite and positive on (0, 1)")
         self._g = g = self._g_array(self._grid, c_grid)
         # grid interval j brackets s exactly when s lies in (_g_min[j], _g_max[j]],
         # which is empty wherever g does not rise

@@ -20,7 +20,9 @@ A law knows how to
   by rejection-inversion (Hoermann & Derflinger, "Rejection-inversion to
   generate variates from monotone discrete distributions", ACM TOMACS 6(3),
   1996), which needs no table and costs O(1) per ball at any exponent.  The
-  cost follows the number of occupied urns, about n^theta, not n.
+  cost follows the number of occupied urns, about n^theta, not n, and many
+  draws share one pass of the inversion, the sort and the run lengths
+  (:meth:`PowerLaw.draw_prefixes`).
 
 Truncation policy: the support is cut at the smallest index whose remaining
 tail mass is below ``tail_epsilon`` (default 1e-12).  Oracles never
@@ -54,6 +56,11 @@ _ORACLE_SMALLNESS = 0.125
 _ORACLE_MIN_WINDOW = 4096
 
 _STATS = ("r", "u", "rk")
+
+#: head counts and tail uniforms that one block of draws holds, about: a
+#: block maps, sorts and counts many generators' draws at once, and memory
+#: does not grow with their number
+_BLOCK_ELEMENTS = 8192
 
 
 def _binomial_coefficient(n: int, j: int) -> float:
@@ -250,34 +257,75 @@ class PowerLaw:
         n p >= 1, at least one and at most the cutoff."""
         return max(1, min(self.cutoff, int((self.c * n) ** self.theta)))
 
-    def draw_prefixes(self, sizes, rng: np.random.Generator) -> list:
-        """Occupancy of the first m balls of one draw of independent balls,
-        for each m of the non-decreasing ``sizes``.
+    def draw_prefixes(self, sizes, rngs):
+        """Occupancy of the first m balls of one draw of independent balls
+        per generator of ``rngs``, for each m of the non-decreasing ``sizes``.
 
-        Returns one (head, tail_positions, tail_counts) triple per m: head is
-        the int64 vector of ball counts of positions 1..W, W =
-        ``head_width(sizes[-1])``, empty urns included; tail_positions are the
-        increasing support positions beyond W that hold balls, as float64,
-        and tail_counts the ball count of each.  Balls sizes[j-1]+1..sizes[j]
-        form batch j.  Each batch draws the counts of positions 1..W as one
-        multinomial by conditional binomials, and its other balls by
-        :meth:`draw_tail`; the balls are independent, so adding up the
-        batches' counts and joining their tails gives the exact joint law of
-        the prefixes.  A law whose head reaches the cutoff has no tail.
+        Balls sizes[j-1]+1..sizes[j] form batch j.  Each generator draws, in
+        this order, the counts of positions 1..W, W = ``head_width(sizes[-1])``,
+        of each batch as one multinomial by conditional binomials, then one
+        uniform per ball beyond W of all its batches in one call; the balls
+        are independent, so adding up the batches' counts and joining their
+        tails gives the exact joint law of the prefixes.  The generators are
+        drawn in blocks of about ``_BLOCK_ELEMENTS`` head counts and uniforms:
+        a block takes the next generator while, by the size of the last draw,
+        its draw would still fit, so a draw larger than that is a block of its
+        own.  Each block maps its uniforms to positions (:meth:`_accepted`),
+        then sorts every prefix's tails and counts their runs in one pass.
+
+        The accepted-prefix rule makes this the draw of one batch at a time:
+        each uniform maps to a ball or is rejected on its own, and a rejected
+        ball is redrawn from the next uniforms of its stream, so batch j owns
+        exactly the accepted values e_{j-1}+1..e_j of its generator's stream,
+        e_j the tail balls of batches 1..j, and the tail of prefix j is the
+        first e_j accepted values.
+
+        Yields one (head, rows, positions, counts) tuple per block: head is
+        the int64 array of the ball counts of positions 1..W, indexed [m,
+        generator, position], empty urns included; row j * g + i stands for
+        generator i at m = sizes[j], g generators in the block, and the
+        positions beyond W that hold balls are ``positions``, float64 and
+        increasing within a row, of row ``rows``, with ``counts`` balls each,
+        and a run of 0 balls at inf pads a row (one generator and one m need
+        no padding).  A law whose head reaches the cutoff has no tail.
         """
         width = self.head_width(sizes[-1])
         probs = self._constant(("head", width), self._head_probabilities, width)
-        batches = [rng.multinomial(b - a, probs) for a, b in zip([0, *sizes], sizes)]
-        if width == self.cutoff:
-            tails = [np.empty(0)] * len(batches)
+        tail = width < self.cutoff
+        block, held, last = [], 0, 0
+        for rng in rngs:
+            if block and held + last > _BLOCK_ELEMENTS:  # the next draw would not fit
+                yield self._prefix_block(block, width)
+                block, held = [], 0
+            batches = np.array([rng.multinomial(b - a, probs) for a, b in zip([0, *sizes], sizes)])
+            balls = int(batches[:, -1].sum()) if tail else 0
+            block.append((rng, batches, rng.random(balls) if balls else np.empty(0)))
+            last = batches.size + balls
+            held += last
+        if block:
+            yield self._prefix_block(block, width)
+
+    def _prefix_block(self, block, width: int) -> tuple:
+        """The prefixes of :meth:`draw_prefixes` of one block of
+        (generator, batch counts, tail uniforms) triples.  Each array is
+        dropped once it is used up, so that the block's peak memory stays
+        near one copy of its draws."""
+        rngs, batches, uniforms = zip(*block)
+        block.clear()
+        counts = np.stack(batches, axis=1)  # [prefix, row, urn], the tail's share last
+        del batches
+        for j in range(1, len(counts)):
+            counts[j] += counts[j - 1]
+        if width < self.cutoff:
+            accepted = self._accepted(width + 1, rngs, uniforms)
         else:
-            tails = [self.draw_tail(width + 1, int(c[-1]), rng) for c in batches]
-        head, tail = batches[0][:width], np.sort(tails[0])
-        out = [(head, *_runs(tail))]
-        for counts, more in zip(batches[1:], tails[1:]):
-            head, tail = head + counts[:width], np.sort(np.concatenate([tail, more]))
-            out.append((head, *_runs(tail)))
-        return out
+            accepted = np.empty((len(rngs), 0))
+        del uniforms
+        # row i of prefix j: the first e_j accepted positions of generator i
+        tails = np.where(np.arange(accepted.shape[1]) < counts[:, :, width:], accepted, np.inf)
+        del accepted
+        tails.sort()
+        return (counts[:, :, :width], *_runs(tails.reshape(len(counts) * len(rngs), -1)))
 
     def _constant(self, key, make, arg):
         """``make(arg)``, a pure function of the law, computed once per law
@@ -300,7 +348,7 @@ class PowerLaw:
         return probs
 
     def _tail_bounds(self, first: int) -> tuple[float, float, float]:
-        """(top, bottom - top, quick) of :meth:`draw_tail` from urn ``first``.
+        """(top, bottom - top, quick) of :meth:`_accepted` from urn ``first``.
 
         u is uniform on (H(first + 1/2) - first^-s, H(cutoff + 1/2)] =
         (bottom, top]; x = H^-1(u) rounds to k, and k is kept when u lies in
@@ -319,57 +367,88 @@ class PowerLaw:
 
     def draw_tail(self, first: int, size: int, rng: np.random.Generator) -> np.ndarray:
         """Support positions of ``size`` independent balls of a zeta law
-        conditioned on positions first..cutoff, first >= 2.
+        conditioned on positions first..cutoff, first >= 2, in the order of
+        ``rng``'s stream: the one-generator case of :meth:`_accepted`."""
+        return self._accepted(first, [rng], [rng.random(size)])[0]
+
+    def _accepted(self, first: int, rngs, uniforms) -> np.ndarray:
+        """The support positions, first..cutoff with first >= 2, that the
+        uniforms ``uniforms[i]`` drawn from ``rngs[i]`` map to: row i holds
+        them in stream order, padded with inf.
 
         Rejection-inversion with the hat x^-s, s = 1/theta (see
-        :meth:`_tail_bounds`), redrawing only the balls still rejected;
-        positions are float64, exact below 2^53.
+        :meth:`_tail_bounds`) maps each uniform on its own, every row in one
+        pass; a row that falls short then draws exactly the count still
+        missing from its own generator, until every ball is kept.  Positions
+        are float64, exact below 2^53, so a law whose cutoff exceeds the
+        float64 range cannot be sampled.
         """
         if self.cutoff > sys.float_info.max:
             raise DomainError(
                 f"cannot sample theta={self.theta!r}: its support cutoff "
                 f"10^{math.log10(self.cutoff):.1f} exceeds the float64 range; "
                 "raise tail_epsilon (at 1e-6, theta up to about 0.98 can be sampled)")
-        if not size:
-            return np.empty(0)
+        want = np.array([u.size for u in uniforms])
+        out = np.full((want.size, want.max()), np.inf)
+        if not out.size:
+            return out
         s = self._s
         top, span, quick = self._constant(("tail", first), self._tail_bounds, first)
         first, cutoff = float(first), float(self.cutoff)
-
-        def attempt(count):
-            u = top + rng.random(count) * span
-            x = _hat_integral_inverse(u, s)
-            k = np.minimum(np.maximum(np.floor(x + 0.5), first), cutoff)
-            ok = k - x <= quick
+        column = np.arange(out.shape[1])
+        filled = np.zeros_like(want)
+        live = np.arange(want.size)  # the rows that draw this round
+        u = np.concatenate(uniforms)
+        while True:
+            u *= span
+            u += top
+            x = _hat_integral_inverse(u, s, out=np.empty_like(u))
+            k = x + 0.5
+            np.floor(k, out=k)
+            np.maximum(k, first, out=k)
+            np.minimum(k, cutoff, out=k)
+            ok = np.subtract(k, x, out=x) <= quick
+            del x
             slow = (~ok).nonzero()[0]
             if slow.size:
                 ks = k[slow]
                 ok[slow] = u[slow] >= _hat_integral(np.log(ks + 0.5), s) - ks ** -s
-            return k, ok
-
-        out, ok = attempt(size)
-        todo = (~ok).nonzero()[0]
-        while todo.size:
-            k, ok = attempt(todo.size)
-            out[todo[ok]] = k[ok]
-            todo = todo[~ok]
-        return out
+            if ok.all():
+                kept = want
+            else:
+                rows = np.repeat(live, want[live] - filled[live])
+                kept = filled + np.bincount(rows[ok], minlength=want.size)
+                k = k[ok]
+            out[(filled[:, None] <= column) & (column < kept[:, None])] = k
+            filled = kept
+            live = (filled < want).nonzero()[0]
+            if not live.size:
+                return out
+            u = np.concatenate([rngs[i].random(want[i] - filled[i]) for i in live])
 
     def positions_to_urns(self, positions: np.ndarray) -> list[int]:
         """Urn indices, as Python ints, of 1-based float support positions."""
         return [int(p) + self.i0 for p in positions.tolist()]
 
 
-def _runs(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct values of the sorted array ``values`` and how often each
-    occurs."""
-    if not values.size:
-        return values, np.empty(0, dtype=np.int64)
-    edge = np.empty(values.size + 1, dtype=bool)
+def _runs(tails: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(rows, values, counts) of the runs of equal values within the rows of
+    ``tails``, each row sorted, in row-major order; the padding of a row, inf,
+    is a run of count 0."""
+    width = tails.shape[1]
+    if not width:
+        return np.empty(0, dtype=np.intp), np.empty(0), np.empty(0, dtype=np.intp)
+    flat = tails.ravel()
+    edge = np.empty(flat.size + 1, dtype=bool)
     edge[0] = edge[-1] = True
-    np.not_equal(values[1:], values[:-1], out=edge[1:-1])
+    np.not_equal(flat[1:], flat[:-1], out=edge[1:-1])
+    edge[width::width] = True  # where a row starts
     edges = edge.nonzero()[0]
-    return values[edges[:-1]], edges[1:] - edges[:-1]
+    counts = np.diff(edges)
+    starts = edges[:-1]
+    values = flat[starts]
+    counts[values == np.inf] = 0
+    return np.floor_divide(starts, width, out=starts), values, counts
 
 
 def _check_stat(stat: str, k):
@@ -383,16 +462,27 @@ def _check_stat(stat: str, k):
 
 
 def _minimal_cutoff(s: float, c: float, eps: float) -> int:
-    hi = 1
-    while c * zeta_tail(s, hi) >= eps:
-        hi *= 2
-    lo = hi // 2 if hi > 1 else 0
+    """The smallest N with c * zeta_tail(s, N) < eps.
+
+    The tail falls as c N^(1-s) / (s-1), which puts N near 2^j; j is then
+    walked to the first power of two whose tail is below eps, so that
+    f(2^j) < eps <= f(2^(j-1)), and N bisected in (2^(j-1), 2^j].
+    """
+    def above(n):
+        return c * zeta_tail(s, n) >= eps
+
+    j = max(0, math.ceil(math.log2(eps * (s - 1.0) / c) / (1.0 - s)))
+    while j > 0 and not above(2 ** (j - 1)):
+        j -= 1
+    while above(2 ** j):
+        j += 1
+    lo, hi = 2 ** j // 2, 2 ** j
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        if c * zeta_tail(s, mid) < eps:
-            hi = mid
-        else:
+        if above(mid):
             lo = mid
+        else:
+            hi = mid
     return hi
 
 
@@ -402,9 +492,11 @@ def _hat_integral(log_x, s: float):
     return np.expm1((1.0 - s) * log_x) / (1.0 - s)
 
 
-def _hat_integral_inverse(y, s: float):
-    """H^-1(y) = (1 + (1-s) y)^(1/(1-s)) for y < 1/(s-1)."""
-    return np.exp(np.log1p((1.0 - s) * y) / (1.0 - s))
+def _hat_integral_inverse(y, s: float, out=None):
+    """H^-1(y) = (1 + (1-s) y)^(1/(1-s)) for y < 1/(s-1), into the array
+    ``out`` if one is given."""
+    x = np.log1p(np.multiply(y, 1.0 - s, out=out), out=out)
+    return np.exp(np.divide(x, 1.0 - s, out=out), out=out)
 
 
 def make_zipf_law(theta: float, i0: int = 0, tail_epsilon: float = 1e-12) -> PowerLaw:

@@ -11,22 +11,25 @@ from the estimator table ``estimators.ESTIMATORS``.
 with the exact finite-n expectation oracle, scales by sqrt(alpha(n)) and
 compares empirical covariances against the limiting covariance function.
 
-Both studies draw replication ``rep`` with ``sample_trajectory`` on stream
-``SeedSpec(seed, rep)``; the normality study uses the one-point grid (1.0,).
-A draw is an occupancy profile, not n balls: one multinomial over the
-heaviest urns per grid increment plus the balls beyond them, so its cost
-follows the number of occupied urns, about n^theta
-(``law.PowerLaw.draw_prefixes``); each snapshot is summarized straight from
-the head count vector and the tail's run lengths.
-A block of normality replications runs in three stages, each on whole
-arrays after the first: draw every snapshot and stack their statistics into
-``occupancy.SnapshotColumns``; estimate theta_hat and its standard error for
-every replication at once (one batched ``ImplicitSolver.solve_many`` per
-implicit estimator, the closed forms on the columns); then standardize and
-check coverage.  No per-replication ``EstimateResult`` is built, except where
-a CI bound lies within ``_TIE`` of theta, since the array variance formulas
-may round otherwise than the scalar ones; so the standardized values and
-coverage flags equal those of one-snapshot estimates bit for bit.
+Both studies draw replication ``rep`` on stream ``SeedSpec(seed, rep)``,
+the normality study on the one-point grid (1.0,).  A draw is an occupancy
+profile, not n balls: one multinomial over the heaviest urns per grid
+increment plus the balls beyond them, so its cost follows the number of
+occupied urns, about n^theta.  ``sample_trajectories`` draws a chunk's
+replications in blocks of a fixed number of head counts and tail balls
+(``law.PowerLaw.draw_prefixes``): each replication draws from its own
+stream, and the tail map, sort, run lengths and count-of-counts run once per
+block, so memory does not grow with the replications a block could hold.
+It returns one ``occupancy.SnapshotColumns`` per grid time, bit for bit the
+statistics of ``sample_trajectory`` on each stream.
+A chunk of normality replications then runs in two more stages on whole
+arrays: estimate theta_hat and its standard error for every replication at
+once (one batched ``ImplicitSolver.solve_many`` per implicit estimator, the
+closed forms on the columns); then standardize and check coverage.  No
+per-replication ``EstimateResult`` is built, except where a CI bound lies
+within ``_TIE`` of theta, since the array variance formulas may round
+otherwise than the scalar ones; so the standardized values and coverage
+flags equal those of one-snapshot estimates bit for bit.
 
 Replications are independent jobs keyed by replication index, so results
 are identical for any worker count; the aggregation is a commutative merge
@@ -49,8 +52,8 @@ from .errors import UsageError, ZipfestError
 from .estimators import (ESTIMATORS, confidence_bounds, expand_estimators,
                          normal_cdf, snapshot_k_max)
 from .law import PowerLaw, make_zipf_law, zeta_normalization
-from .occupancy import DEFAULT_K_MAX, SnapshotColumns
-from .sampler import SeedSpec, sample_trajectory
+from .occupancy import DEFAULT_K_MAX
+from .sampler import SeedSpec, sample_trajectories
 
 __all__ = ["ExperimentConfig", "EstimatorReport", "StudyReport",
            "CovarianceRow", "CovarianceTable",
@@ -84,9 +87,9 @@ class ExperimentConfig:
 
     @property
     def k_max(self) -> int:
-        """Highest exact count a covariance snapshot tracks (``nu`` may not
-        exceed it).  A constant, not a setting; kept readable because the
-        traced replay in ``perfbench/replay.py`` reads it."""
+        """The bound on ``nu``, the highest exact count a covariance
+        snapshot tracks.  A constant, not a setting; kept readable because
+        the traced replay in ``perfbench/replay.py`` reads it."""
         return DEFAULT_K_MAX
 
     def echo(self) -> dict:
@@ -178,15 +181,18 @@ def _law_from_config(cfg: ExperimentConfig) -> PowerLaw:
     return make_zipf_law(cfg.theta, i0=cfg.i0, tail_epsilon=cfg.tail_epsilon)
 
 
+def _seeds(cfg: ExperimentConfig, rep_lo: int, rep_hi: int):
+    """The streams of replications rep_lo..rep_hi - 1, one at a time."""
+    return (SeedSpec(cfg.seed, rep) for rep in range(rep_lo, rep_hi))
+
+
 def _normality_chunk(cfg: ExperimentConfig, rep_lo: int, rep_hi: int):
-    """Standardized values / coverage flags for one block of replications,
+    """Standardized values / coverage flags for one chunk of replications,
     NaN where an estimator has no usable estimate."""
     law = _law_from_config(cfg)
     requested = expand_estimators(cfg.estimators, cfg.k_values)
     k_max = snapshot_k_max(requested)
-    snaps = [sample_trajectory(law, cfg.n, (1.0,), SeedSpec(cfg.seed, rep), k_max=k_max)[0]
-             for rep in range(rep_lo, rep_hi)]
-    columns = SnapshotColumns.stack(snaps)
+    columns, = sample_trajectories(law, cfg.n, (1.0,), _seeds(cfg, rep_lo, rep_hi), k_max=k_max)
     theta = cfg.theta
     values, covered = {}, {}
     for name, tag, k in requested:
@@ -201,7 +207,7 @@ def _normality_chunk(cfg: ExperimentConfig, rep_lo: int, rep_hi: int):
         # the array stderr may differ from the scalar one in the last bits;
         # where that could carry a bound across theta, the estimate decides
         for i in rated[np.minimum(np.abs(lo - theta), np.abs(hi - theta)) <= _TIE]:
-            ci = spec.estimate(snaps[i], k, cfg.level, solver).ci
+            ci = spec.estimate(columns.snapshot(i), k, cfg.level, solver).ci
             covered[name][i] = float(ci[0] <= theta <= ci[1])
     return values, covered
 
@@ -293,14 +299,11 @@ class CovarianceTable:
 
 def _covariance_chunk(cfg: ExperimentConfig, rep_lo: int, rep_hi: int):
     law = _law_from_config(cfg)
-    comps = cfg.nu + 1
-    out = np.empty((rep_hi - rep_lo, len(cfg.grid), comps))
-    for offset, rep in enumerate(range(rep_lo, rep_hi)):
-        snaps = sample_trajectory(law, cfg.n, cfg.grid, SeedSpec(cfg.seed, rep))
-        for a, snap in enumerate(snaps):
-            out[offset, a, 0] = snap.r
-            for j in range(1, comps):
-                out[offset, a, j] = snap.exact_count(j)
+    out = np.empty((rep_hi - rep_lo, len(cfg.grid), cfg.nu + 1))
+    for a, columns in enumerate(sample_trajectories(law, cfg.n, cfg.grid,
+                                                    _seeds(cfg, rep_lo, rep_hi), k_max=cfg.nu)):
+        out[:, a, 0] = columns.r
+        out[:, a, 1:] = columns.r_k[:, :cfg.nu]
     return out
 
 

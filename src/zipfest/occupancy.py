@@ -7,25 +7,30 @@ A :class:`StatisticsSnapshot` carries, for one configuration,
     r_star_k   urns holding at least k balls, k = 1..k_max+1,
     u          urns holding an odd number of balls.
 
-``summarize_counts`` builds it from the multiset of per-urn counts, given
-as one or more integer arrays in which empty urns may appear as zeros (a
-drawn profile passes its head count vector and its tail's run lengths);
-every snapshot goes through it.  ``u`` comes from a parity tally over all
-counts, so it stays exact even when some urns hold more than ``k_max``
-balls.
+``tally_block`` counts the counts of a whole block of configurations, such
+as the draws of one block of seeds, in one pass: each configuration is a
+row of a head count matrix, in which empty urns appear as zeros, plus the
+tail run lengths tagged with its row.  ``SnapshotColumns.from_tally`` reads
+the statistics of every row off the tallies, and ``summarize_counts``, the
+snapshot of one multiset of counts, is the one-row case.  ``u`` comes from
+the same tally: a count beyond the tracked range is tallied in one of two
+bins by its parity, so ``u`` stays exact even when some urns hold more than
+``k_max`` balls.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import UsageError
 
-__all__ = ["StatisticsSnapshot", "SnapshotColumns", "summarize_counts"]
+__all__ = ["StatisticsSnapshot", "SnapshotColumns", "summarize_counts", "tally_block"]
 
 DEFAULT_K_MAX = 8
+_NONE = np.empty(0, dtype=np.intp)
 
 
 @dataclass(frozen=True)
@@ -73,16 +78,9 @@ class SnapshotColumns:
 
     total: float
     r: np.ndarray
-    r_k: np.ndarray  # shape (snapshots, k_max); column k-1 holds R_{n,k}
+    r_k: np.ndarray       # shape (snapshots, k_max); column k-1 holds R_{n,k}
+    r_star_k: np.ndarray  # shape (snapshots, k_max + 1)
     u: np.ndarray
-
-    @classmethod
-    def stack(cls, snapshots) -> SnapshotColumns:
-        """The columns of ``snapshots``, which must share their total."""
-        return cls(total=snapshots[0].total,
-                   r=np.array([s.r for s in snapshots]),
-                   r_k=np.array([s.r_k for s in snapshots]),
-                   u=np.array([s.u for s in snapshots]))
 
     def exact_count(self, k: int) -> np.ndarray:
         """R_{n,k} of each snapshot; k must not exceed k_max."""
@@ -90,20 +88,52 @@ class SnapshotColumns:
             raise UsageError(f"k={k} outside tracked range 1..{self.r_k.shape[1]}")
         return self.r_k[:, k - 1]
 
+    @classmethod
+    def from_tally(cls, total, tally: np.ndarray, k_max: int) -> SnapshotColumns:
+        """The columns of the rows of a :func:`tally_block`."""
+        # at_least[:, k-1] = urns holding at least k balls
+        at_least = tally[:, :0:-1].cumsum(axis=1)[:, ::-1]
+        return cls(total=total, r=at_least[:, 0], r_k=tally[:, 1:k_max + 1],
+                   r_star_k=at_least[:, :k_max + 1], u=tally[:, 1::2].sum(axis=1))
+
+    def snapshot(self, i: int) -> StatisticsSnapshot:
+        """Snapshot ``i``."""
+        return StatisticsSnapshot(total=self.total, r=int(self.r[i]),
+                                  r_k=tuple(self.r_k[i].tolist()),
+                                  r_star_k=tuple(self.r_star_k[i].tolist()), u=int(self.u[i]))
+
+
+def tally_block(head, rows, counts, k_max: int = DEFAULT_K_MAX) -> np.ndarray:
+    """The count-of-counts of many urn configurations in one pass, one row
+    per configuration: configuration i holds the urns whose ball counts are
+    row i of the integer array ``head``, whose last axis holds the urns and
+    whose other axes, read in C order, the configurations (a count of 0 is
+    an empty urn and counts nothing), and the ``counts`` whose ``rows``
+    entry is i.
+
+    Column c of a row counts its urns holding c balls, up to an even ``top``
+    above k_max; a larger count is tallied as top or top + 1, whichever has
+    its parity, so the odd columns add up to u.
+    """
+    if k_max < 1:
+        raise UsageError(f"k_max must be >= 1, got {k_max!r}")
+    top = k_max + 1 + (k_max + 1) % 2
+    bins = top + 2
+    size = math.prod(head.shape[:-1])
+    head_rows = np.arange(size).reshape(*head.shape[:-1], 1)
+    tally = 0
+    for values, offset in ((head, bins * head_rows), (counts, bins * rows)):
+        keys = values & 1
+        keys += top
+        np.minimum(values, keys, out=keys)
+        keys += offset
+        tally = tally + np.bincount(keys.ravel(), minlength=size * bins)
+    return tally.reshape(size, bins)
+
 
 def summarize_counts(parts, total, k_max: int = DEFAULT_K_MAX) -> StatisticsSnapshot:
     """Snapshot of the urns whose ball counts the integer arrays ``parts``
     hold between them (urn identities dropped); a count of 0 is an empty urn
     and counts nothing, so the parts need not be joined or filtered first."""
-    if k_max < 1:
-        raise UsageError(f"k_max must be >= 1, got {k_max!r}")
-    top = k_max + 2
-    hist, u = 0, 0
-    for values in parts:
-        hist = hist + np.bincount(np.minimum(values, top), minlength=top + 1)
-        u += int(np.count_nonzero(values & 1))
-    # at_least[k-1] = urns holding at least k balls, k = 1..top
-    at_least = hist[:0:-1].cumsum()[::-1].tolist()
-    return StatisticsSnapshot(total=total, r=at_least[0],
-                              r_k=tuple(hist[1:k_max + 1].tolist()),
-                              r_star_k=tuple(at_least[:k_max + 1]), u=u)
+    tally = tally_block(np.concatenate(parts)[None, :], _NONE, _NONE, k_max=k_max)
+    return SnapshotColumns.from_tally(total, tally, k_max).snapshot(0)

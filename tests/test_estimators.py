@@ -67,6 +67,19 @@ class TestImplicit:
         check = ImplicitSolver("r", 10 ** 4, lambda th: 1.0).solve(200.0)
         assert result.theta_hat == pytest.approx(check.theta_hat, abs=1e-12)
 
+    def test_second_solver_reuses_the_normalization_table(self):
+        grid_calls = []
+
+        def c_of_theta(theta):
+            grid_calls.append(np.size(theta) == ImplicitSolver.GRID_POINTS)
+            return zeta_normalization(theta)
+
+        solvers = [ImplicitSolver("r", 10 ** 4, c_of_theta),
+                   ImplicitSolver("rk", 2000, c_of_theta, k=2)]
+        assert sum(grid_calls) == 1
+        for solver in solvers:  # g as computed from a fresh table, bit for bit
+            assert np.array_equal(solver._g, solver._g_array(solver._grid))
+
     def test_stderr_formula(self):
         solver = ImplicitSolver("r", 10 ** 4, zeta_normalization)
         result = solver.solve(solver.growth(0.5))

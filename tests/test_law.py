@@ -6,8 +6,8 @@ import scipy.stats as st
 
 from zipfest.asymptotics import log_growth
 from zipfest.errors import DomainError, UsageError
-from zipfest.law import make_zipf_law, zeta_normalization
-from zipfest.specfun import ln_gamma, zeta
+from zipfest.law import _minimal_cutoff, make_zipf_law, zeta_normalization
+from zipfest.specfun import ln_gamma, zeta, zeta_tail
 
 ZETA2 = 1.6449340668482264
 
@@ -57,6 +57,26 @@ class TestConstruction:
         from zipfest.specfun import zeta_tail
         assert c * zeta_tail(s, law03.cutoff) < 1e-12
         assert c * zeta_tail(s, law03.cutoff - 1) >= 1e-12
+
+    @pytest.mark.parametrize("eps", [1e-6, 1e-9, 1e-12, 1e-15])
+    def test_cutoff_matches_a_doubling_search(self, eps):
+        def doubling(s, c):
+            hi = 1
+            while c * zeta_tail(s, hi) >= eps:
+                hi *= 2
+            lo = hi // 2 if hi > 1 else 0
+            while hi - lo > 1:
+                mid = (lo + hi) // 2
+                if c * zeta_tail(s, mid) < eps:
+                    hi = mid
+                else:
+                    lo = mid
+            return hi
+
+        for theta in np.linspace(0.01, 0.99, 40):
+            s = 1.0 / theta
+            c = 1.0 / zeta(s)
+            assert _minimal_cutoff(s, c, eps) == doubling(s, c), theta
 
     def test_domain_errors(self):
         with pytest.raises(DomainError):

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -50,6 +51,21 @@ def test_ratio_k_beyond_default_count_range():
     row = normality_study(config).row("ratio-k(8)")
     assert row.m_included == 100
     assert 0.5 < row.variance_ratio < 2.0
+
+
+def test_chunk_memory_does_not_grow_with_the_block():
+    # the draws come in blocks of a fixed size, so only the result arrays,
+    # about 0.2 KiB a replication, grow with M; one block of all M draws
+    # would hold about 80 KiB a replication
+    config = ExperimentConfig(theta=0.9, n=2000, m=100)
+    montecarlo._normality_chunk(config, 0, 100)  # the solver tables, once per process
+    peaks = []
+    for m in (100, 800):
+        tracemalloc.start()
+        montecarlo._normality_chunk(config, 0, m)
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.stop()
+    assert peaks[1] - peaks[0] < 700 * 1024
 
 
 def _reference_chunk(cfg, rep_lo, rep_hi):

@@ -6,11 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
+from zipfest import law as law_module
 from zipfest.errors import DomainError, InputFormatError, UsageError
 from zipfest.law import _hat_integral, _hat_integral_inverse, make_zipf_law
 from zipfest.sampler import (OccupancyCounts, SeedSpec, read_counts_csv,
                              sample_fixed, sample_poissonized,
-                             sample_trajectory, write_counts_csv)
+                             sample_trajectories, sample_trajectory,
+                             write_counts_csv)
 from zipfest.specfun import zeta_tail
 
 from conftest import WORKERS
@@ -202,6 +204,107 @@ class TestRejectionInversion:
         assert law.cutoff > sys.float_info.max
         with pytest.raises(DomainError):
             sample_fixed(law, 10, 1)
+
+
+class _Stream(_Uniforms):
+    """:class:`_Uniforms` that also draws multinomials, from its seeded
+    stream."""
+
+    def multinomial(self, n, probs):
+        return self.rest.multinomial(n, probs)
+
+
+def _retry_loop(law, first, size, rng):
+    """The drawer that the block routine replaced: one batch's tail balls by
+    rejection-inversion, redrawing only the balls still rejected."""
+    s = 1.0 / law.theta
+    top = _hat_integral(math.log(law.cutoff + 0.5), s)
+    bottom = _hat_integral(math.log(first + 0.5), s) - float(first) ** -s
+    quick = 2.0 - _hat_integral_inverse(_hat_integral(math.log(2.5), s) - 2.0 ** -s, s)
+
+    def attempt(count):
+        u = top + rng.random(count) * (bottom - top)
+        x = _hat_integral_inverse(u, s)
+        k = np.minimum(np.maximum(np.floor(x + 0.5), first), float(law.cutoff))
+        ok = k - x <= quick
+        ks = k[~ok]
+        ok[~ok] = u[~ok] >= _hat_integral(np.log(ks + 0.5), s) - ks ** -s
+        return k, ok
+
+    out, ok = attempt(size)
+    todo = (~ok).nonzero()[0]
+    while todo.size:
+        k, ok = attempt(todo.size)
+        out[todo[ok]] = k[ok]
+        todo = todo[~ok]
+    return out
+
+
+def _rejected_from_urn_2(law):
+    """Uniforms that the tail drawer from urn 2 maps to the rest of urn 3's
+    stretch, so it rejects every one (see the quick-bound test)."""
+    s = 1.0 / law.theta
+    top = _hat_integral(math.log(law.cutoff + 0.5), s)
+    bottom = _hat_integral(math.log(2.5), s) - 2.0 ** -s
+    rest_of_3 = np.linspace(_hat_integral(math.log(2.5), s),
+                            _hat_integral(math.log(3.5), s) - 3.0 ** -s, 42)[1:-1]
+    return (rest_of_3 - top) / (bottom - top)
+
+
+class TestBlocks:
+    @pytest.mark.parametrize("budget", [None, 97])
+    @pytest.mark.parametrize("grid", [(1.0,), (0.25, 0.5, 1.0)])
+    @pytest.mark.parametrize("theta", [0.01, 0.3, 0.5, 0.7, 0.9])
+    def test_block_columns_match_one_draw_at_a_time(self, monkeypatch, theta, grid, budget):
+        # theta = 0.01 has cutoff 1 and no tail; at 97 head counts and
+        # uniforms a block holds one to a few dozen draws, and 150 is not a
+        # multiple of them
+        if budget is not None:
+            monkeypatch.setattr(law_module, "_BLOCK_ELEMENTS", budget)
+        law, m = make_zipf_law(theta), 150
+        seeds = [SeedSpec(31, rep) for rep in range(m)]
+        columns = sample_trajectories(law, 300, grid, seeds, k_max=3)
+        assert [c.total for c in columns] == [math.floor(300 * t) for t in grid]
+        for rep, seed in enumerate(seeds):
+            one = sample_trajectory(law, 300, grid, seed, k_max=3)
+            assert [c.snapshot(rep) for c in columns] == one, rep
+
+    def test_no_seeds_is_a_usage_error(self, law05):
+        with pytest.raises(UsageError):
+            sample_trajectories(law05, 100, (1.0,), [])
+
+    def test_runs_stay_within_their_row(self):
+        # row 0 has no padding, so its last value meets row 1's first; the
+        # padding of row 1 is a run of 0 balls
+        rows, values, counts = law_module._runs(np.array([[5.0, 5.0], [5.0, np.inf]]))
+        assert rows.tolist() == [0, 1, 1]
+        assert values.tolist() == [5.0, 5.0, np.inf]
+        assert counts.tolist() == [2, 1, 0]
+
+    @pytest.mark.parametrize("grid", [(1.0,), (0.25, 0.5, 1.0)])
+    def test_short_rows_top_up_from_their_own_stream(self, grid):
+        # n = 12 at theta = 0.9 has head width 1, so the tail starts at urn
+        # 2; the first stream rejects 40 uniforms in a row, the second none
+        law = make_zipf_law(0.9)
+        sizes = [math.floor(12 * t) for t in grid]
+        assert law.head_width(sizes[-1]) == 1
+        probs = law._head_probabilities(1)
+        firsts = [_rejected_from_urn_2(law), []]
+        streams = [_Stream(first) for first in firsts]
+        (head, rows, positions, counts), = law.draw_prefixes(sizes, streams)
+        for row, first in enumerate(firsts):
+            ref = _Stream(first)
+            batches = [ref.multinomial(b - a, probs) for a, b in zip([0, *sizes], sizes)]
+            tails = [_retry_loop(law, 2, int(c[-1]), ref) for c in batches]
+            if row == 0:
+                assert len(ref.sizes) > len(tails)  # the rejections were redrawn
+            if len(grid) == 1:
+                assert streams[row].sizes == ref.sizes
+            for j in range(len(sizes)):
+                assert head[j, row].tolist() == sum(c[:1] for c in batches[:j + 1]).tolist()
+                mine = rows == j * len(streams) + row
+                assert (np.repeat(positions[mine], counts[mine]).tolist()
+                        == np.sort(np.concatenate(tails[:j + 1])).tolist())
 
 
 class TestTrajectory:
