@@ -21,11 +21,13 @@ the estimate itself, with the normal quantile of ``statistics.NormalDist``
 
 :data:`ESTIMATORS` maps each estimator tag to the statistic it reads, how it
 is computed, how it is standardized and its limiting variance; the CLI and
-the Monte Carlo studies both dispatch through it.  The CLI estimates one
-snapshot into an :class:`EstimateResult`; the normality study estimates the
-columns of many snapshots (``occupancy.SnapshotColumns``) into arrays of
-estimates, equal to the one-snapshot values bit for bit, and of standard
-errors, equal up to the last bits of the array variance formulas.
+the Monte Carlo studies both dispatch through it.  Every estimate is
+computed on the columns of snapshots (``occupancy.SnapshotColumns``), as
+arrays of estimates and standard errors: an implicit tag solves a whole
+column in one batch, and each closed form is one array routine.  One
+snapshot is the one-row case, which :meth:`EstimatorSpec.estimate` and
+:meth:`ImplicitSolver.solve` wrap in an :class:`EstimateResult`, so the
+estimate of a snapshot is the same bit for bit wherever it is computed.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ import numpy as np
 
 from . import asymptotics
 from .errors import DomainError, InsufficientDataError, NoRootError, UsageError
-from .occupancy import DEFAULT_K_MAX, StatisticsSnapshot
+from .occupancy import DEFAULT_K_MAX, SnapshotColumns, StatisticsSnapshot
 
 __all__ = ["EstimateResult", "ImplicitSolver", "ratio_estimate_r1",
            "ratio_estimate_k", "log_ratio_estimate", "normal_cdf",
@@ -93,18 +95,23 @@ def _z_for_level(level: float) -> float:
     return NormalDist().inv_cdf(0.5 + 0.5 * level)
 
 
-def _clamped_ci(theta_hat: float, stderr: float, level: float) -> tuple[float, float]:
-    if stderr == 0.0:
-        return (theta_hat, theta_hat)
-    half = _z_for_level(level) * stderr
-    return (max(theta_hat - half, 0.0), min(theta_hat + half, 1.0))
-
-
 def confidence_bounds(theta_hat: np.ndarray, stderr: np.ndarray, level: float):
     """The plug-in intervals of arrays of estimates with positive standard
     errors, as (lower, upper) arrays."""
     half = _z_for_level(level) * stderr
     return np.maximum(theta_hat - half, 0.0), np.minimum(theta_hat + half, 1.0)
+
+
+def _result(estimator_id: str, theta_hat, stderr, level: float, flags=(),
+            diagnostics=None) -> EstimateResult:
+    """One row's estimate with its plug-in interval, the point itself where
+    stderr is 0, and ``flags`` plus "degenerate" where theta_hat lies
+    outside (0, 1)."""
+    theta_hat, stderr = float(theta_hat), float(stderr)
+    lo, hi = confidence_bounds(theta_hat, stderr, level) if stderr else (theta_hat, theta_hat)
+    flags += () if 0.0 < theta_hat < 1.0 else ("degenerate",)
+    return EstimateResult(estimator_id, theta_hat, stderr, (float(lo), float(hi)), level,
+                          flags, diagnostics or {})
 
 
 # ----------------------------------------------------------------------
@@ -304,31 +311,30 @@ class ImplicitSolver:
         return theta_hat, outcome
 
     def solve(self, stat_value: float, level: float = 0.95) -> EstimateResult:
+        """The estimate of one statistic value, the one-value case of
+        :meth:`solve_many` and :meth:`stderr_many`, with its bisection's
+        bracket and step count as ``diagnostics``."""
         if not stat_value >= 1.0:
             raise InsufficientDataError(
                 f"implicit estimation needs a statistic >= 1, got {stat_value!r}")
-        _, interval, roots, steps = self._roots(np.array([float(stat_value)]))
+        stats = np.array([float(stat_value)])
+        _, interval, roots, steps = self._roots(stats)
         if roots.size == 0:
             raise NoRootError(
                 f"no root of g(theta) = {stat_value!r} on "
                 f"[{self.THETA_LO}, {self.THETA_HI}] where g rises",
                 g_lo=float(self._g[0]), g_hi=float(self._g.max()), target=float(stat_value))
         j = int(interval[0])
-        theta_star = float(roots[0])
-        sigma_sq = asymptotics.implicit_variance(theta_star, self.which, self.k)
-        stderr = math.sqrt(sigma_sq) / (self._log_n * math.sqrt(stat_value))
         tag = f"implicit-{self.which}" if self.which != "rk" else f"implicit-rk({self.k})"
-        return EstimateResult(
-            estimator_id=tag, theta_hat=theta_star, stderr=stderr,
-            ci=_clamped_ci(theta_star, stderr, level), level=level,
-            diagnostics={"iterations": int(steps[0]),
-                         "bracket": (float(self._grid[j]), float(self._grid[j + 1])),
-                         "stat_value": float(stat_value)})
+        return _result(tag, roots[0], self.stderr_many(roots, stats)[0], level,
+                       diagnostics={"iterations": int(steps[0]),
+                                    "bracket": (float(self._grid[j]), float(self._grid[j + 1])),
+                                    "stat_value": float(stat_value)})
 
     def stderr_many(self, theta_hat: np.ndarray, stats: np.ndarray) -> np.ndarray:
-        """The standard error :meth:`solve` gives each root ``theta_hat[i]``
-        of ``stats[i]``, up to the last bits of the array variance formula;
-        NaN where theta_hat is NaN."""
+        """The plug-in standard error sigma(theta_hat) / (ln n sqrt(S_n)) of
+        each root ``theta_hat[i]`` of ``stats[i]``, NaN where theta_hat is
+        NaN; :meth:`solve` takes its standard error from here."""
         stderr = np.full(theta_hat.size, np.nan)
         ok = np.flatnonzero(~np.isnan(theta_hat))
         sigma_sq = asymptotics.implicit_variance(theta_hat[ok], self.which, self.k)
@@ -337,56 +343,13 @@ class ImplicitSolver:
 
 
 # ----------------------------------------------------------------------
-# ratio estimators
+# closed forms: (theta_hat, stderr) arrays over the snapshots of columns
 # ----------------------------------------------------------------------
 
-def ratio_estimate_r1(snapshot: StatisticsSnapshot, level: float = 0.95) -> EstimateResult:
+def _ratio_r1(columns, k):
     """theta_hat = R_{n,1} / R_n with plug-in standard error
-    sqrt(v(theta_hat) / R_n), v = limiting ratio variance."""
-    if snapshot.r < 1:
-        raise InsufficientDataError("ratio estimator needs at least one occupied urn")
-    theta_hat = snapshot.exact_count(1) / snapshot.r
-    if 0.0 < theta_hat < 1.0:
-        flags, stderr = (), math.sqrt(asymptotics.ratio_r1_variance(theta_hat) / snapshot.r)
-    else:  # the variance formula is 0 at both ends
-        flags, stderr = ("degenerate",), 0.0
-    return EstimateResult(
-        estimator_id="ratio-r1", theta_hat=theta_hat, stderr=stderr,
-        ci=_clamped_ci(theta_hat, stderr, level), level=level, flags=flags,
-        diagnostics={"r": snapshot.r, "r_1": snapshot.exact_count(1)})
-
-
-def ratio_estimate_k(snapshot: StatisticsSnapshot, k: int, level: float = 0.95) -> EstimateResult:
-    """theta_hat = (k R_{n,k} - (k+1) R_{n,k+1}) / R_{n,k}.
-
-    Estimates outside (0, 1) are flagged, never clamped; only the plug-in
-    variance evaluation clamps theta_hat into [0.01, 0.99].
-    """
-    if not (isinstance(k, (int, np.integer)) and k >= 1):
-        raise UsageError(f"k must be a positive integer, got {k!r}")
-    if k + 1 > snapshot.k_max:
-        raise UsageError(f"snapshot tracks k up to {snapshot.k_max}; k={k} needs k+1")
-    r_k = snapshot.exact_count(k)
-    if r_k < 1:
-        raise InsufficientDataError(f"no urns with exactly {k} balls")
-    r_k1 = snapshot.exact_count(k + 1)
-    theta_hat = (k * r_k - (k + 1) * r_k1) / r_k
-    flags = []
-    plug_in = theta_hat
-    if not 0.0 < theta_hat < 1.0:
-        flags.append("degenerate")
-        plug_in = min(max(theta_hat, 0.01), 0.99)
-    stderr = math.sqrt(asymptotics.ratio_k_variance(plug_in, k) / r_k)
-    return EstimateResult(
-        estimator_id=f"ratio-k({k})", theta_hat=theta_hat, stderr=stderr,
-        ci=_clamped_ci(theta_hat, stderr, level), level=level, flags=tuple(flags),
-        diagnostics={"r_k": r_k, "r_k1": r_k1})
-
-
-def _ratio_r1_many(columns):
-    """(theta_hat, stderr) arrays of :func:`ratio_estimate_r1` over the
-    snapshots of ``columns``, NaN where it raises; stderr up to the last bits
-    of the array variance formula."""
+    sqrt(v(theta_hat) / R_n), v = limiting ratio variance, which is 0 at
+    both ends of [0, 1]; NaN where R_n = 0."""
     r = columns.r
     theta_hat, stderr = np.full(r.size, np.nan), np.full(r.size, np.nan)
     ok = np.flatnonzero(r >= 1)
@@ -397,10 +360,18 @@ def _ratio_r1_many(columns):
     return theta_hat, stderr
 
 
-def _ratio_k_many(columns, k):
-    """(theta_hat, stderr) arrays of :func:`ratio_estimate_k` over the
-    snapshots of ``columns``, NaN where it raises InsufficientDataError;
-    stderr up to the last bits of the array variance formula."""
+def _ratio_k(columns, k):
+    """theta_hat = (k R_{n,k} - (k+1) R_{n,k+1}) / R_{n,k}, NaN where
+    R_{n,k} = 0.
+
+    Estimates outside (0, 1) are flagged, never clamped; only the plug-in
+    variance evaluation clamps theta_hat into [0.01, 0.99].
+    """
+    if not (isinstance(k, (int, np.integer)) and k >= 1):
+        raise UsageError(f"k must be a positive integer, got {k!r}")
+    k_max = columns.r_k.shape[1]
+    if k + 1 > k_max:
+        raise UsageError(f"snapshot tracks k up to {k_max}; k={k} needs k+1")
     r_k, r_k1 = columns.exact_count(k), columns.exact_count(k + 1)
     theta_hat, stderr = np.full(r_k.size, np.nan), np.full(r_k.size, np.nan)
     ok = np.flatnonzero(r_k >= 1)
@@ -412,26 +383,18 @@ def _ratio_k_many(columns, k):
     return theta_hat, stderr
 
 
-def log_ratio_estimate(snapshot: StatisticsSnapshot, level: float = 0.95) -> EstimateResult:
-    """Baseline theta_hat = ln R_n / ln n.
+def _log_ratio(columns, k):
+    """Baseline theta_hat = ln R_n / ln n, NaN where R_n = 0.
 
     Consistent, but ln n (theta_hat - theta) tends to a constant rather
-    than a normal limit, so stderr is 0 and the interval is degenerate
-    (flag "no-normality").
+    than a normal limit, so stderr is 0 and the interval is degenerate.
     """
-    n = snapshot.total
+    n = columns.total
     if not (float(n).is_integer() and n >= 2):
         raise DomainError(f"log-ratio estimator needs integer n >= 2, got {n!r}")
-    if snapshot.r < 1:
-        raise InsufficientDataError("log-ratio estimator needs at least one occupied urn")
-    theta_hat = math.log(snapshot.r) / math.log(n)
-    flags = ["no-normality"]
-    if not 0.0 < theta_hat < 1.0:
-        flags.append("degenerate")
-    return EstimateResult(
-        estimator_id="log-ratio", theta_hat=theta_hat, stderr=0.0,
-        ci=(theta_hat, theta_hat), level=level, flags=tuple(flags),
-        diagnostics={"r": snapshot.r, "n": int(n)})
+    theta_hat = np.array([math.log(r) / math.log(n) if r >= 1 else math.nan
+                          for r in columns.r.tolist()])
+    return theta_hat, np.where(np.isnan(theta_hat), np.nan, 0.0)
 
 
 # ----------------------------------------------------------------------
@@ -440,7 +403,7 @@ def log_ratio_estimate(snapshot: StatisticsSnapshot, level: float = 0.95) -> Est
 
 @dataclass(frozen=True)
 class EstimatorSpec:
-    """How one estimator tag reads a snapshot, and its limit theorem.
+    """How one estimator tag reads snapshots, and its limit theorem.
 
     ``statistic(snapshot, k)`` is the S_n of the standardized error:
     ln n sqrt(S_n) (theta_hat - theta) for implicit estimators and
@@ -448,14 +411,15 @@ class EstimatorSpec:
     is its limiting variance, None when there is no normal limit.
     """
 
+    tag: str
     statistic: Callable
     highest_count: Callable             # k -> highest exact count read
     target: Callable | None
     per_k: bool = False                 # one estimate per requested k
     solver_kind: str | None = None      # ImplicitSolver kind, implicit only
-    closed_form: Callable | None = None  # (snapshot, k, level) -> EstimateResult
-    # (columns, k) -> (theta_hat, stderr) arrays; closed forms with a normal limit
-    closed_form_many: Callable | None = None
+    # (columns, k) -> (theta_hat, stderr) arrays, NaN where the statistic is 0
+    closed_form: Callable | None = None
+    no_data: str = ""                   # a closed form's error there, k filled in
 
     def solver(self, n, c_of_theta, k) -> ImplicitSolver | None:
         """The ImplicitSolver :meth:`estimate` needs; None for closed forms."""
@@ -463,19 +427,24 @@ class EstimatorSpec:
             return ImplicitSolver(self.solver_kind, n, c_of_theta, k=k)
 
     def estimate(self, snapshot, k, level, solver=None) -> EstimateResult:
-        """``solver``: what :meth:`solver` returns for this n and k."""
-        if self.solver_kind is None:
-            return self.closed_form(snapshot, k, level)
-        return solver.solve(float(self.statistic(snapshot, k)), level=level)
+        """The estimate of one snapshot: the one-row case of
+        :meth:`estimate_many`, with its plug-in interval and flags.  Raises
+        where that row is NaN.  ``solver``: what :meth:`solver` returns for
+        this n and k."""
+        if self.solver_kind is not None:
+            return solver.solve(float(self.statistic(snapshot, k)), level=level)
+        theta_hat, stderr = self.closed_form(SnapshotColumns.of(snapshot), k)
+        if np.isnan(theta_hat[0]):
+            raise InsufficientDataError(self.no_data.format(k=k))
+        return _result(f"{self.tag}({k})" if self.per_k else self.tag, theta_hat[0], stderr[0],
+                       level, flags=() if self.target else ("no-normality",))
 
     def estimate_many(self, columns, k, solver=None) -> tuple[np.ndarray, np.ndarray]:
-        """The theta_hat and stderr of :meth:`estimate` on each snapshot of
-        ``columns`` (an ``occupancy.SnapshotColumns``), as arrays, NaN where
-        it has no root or too little data; an implicit tag solves them all in
-        one batch.  theta_hat is equal bit for bit; stderr comes from the
-        array variance formulas, so may differ in the last bits."""
+        """The theta_hat and stderr of each snapshot of ``columns`` (an
+        ``occupancy.SnapshotColumns``), as arrays, NaN where it has no root
+        or too little data; an implicit tag solves them all in one batch."""
         if self.solver_kind is None:
-            return self.closed_form_many(columns, k)
+            return self.closed_form(columns, k)
         stats = np.asarray(self.statistic(columns, k), dtype=float)
         theta_hat, _ = solver.solve_many(stats)
         return theta_hat, solver.stderr_many(theta_hat, stats)
@@ -489,29 +458,43 @@ class EstimatorSpec:
         return scale * (theta_hat - theta)
 
 
-ESTIMATORS = {
-    "implicit-r": EstimatorSpec(
-        lambda snap, k: snap.r, lambda k: 0, solver_kind="r",
+ESTIMATORS = {spec.tag: spec for spec in (
+    EstimatorSpec(
+        "implicit-r", lambda snap, k: snap.r, lambda k: 0, solver_kind="r",
         target=lambda theta, k: asymptotics.implicit_variance(theta, "r")),
-    "implicit-u": EstimatorSpec(
-        lambda snap, k: snap.u, lambda k: 0, solver_kind="u",
+    EstimatorSpec(
+        "implicit-u", lambda snap, k: snap.u, lambda k: 0, solver_kind="u",
         target=lambda theta, k: asymptotics.implicit_variance(theta, "u")),
-    "implicit-rk": EstimatorSpec(
-        lambda snap, k: snap.exact_count(k), lambda k: k, per_k=True, solver_kind="rk",
-        target=lambda theta, k: asymptotics.implicit_variance(theta, "rk", k)),
-    "ratio-r1": EstimatorSpec(
-        lambda snap, k: snap.r, lambda k: 1,
-        closed_form=lambda snap, k, level: ratio_estimate_r1(snap, level),
-        closed_form_many=lambda columns, k: _ratio_r1_many(columns),
+    EstimatorSpec(
+        "implicit-rk", lambda snap, k: snap.exact_count(k), lambda k: k, per_k=True,
+        solver_kind="rk", target=lambda theta, k: asymptotics.implicit_variance(theta, "rk", k)),
+    EstimatorSpec(
+        "ratio-r1", lambda snap, k: snap.r, lambda k: 1, closed_form=_ratio_r1,
+        no_data="ratio estimator needs at least one occupied urn",
         target=lambda theta, k: asymptotics.ratio_r1_variance(theta)),
-    "ratio-k": EstimatorSpec(
-        lambda snap, k: snap.exact_count(k), lambda k: k + 1, per_k=True,
-        closed_form=ratio_estimate_k, closed_form_many=_ratio_k_many,
+    EstimatorSpec(
+        "ratio-k", lambda snap, k: snap.exact_count(k), lambda k: k + 1, per_k=True,
+        closed_form=_ratio_k, no_data="no urns with exactly {k} balls",
         target=asymptotics.ratio_k_variance),
-    "log-ratio": EstimatorSpec(
-        lambda snap, k: snap.r, lambda k: 0, target=None,
-        closed_form=lambda snap, k, level: log_ratio_estimate(snap, level)),
-}
+    EstimatorSpec(
+        "log-ratio", lambda snap, k: snap.r, lambda k: 0, target=None, closed_form=_log_ratio,
+        no_data="log-ratio estimator needs at least one occupied urn"),
+)}
+
+
+def ratio_estimate_r1(snapshot: StatisticsSnapshot, level: float = 0.95) -> EstimateResult:
+    """The ratio-r1 estimate of one snapshot."""
+    return ESTIMATORS["ratio-r1"].estimate(snapshot, None, level)
+
+
+def ratio_estimate_k(snapshot: StatisticsSnapshot, k: int, level: float = 0.95) -> EstimateResult:
+    """The ratio-k estimate of one snapshot."""
+    return ESTIMATORS["ratio-k"].estimate(snapshot, k, level)
+
+
+def log_ratio_estimate(snapshot: StatisticsSnapshot, level: float = 0.95) -> EstimateResult:
+    """The log-ratio estimate of one snapshot."""
+    return ESTIMATORS["log-ratio"].estimate(snapshot, None, level)
 
 
 def expand_estimators(tags, k_values) -> list[tuple[str, str, int | None]]:

@@ -365,12 +365,6 @@ class PowerLaw:
         quick = 2.0 - _hat_integral_inverse(_hat_integral(math.log(2.5), s) - 2.0 ** -s, s)
         return top, bottom - top, quick
 
-    def draw_tail(self, first: int, size: int, rng: np.random.Generator) -> np.ndarray:
-        """Support positions of ``size`` independent balls of a zeta law
-        conditioned on positions first..cutoff, first >= 2, in the order of
-        ``rng``'s stream: the one-generator case of :meth:`_accepted`."""
-        return self._accepted(first, [rng], [rng.random(size)])[0]
-
     def _accepted(self, first: int, rngs, uniforms) -> np.ndarray:
         """The support positions, first..cutoff with first >= 2, that the
         uniforms ``uniforms[i]`` drawn from ``rngs[i]`` map to: row i holds

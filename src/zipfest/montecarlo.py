@@ -26,10 +26,9 @@ A chunk of normality replications then runs in two more stages on whole
 arrays: estimate theta_hat and its standard error for every replication at
 once (one batched ``ImplicitSolver.solve_many`` per implicit estimator, the
 closed forms on the columns); then standardize and check coverage.  No
-per-replication ``EstimateResult`` is built, except where a CI bound lies
-within ``_TIE`` of theta, since the array variance formulas may round
-otherwise than the scalar ones; so the standardized values and coverage
-flags equal those of one-snapshot estimates bit for bit.
+per-replication ``EstimateResult`` is built.  A one-snapshot estimate is the
+one-row case of the same array arithmetic, so the standardized values and
+coverage flags equal those of one-snapshot estimates bit for bit.
 
 Replications are independent jobs keyed by replication index, so results
 are identical for any worker count; the aggregation is a commutative merge
@@ -58,10 +57,6 @@ from .sampler import SeedSpec, sample_trajectories
 __all__ = ["ExperimentConfig", "EstimatorReport", "StudyReport",
            "CovarianceRow", "CovarianceTable",
            "normality_study", "covariance_study", "ks_test"]
-
-#: a CI bound this close to theta is taken from the replication's own
-#: ``EstimateResult``, far beyond where the array and scalar stderr differ
-_TIE = 1e-9
 
 #: every estimator with a normal limit, in table order
 NORMALITY_ESTIMATORS = tuple(tag for tag, spec in ESTIMATORS.items()
@@ -204,11 +199,6 @@ def _normality_chunk(cfg: ExperimentConfig, rep_lo: int, rep_hi: int):
         rated = np.flatnonzero(stderr > 0.0)  # not where stderr is NaN
         lo, hi = confidence_bounds(theta_hat[rated], stderr[rated], cfg.level)
         covered[name][rated] = (lo <= theta) & (theta <= hi)
-        # the array stderr may differ from the scalar one in the last bits;
-        # where that could carry a bound across theta, the estimate decides
-        for i in rated[np.minimum(np.abs(lo - theta), np.abs(hi - theta)) <= _TIE]:
-            ci = spec.estimate(columns.snapshot(i), k, cfg.level, solver).ci
-            covered[name][i] = float(ci[0] <= theta <= ci[1])
     return values, covered
 
 

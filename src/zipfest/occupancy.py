@@ -43,21 +43,11 @@ class StatisticsSnapshot:
     r_star_k: tuple[int, ...]     # index k-1 holds R*_{n,k}, k = 1..k_max+1
     u: int
 
-    @property
-    def k_max(self) -> int:
-        return len(self.r_k)
-
     def exact_count(self, k: int) -> int:
         """R_{n,k}; k must not exceed k_max."""
         if not 1 <= k <= len(self.r_k):
             raise UsageError(f"k={k} outside tracked range 1..{len(self.r_k)}")
         return self.r_k[k - 1]
-
-    def at_least(self, k: int) -> int:
-        """R*_{n,k}; k must not exceed k_max + 1."""
-        if not 1 <= k <= len(self.r_star_k):
-            raise UsageError(f"k={k} outside tracked range 1..{len(self.r_star_k)}")
-        return self.r_star_k[k - 1]
 
     def to_json_dict(self) -> dict:
         total = self.total
@@ -95,6 +85,12 @@ class SnapshotColumns:
         at_least = tally[:, :0:-1].cumsum(axis=1)[:, ::-1]
         return cls(total=total, r=at_least[:, 0], r_k=tally[:, 1:k_max + 1],
                    r_star_k=at_least[:, :k_max + 1], u=tally[:, 1::2].sum(axis=1))
+
+    @classmethod
+    def of(cls, snapshot: StatisticsSnapshot) -> SnapshotColumns:
+        """The one-row columns of ``snapshot``."""
+        return cls(total=snapshot.total, r=np.array([snapshot.r]), r_k=np.array([snapshot.r_k]),
+                   r_star_k=np.array([snapshot.r_star_k]), u=np.array([snapshot.u]))
 
     def snapshot(self, i: int) -> StatisticsSnapshot:
         """Snapshot ``i``."""

@@ -12,19 +12,24 @@ ALL_ESTIMATES = ["implicit-r", "implicit-u", "implicit-rk(1)", "implicit-rk(2)",
 DIGITS_AS_LETTERS = str.maketrans("0123456789", "abcdefghij")
 
 
-@pytest.fixture(scope="module")
-def corpus(tmp_path_factory):
-    """20 000 tokens with Zipf-like frequencies (exponent 0.6) over 5 000 words;
-    returns the file path and the count of each word."""
+def write_corpus(path):
+    """Write 20 000 tokens with Zipf-like frequencies (exponent 0.6) over
+    5 000 words to ``path``; returns the count of each word."""
     rng = np.random.Generator(np.random.PCG64(2024))
     weights = np.arange(1, 5001, dtype=float) ** (-1.0 / 0.6)
     ranks = rng.choice(weights.size, size=20_000, p=weights / weights.sum())
-    path = tmp_path_factory.mktemp("cli") / "corpus.txt"
     # tokens are runs of letters, so spell each rank's digits as letters
     words = [str(r).translate(DIGITS_AS_LETTERS) for r in ranks]
     lines = [" ".join(words[i:i + 20]) for i in range(0, len(words), 20)]
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    return path, np.bincount(ranks)
+    return np.bincount(ranks)
+
+
+@pytest.fixture(scope="module")
+def corpus(tmp_path_factory):
+    """The file of :func:`write_corpus` and the count of each word."""
+    path = tmp_path_factory.mktemp("cli") / "corpus.txt"
+    return path, write_corpus(path)
 
 
 def run(capsys, argv):

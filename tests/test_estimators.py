@@ -10,11 +10,12 @@ from hypothesis import strategies as hst
 from zipfest.asymptotics import ratio_k_variance, ratio_r1_variance
 from zipfest.errors import (DomainError, InsufficientDataError, NoRootError,
                             UsageError)
-from zipfest.estimators import (ESTIMATORS, ImplicitSolver, log_ratio_estimate,
-                                ratio_estimate_k, ratio_estimate_r1)
+from zipfest.estimators import (ESTIMATORS, ImplicitSolver, confidence_bounds,
+                                expand_estimators, log_ratio_estimate, ratio_estimate_k,
+                                ratio_estimate_r1, snapshot_k_max)
 from zipfest.law import make_zipf_law, zeta_normalization
-from zipfest.occupancy import StatisticsSnapshot
-from zipfest.sampler import SeedSpec, sample_fixed
+from zipfest.occupancy import SnapshotColumns, StatisticsSnapshot
+from zipfest.sampler import SeedSpec, sample_fixed, sample_trajectories
 
 from conftest import WORKERS
 
@@ -354,6 +355,57 @@ def test_table_solver_only_for_implicit_tags():
             assert solver is None
         else:
             assert (solver.which, solver.n) == (spec.solver_kind, 10 ** 4)
+
+
+# snapshots of n = 2000 balls where some estimate is NaN or lies on or beyond
+# an end of [0, 1]
+EDGE_SNAPSHOTS = [
+    make_snapshot(2000, 0, []),                   # R = 0
+    make_snapshot(2000, 5, [0, 0, 0, 5], u=5),    # R_1 = R_2 = R_3 = 0; ratio-r1 reads 0
+    make_snapshot(2000, 1, []),                   # one urn; log-ratio reads 0
+    make_snapshot(2000, 2000, [2000], u=2000),    # all singletons; ratio-r1 and log-ratio read 1
+    make_snapshot(2000, 16, [1, 5, 10], u=1),     # ratio-k(1), ratio-k(2) below 0, ratio-k(3) above 1
+    make_snapshot(2000, 9, [3, 3, 3], u=6),       # ratio-k(3) reads 3
+]
+
+
+def _columns(snaps):
+    """The columns of snapshots of one total."""
+    return SnapshotColumns(total=snaps[0].total, r=np.array([s.r for s in snaps]),
+                           r_k=np.array([s.r_k for s in snaps]),
+                           r_star_k=np.array([s.r_star_k for s in snaps]),
+                           u=np.array([s.u for s in snaps]))
+
+
+@pytest.mark.parametrize("theta", [0.3, 0.5, 0.9])
+def test_one_snapshot_estimate_is_its_row_of_estimate_many(theta):
+    # every tag of the table, at both levels: theta_hat, stderr and interval
+    # bit for bit, and where the row is NaN, the error of the one estimate
+    requested = expand_estimators(list(ESTIMATORS), [1, 2, 3])
+    drawn, = sample_trajectories(make_zipf_law(theta), 2000, (1.0,),
+                                 [SeedSpec(31, rep) for rep in range(100)],
+                                 k_max=snapshot_k_max(requested))
+    snaps = [drawn.snapshot(i) for i in range(drawn.r.size)] + EDGE_SNAPSHOTS
+    columns = _columns(snaps)
+    for name, tag, k in requested:
+        spec = ESTIMATORS[tag]
+        solver = spec.solver(2000, zeta_normalization, k)
+        theta_hat, stderr = spec.estimate_many(columns, k, solver)
+        for i, snap in enumerate(snaps):
+            level = (0.95, 0.9)[i % 2]
+            if np.isnan(theta_hat[i]):
+                no_root = spec.solver_kind is not None and spec.statistic(snap, k) >= 1
+                with pytest.raises(NoRootError if no_root else InsufficientDataError):
+                    spec.estimate(snap, k, level, solver)
+                continue
+            ci = (theta_hat[i], theta_hat[i])
+            if stderr[i] > 0.0:
+                ci = confidence_bounds(theta_hat[i], stderr[i], level)
+            flags = (() if spec.target else ("no-normality",)) + (
+                () if 0.0 < theta_hat[i] < 1.0 else ("degenerate",))
+            result = spec.estimate(snap, k, level, solver)
+            assert (result.estimator_id, result.theta_hat, result.stderr, result.ci,
+                    result.flags) == (name, theta_hat[i], stderr[i], ci, flags), (name, i)
 
 
 class TestRatioR1:

@@ -123,13 +123,6 @@ def test_staged_chunk_matches_a_loop_over_estimate():
         assert 5 <= np.isnan(values[name]).sum() <= 35, name
 
 
-def test_coverage_near_a_tie_comes_from_the_estimate(monkeypatch):
-    # with every CI bound counted as near theta, each coverage flag comes
-    # from the replication's own EstimateResult
-    monkeypatch.setattr(montecarlo, "_TIE", 1.0)
-    _assert_chunk_matches_loop(replace(SMALL, k_values=(1, 2)))
-
-
 def test_implicit_rk_rows_exclude_no_replication():
     config = ExperimentConfig(theta=0.5, n=5000, m=100, k_values=(1, 2, 3),
                               estimators=("implicit-rk",))

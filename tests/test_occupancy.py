@@ -23,7 +23,7 @@ class TestSummarize:
         assert snap.exact_count(1) == 2
         assert snap.exact_count(2) == 0
         assert snap.exact_count(3) == 1
-        assert snap.at_least(2) == 1
+        assert snap.r_star_k[1] == 1
         assert snap.u == 3
 
     def test_empty(self):
@@ -42,7 +42,7 @@ class TestSummarize:
         # multiplicities above k_max still feed r_star and the parity tally
         snap = snap_of({1: 50, 2: 9, 3: 2}, k_max=8)
         assert snap.r == 3
-        assert snap.at_least(9) == 2
+        assert snap.r_star_k[8] == 2
         assert snap.u == 1  # only the 9-ball urn is odd
         assert snap.exact_count(2) == 1
 
@@ -52,8 +52,6 @@ class TestSummarize:
         snap = snap_of({1: 1}, k_max=3)
         with pytest.raises(UsageError):
             snap.exact_count(4)
-        with pytest.raises(UsageError):
-            snap.at_least(5)
 
     def test_json_export_schema(self):
         snap = snap_of({1: 2, 2: 1})
@@ -76,10 +74,10 @@ class TestInvariants:
         head = np.concatenate([[0], values[:half], [0, 0]])
         assert summarize_counts((head, values[half:]), snap.total, k_max=k_max) == snap
         # occupied urns equal the at-least-one count
-        assert snap.at_least(1) == snap.r
+        assert snap.r_star_k[0] == snap.r
         # exact counts difference the survival counts
         for k in range(1, k_max + 1):
-            assert snap.exact_count(k) == snap.at_least(k) - snap.at_least(k + 1)
+            assert snap.exact_count(k) == snap.r_star_k[k - 1] - snap.r_star_k[k]
             assert snap.exact_count(k) == int(np.count_nonzero(values == k))
         # parity tally equals the odd exact counts over the full range
         assert snap.u == int(np.count_nonzero(values % 2 == 1))

@@ -110,7 +110,8 @@ class TestRejectionInversion:
         law = make_zipf_law(theta)
         first = law.head_width(10 ** 5) + 1
         n = 10 ** 6
-        pos = law.draw_tail(first, n, SeedSpec(2024).generator())
+        rng = SeedSpec(2024).generator()
+        pos = law._accepted(first, [rng], [rng.random(n)])[0]
         mass = _tail_mass(law, first)
         for i in range(first, first + 5):
             p = law.probability(i) / mass
@@ -124,7 +125,8 @@ class TestRejectionInversion:
         s = 1.0 / law.theta
         first = law.head_width(10 ** 5) + 1
         n = 10 ** 6
-        pos = law.draw_tail(first, n, SeedSpec(2025).generator())
+        rng = SeedSpec(2025).generator()
+        pos = law._accepted(first, [rng], [rng.random(n)])[0]
         p = law.c * (zeta_tail(s, 2 ** 53) - zeta_tail(s, law.cutoff)) / _tail_mass(law, first)
         se = math.sqrt(p * (1.0 - p) / n)
         assert abs(np.count_nonzero(pos > 2 ** 53) / n - p) <= 5.0 * se
@@ -162,7 +164,8 @@ class TestRejectionInversion:
         q = run * 2.0 ** -53 / 0.75 ** s
         assert math.comb(n, 2) * (mass / law.total_mass) * p_far * q < 1e-6
         smallest = np.arange(4000) * 2.0 ** -53
-        pos = law.draw_tail(first, smallest.size, _Uniforms(smallest))
+        stub = _Uniforms(smallest)
+        pos = law._accepted(first, [stub], [stub.random(smallest.size)])[0]
         assert pos.min() > 2 ** 53
         assert np.unique(pos, return_counts=True)[1].max() <= run
 
@@ -187,7 +190,7 @@ class TestRejectionInversion:
                                 _hat_integral(math.log(3.5), s) - 3.0 ** -s, 102)[1:-1]
         rejected = (rest_of_3 - top) / (bottom - top)
         stub = _Uniforms(rejected)
-        law.draw_tail(2, rejected.size, stub)
+        law._accepted(2, [stub], [stub.random(rejected.size)])
         assert stub.sizes[:2] == [rejected.size, rejected.size]
 
         far = np.linspace(_hat_integral(math.log(3e13), s), _hat_integral(math.log(1e14), s), 4000)
@@ -196,7 +199,7 @@ class TestRejectionInversion:
         kept = r[np.floor(x + 0.5) - x <= 0.4]  # well inside the bound
         assert kept.size > 2500
         stub = _Uniforms(kept)
-        law.draw_tail(2, kept.size, stub)
+        law._accepted(2, [stub], [stub.random(kept.size)])
         assert stub.sizes == [kept.size]
 
     def test_cutoff_beyond_float64_is_a_domain_error(self):
@@ -318,7 +321,7 @@ class TestTrajectory:
         rs = [s.r for s in snaps]
         assert rs == sorted(rs)
         for k in range(1, 9):
-            stars = [s.at_least(k) for s in snaps]
+            stars = [s.r_star_k[k - 1] for s in snaps]
             assert stars == sorted(stars)
 
     @pytest.mark.parametrize("law", ["law05", "law07"])
@@ -332,7 +335,7 @@ class TestTrajectory:
             gap = late.total - early.total
             assert gap == 10
             for k in range(1, 10):
-                assert 0 <= late.at_least(k) - early.at_least(k) <= gap, (seed, k)
+                assert 0 <= late.r_star_k[k - 1] - early.r_star_k[k - 1] <= gap, (seed, k)
             assert abs(late.u - early.u) <= gap, seed
 
     def test_grid_validation(self, law05):
