@@ -108,6 +108,7 @@ def _result(estimator_id: str, theta_hat, stderr, level: float, flags=(),
     stderr is 0, and ``flags`` plus "degenerate" where theta_hat lies
     outside (0, 1)."""
     theta_hat, stderr = float(theta_hat), float(stderr)
+    _z_for_level(level)  # checks the level where the interval is the point, too
     lo, hi = confidence_bounds(theta_hat, stderr, level) if stderr else (theta_hat, theta_hat)
     flags += () if 0.0 < theta_hat < 1.0 else ("degenerate",)
     return EstimateResult(estimator_id, theta_hat, stderr, (float(lo), float(hi)), level,

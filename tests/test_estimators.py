@@ -562,3 +562,16 @@ class TestNormalQuantile:
         for level in (0.0, 1.0):
             with pytest.raises(DomainError):
                 ratio_estimate_r1(snap, level=level)
+
+    def test_domain_where_the_interval_is_the_point(self):
+        # log-ratio has no standard error, and ratio-r1 has none at 0 and 1
+        inner = make_snapshot(10 ** 5, 1000, [500])
+        at_zero = make_snapshot(2000, 5, [0, 0, 0, 5], u=5)
+        at_one = make_snapshot(2000, 2000, [2000], u=2000)
+        assert ratio_estimate_r1(at_zero).stderr == ratio_estimate_r1(at_one).stderr == 0.0
+        for level in (1.5, 0.0):
+            with pytest.raises(DomainError):
+                log_ratio_estimate(inner, level=level)
+            for snap in (at_zero, at_one):
+                with pytest.raises(DomainError):
+                    ratio_estimate_r1(snap, level=level)

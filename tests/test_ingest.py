@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -38,6 +39,54 @@ def test_invalid_utf8_reports_its_byte_offset(tmp_path):
     assert err.value.location == 14
 
 
+# invalid UTF-8 placed against the edges of chunks of c bytes
+BAD_UTF8 = {
+    "bad lead byte starting a chunk": lambda c: b"a " * c + b"\xff tail",
+    "sequence cut by an edge, then broken":
+        lambda c: "é".encode("utf-8") * c + b"x" * (c - 1) + b"\xe2\x82( tail",
+    "encoded surrogate": lambda c: b"x" * (c - 1) + b"\xed\xa0\x80 tail",
+    "sequence truncated at the end": lambda c: b"ab \xe2\x82",
+}
+
+
+@pytest.mark.parametrize("case", BAD_UTF8)
+@pytest.mark.parametrize("chunk", [1, 2, 3, 4, 5, None])
+def test_invalid_utf8_offset_at_chunk_edges(tmp_path, monkeypatch, case, chunk):
+    if chunk is not None:
+        monkeypatch.setattr(ingest, "_CHUNK_SIZE", chunk)
+    data = BAD_UTF8[case](ingest._CHUNK_SIZE)
+    with pytest.raises(UnicodeDecodeError) as expected:
+        data.decode("utf-8")
+    with pytest.raises(InputFormatError) as err:
+        tokenize_text(data)
+    assert err.value.location == expected.value.start
+    path = tmp_path / "bad.txt"
+    path.write_bytes(data)
+    with pytest.raises(InputFormatError) as err:
+        tokenize_file(path)
+    assert err.value.location == expected.value.start
+
+
+def test_tokenize_file_memory_is_one_chunk_not_the_file(tmp_path):
+    rng = random.Random(3)
+    vocabulary = ["".join(rng.choice("abcdeé") for _ in range(rng.randint(12, 28)))
+                  for _ in range(500)]
+    block = " ".join(rng.choice(vocabulary) for _ in range(60_000)) + "\n"
+    path = tmp_path / "large.txt"
+    with open(path, "w", encoding="utf-8") as fh:
+        for _ in range(8):
+            fh.write(block)
+    assert path.stat().st_size >= 8 << 20
+    tracemalloc.start()
+    try:
+        corpus = tokenize_file(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert corpus.total == 8 * 60_000
+    assert peak < 4 << 20
+
+
 def test_tokens_are_casefolded_letter_runs():
     corpus = tokenize_text("The cat, the CAT2dog_x; 42 straße")
     assert corpus.counts == {"the": 2, "cat": 2, "dog": 1, "x": 1, "strasse": 1}
@@ -67,23 +116,37 @@ def _assert_matches_reference(text):
 
 def test_blocks_match_one_match_at_a_time():
     rng = random.Random(11)
-    text = "".join(rng.choice(ALPHABET) for _ in range(3 * ingest._BLOCK_CHARS + 17))
+    text = "".join(rng.choice(ALPHABET) for _ in range(3 * ingest._CHUNK_SIZE + 17))
     _assert_matches_reference(text)
     assert tokenize_text(text.encode("utf-8")) == tokenize_text(text)
     # one token longer than a block is never cut
-    corpus = tokenize_text("ab" * ingest._BLOCK_CHARS + " ab")
-    assert corpus.counts == {"ab" * ingest._BLOCK_CHARS: 1, "ab": 1}
+    corpus = tokenize_text("ab" * ingest._CHUNK_SIZE + " ab")
+    assert corpus.counts == {"ab" * ingest._CHUNK_SIZE: 1, "ab": 1}
+
+
+@pytest.fixture(scope="module")
+def text_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("ingest") / "text.txt"
 
 
 @settings(max_examples=100, deadline=None)
 @given(text=hst.text(alphabet=ALPHABET, max_size=60), block=hst.integers(1, 8))
-def test_any_block_size_matches_reference(text, block):
-    saved = ingest._BLOCK_CHARS
-    ingest._BLOCK_CHARS = block
+def test_any_block_size_matches_reference(text_path, text, block):
+    # chunk edges fall inside words and, for the bytes, inside characters
+    data = text.encode("utf-8")
+    text_path.write_bytes(data)
+    long = "aé" * 4 * block  # one token several chunks long
+    saved = ingest._CHUNK_SIZE
+    ingest._CHUNK_SIZE = block
     try:
         _assert_matches_reference(text)
+        assert tokenize_text(data) == tokenize_text(text)
+        assert tokenize_file(text_path) == tokenize_text(text)
+        # one token longer than a block is never cut
+        assert tokenize_text(long).counts == {long: 1}
+        assert tokenize_text(long.encode("utf-8")).counts == {long: 1}
     finally:
-        ingest._BLOCK_CHARS = saved
+        ingest._CHUNK_SIZE = saved
 
 
 def test_load_counts_sums_duplicate_tokens(tmp_path):
