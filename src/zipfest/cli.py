@@ -18,6 +18,7 @@ Exit codes: 0 success, 1 runtime failure, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import math
@@ -92,7 +93,7 @@ def _csv_cell(value) -> str:
 
 def _csv_text(fieldnames, rows) -> str:
     lines = [",".join(fieldnames)]
-    lines += [",".join(_csv_cell(row.get(name, "")) for name in fieldnames) for row in rows]
+    lines += [",".join(_csv_cell(row[name]) for name in fieldnames) for row in rows]
     return "\n".join(lines) + "\n"
 
 
@@ -238,9 +239,8 @@ def _cmd_estimate(args) -> int:
 
     payload = {"n": n, "estimates": [r.to_json_dict() for r in results]}
     rows = [{**r.to_json_dict(), "flags": ";".join(r.flags)} for r in results]
-    return _emit_result(args, payload, rows, ["estimator", "theta_hat", "stderr", "ci_lo",
-                                              "ci_hi", "level", "flags"],
-                        _echo_args(args), inputs=[args.input])
+    return _emit_result(args, payload, rows, list(rows[0]), _echo_args(args),
+                        inputs=[args.input])
 
 
 # ----------------------------------------------------------------------
@@ -268,33 +268,29 @@ def _cmd_simulate(args) -> int:
 # studies
 # ----------------------------------------------------------------------
 
-def _study_config(args, estimators=NORMALITY_ESTIMATORS) -> ExperimentConfig:
-    return ExperimentConfig(
-        theta=args.theta, n=args.n, m=args.m, i0=args.i0,
-        estimators=tuple(estimators),
-        k_values=tuple(_parse_k_list(args.k)) if hasattr(args, "k") else (1,),
-        grid=_parse_floats(args.grid, "grid value") if hasattr(args, "grid") else (0.5, 1.0),
-        nu=getattr(args, "nu", 1), seed=args.seed, level=getattr(args, "level", 0.95),
-        tail_epsilon=args.tail_epsilon,
-        workers=args.workers)
+def _study_config(args, **study_flags) -> ExperimentConfig:
+    return ExperimentConfig(theta=args.theta, n=args.n, m=args.m, i0=args.i0, seed=args.seed,
+                            tail_epsilon=args.tail_epsilon, workers=args.workers,
+                            **study_flags)
 
 
-def _emit_study(args, report, fields) -> int:
-    return _emit_result(args, report.to_json_dict(),
-                        [r.to_json_dict() for r in report.rows], fields, report.config)
+def _emit_study(args, report) -> int:
+    """Write a ``StudyReport`` per ``--format``: JSON as its ``to_json_dict``,
+    CSV with one column per field of its row type, in field order."""
+    payload = report.to_json_dict()
+    columns = [f.name for f in dataclasses.fields(report.rows[0])]
+    return _emit_result(args, payload, payload["rows"], columns, report.config)
 
 
 def _cmd_study_normality(args) -> int:
-    config = _study_config(args, estimators=_parse_estimators(args.estimators))
-    return _emit_study(args, normality_study(config), [
-        "estimator", "m_included", "m_excluded", "mean", "variance", "skewness",
-        "excess_kurtosis", "ks_distance", "ks_pvalue", "target_variance",
-        "variance_ratio", "coverage"])
+    return _emit_study(args, normality_study(_study_config(
+        args, estimators=tuple(_parse_estimators(args.estimators)),
+        k_values=tuple(_parse_k_list(args.k)), level=args.level)))
 
 
 def _cmd_study_covariance(args) -> int:
-    return _emit_study(args, covariance_study(_study_config(args)), [
-        "i", "j", "tau", "t", "empirical", "theoretical", "std_error", "z_score"])
+    return _emit_study(args, covariance_study(_study_config(
+        args, grid=_parse_floats(args.grid, "grid value"), nu=args.nu)))
 
 
 # ----------------------------------------------------------------------

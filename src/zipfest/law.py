@@ -10,7 +10,8 @@ A law knows how to
   alpha(x) = max{ j : p_j >= 1/x }, in closed form
   alpha(x) = i0 + floor((x / zeta(1/theta))^theta), i.e. (c x)^theta with
   c = 1/zeta(1/theta); note the division by zeta, which is what the
-  definition of alpha forces,
+  definition of alpha forces; where alpha is a scale, it counts urns
+  (those with x p >= 1, Karlin's alpha), which is alpha(x) - i0,
 * compute exact expectations of the occupancy statistics R, U and R_k
   for a fixed number of balls or a poissonized horizon, and
 * draw the occupancy of n independent balls without drawing each ball:
@@ -177,8 +178,7 @@ class PowerLaw:
             else:
                 if k > n:
                     return 0.0
-                log_choose = (ln_gamma(n + 1.0) - ln_gamma(k + 1.0)
-                              - ln_gamma(n - k + 1.0))
+                log_choose = math.log(_binomial_coefficient(n, k))
                 with np.errstate(divide="ignore"):
                     log_terms = (log_choose + k * np.log(probs)
                                  + (n - k) * np.log1p(-np.minimum(probs, 1.0)))

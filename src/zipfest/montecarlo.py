@@ -42,7 +42,7 @@ import hashlib
 import json
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -54,8 +54,7 @@ from .law import PowerLaw, make_zipf_law, zeta_normalization
 from .occupancy import DEFAULT_K_MAX
 from .sampler import SeedSpec, sample_trajectories
 
-__all__ = ["ExperimentConfig", "EstimatorReport", "StudyReport",
-           "CovarianceRow", "CovarianceTable",
+__all__ = ["ExperimentConfig", "EstimatorReport", "StudyReport", "CovarianceRow",
            "normality_study", "covariance_study", "ks_test"]
 
 #: every estimator with a normal limit, in table order
@@ -153,17 +152,18 @@ class EstimatorReport:
     variance_ratio: float
     coverage: float | None
 
-    def to_json_dict(self) -> dict:
-        return asdict(self)
-
 
 @dataclass(frozen=True)
 class StudyReport:
+    """The report of either study: its configuration echo and one row per
+    estimator (``EstimatorReport``) or per covariance entry
+    (``CovarianceRow``).  A row's fields are the columns of its table."""
+
     config: dict
-    rows: tuple[EstimatorReport, ...]
+    rows: tuple
 
     def to_json_dict(self) -> dict:
-        return {"config": self.config, "rows": [r.to_json_dict() for r in self.rows]}
+        return asdict(self)
 
     def row(self, estimator: str) -> EstimatorReport:
         for r in self.rows:
@@ -268,24 +268,6 @@ class CovarianceRow:
     std_error: float
     z_score: float
 
-    def to_json_dict(self) -> dict:
-        return asdict(self)
-
-
-@dataclass(frozen=True)
-class CovarianceTable:
-    config: dict
-    rows: tuple[CovarianceRow, ...]
-
-    def to_json_dict(self) -> dict:
-        return {"config": self.config, "rows": [r.to_json_dict() for r in self.rows]}
-
-    def entry(self, i: int, j: int, tau: float, t: float) -> CovarianceRow:
-        for r in self.rows:
-            if (r.i, r.j) == (i, j) and math.isclose(r.tau, tau) and math.isclose(r.t, t):
-                return r
-        raise KeyError((i, j, tau, t))
-
 
 def _covariance_chunk(cfg: ExperimentConfig, rep_lo: int, rep_hi: int):
     law = _law_from_config(cfg)
@@ -297,7 +279,7 @@ def _covariance_chunk(cfg: ExperimentConfig, rep_lo: int, rep_hi: int):
     return out
 
 
-def covariance_study(config: ExperimentConfig) -> CovarianceTable:
+def covariance_study(config: ExperimentConfig) -> StudyReport:
     """Empirical covariance of the centered, scaled occupancy paths against
     the limiting covariance function."""
     if len(config.grid) < 1:
@@ -315,7 +297,8 @@ def covariance_study(config: ExperimentConfig) -> CovarianceTable:
     chunks = _run_chunked(config, _covariance_chunk)
     raw = np.concatenate(chunks, axis=0)
 
-    scale = math.sqrt(law.counting_function(float(config.n)))
+    # alpha(n) counts urns: counting_function(n) is i0 + alpha(n), or 0 if none
+    scale = math.sqrt(max(law.counting_function(float(config.n)) - law.i0, 0))
     centered = np.empty_like(raw)
     for a, t in enumerate(config.grid):
         m = int(math.floor(config.n * t))
@@ -342,4 +325,4 @@ def covariance_study(config: ExperimentConfig) -> CovarianceTable:
                     rows.append(CovarianceRow(
                         i=i, j=j, tau=tau, t=t, empirical=emp, theoretical=theo,
                         std_error=se, z_score=(emp - theo) / se))
-    return CovarianceTable(config=config.echo(), rows=tuple(rows))
+    return StudyReport(config=config.echo(), rows=tuple(rows))

@@ -1,11 +1,15 @@
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from zipfest.cli import main
+from zipfest import cli
+from zipfest.cli import _csv_text, main
+from zipfest.errors import ZipfestError
 from zipfest.estimators import ImplicitSolver
 from zipfest.law import zeta_normalization
+from zipfest.montecarlo import CovarianceRow, EstimatorReport, ExperimentConfig
 
 ALL_ESTIMATES = ["implicit-r", "implicit-u", "implicit-rk(1)", "implicit-rk(2)",
                  "ratio-r1", "ratio-k(1)", "ratio-k(2)", "log-ratio"]
@@ -155,6 +159,43 @@ def test_simulate_at_tiny_theta_is_silent(capsys, tmp_path, args):
                                   "--output", str(path)])
     assert (code, out, err) == (0, "", "")
     assert path.read_text().startswith("urn_index,count\n1,")
+
+
+@pytest.mark.parametrize("argv, row_type", [
+    (["study-normality", "--theta", "0.5", "--n", "2000", "--m", "100", "--k", "1,2"],
+     EstimatorReport),
+    (["study-covariance", "--theta", "0.7", "--n", "5000", "--m", "100", "--nu", "2"],
+     CovarianceRow),
+])
+def test_study_csv_has_one_column_per_row_field(capsys, argv, row_type):
+    columns = [f.name for f in fields(row_type)]
+    code, out, err = run(capsys, argv + ["--format", "csv"])
+    assert (code, err) == (0, "")
+    header, *lines = out.splitlines()
+    assert header.split(",") == columns
+    code, out, err = run(capsys, argv)
+    rows = json.loads(out)["rows"]
+    assert len(rows) == len(lines) > 1
+    assert all(sorted(row) == sorted(columns) for row in rows)
+
+
+@pytest.mark.parametrize("command, study", [("study-normality", "normality_study"),
+                                            ("study-covariance", "covariance_study")])
+def test_study_flag_defaults_are_the_config_defaults(monkeypatch, capsys, command, study):
+    configs = []
+
+    def stop(config):
+        configs.append(config)
+        raise ZipfestError("stop")
+
+    monkeypatch.setattr(cli, study, stop)
+    assert main([command, "--theta", "0.5", "--n", "1000", "--m", "100"]) == 1
+    assert configs == [ExperimentConfig(theta=0.5, n=1000, m=100)]
+
+
+def test_csv_row_without_a_column_raises():
+    with pytest.raises(KeyError):
+        _csv_text(["estimator", "coverage"], [{"estimator": "ratio-r1"}])
 
 
 @pytest.mark.parametrize("flag", [["--config", "study.cfg"],

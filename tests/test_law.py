@@ -153,6 +153,12 @@ class TestExpectedStatistic:
         for (stat, k), expected in cases.items():
             got = law03.expected_statistic(n, stat, k=k)
             assert got == pytest.approx(expected, abs=1e-12)
+        # ln C(n, k) as a difference of three ln-gammas near n ln n loses
+        # about 1e-8 of E[R_k] here
+        n = 10 ** 7
+        for k in (1, 2, 3):
+            expected = np.sum(st.binom.pmf(k, n, probs))
+            assert law03.expected_statistic(n, "rk", k=k) == pytest.approx(expected, rel=1e-12)
 
     def test_against_poisson_enumeration(self, law03):
         probs = support_probabilities(law03)

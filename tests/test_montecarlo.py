@@ -33,6 +33,15 @@ def test_workers_default_ignores_environment(monkeypatch):
     assert covariance_study(replace(SMALL, n=500)).rows
 
 
+def test_covariance_rows_do_not_depend_on_the_index_shift():
+    # the shift i0 renames the urns: no drawn statistic, no oracle value and
+    # so no row may move with it
+    config = ExperimentConfig(theta=0.7, n=20_000, m=100, seed=3)
+    shifted = covariance_study(replace(config, i0=1000))
+    assert shifted.config["i0"] == 1000
+    assert shifted.rows == covariance_study(config).rows
+
+
 def test_every_table_estimator_with_a_normal_limit_reports_rows():
     tags = tuple(tag for tag in ESTIMATORS if tag != "log-ratio")
     report = normality_study(replace(SMALL, estimators=tags, k_values=(1,)))
