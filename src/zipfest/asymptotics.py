@@ -60,8 +60,7 @@ def log_growth(theta, log_cn, stat: str, k: int | None = None):
         rk     theta Gamma(k-theta)/k! (c n)^theta
 
     ``theta`` and ``log_cn`` are floats or arrays of one shape.  A float stays
-    on ``math`` and the scalar ``ln_gamma``, so a bisection step costs
-    microseconds; callers check ``stat`` and ``k``.
+    on ``math`` and the scalar ``ln_gamma``; callers check ``stat`` and ``k``.
     """
     scale = theta * log_cn
     if stat == "r":

@@ -13,7 +13,11 @@ A law knows how to
   definition of alpha forces; where alpha is a scale, it counts urns
   (those with x p >= 1, Karlin's alpha), which is alpha(x) - i0,
 * compute exact expectations of the occupancy statistics R, U and R_k
-  for a fixed number of balls or a poissonized horizon, and
+  for a fixed number of balls or a poissonized horizon, as sums over the
+  urns of P(X = k), C(n, k) p^k (1-p)^(n-k) or (np)^k e^-np / k!, in closed
+  form over a window of the heaviest urns and beyond it as one alternating
+  series in p with coefficients C(n - k, j) or n^j / j!
+  (:meth:`PowerLaw.expected_statistic`), and
 * draw the occupancy of n independent balls without drawing each ball:
   the counts of the heaviest urns 1..W, W about alpha(n), as one
   multinomial by conditional binomials (Devroye, "Non-Uniform Random
@@ -28,7 +32,7 @@ A law knows how to
 Truncation policy: the support is cut at the smallest index whose remaining
 tail mass is below ``tail_epsilon`` (default 1e-12).  Oracles never
 renormalize; the tail contribution beyond the enumeration window is added
-through alternating series in the exact zeta tail sums, with the truncation
+through that series in the exact zeta tail sums, with the truncation
 remainder bounded explicitly.  Sampling renormalizes over the retained
 support and records the discarded mass.
 
@@ -71,6 +75,10 @@ def _binomial_coefficient(n: int, j: int) -> float:
     return out
 
 
+def _poisson_coefficient(t: float, j: int) -> float:
+    return t ** j / math.factorial(j)
+
+
 def _pow_one_minus(x: np.ndarray, n: int) -> np.ndarray:
     """(1 - x)^n for x >= 0 (x may exceed 1), integer n, elementwise."""
     b = 1.0 - x
@@ -82,6 +90,25 @@ def _pow_one_minus(x: np.ndarray, n: int) -> np.ndarray:
     out[neg] = sign * np.exp(n * np.log(-b[neg]))
     out[b == 0.0] = 0.0 if n > 0 else 1.0
     return out
+
+
+def _urn_terms(probs: np.ndarray, n, stat: str, mode: str, k) -> np.ndarray:
+    """The terms of :meth:`PowerLaw.expected_statistic` of the urns of
+    probabilities ``probs``; the fixed-mode R and R_k share ln(1 - p)."""
+    if mode == "poissonized":
+        lam = n * probs
+        if stat == "r":
+            return -np.expm1(-lam)
+        if stat == "u":
+            return 0.5 * -np.expm1(-2.0 * lam)
+        return np.exp(-lam + k * np.log(lam) - ln_gamma(k + 1.0))
+    if stat == "u":
+        return 0.5 * (1.0 - _pow_one_minus(2.0 * probs, n))
+    with np.errstate(divide="ignore"):
+        log_miss = np.log1p(-np.minimum(probs, 1.0))
+        if stat == "r":
+            return -np.expm1(n * log_miss)
+        return np.exp(math.log(_binomial_coefficient(n, k)) + k * np.log(probs) + (n - k) * log_miss)
 
 
 @dataclass(frozen=True)
@@ -137,11 +164,19 @@ class PowerLaw:
     def expected_statistic(self, n: float, stat: str, mode: str = "fixed",
                            k: int | None = None) -> float:
         """Exact E[stat] under ``n`` balls (mode="fixed", integer n) or a
-        poissonized horizon t = n (mode="poissonized", real n).
+        poissonized horizon t = n (mode="poissonized", real n): the sum over
+        the urns of P(X = k), X the urn's count, k = 0 for R and U.
 
-        Truncated summation over the support plus alternating tail series in
-        the exact zeta tail sums; the truncation remainder is bounded below
-        1e-9 by construction.
+        An urn of the enumeration window adds its term in closed form: for n
+        balls 1 - (1-p)^n (R), (1 - (1-2p)^n) / 2 (U) and C(n, k) p^k
+        (1-p)^(n-k) (R_k); poissonized 1 - e^-np, (1 - e^-2np) / 2 and
+        (np)^k e^-np / k!.  Beyond the window every n p <= 1/8, and P(X = k)
+        = front * sum_j (-1)^j coef(m, j) p^(k+j), front = coef(n, k), is one
+        alternating series in the exact zeta tail sums of p's powers, with
+        coef(m, j) = C(m, j), m = n - k, for n balls and m^j / j!, m = n,
+        poissonized.  R and U are minus the k = 0 series without its first
+        term, U with p doubled and the sum halved.  The first neglected term
+        bounds the truncation error, below 1e-9 or the call raises.
         """
         stat, k = _check_stat(stat, k)
         if mode not in ("fixed", "poissonized"):
@@ -152,100 +187,39 @@ class PowerLaw:
             if float(n) != int(n):
                 raise DomainError(f"fixed mode needs an integer ball count, got {n!r}")
             n = int(n)
+            if stat == "rk" and k > n:
+                return 0.0
         window = self._oracle_window(float(n))
-        m = np.arange(1, window + 1, dtype=float)
-        probs = self.c * m ** (-self._s)
-
-        head = self._head_expectation(probs, n, stat, mode, k)
-        tail = 0.0
-        if window < self.cutoff:
-            tail = self._tail_expectation(window, n, stat, mode, k)
-        return head + tail
+        probs = self.c * np.arange(1, window + 1, dtype=float) ** (-self._s)
+        head = float(np.sum(_urn_terms(probs, n, stat, mode, k)))
+        if window == self.cutoff:
+            return head
+        s, c = self._s, self.c
+        # the series runs over j = first..depth, p's powers k + first..k + depth + 1
+        if stat == "rk":
+            first, depth, scale = 0, 14, 1.0
+        else:
+            k, first, depth, scale = 0, 1, 16, (2.0 if stat == "u" else 1.0)
+        sums = [c ** i * (zeta_tail(i * s, window) - zeta_tail(i * s, self.cutoff))
+                for i in range(k + first, k + depth + 2)]
+        if stat == "rk" and sums[0] == 0.0:
+            return head  # the whole tail underflows before the front factor can overflow
+        coef, m = (_binomial_coefficient, n - k) if mode == "fixed" else (_poisson_coefficient, n)
+        front = coef(n, k)
+        total = 0.0
+        for j in range(first, depth + 1):
+            total += (-1.0) ** j * coef(m, j) * scale ** j * sums[j - first]
+        bound = (0.0 if stat == "rk" and sums[-1] == 0.0
+                 else front * coef(m, depth + 1) * scale ** (depth + 1) * sums[-1])
+        if not abs(bound) <= 1e-9:
+            raise ZipfestError(f"tail series under-converged: bound={bound!r}")
+        return head + (front * total if stat == "rk" else -total / scale)
 
     def _oracle_window(self, n: float) -> int:
         # smallest window with n * p <= _ORACLE_SMALLNESS at its edge
         target = (self.c * n / _ORACLE_SMALLNESS) ** self.theta
         window = int(math.ceil(target)) + 1
         return max(min(self.cutoff, _ORACLE_MIN_WINDOW), min(window, self.cutoff))
-
-    @staticmethod
-    def _head_expectation(probs, n, stat, mode, k):
-        if mode == "fixed":
-            if stat == "r":
-                terms = -np.expm1(n * np.log1p(-np.minimum(probs, 1.0)))
-            elif stat == "u":
-                terms = 0.5 * (1.0 - _pow_one_minus(2.0 * probs, n))
-            else:
-                if k > n:
-                    return 0.0
-                log_choose = math.log(_binomial_coefficient(n, k))
-                with np.errstate(divide="ignore"):
-                    log_terms = (log_choose + k * np.log(probs)
-                                 + (n - k) * np.log1p(-np.minimum(probs, 1.0)))
-                terms = np.exp(log_terms)
-        else:
-            lam = n * probs
-            if stat == "r":
-                terms = -np.expm1(-lam)
-            elif stat == "u":
-                terms = 0.5 * -np.expm1(-2.0 * lam)
-            else:
-                terms = np.exp(-lam + k * np.log(lam) - ln_gamma(k + 1.0))
-        return float(np.sum(terms))
-
-    def _tail_sums(self, base: int, orders) -> dict[int, float]:
-        s, c = self._s, self.c
-        out = {}
-        for j in orders:
-            out[j] = c ** j * (zeta_tail(j * s, base) - zeta_tail(j * s, self.cutoff))
-        return out
-
-    def _tail_expectation(self, base, n, stat, mode, k):
-        """Contribution of support indices beyond the enumeration window.
-
-        All per-urn terms there have n*p <= _ORACLE_SMALLNESS, so the
-        alternating expansions below converge factorially; the first
-        neglected term bounds the truncation error.
-        """
-        if stat in ("r", "u"):
-            scale = 2.0 if stat == "u" else 1.0
-            depth = 16
-            t = self._tail_sums(base, range(1, depth + 2))
-            total = 0.0
-            for j in range(1, depth + 1):
-                coef = (_binomial_coefficient(n, j) if mode == "fixed"
-                        else n ** j / math.factorial(j))
-                total += (-1.0) ** (j + 1) * coef * scale ** j * t[j]
-            bound_coef = (_binomial_coefficient(n, depth + 1) if mode == "fixed"
-                          else n ** (depth + 1) / math.factorial(depth + 1))
-            bound = bound_coef * scale ** (depth + 1) * t[depth + 1]
-            if not abs(bound) <= 1e-9:
-                raise ZipfestError(f"tail series under-converged: bound={bound!r}")
-            return (0.5 * total) if stat == "u" else total
-        # stat == "rk"
-        depth = 14
-        t = self._tail_sums(base, range(k, k + depth + 2))
-        if t[k] == 0.0:
-            # the whole tail underflows before the front factor can overflow
-            return 0.0
-        total = 0.0
-        if mode == "fixed":
-            if k > n:
-                return 0.0
-            front = _binomial_coefficient(n, k)
-            for j in range(depth + 1):
-                total += (-1.0) ** j * _binomial_coefficient(n - k, j) * t[k + j]
-            last = t[k + depth + 1]
-            bound = 0.0 if last == 0.0 else front * _binomial_coefficient(n - k, depth + 1) * last
-        else:
-            front = n ** k / math.factorial(k)
-            for j in range(depth + 1):
-                total += (-1.0) ** j * n ** j / math.factorial(j) * t[k + j]
-            last = t[k + depth + 1]
-            bound = 0.0 if last == 0.0 else front * n ** (depth + 1) / math.factorial(depth + 1) * last
-        if not abs(bound) <= 1e-9:
-            raise ZipfestError(f"tail series under-converged: bound={bound!r}")
-        return front * total
 
     # ------------------------------------------------------------------
     # occupancy draws

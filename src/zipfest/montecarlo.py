@@ -293,12 +293,15 @@ def covariance_study(config: ExperimentConfig) -> StudyReport:
         raise UsageError(f"covariance studies need n * t >= 1 at the first grid time "
                          f"t = {config.grid[0]}, got n = {config.n}")
     law = _law_from_config(config)
-    comps = config.nu + 1
-    chunks = _run_chunked(config, _covariance_chunk)
-    raw = np.concatenate(chunks, axis=0)
-
     # alpha(n) counts urns: counting_function(n) is i0 + alpha(n), or 0 if none
-    scale = math.sqrt(max(law.counting_function(float(config.n)) - law.i0, 0))
+    alpha = max(law.counting_function(float(config.n)) - law.i0, 0)
+    if alpha == 0:  # the top urn has n p_1 < 1, and p_1 = c
+        raise UsageError(f"covariance studies need an urn with n * p >= 1, which needs "
+                         f"n >= {math.ceil(1.0 / law.c)} at theta = {config.theta}, "
+                         f"got n = {config.n}")
+    scale = math.sqrt(alpha)
+    comps = config.nu + 1
+    raw = np.concatenate(_run_chunked(config, _covariance_chunk), axis=0)
     centered = np.empty_like(raw)
     for a, t in enumerate(config.grid):
         m = int(math.floor(config.n * t))

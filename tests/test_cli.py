@@ -114,6 +114,8 @@ def test_estimate_takes_the_lower_of_two_rk2_roots(capsys, corpus):
     ["simulate", "--theta", "0.5", "--mode", "poisson", "--t", "1e300"],
     # without --t the horizon is --n, which the t rule checks too
     ["simulate", "--theta", "0.5", "--mode", "poisson", "--n", "10000000000000000000"],
+    # alpha(5) = 0 at theta = 0.9: no urn has n p >= 1, so no scale
+    ["study-covariance", "--theta", "0.9", "--n", "5", "--m", "100", "--grid", "1.0"],
 ])
 def test_usage_error_is_one_line_with_exit_2(capsys, corpus, tmp_path, argv):
     argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]

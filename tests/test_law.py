@@ -22,6 +22,28 @@ def support_probabilities(law):
     return law.c * np.arange(1, law.cutoff + 1, dtype=float) ** (-1.0 / law.theta)
 
 
+def binomial_references(probs, n, ks):
+    """E[R], E[U] and E[R_k] for k in ``ks`` at n balls, urn by urn."""
+    odd = np.empty_like(probs)  # P(odd count) = (1 - (1 - 2p)^n) / 2
+    below = probs < 0.5
+    odd[below] = -0.5 * np.expm1(n * np.log1p(-2.0 * probs[below]))
+    odd[~below] = 0.5 * (1.0 - (1.0 - 2.0 * probs[~below]) ** n)
+    cases = {("r", None): np.sum(-np.expm1(n * np.log1p(-probs))), ("u", None): np.sum(odd)}
+    return cases | {("rk", k): np.sum(st.binom.pmf(k, n, probs)) for k in ks}
+
+
+def poisson_references(probs, t, ks):
+    """E[R], E[U] and E[R_k] for k in ``ks`` at horizon t, urn by urn."""
+    cases = {("r", None): np.sum(-np.expm1(-t * probs)),
+             ("u", None): np.sum(-0.5 * np.expm1(-2.0 * t * probs))}
+    return cases | {("rk", k): np.sum(st.poisson.pmf(k, t * probs)) for k in ks}
+
+
+@pytest.fixture(scope="module")
+def law05_coarse():
+    return make_zipf_law(0.5, tail_epsilon=1e-6)
+
+
 class TestConstruction:
     def test_zeta_probabilities(self, law05):
         assert law05.probability(1) == pytest.approx(1.0 / ZETA2, rel=1e-12)
@@ -135,23 +157,14 @@ class TestExpectedStatistic:
     # The references sum every urn of law03's support, 91110 urns; the oracle
     # enumerates 4096 of them and takes the rest from its tail series.  The
     # references use expm1/log1p: 1 - (1 - 2p)^n alone is off by 6e-12.
+    # theta = 0.5 at tail_epsilon 1e-6 has 607927 urns, and its 4096-urn
+    # window leaves 10.6 % of E[R] at n = 10^6 to the tail series.
 
-    def test_against_binomial_enumeration(self, law03):
+    def test_against_binomial_enumeration(self, law03, law05_coarse):
         probs = support_probabilities(law03)
         assert probs.size == 91110
-        n = 37
-        odd = np.empty_like(probs)  # P(odd count) = (1 - (1 - 2p)^n) / 2
-        below = probs < 0.5
-        odd[below] = -0.5 * np.expm1(n * np.log1p(-2.0 * probs[below]))
-        odd[~below] = 0.5 * (1.0 - (1.0 - 2.0 * probs[~below]) ** n)
-        cases = {
-            ("r", None): np.sum(-np.expm1(n * np.log1p(-probs))),
-            ("u", None): np.sum(odd),
-            ("rk", 1): np.sum(st.binom.pmf(1, n, probs)),
-            ("rk", 3): np.sum(st.binom.pmf(3, n, probs)),
-        }
-        for (stat, k), expected in cases.items():
-            got = law03.expected_statistic(n, stat, k=k)
+        for (stat, k), expected in binomial_references(probs, 37, (1, 3)).items():
+            got = law03.expected_statistic(37, stat, k=k)
             assert got == pytest.approx(expected, abs=1e-12)
         # ln C(n, k) as a difference of three ln-gammas near n ln n loses
         # about 1e-8 of E[R_k] here
@@ -159,18 +172,23 @@ class TestExpectedStatistic:
         for k in (1, 2, 3):
             expected = np.sum(st.binom.pmf(k, n, probs))
             assert law03.expected_statistic(n, "rk", k=k) == pytest.approx(expected, rel=1e-12)
+        probs = support_probabilities(law05_coarse)
+        assert probs.size == 607927
+        for n in (10 ** 5, 10 ** 6):
+            for (stat, k), expected in binomial_references(probs, n, (1, 2, 3)).items():
+                got = law05_coarse.expected_statistic(n, stat, k=k)
+                assert got == pytest.approx(expected, rel=1e-12)
 
-    def test_against_poisson_enumeration(self, law03):
+    def test_against_poisson_enumeration(self, law03, law05_coarse):
         probs = support_probabilities(law03)
-        t = 8.5
-        cases = {
-            ("r", None): np.sum(-np.expm1(-t * probs)),
-            ("u", None): np.sum(-0.5 * np.expm1(-2.0 * t * probs)),
-            ("rk", 2): np.sum(st.poisson.pmf(2, t * probs)),
-        }
-        for (stat, k), expected in cases.items():
-            got = law03.expected_statistic(t, stat, mode="poissonized", k=k)
+        for (stat, k), expected in poisson_references(probs, 8.5, (2,)).items():
+            got = law03.expected_statistic(8.5, stat, mode="poissonized", k=k)
             assert got == pytest.approx(expected, abs=1e-12)
+        probs = support_probabilities(law05_coarse)
+        for t in (10 ** 5, 10 ** 6):
+            for (stat, k), expected in poisson_references(probs, t, (1, 2, 3)).items():
+                got = law05_coarse.expected_statistic(t, stat, mode="poissonized", k=k)
+                assert got == pytest.approx(expected, rel=1e-12)
 
     def test_zeta_tail_window_independence(self, law07):
         import zipfest.law as law_mod

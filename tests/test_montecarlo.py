@@ -42,6 +42,17 @@ def test_covariance_rows_do_not_depend_on_the_index_shift():
     assert shifted.rows == covariance_study(config).rows
 
 
+@pytest.mark.parametrize("theta, n_min", [(0.9, 10), (0.5, 2)])
+def test_covariance_needs_an_urn_with_n_p_at_least_1(theta, n_min):
+    law = make_zipf_law(theta)
+    assert law.counting_function(n_min - 1) == 0 < law.counting_function(n_min)
+    config = ExperimentConfig(theta=theta, n=n_min, m=100, seed=5, grid=(1.0,))
+    with pytest.raises(UsageError, match=f"needs n >= {n_min} at theta"):
+        covariance_study(replace(config, n=n_min - 1))
+    report = covariance_study(config)
+    assert all(np.isfinite(row.z_score) for row in report.rows)
+
+
 def test_every_table_estimator_with_a_normal_limit_reports_rows():
     tags = tuple(tag for tag in ESTIMATORS if tag != "log-ratio")
     report = normality_study(replace(SMALL, estimators=tags, k_values=(1,)))

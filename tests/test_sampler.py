@@ -394,6 +394,28 @@ class TestPoissonized:
         with pytest.raises(DomainError):
             sample_poissonized(law05, 0.0, 1)
 
+    @pytest.mark.parametrize("theta", [0.3, 0.7, 0.9])
+    def test_second_moments(self, theta):
+        # poissonized urns are independent, so (Karlin 1967; Gnedin, Hansen
+        # & Pitman 2007) Var R(t) = E R(2t) - E R(t), Var U(t) = E U(2t) / 2
+        # and Var R_1(t) = E R_1(t) - E R_2(2t) / 2, exactly
+        law = make_zipf_law(theta)
+        t, m = 5000.0, 1000
+        snaps = [sample_poissonized(law, t, SeedSpec(11, rep)).snapshot() for rep in range(m)]
+
+        def mean(horizon, stat, k=None):
+            return law.expected_statistic(horizon, stat, mode="poissonized", k=k)
+
+        cases = {
+            "R": ([s.r for s in snaps], mean(2 * t, "r") - mean(t, "r")),
+            "U": ([s.u for s in snaps], mean(2 * t, "u") / 2),
+            "R_1": ([s.r_k[0] for s in snaps], mean(t, "rk", 1) - mean(2 * t, "rk", 2) / 2),
+        }
+        for name, (values, variance) in cases.items():
+            # the sample variance of M draws has SE about Var * sqrt(2 / (M - 1))
+            z = (np.var(values, ddof=1) - variance) / (variance * math.sqrt(2.0 / (m - 1)))
+            assert abs(z) <= 5.0, (name, z)
+
 
 class TestGoodnessOfFit:
     def test_top_urn_binomial_mean(self, law03):
