@@ -6,29 +6,28 @@ __version__ = "0.1.0"
 from .errors import (DomainError, InputFormatError, InsufficientDataError,
                      NoRootError, UsageError, ZipfestError)
 from .law import PowerLaw, make_zipf_law, zeta_normalization
-from .occupancy import StatisticsSnapshot
-from .sampler import (OccupancyCounts, SeedSpec, sample_fixed,
-                      sample_poissonized, sample_trajectory)
+from .occupancy import OccupancyCounts, StatisticsSnapshot
+from .sampler import SeedSpec, sample_fixed, sample_poissonized, sample_trajectory
 from .estimators import (EstimateResult, ImplicitSolver, log_ratio_estimate,
                          ratio_estimate_k, ratio_estimate_r1)
 from .asymptotics import (CovarianceSpec, implicit_variance, ratio_k_variance,
                           ratio_r1_variance)
 from .montecarlo import (ExperimentConfig, StudyReport, covariance_study,
                          ks_test, normality_study)
-from .ingest import CorpusCounts, load_counts, to_occupancy, tokenize_text
+from .ingest import load_counts, to_occupancy, tokenize_text
 
 __all__ = [
     "__version__",
     "ZipfestError", "DomainError", "UsageError", "InsufficientDataError",
     "InputFormatError", "NoRootError",
     "PowerLaw", "make_zipf_law", "zeta_normalization",
-    "StatisticsSnapshot",
-    "OccupancyCounts", "SeedSpec", "sample_fixed", "sample_poissonized",
+    "OccupancyCounts", "StatisticsSnapshot",
+    "SeedSpec", "sample_fixed", "sample_poissonized",
     "sample_trajectory",
     "EstimateResult", "ImplicitSolver", "log_ratio_estimate",
     "ratio_estimate_k", "ratio_estimate_r1",
     "CovarianceSpec", "implicit_variance", "ratio_k_variance", "ratio_r1_variance",
     "ExperimentConfig", "StudyReport", "covariance_study", "ks_test",
     "normality_study",
-    "CorpusCounts", "load_counts", "to_occupancy", "tokenize_text",
+    "load_counts", "to_occupancy", "tokenize_text",
 ]

@@ -28,13 +28,13 @@ from datetime import datetime, timezone
 from . import __version__
 from .errors import UsageError, ZipfestError
 from .estimators import ESTIMATORS, expand_estimators, snapshot_k_max
-from .ingest import load_counts, to_occupancy, tokenize_file
+from .ingest import (load_counts, read_counts_csv, to_occupancy, tokenize_file,
+                     write_counts_csv)
 from .law import make_zipf_law, zeta_normalization
 from .montecarlo import (NORMALITY_ESTIMATORS, ExperimentConfig,
                          covariance_study, normality_study)
 from .occupancy import DEFAULT_K_MAX
-from .sampler import (SeedSpec, read_counts_csv, sample_fixed,
-                      sample_poissonized, write_counts_csv)
+from .sampler import SeedSpec, sample_fixed, sample_poissonized
 from . import asymptotics
 
 
@@ -214,22 +214,17 @@ def _build_c_model(spec: str | None):
 # estimate
 # ----------------------------------------------------------------------
 
+# --input-format -> the reader of that format
+_READERS = {"text": tokenize_file, "tokens": load_counts, "occupancy": read_counts_csv}
+
+
 def _cmd_estimate(args) -> int:
     requested = expand_estimators(_parse_estimators(args.estimators),
                                   _parse_k_list(args.k))
     c_model = _build_c_model(args.c_model)
     if any(ESTIMATORS[tag].solver_kind for _, tag, _ in requested) and c_model is None:
         raise UsageError("implicit estimators need a known normalization: pass --c-model")
-    if args.input_format == "text":
-        corpus = tokenize_file(args.input)
-        occupancy = to_occupancy(corpus)
-    elif args.input_format == "tokens":
-        occupancy = to_occupancy(load_counts(args.input))
-    elif args.input_format == "occupancy":
-        occupancy = read_counts_csv(args.input)
-    else:
-        raise UsageError(f"unknown input format {args.input_format!r}")
-
+    occupancy = to_occupancy(_READERS[args.input_format](args.input))
     snapshot = occupancy.snapshot(k_max=snapshot_k_max(requested))
     n = int(occupancy.total)
 
@@ -269,7 +264,7 @@ def _cmd_simulate(args) -> int:
 # ----------------------------------------------------------------------
 
 def _study_config(args, **study_flags) -> ExperimentConfig:
-    return ExperimentConfig(theta=args.theta, n=args.n, m=args.m, i0=args.i0, seed=args.seed,
+    return ExperimentConfig(theta=args.theta, n=args.n, m=args.m, seed=args.seed,
                             tail_epsilon=args.tail_epsilon, workers=args.workers,
                             **study_flags)
 
@@ -363,15 +358,13 @@ def build_parser() -> argparse.ArgumentParser:
     def add_common_law(p):
         p.add_argument("--theta", type=float, required=True,
                        help="power-law exponent in (0,1) (dimensionless)")
-        p.add_argument("--i0", type=int, default=0,
-                       help="index shift of the zeta law (urns)")
         p.add_argument("--tail-epsilon", type=float, default=1e-12,
                        help="probability mass allowed beyond the support cutoff")
 
     p = sub.add_parser("estimate", formatter_class=fmt,
                        help="estimate the exponent from a text or counts file")
     p.add_argument("--input", required=True, help="input file path")
-    p.add_argument("--input-format", choices=("text", "tokens", "occupancy"),
+    p.add_argument("--input-format", choices=tuple(_READERS),
                    default="text",
                    help="text: raw UTF-8; tokens: token,count CSV; "
                         "occupancy: urn_index,count CSV")
@@ -392,6 +385,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", formatter_class=fmt,
                        help="draw an occupancy sample from a zeta law")
     add_common_law(p)
+    p.add_argument("--i0", type=int, default=0, help="index shift of the zeta law (urns)")
     p.add_argument("--n", type=int, default=10000, help="number of balls")
     p.add_argument("--t", type=float, default=None,
                    help="poissonized horizon (balls; defaults to --n)")

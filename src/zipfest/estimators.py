@@ -414,7 +414,6 @@ class EstimatorSpec:
 
     tag: str
     statistic: Callable
-    highest_count: Callable             # k -> highest exact count read
     target: Callable | None
     per_k: bool = False                 # one estimate per requested k
     solver_kind: str | None = None      # ImplicitSolver kind, implicit only
@@ -461,24 +460,24 @@ class EstimatorSpec:
 
 ESTIMATORS = {spec.tag: spec for spec in (
     EstimatorSpec(
-        "implicit-r", lambda snap, k: snap.r, lambda k: 0, solver_kind="r",
+        "implicit-r", lambda snap, k: snap.r, solver_kind="r",
         target=lambda theta, k: asymptotics.implicit_variance(theta, "r")),
     EstimatorSpec(
-        "implicit-u", lambda snap, k: snap.u, lambda k: 0, solver_kind="u",
+        "implicit-u", lambda snap, k: snap.u, solver_kind="u",
         target=lambda theta, k: asymptotics.implicit_variance(theta, "u")),
     EstimatorSpec(
-        "implicit-rk", lambda snap, k: snap.exact_count(k), lambda k: k, per_k=True,
+        "implicit-rk", lambda snap, k: snap.exact_count(k), per_k=True,
         solver_kind="rk", target=lambda theta, k: asymptotics.implicit_variance(theta, "rk", k)),
     EstimatorSpec(
-        "ratio-r1", lambda snap, k: snap.r, lambda k: 1, closed_form=_ratio_r1,
+        "ratio-r1", lambda snap, k: snap.r, closed_form=_ratio_r1,
         no_data="ratio estimator needs at least one occupied urn",
         target=lambda theta, k: asymptotics.ratio_r1_variance(theta)),
     EstimatorSpec(
-        "ratio-k", lambda snap, k: snap.exact_count(k), lambda k: k + 1, per_k=True,
+        "ratio-k", lambda snap, k: snap.exact_count(k), per_k=True,
         closed_form=_ratio_k, no_data="no urns with exactly {k} balls",
         target=asymptotics.ratio_k_variance),
     EstimatorSpec(
-        "log-ratio", lambda snap, k: snap.r, lambda k: 0, target=None, closed_form=_log_ratio,
+        "log-ratio", lambda snap, k: snap.r, target=None, closed_form=_log_ratio,
         no_data="log-ratio estimator needs at least one occupied urn"),
 )}
 
@@ -511,5 +510,6 @@ def expand_estimators(tags, k_values) -> list[tuple[str, str, int | None]]:
 
 
 def snapshot_k_max(requested) -> int:
-    """The count range a snapshot must track for ``expand_estimators`` output."""
-    return max([DEFAULT_K_MAX] + [ESTIMATORS[tag].highest_count(k) for _, tag, k in requested])
+    """The count range a snapshot must track for ``expand_estimators`` output:
+    R_{k+1}, which ratio-k(k) reads, is the highest exact count of any tag."""
+    return max([DEFAULT_K_MAX] + [k + 1 for _, _, k in requested if k is not None])

@@ -1,10 +1,13 @@
-"""Turn raw text or token-count tables into occupancy configurations.
+"""Every file format of the package, read into or written from the one
+count table, ``occupancy.OccupancyCounts``.
 
-Two inputs: UTF-8 text (``tokenize_text``, ``tokenize_file``) and a
-``token,count`` CSV (``load_counts``).  The module reads and writes no other
-format.  Tokens play the role of urns: the estimators only consume the
-count-of-count profile, so `to_occupancy` drops token identities and keeps
-the multiset of counts.
+Three inputs: UTF-8 text (``tokenize_text``, ``tokenize_file``), keyed by
+token; a ``token,count`` CSV (``load_counts``); and a ``urn_index,count``
+CSV (``read_counts_csv``), keyed by urn, which ``write_counts_csv`` writes.
+Both CSV formats go through one reader and differ only in how a key is
+parsed and in what a repeated key means.  The estimators read only the
+count-of-count profile, so a key's spelling or label never reaches them;
+``to_occupancy`` checks that a table holds a ball and returns it as it is.
 
 Tokenization is deliberately minimal: tokens are maximal runs of token
 characters, case-folded, where a token character is a regex word character
@@ -36,14 +39,13 @@ import csv
 import re
 import warnings
 from collections import Counter
-from dataclasses import dataclass
 from functools import partial
 
 from .errors import InputFormatError, InsufficientDataError
-from .sampler import OccupancyCounts
+from .occupancy import OccupancyCounts
 
-__all__ = ["CorpusCounts", "tokenize_text", "tokenize_file", "load_counts",
-           "to_occupancy"]
+__all__ = ["tokenize_text", "tokenize_file", "load_counts", "read_counts_csv",
+           "write_counts_csv", "to_occupancy"]
 
 # maximal runs of Unicode letters: word characters minus digits/underscore
 _TOKEN_RE = re.compile(r"[^\W\d_]+", re.UNICODE)
@@ -51,15 +53,7 @@ _TOKEN_RE = re.compile(r"[^\W\d_]+", re.UNICODE)
 _CHUNK_SIZE = 1 << 16
 
 
-@dataclass(frozen=True)
-class CorpusCounts:
-    """Token frequency table."""
-
-    counts: dict
-    total: int
-
-
-def tokenize_text(data) -> CorpusCounts:
+def tokenize_text(data) -> OccupancyCounts:
     """Count tokens in UTF-8 text (str, or bytes that must decode cleanly).
 
     Invalid UTF-8 raises InputFormatError carrying the byte offset.
@@ -73,14 +67,20 @@ def tokenize_text(data) -> CorpusCounts:
     raise InputFormatError(f"expected str or bytes, got {type(data).__name__}")
 
 
-def tokenize_file(path) -> CorpusCounts:
+def tokenize_file(path) -> OccupancyCounts:
     """Count tokens in a UTF-8 text file, as ``tokenize_text`` does its bytes.
 
     The file is read one chunk at a time, so memory holds one chunk and the
     distinct words, not the file.
     """
+    return _count(_file_text(path))
+
+
+def _file_text(path):
+    """The text of a UTF-8 file, one decoded piece per chunk, as
+    :func:`_decoded` gives it."""
     with open(path, "rb") as fh:
-        return _count(_decoded(iter(partial(fh.read, _CHUNK_SIZE), b"")))
+        yield from _decoded(iter(partial(fh.read, _CHUNK_SIZE), b""))
 
 
 def _decoded(chunks):
@@ -106,7 +106,7 @@ def _decode(decoder, chunk, consumed: int, final: bool = False) -> str:
         raise InputFormatError(f"invalid UTF-8 at byte offset {offset}", location=offset)
 
 
-def _count(pieces) -> CorpusCounts:
+def _count(pieces) -> OccupancyCounts:
     """Count the tokens of text given as consecutive pieces.
 
     Keys keep the order in which their first occurrence appears in the text.
@@ -138,50 +138,78 @@ def _count(pieces) -> CorpusCounts:
         for token in (word,) if word.isalpha() else _TOKEN_RE.findall(word):
             folded = token.casefold()
             counts[folded] = counts.get(folded, 0) + count
-    return CorpusCounts(counts=counts, total=sum(counts.values()))
+    return OccupancyCounts(counts=counts, total=sum(counts.values()))
 
 
-def load_counts(path) -> CorpusCounts:
-    """Read a token count CSV with header ``token,count``.
+def load_counts(path) -> OccupancyCounts:
+    """Read a token count CSV with header ``token,count``; a repeated token
+    is summed with a warning."""
+    return _read_table(path, "token", str, sum_duplicates=True)
 
-    Duplicate tokens are summed with a warning; non-positive or non-integer
-    counts are rejected with their line number.
+
+def read_counts_csv(path) -> OccupancyCounts:
+    """Read the urn count CSV of :func:`write_counts_csv`, with total the sum
+    of the counts; a repeated urn index is an error."""
+    return _read_table(path, "urn_index", int, sum_duplicates=False)
+
+
+def write_counts_csv(counts: OccupancyCounts, path) -> None:
+    """CSV (urn_index, count) sorted by index."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["urn_index", "count"])
+        for urn in sorted(counts.counts):
+            writer.writerow([urn, counts.counts[urn]])
+
+
+def _read_table(path, column: str, key, sum_duplicates: bool) -> OccupancyCounts:
+    """The UTF-8 CSV with header ``column,count`` at ``path``: one key, parsed
+    by ``key``, and a positive integer count per row; blank rows are
+    skipped, and an empty file is an empty table.  A repeated key is summed
+    with a warning if ``sum_duplicates``, else an error.  Every other fault
+    raises InputFormatError carrying its line number or, for invalid UTF-8,
+    its byte offset in the file.
     """
     counts: dict = {}
-    total = 0
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip().lower() for h in header[:2]] != ["token", "count"]:
-            raise InputFormatError("expected header 'token,count'", location=1)
-        for line_no, row in enumerate(reader, start=2):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if len(row) < 2:
-                raise InputFormatError(f"malformed row {row!r}", location=line_no)
-            token = row[0]
-            try:
-                cnt = int(row[1])
-            except ValueError as exc:
-                raise InputFormatError(f"malformed count {row[1]!r}: {exc}",
-                                       location=line_no)
-            if cnt < 1:
-                raise InputFormatError(f"count must be >= 1, got {cnt}", location=line_no)
-            if token in counts:
-                warnings.warn(f"duplicate token {token!r} at line {line_no}; counts summed")
-            counts[token] = counts.get(token, 0) + cnt
-            total += cnt
-    return CorpusCounts(counts=counts, total=total)
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if header is not None and [h.strip().lower() for h in header[:2]] != [column, "count"]:
+                raise InputFormatError(f"expected header '{column},count'", location=1)
+            for row in reader:
+                line = reader.line_num
+                if not row or (len(row) == 1 and not row[0].strip()):
+                    continue
+                if len(row) < 2:
+                    raise InputFormatError(f"malformed row {row!r} at line {line}",
+                                           location=line)
+                try:
+                    name, count = key(row[0]), int(row[1])
+                except ValueError as exc:
+                    raise InputFormatError(f"malformed row {row!r} at line {line}: {exc}",
+                                           location=line)
+                if count < 1:
+                    raise InputFormatError(f"count must be >= 1, got {count} at line {line}",
+                                           location=line)
+                if name in counts:
+                    message = f"duplicate {column} {name!r} at line {line}"
+                    if not sum_duplicates:
+                        raise InputFormatError(message, location=line)
+                    warnings.warn(message + "; counts summed")
+                counts[name] = counts.get(name, 0) + count
+    except csv.Error as exc:  # e.g. a field over the csv module's size limit
+        raise InputFormatError(f"{exc} at line {reader.line_num}", location=reader.line_num)
+    except UnicodeDecodeError:
+        for _ in _file_text(path):  # raises with the offset in the whole file
+            pass
+        raise
+    return OccupancyCounts(counts=counts, total=sum(counts.values()))
 
 
-def to_occupancy(corpus: CorpusCounts) -> OccupancyCounts:
-    """Drop token identities, keep counts: tokens become urns 1..V ranked by
-    descending count, preserving the count-of-count profile exactly.
-
-    Ties need no tie-break: tied tokens carry equal counts, so any order
-    among them gives the same rank -> count map.
-    """
-    if corpus.total < 1:
+def to_occupancy(counts: OccupancyCounts) -> OccupancyCounts:
+    """``counts`` itself, once it is known to hold a ball.  Keys stay as they
+    are: no estimator reads them."""
+    if not counts.counts:
         raise InsufficientDataError("empty corpus")
-    counts = dict(enumerate(sorted(corpus.counts.values(), reverse=True), start=1))
-    return OccupancyCounts(counts=counts, total=corpus.total)
+    return counts

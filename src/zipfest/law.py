@@ -114,9 +114,7 @@ def _urn_terms(probs: np.ndarray, n, stat: str, mode: str, k) -> np.ndarray:
 @dataclass(frozen=True)
 class PowerLaw:
     """Immutable zeta law, shareable across workers; build one with
-    :func:`make_zipf_law`.  It keeps the constants of its draws (head
-    probabilities, tail hat bounds) once computed, since they depend on the
-    law and the head width alone."""
+    :func:`make_zipf_law`."""
 
     theta: float
     i0: int
@@ -126,8 +124,6 @@ class PowerLaw:
     discarded_mass: float
     total_mass: float
     _s: float = field(repr=False)
-    # draw constants by head width or first tail urn; see _constant
-    _constants: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     # ------------------------------------------------------------------
     # point evaluations
@@ -264,7 +260,7 @@ class PowerLaw:
         no padding).  A law whose head reaches the cutoff has no tail.
         """
         width = self.head_width(sizes[-1])
-        probs = self._constant(("head", width), self._head_probabilities, width)
+        probs = self._head_probabilities(width)
         tail = width < self.cutoff
         block, held, last = [], 0, 0
         for rng in rngs:
@@ -300,14 +296,6 @@ class PowerLaw:
         del accepted
         tails.sort()
         return (counts[:, :, :width], *_runs(tails.reshape(len(counts) * len(rngs), -1)))
-
-    def _constant(self, key, make, arg):
-        """``make(arg)``, a pure function of the law, computed once per law
-        and ``key``."""
-        value = self._constants.get(key)
-        if value is None:
-            value = self._constants[key] = make(arg)
-        return value
 
     def _head_probabilities(self, width: int) -> np.ndarray:
         """The multinomial's probabilities for head width ``width``: positions
@@ -361,7 +349,7 @@ class PowerLaw:
         if not out.size:
             return out
         s = self._s
-        top, span, quick = self._constant(("tail", first), self._tail_bounds, first)
+        top, span, quick = self._tail_bounds(first)
         first, cutoff = float(first), float(self.cutoff)
         column = np.arange(out.shape[1])
         filled = np.zeros_like(want)

@@ -1,6 +1,10 @@
-"""Reduce urn count configurations to occupancy statistics.
+"""The count table of a sample and the occupancy statistics read off it.
 
-A :class:`StatisticsSnapshot` carries, for one configuration,
+An :class:`OccupancyCounts` is the one count table of the package: a key ->
+count map, keyed by urn for a drawn sample and by token for a text, with
+its total.  Only the multiset of counts reaches a statistic, so a key's
+label never does.  A :class:`StatisticsSnapshot` carries, for one
+configuration,
 
     r          number of occupied urns,
     r_k[k]     urns holding exactly k balls, k = 1..k_max,
@@ -27,7 +31,8 @@ import numpy as np
 
 from .errors import UsageError
 
-__all__ = ["StatisticsSnapshot", "SnapshotColumns", "summarize_counts", "tally_block"]
+__all__ = ["OccupancyCounts", "StatisticsSnapshot", "SnapshotColumns", "summarize_counts",
+           "tally_block"]
 
 DEFAULT_K_MAX = 8
 _NONE = np.empty(0, dtype=np.intp)
@@ -125,6 +130,19 @@ def tally_block(head, rows, counts, k_max: int = DEFAULT_K_MAX) -> np.ndarray:
         keys += offset
         tally = tally + np.bincount(keys.ravel(), minlength=size * bins)
     return tally.reshape(size, bins)
+
+
+@dataclass(frozen=True)
+class OccupancyCounts:
+    """Realized key -> ball-count map of one sample: urns of a draw, or
+    tokens of a text."""
+
+    counts: dict
+    total: float            # n for fixed mode or a text, horizon t for poissonized
+
+    def snapshot(self, k_max: int = DEFAULT_K_MAX) -> StatisticsSnapshot:
+        values = np.fromiter(self.counts.values(), dtype=np.int64, count=len(self.counts))
+        return summarize_counts((values,), self.total, k_max=k_max)
 
 
 def summarize_counts(parts, total, k_max: int = DEFAULT_K_MAX) -> StatisticsSnapshot:

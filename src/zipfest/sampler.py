@@ -1,4 +1,5 @@
-"""Samplers for occupancy configurations.
+"""Samplers for occupancy configurations: draws only.  The count table they
+return is ``occupancy.OccupancyCounts``; ``ingest`` reads and writes it.
 
 The occupancy statistics read only how many balls each urn holds, so no
 sampler draws every ball.  All of them draw through the block routine
@@ -23,19 +24,18 @@ and still reproduce bit-for-bit, however they are cut into blocks.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, InputFormatError, UsageError
+from .errors import DomainError, UsageError
 from .law import PowerLaw
-from .occupancy import (DEFAULT_K_MAX, SnapshotColumns, StatisticsSnapshot,
-                        summarize_counts, tally_block)
+from .occupancy import (DEFAULT_K_MAX, OccupancyCounts, SnapshotColumns,
+                        StatisticsSnapshot, tally_block)
 
-__all__ = ["SeedSpec", "OccupancyCounts", "sample_fixed", "sample_trajectory",
-           "sample_trajectories", "sample_poissonized", "write_counts_csv", "read_counts_csv"]
+__all__ = ["SeedSpec", "sample_fixed", "sample_trajectory", "sample_trajectories",
+           "sample_poissonized"]
 
 
 @dataclass(frozen=True)
@@ -56,18 +56,6 @@ def _as_seed(seed) -> SeedSpec:
     if isinstance(seed, (int, np.integer)):
         return SeedSpec(master=int(seed))
     raise UsageError(f"seed must be an int or SeedSpec, got {seed!r}")
-
-
-@dataclass(frozen=True)
-class OccupancyCounts:
-    """Realized urn -> ball-count map for one sample."""
-
-    counts: dict
-    total: float            # n for fixed mode, horizon t for poissonized
-
-    def snapshot(self, k_max: int = DEFAULT_K_MAX) -> StatisticsSnapshot:
-        values = np.fromiter(self.counts.values(), dtype=np.int64, count=len(self.counts))
-        return summarize_counts((values,), self.total, k_max=k_max)
 
 
 def _counts_dict(law: PowerLaw, n: int, rng: np.random.Generator) -> dict:
@@ -143,42 +131,3 @@ def sample_poissonized(law: PowerLaw, t: float, seed) -> OccupancyCounts:
         counts = {}
     return OccupancyCounts(counts=counts, total=float(t))
 
-
-# ----------------------------------------------------------------------
-# counts serialization
-# ----------------------------------------------------------------------
-
-def write_counts_csv(counts: OccupancyCounts, path) -> None:
-    """CSV (urn_index, count) sorted by index."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["urn_index", "count"])
-        for urn in sorted(counts.counts):
-            writer.writerow([urn, counts.counts[urn]])
-
-
-def read_counts_csv(path) -> OccupancyCounts:
-    """Inverse of :func:`write_counts_csv`, with total the sum of the counts."""
-    counts: dict = {}
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip().lower() for h in header[:2]] != ["urn_index", "count"]:
-            raise InputFormatError("expected header 'urn_index,count'", location=1)
-        for line_no, row in enumerate(reader, start=2):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if len(row) < 2:
-                raise InputFormatError(f"malformed row {row!r}", location=line_no)
-            try:
-                urn = int(row[0])
-                cnt = int(row[1])
-            except ValueError as exc:
-                raise InputFormatError(f"malformed row {row!r}: {exc}", location=line_no)
-            if cnt < 1:
-                raise InputFormatError(f"count must be >= 1, got {cnt}", location=line_no)
-            if urn in counts:
-                raise InputFormatError(f"duplicate urn index {urn}", location=line_no)
-            counts[urn] = cnt
-    total = sum(counts.values())
-    return OccupancyCounts(counts=counts, total=total)

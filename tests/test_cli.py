@@ -76,6 +76,59 @@ def test_estimate_takes_the_lower_of_two_rk2_roots(capsys, corpus):
     assert estimate["theta_hat"] < 0.9
 
 
+def test_text_and_both_csv_formats_give_identical_stdout(capsys, tmp_path, corpus):
+    path, counts = corpus
+    ranks = np.flatnonzero(counts)
+    words = [str(r).translate(DIGITS_AS_LETTERS) for r in ranks]
+    tokens, urns = tmp_path / "tokens.csv", tmp_path / "urns.csv"
+    tokens.write_text("token,count\n" + "".join(
+        f"{w},{counts[r]}\n" for w, r in zip(words, ranks)), encoding="utf-8")
+    urns.write_text("urn_index,count\n" + "".join(
+        f"{r + 1},{counts[r]}\n" for r in ranks), encoding="utf-8")
+    flags = ["--estimators", "all", "--c-model", "zeta", "--k", "1,2"]
+    outputs = [run(capsys, ["estimate", "--input", str(p), "--input-format", fmt, *flags])
+               for p, fmt in ((path, "text"), (tokens, "tokens"), (urns, "occupancy"))]
+    assert outputs[0][0] == 0 and outputs[0][2] == ""
+    assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
+
+
+# per --input-format: the header of an empty table, and a file with one
+# invalid UTF-8 byte
+INPUTS = {"text": ("", b"token count ab\xff 3\n"),
+          "tokens": ("token,count\n", b"token,count\nab\xff,3\n"),
+          "occupancy": ("urn_index,count\n", b"urn_index,count\n\xff,3\n")}
+
+
+@pytest.mark.parametrize("fmt", INPUTS)
+@pytest.mark.parametrize("header", [False, True])
+@pytest.mark.parametrize("estimators", ["ratio-r1", "all"])
+def test_an_empty_input_is_one_line_with_exit_1(capsys, tmp_path, fmt, header, estimators):
+    path = tmp_path / "empty"
+    path.write_text(INPUTS[fmt][0] if header else "", encoding="utf-8")
+    assert run(capsys, ["estimate", "--input", str(path), "--input-format", fmt,
+                        "--estimators", estimators, "--c-model", "zeta"]) == (
+        1, "", "zipfest: error: empty corpus\n")
+
+
+@pytest.mark.parametrize("fmt", INPUTS)
+def test_invalid_utf8_is_one_line_with_exit_1(capsys, tmp_path, fmt):
+    path = tmp_path / "bad"
+    path.write_bytes(INPUTS[fmt][1])
+    offset = INPUTS[fmt][1].index(b"\xff")
+    assert run(capsys, ["estimate", "--input", str(path), "--input-format", fmt]) == (
+        1, "", f"zipfest: error: invalid UTF-8 at byte offset {offset}\n")
+
+
+@pytest.mark.parametrize("fmt", ["tokens", "occupancy"])
+def test_an_over_long_csv_field_is_one_line_with_exit_1(capsys, tmp_path, fmt):
+    path = tmp_path / "long.csv"
+    path.write_text(INPUTS[fmt][0] + f"12,{'1' * 200_000}\n", encoding="utf-8")
+    code, out, err = run(capsys, ["estimate", "--input", str(path), "--input-format", fmt])
+    assert (code, out) == (1, "")
+    assert err.startswith("zipfest: error: ") and err.endswith(" at line 2\n")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
 @pytest.mark.parametrize("argv", [
     ["estimate", "--estimators", "implicit-r", "--c-model", "const:x"],
     ["eval-asymptotics", "--theta", "0.5,x"],
@@ -201,7 +254,7 @@ def test_csv_row_without_a_column_raises():
 
 
 @pytest.mark.parametrize("flag", [["--config", "study.cfg"],
-                                  ["--variance-tolerance", "0.2"]])
+                                  ["--variance-tolerance", "0.2"], ["--i0", "5"]])
 def test_removed_flags_are_rejected(capsys, flag):
     with pytest.raises(SystemExit) as exc:
         main(["study-normality", "--theta", "0.5", *flag])

@@ -7,8 +7,9 @@ from hypothesis import strategies as hst
 
 from zipfest import ingest
 from zipfest.errors import InputFormatError, InsufficientDataError
-from zipfest.ingest import (CorpusCounts, load_counts, to_occupancy,
+from zipfest.ingest import (load_counts, read_counts_csv, to_occupancy,
                             tokenize_file, tokenize_text)
+from zipfest.occupancy import OccupancyCounts
 
 # letters whose case folding changes their length or needs a combining mark;
 # token characters that are not letters (so their words take the regex);
@@ -180,10 +181,59 @@ def test_to_occupancy_rejects_an_empty_corpus():
         to_occupancy(tokenize_text(""))
 
 
-def test_to_occupancy_ranks_by_count_then_token():
-    corpus = CorpusCounts(counts={"b": 2, "c": 5, "a": 2, "d": 1}, total=10)
-    occupancy = to_occupancy(corpus)
-    assert occupancy.counts == {1: 5, 2: 2, 3: 2, 4: 1}
-    assert list(occupancy.counts) == [1, 2, 3, 4]
-    assert occupancy.total == 10
-    assert occupancy.snapshot().exact_count(2) == 2
+def test_to_occupancy_returns_its_table():
+    # no estimator reads a key, so tokens keep their spelling and urns their label
+    for table in (OccupancyCounts(counts={"b": 2, "c": 5, "a": 2, "d": 1}, total=10),
+                  OccupancyCounts(counts={7: 2, 3: 5}, total=7)):
+        assert to_occupancy(table) is table
+
+
+# the two CSV formats: their reader, header and a well-formed key
+CSV_FORMATS = {"tokens": (load_counts, "token,count", "ab"),
+               "occupancy": (read_counts_csv, "urn_index,count", "12")}
+
+
+@pytest.mark.parametrize("fmt", CSV_FORMATS)
+@pytest.mark.parametrize("text", ["", "{header}\n", "{header}\n\n"])
+def test_an_empty_or_header_only_csv_is_an_empty_table(tmp_path, fmt, text):
+    read, header, _ = CSV_FORMATS[fmt]
+    path = tmp_path / "counts.csv"
+    path.write_text(text.format(header=header), encoding="utf-8")
+    assert read(path) == OccupancyCounts(counts={}, total=0)
+    with pytest.raises(InsufficientDataError, match="empty corpus"):
+        to_occupancy(read(path))
+
+
+@pytest.mark.parametrize("fmt", CSV_FORMATS)
+@pytest.mark.parametrize("rows", [b"{key},3\nab\xff,3\n", b"{key},3\n\xe2\x82",
+                                  b"\xed\xa0\x80,1\n", b"\n" * 70_000 + b"\xff,1\n"],
+                         ids=["bad byte", "truncated at the end", "surrogate", "past a chunk"])
+def test_invalid_utf8_in_a_csv_reports_its_byte_offset(tmp_path, fmt, rows):
+    read, header, key = CSV_FORMATS[fmt]
+    data = (header + "\n").encode() + rows.replace(b"{key}", key.encode())
+    with pytest.raises(UnicodeDecodeError) as expected:
+        data.decode("utf-8")
+    path = tmp_path / "counts.csv"
+    path.write_bytes(data)
+    offset = expected.value.start
+    with pytest.raises(InputFormatError, match=f"invalid UTF-8 at byte offset {offset}$") as err:
+        read(path)
+    assert err.value.location == offset
+
+
+@pytest.mark.parametrize("fmt", CSV_FORMATS)
+def test_a_csv_field_over_the_size_limit_reports_its_line(tmp_path, fmt):
+    read, header, key = CSV_FORMATS[fmt]
+    path = tmp_path / "counts.csv"
+    path.write_text(f"{header}\n{key},3\n\n{key}7,{'1' * 200_000}\n", encoding="utf-8")
+    with pytest.raises(InputFormatError, match="at line 4$") as err:
+        read(path)
+    assert err.value.location == 4
+
+
+def test_a_duplicate_urn_index_is_an_error(tmp_path):
+    path = tmp_path / "counts.csv"
+    path.write_text("urn_index,count\n3,1\n4,2\n3,5\n", encoding="utf-8")
+    with pytest.raises(InputFormatError, match="duplicate urn_index 3 at line 4") as err:
+        read_counts_csv(path)
+    assert err.value.location == 4

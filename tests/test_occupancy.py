@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as hst
 
 from zipfest.errors import UsageError
-from zipfest.occupancy import summarize_counts
-from zipfest.sampler import OccupancyCounts, SeedSpec, sample_fixed
+from zipfest.occupancy import OccupancyCounts, summarize_counts
+from zipfest.sampler import SeedSpec, sample_fixed
 
 
 def snap_of(counts_map, k_max=8):

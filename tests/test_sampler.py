@@ -8,11 +8,10 @@ from hypothesis import strategies as hst
 
 from zipfest import law as law_module
 from zipfest.errors import DomainError, InputFormatError, UsageError
+from zipfest.ingest import read_counts_csv, write_counts_csv
 from zipfest.law import _hat_integral, _hat_integral_inverse, make_zipf_law
-from zipfest.sampler import (OccupancyCounts, SeedSpec, read_counts_csv,
-                             sample_fixed, sample_poissonized,
-                             sample_trajectories, sample_trajectory,
-                             write_counts_csv)
+from zipfest.sampler import (SeedSpec, sample_fixed, sample_poissonized,
+                             sample_trajectories, sample_trajectory)
 from zipfest.specfun import zeta_tail
 
 from conftest import WORKERS
