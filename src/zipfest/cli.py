@@ -23,6 +23,7 @@ import hashlib
 import json
 import math
 import sys
+import warnings
 from datetime import datetime, timezone
 
 from . import __version__
@@ -451,8 +452,12 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        _check_ranges(args)
-        return args.func(args)
+        with warnings.catch_warnings():
+            # one line, without the source line that the default prints
+            warnings.showwarning = lambda message, *_: print(f"zipfest: warning: {message}",
+                                                             file=sys.stderr)
+            _check_ranges(args)
+            return args.func(args)
     except UsageError as exc:
         print(f"zipfest: usage error: {exc}", file=sys.stderr)
         return 2

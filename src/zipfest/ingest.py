@@ -182,18 +182,18 @@ def _read_table(path, column: str, key, sum_duplicates: bool) -> OccupancyCounts
                 if not row or (len(row) == 1 and not row[0].strip()):
                     continue
                 if len(row) < 2:
-                    raise InputFormatError(f"malformed row {row!r} at line {line}",
+                    raise InputFormatError(f"malformed row {row!r:.80} at line {line}",
                                            location=line)
                 try:
                     name, count = key(row[0]), int(row[1])
                 except ValueError as exc:
-                    raise InputFormatError(f"malformed row {row!r} at line {line}: {exc}",
-                                           location=line)
+                    raise InputFormatError(
+                        f"malformed row {row!r:.80} at line {line}: {exc!s:.160}", location=line)
                 if count < 1:
                     raise InputFormatError(f"count must be >= 1, got {count} at line {line}",
                                            location=line)
                 if name in counts:
-                    message = f"duplicate {column} {name!r} at line {line}"
+                    message = f"duplicate {column} {name!r:.80} at line {line}"
                     if not sum_duplicates:
                         raise InputFormatError(message, location=line)
                     warnings.warn(message + "; counts summed")

@@ -34,7 +34,10 @@ tail mass is below ``tail_epsilon`` (default 1e-12).  Oracles never
 renormalize; the tail contribution beyond the enumeration window is added
 through that series in the exact zeta tail sums, with the truncation
 remainder bounded explicitly.  Sampling renormalizes over the retained
-support and records the discarded mass.
+support and records the discarded mass.  The cutoff search takes about 55
+tail sums at any exponent: beyond 2^53 a tail sum reads its base only
+through the base's 53-bit rounding, so the bisection stops, with its exact
+answer, once its ends round to adjacent 53-bit values (``_minimal_cutoff``).
 
 For exponents near 1 the cutoff is astronomically large.  Zeta-law tail
 positions are float64: exact integers below 2^53, 53 significant bits beyond
@@ -261,33 +264,34 @@ class PowerLaw:
         """
         width = self.head_width(sizes[-1])
         probs = self._head_probabilities(width)
-        tail = width < self.cutoff
+        bounds = self._tail_bounds(width + 1) if width < self.cutoff else None
         block, held, last = [], 0, 0
         for rng in rngs:
             if block and held + last > _BLOCK_ELEMENTS:  # the next draw would not fit
-                yield self._prefix_block(block, width)
+                yield self._prefix_block(block, width, bounds)
                 block, held = [], 0
             batches = np.array([rng.multinomial(b - a, probs) for a, b in zip([0, *sizes], sizes)])
-            balls = int(batches[:, -1].sum()) if tail else 0
+            balls = int(batches[:, -1].sum()) if bounds else 0
             block.append((rng, batches, rng.random(balls) if balls else np.empty(0)))
             last = batches.size + balls
             held += last
         if block:
-            yield self._prefix_block(block, width)
+            yield self._prefix_block(block, width, bounds)
 
-    def _prefix_block(self, block, width: int) -> tuple:
+    def _prefix_block(self, block, width: int, bounds) -> tuple:
         """The prefixes of :meth:`draw_prefixes` of one block of
-        (generator, batch counts, tail uniforms) triples.  Each array is
-        dropped once it is used up, so that the block's peak memory stays
-        near one copy of its draws."""
+        (generator, batch counts, tail uniforms) triples, with the tail
+        drawer's ``_tail_bounds(width + 1)``, or None if there is no tail.
+        Each array is dropped once it is used up, so that the block's peak
+        memory stays near one copy of its draws."""
         rngs, batches, uniforms = zip(*block)
         block.clear()
         counts = np.stack(batches, axis=1)  # [prefix, row, urn], the tail's share last
         del batches
         for j in range(1, len(counts)):
             counts[j] += counts[j - 1]
-        if width < self.cutoff:
-            accepted = self._accepted(width + 1, rngs, uniforms)
+        if bounds:
+            accepted = self._accepted(width + 1, rngs, uniforms, bounds)
         else:
             accepted = np.empty((len(rngs), 0))
         del uniforms
@@ -319,37 +323,41 @@ class PowerLaw:
         first^-s, H(first + 1/2)], of length exactly h(first).  x >= k -
         quick puts u in the kept part of k for every k >= 2, so only the
         other balls need the exact test; beyond 2^53, where x has no fraction
-        left, this is the test that decides.
-        """
-        s = self._s
-        top = _hat_integral(math.log(self.cutoff + 0.5), s)
-        bottom = _hat_integral(math.log(first + 0.5), s) - float(first) ** -s
-        quick = 2.0 - _hat_integral_inverse(_hat_integral(math.log(2.5), s) - 2.0 ** -s, s)
-        return top, bottom - top, quick
-
-    def _accepted(self, first: int, rngs, uniforms) -> np.ndarray:
-        """The support positions, first..cutoff with first >= 2, that the
-        uniforms ``uniforms[i]`` drawn from ``rngs[i]`` map to: row i holds
-        them in stream order, padded with inf.
-
-        Rejection-inversion with the hat x^-s, s = 1/theta (see
-        :meth:`_tail_bounds`) maps each uniform on its own, every row in one
-        pass; a row that falls short then draws exactly the count still
-        missing from its own generator, until every ball is kept.  Positions
-        are float64, exact below 2^53, so a law whose cutoff exceeds the
-        float64 range cannot be sampled.
+        left, this is the test that decides.  Positions are float64, exact
+        below 2^53, so a law whose cutoff exceeds the float64 range cannot be
+        sampled.
         """
         if self.cutoff > sys.float_info.max:
             raise DomainError(
                 f"cannot sample theta={self.theta!r}: its support cutoff "
                 f"10^{math.log10(self.cutoff):.1f} exceeds the float64 range; "
                 "raise tail_epsilon (at 1e-6, theta up to about 0.98 can be sampled)")
+        s = self._s
+        top = _hat_integral(math.log(self.cutoff + 0.5), s)
+        bottom = _hat_integral(math.log(first + 0.5), s) - float(first) ** -s
+        # from s about 60, H(2.5) - 2^-s rounds to 1/(s-1), where H^-1 is
+        # inf, and quick to -inf: every ball takes the exact test
+        with np.errstate(divide="ignore"):
+            quick = 2.0 - _hat_integral_inverse(_hat_integral(math.log(2.5), s) - 2.0 ** -s, s)
+        return top, bottom - top, quick
+
+    def _accepted(self, first: int, rngs, uniforms, bounds=None) -> np.ndarray:
+        """The support positions, first..cutoff with first >= 2, that the
+        uniforms ``uniforms[i]`` drawn from ``rngs[i]`` map to: row i holds
+        them in stream order, padded with inf.
+
+        Rejection-inversion with the hat x^-s, s = 1/theta (see
+        :meth:`_tail_bounds`; ``bounds``, if given, is its value from
+        ``first``) maps each uniform on its own, every row in one pass; a row
+        that falls short then draws exactly the count still missing from its
+        own generator, until every ball is kept.
+        """
+        top, span, quick = bounds or self._tail_bounds(first)
         want = np.array([u.size for u in uniforms])
         out = np.full((want.size, want.max()), np.inf)
         if not out.size:
             return out
         s = self._s
-        top, span, quick = self._tail_bounds(first)
         first, cutoff = float(first), float(self.cutoff)
         column = np.arange(out.shape[1])
         filled = np.zeros_like(want)
@@ -423,6 +431,13 @@ def _minimal_cutoff(s: float, c: float, eps: float) -> int:
     The tail falls as c N^(1-s) / (s-1), which puts N near 2^j; j is then
     walked to the first power of two whose tail is below eps, so that
     f(2^j) < eps <= f(2^(j-1)), and N bisected in (2^(j-1), 2^j].
+
+    Beyond 2^53 ``zeta_tail(s, N)`` reads N only through ``math.log(N)``,
+    that is through N rounded half-to-even to 53 bits: in (2^(j-1), 2^j], to
+    a multiple of unit = 2^(j-53), a tie to an even one.  So once hi - lo <
+    unit, lo and hi round to adjacent multiples, every N between them to
+    one of the two, and the bisection would end at the first N that rounds
+    up: the tie point between the two, or one past it if it rounds down.
     """
     def above(n):
         return c * zeta_tail(s, n) >= eps
@@ -433,13 +448,18 @@ def _minimal_cutoff(s: float, c: float, eps: float) -> int:
     while above(2 ** j):
         j += 1
     lo, hi = 2 ** j // 2, 2 ** j
-    while hi - lo > 1:
+    unit = 1 << max(0, j - 53)
+    while hi - lo > max(1, unit - 1):
         mid = (lo + hi) // 2
         if above(mid):
             lo = mid
         else:
             hi = mid
-    return hi
+    if unit == 1:
+        return hi
+    q, r = divmod(lo, unit)
+    upper = q + 1 + (r > unit // 2 or (r == unit // 2 and q % 2))  # hi's multiple
+    return upper * unit - unit // 2 + upper % 2
 
 
 def _hat_integral(log_x, s: float):

@@ -33,7 +33,8 @@ coverage flags equal those of one-snapshot estimates bit for bit.
 Replications are independent jobs keyed by replication index, so results
 are identical for any worker count; the aggregation is a commutative merge
 over replication-indexed slots.  The worker count is
-``ExperimentConfig.workers`` (default 1).
+``ExperimentConfig.workers`` (default 1).  A study builds its law once and
+hands it to every chunk; with more workers, the law is pickled to them.
 """
 
 from __future__ import annotations
@@ -41,7 +42,6 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -181,10 +181,9 @@ def _seeds(cfg: ExperimentConfig, rep_lo: int, rep_hi: int):
     return (SeedSpec(cfg.seed, rep) for rep in range(rep_lo, rep_hi))
 
 
-def _normality_chunk(cfg: ExperimentConfig, rep_lo: int, rep_hi: int):
+def _normality_chunk(cfg: ExperimentConfig, law: PowerLaw, rep_lo: int, rep_hi: int):
     """Standardized values / coverage flags for one chunk of replications,
     NaN where an estimator has no usable estimate."""
-    law = _law_from_config(cfg)
     requested = expand_estimators(cfg.estimators, cfg.k_values)
     k_max = snapshot_k_max(requested)
     columns, = sample_trajectories(law, cfg.n, (1.0,), _seeds(cfg, rep_lo, rep_hi), k_max=k_max)
@@ -202,16 +201,17 @@ def _normality_chunk(cfg: ExperimentConfig, rep_lo: int, rep_hi: int):
     return values, covered
 
 
-def _run_chunked(cfg: ExperimentConfig, chunk_fn):
+def _run_chunked(cfg: ExperimentConfig, law: PowerLaw, chunk_fn):
     workers = int(cfg.workers)
     if workers < 1:
         raise UsageError(f"workers must be >= 1, got {workers!r}")
     if workers == 1:
-        return [chunk_fn(cfg, 0, cfg.m)]
+        return [chunk_fn(cfg, law, 0, cfg.m)]
+    from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing, so only here
     bounds = np.linspace(0, cfg.m, workers * 2 + 1).astype(int)
     ranges = [(int(a), int(b)) for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(chunk_fn, cfg, a, b) for a, b in ranges]
+        futures = [pool.submit(chunk_fn, cfg, law, a, b) for a, b in ranges]
         return [f.result() for f in futures]
 
 
@@ -227,7 +227,7 @@ def normality_study(config: ExperimentConfig) -> StudyReport:
     for _, tag, _ in requested:
         if ESTIMATORS[tag].target is None:
             raise UsageError(f"{tag} has no normal limit; drop it from normality studies")
-    chunks = _run_chunked(config, _normality_chunk)
+    chunks = _run_chunked(config, _law_from_config(config), _normality_chunk)
     values = {name: np.concatenate([c[0][name] for c in chunks]) for name, _, _ in requested}
     covered = {name: np.concatenate([c[1][name] for c in chunks]) for name, _, _ in requested}
 
@@ -269,8 +269,7 @@ class CovarianceRow:
     z_score: float
 
 
-def _covariance_chunk(cfg: ExperimentConfig, rep_lo: int, rep_hi: int):
-    law = _law_from_config(cfg)
+def _covariance_chunk(cfg: ExperimentConfig, law: PowerLaw, rep_lo: int, rep_hi: int):
     out = np.empty((rep_hi - rep_lo, len(cfg.grid), cfg.nu + 1))
     for a, columns in enumerate(sample_trajectories(law, cfg.n, cfg.grid,
                                                     _seeds(cfg, rep_lo, rep_hi), k_max=cfg.nu)):
@@ -301,7 +300,7 @@ def covariance_study(config: ExperimentConfig) -> StudyReport:
                          f"got n = {config.n}")
     scale = math.sqrt(alpha)
     comps = config.nu + 1
-    raw = np.concatenate(_run_chunked(config, _covariance_chunk), axis=0)
+    raw = np.concatenate(_run_chunked(config, law, _covariance_chunk), axis=0)
     centered = np.empty_like(raw)
     for a, t in enumerate(config.grid):
         m = int(math.floor(config.n * t))

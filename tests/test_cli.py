@@ -129,6 +129,26 @@ def test_an_over_long_csv_field_is_one_line_with_exit_1(capsys, tmp_path, fmt):
     assert err.count("\n") == 1 and "Traceback" not in err
 
 
+def test_a_repeated_token_is_one_warning_line(capsys, tmp_path):
+    repeated, summed = tmp_path / "repeated.csv", tmp_path / "summed.csv"
+    repeated.write_text("token,count\na,3\nb,1\na,2\n", encoding="utf-8")
+    summed.write_text("token,count\na,5\nb,1\n", encoding="utf-8")
+    flags = ["--input-format", "tokens", "--estimators", "ratio-r1,log-ratio"]
+    code, out, err = run(capsys, ["estimate", "--input", str(repeated), *flags])
+    assert (code, err) == (0, "zipfest: warning: duplicate token 'a' at line 4; counts summed\n")
+    assert run(capsys, ["estimate", "--input", str(summed), *flags]) == (0, out, "")
+
+
+def test_a_malformed_row_is_one_short_line(capsys, tmp_path):
+    # 5000 digits exceed Python's int-parsing limit, not the csv field limit
+    path = tmp_path / "long.csv"
+    path.write_text("token,count\na," + "7" * 5000 + "\n", encoding="utf-8")
+    code, out, err = run(capsys, ["estimate", "--input", str(path), "--input-format", "tokens"])
+    assert (code, out) == (1, "")
+    assert err.startswith("zipfest: error: malformed row ['a', '777") and " at line 2: " in err
+    assert err.count("\n") == 1 and len(err.encode()) < 300
+
+
 @pytest.mark.parametrize("argv", [
     ["estimate", "--estimators", "implicit-r", "--c-model", "const:x"],
     ["eval-asymptotics", "--theta", "0.5,x"],

@@ -1,3 +1,4 @@
+import csv
 import random
 import tracemalloc
 
@@ -191,6 +192,20 @@ def test_to_occupancy_returns_its_table():
 # the two CSV formats: their reader, header and a well-formed key
 CSV_FORMATS = {"tokens": (load_counts, "token,count", "ab"),
                "occupancy": (read_counts_csv, "urn_index,count", "12")}
+
+
+@pytest.mark.parametrize("fmt, row", [("tokens", "a" * 100_000), ("tokens", "a," + "7" * 5000),
+                                      ("tokens", "a" * 100_000 + ",x"),
+                                      ("occupancy", "x" * 5000 + ",3")])
+def test_a_malformed_row_message_shows_80_characters_of_it(tmp_path, fmt, row):
+    read, header, _ = CSV_FORMATS[fmt]
+    path = tmp_path / "counts.csv"
+    path.write_text(f"{header}\n{row}\n", encoding="utf-8")
+    with pytest.raises(InputFormatError, match=" at line 2") as err:
+        read(path)
+    shown = str(err.value).removeprefix("malformed row ").split(" at line 2")[0]
+    assert err.value.location == 2 and shown == repr(next(csv.reader([row])))[:80]
+    assert len(str(err.value)) < 300  # the reason too echoes at most 160 characters
 
 
 @pytest.mark.parametrize("fmt", CSV_FORMATS)

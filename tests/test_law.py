@@ -6,6 +6,7 @@ import scipy.stats as st
 
 from zipfest.asymptotics import log_growth
 from zipfest.errors import DomainError, UsageError
+from zipfest import law as law_module
 from zipfest.law import _minimal_cutoff, make_zipf_law, zeta_normalization
 from zipfest.specfun import ln_gamma, zeta, zeta_tail
 
@@ -95,10 +96,23 @@ class TestConstruction:
                     lo = mid
             return hi
 
-        for theta in np.linspace(0.01, 0.99, 40):
+        # the search stops early beyond 2^53, from theta about 0.6 at 1e-6
+        for theta in np.concatenate([np.linspace(0.01, 0.99, 40), np.linspace(0.905, 0.995, 19)]):
             s = 1.0 / theta
             c = 1.0 / zeta(s)
             assert _minimal_cutoff(s, c, eps) == doubling(s, c), theta
+
+    @pytest.mark.parametrize("theta", [0.7, 0.9, 0.99])
+    def test_cutoff_search_is_about_55_tail_sums(self, monkeypatch, theta):
+        # plain bisection takes log2(cutoff) of them: 3946 at theta = 0.99
+        calls = []
+        monkeypatch.setattr(law_module, "zeta_tail",
+                            lambda s, n: calls.append(n) or zeta_tail(s, n))
+        s = 1.0 / theta
+        c = 1.0 / zeta(s)
+        cutoff = _minimal_cutoff(s, c, 1e-12)
+        assert cutoff > 2 ** 54 and len(calls) <= 60
+        assert c * zeta_tail(s, cutoff) < 1e-12 <= c * zeta_tail(s, cutoff - 1)
 
     def test_domain_errors(self):
         with pytest.raises(DomainError):

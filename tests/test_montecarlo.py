@@ -1,9 +1,14 @@
+import concurrent.futures
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.stats as st
 
 from zipfest import montecarlo
 from zipfest.errors import InsufficientDataError, NoRootError, UsageError
@@ -29,8 +34,45 @@ def test_workers_default_ignores_environment(monkeypatch):
         raise AssertionError("the default study ran a process pool")
 
     monkeypatch.setenv("ZIPFEST_WORKERS", "3")
-    monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", no_pool)
+    # the pool is imported where it is used, so patch it at its source
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
     assert covariance_study(replace(SMALL, n=500)).rows
+
+
+def test_importing_the_package_loads_no_process_pool():
+    # only a study with workers > 1 imports the pool and multiprocessing
+    code = ("import sys, zipfest.cli; print(sorted(m for m in sys.modules "
+            "if m.startswith(('multiprocessing', 'concurrent.futures.process'))))")
+    src = os.path.dirname(os.path.dirname(montecarlo.__file__))
+    paths = filter(None, [src, os.environ.get("PYTHONPATH")])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(paths)}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out == "[]\n"
+
+
+@pytest.mark.parametrize("study", [normality_study, covariance_study])
+def test_a_study_builds_its_law_once(monkeypatch, study):
+    calls = []
+    monkeypatch.setattr(montecarlo, "make_zipf_law",
+                        lambda *args, **kw: calls.append(args) or make_zipf_law(*args, **kw))
+    study(replace(SMALL, n=500))
+    assert calls == [(SMALL.theta,)]
+
+
+@pytest.mark.parametrize("shift", [0.0, 0.1, 0.3])
+def test_ks_test_matches_scipy(shift):
+    x = np.random.Generator(np.random.PCG64(400)).standard_normal(400) + shift
+    expected = st.kstest(x, "norm", method="asymp")
+    distance, pvalue = montecarlo.ks_test(x)
+    assert distance == pytest.approx(expected.statistic, rel=1e-12)
+    assert pvalue == pytest.approx(expected.pvalue, rel=1e-12)
+
+
+def test_ks_test_needs_100_points():
+    montecarlo.ks_test(np.linspace(-2.0, 2.0, 100))
+    with pytest.raises(UsageError, match="at least 100 points, got 99"):
+        montecarlo.ks_test(np.linspace(-2.0, 2.0, 99))
 
 
 def test_covariance_rows_do_not_depend_on_the_index_shift():
@@ -78,11 +120,12 @@ def test_chunk_memory_does_not_grow_with_the_block():
     # about 0.2 KiB a replication, grow with M; one block of all M draws
     # would hold about 80 KiB a replication
     config = ExperimentConfig(theta=0.9, n=2000, m=100)
-    montecarlo._normality_chunk(config, 0, 100)  # the solver tables, once per process
+    law = montecarlo._law_from_config(config)
+    montecarlo._normality_chunk(config, law, 0, 100)  # the solver tables, once per process
     peaks = []
     for m in (100, 800):
         tracemalloc.start()
-        montecarlo._normality_chunk(config, 0, m)
+        montecarlo._normality_chunk(config, law, 0, m)
         peaks.append(tracemalloc.get_traced_memory()[1])
         tracemalloc.stop()
     assert peaks[1] - peaks[0] < 700 * 1024
@@ -114,7 +157,8 @@ def _reference_chunk(cfg, rep_lo, rep_hi):
 def _assert_chunk_matches_loop(config):
     """_normality_chunk on replications 3..42 against the loop, NaN for NaN;
     returns the chunk's values."""
-    values, covered = montecarlo._normality_chunk(config, 3, 43)
+    law = montecarlo._law_from_config(config)
+    values, covered = montecarlo._normality_chunk(config, law, 3, 43)
     ref_values, ref_covered = _reference_chunk(config, 3, 43)
     assert list(values) == list(ref_values)
     for name in ref_values:

@@ -271,6 +271,15 @@ class TestBlocks:
             one = sample_trajectory(law, 300, grid, seed, k_max=3)
             assert [c.snapshot(rep) for c in columns] == one, rep
 
+    def test_tail_bounds_are_computed_once_per_draw(self, monkeypatch):
+        law, calls = make_zipf_law(0.7), []
+        bounds = law_module.PowerLaw._tail_bounds
+        monkeypatch.setattr(law_module.PowerLaw, "_tail_bounds",
+                            lambda self, first: calls.append(first) or bounds(self, first))
+        streams = (SeedSpec(8, rep).generator() for rep in range(100))
+        blocks = list(law.draw_prefixes([1000, 2000], streams))
+        assert len(blocks) >= 4 and calls == [law.head_width(2000) + 1]
+
     def test_no_seeds_is_a_usage_error(self, law05):
         with pytest.raises(UsageError):
             sample_trajectories(law05, 100, (1.0,), [])
