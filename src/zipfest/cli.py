@@ -43,11 +43,10 @@ from . import asymptotics
 # deterministic numeric formatting
 # ----------------------------------------------------------------------
 
-def _fmt(value: float) -> str:
-    """10-significant-digit literal of a float."""
-    if value != value:
-        return "NaN"
-    return f"{value:.10g}"
+def _fmt(value: float) -> str | None:
+    """10-significant-digit literal of a float; None for NaN and +-inf, which
+    are written as a missing value is."""
+    return f"{value:.10g}" if math.isfinite(value) else None
 
 
 def _json_write(obj, indent=0) -> str:
@@ -57,7 +56,7 @@ def _json_write(obj, indent=0) -> str:
     if isinstance(obj, bool):
         return "true" if obj else "false"
     if isinstance(obj, float):
-        return _fmt(obj)
+        return _fmt(obj) or "null"
     if isinstance(obj, int):
         return str(obj)
     if isinstance(obj, str):
@@ -88,7 +87,7 @@ def _emit(text: str, path: str | None) -> None:
 
 def _csv_cell(value) -> str:
     if isinstance(value, float):
-        return _fmt(value)
+        return _fmt(value) or ""
     return "" if value is None else str(value)
 
 

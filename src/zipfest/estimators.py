@@ -147,14 +147,17 @@ class ImplicitSolver:
     few batches rather than at each of the ~23 steps:
 
     * locate: SECANT_STEPS secant steps on ln g - ln s from the grid ends,
-      each clipped to the bracket, put x near the root;
+      each clipped to the bracket, put x near the root; g is evaluated
+      only between steps, SECANT_STEPS - 1 times;
     * certify: x holds the root within REPLAY_EPS if g(x - REPLAY_EPS) < s <
       g(x + REPLAY_EPS) and g rises on the bracket's grid interval and both
       its neighbours (next to a turn of g, or at a grid end, g is too flat);
     * halve: a certified bracket takes the side ``mid < x`` wherever its
       midpoint lies more than REPLAY_EPS from x; g is evaluated at every
-      other midpoint.  So roots and step counts are those of evaluating
-      every midpoint, bit for bit.
+      other midpoint.  Halving runs until no bracket is wider than
+      BISECT_TOL, which on the uniform grid is the same step for every
+      bracket where g never hits s exactly.  So roots and step counts are
+      those of evaluating every midpoint, bit for bit.
 
     ``c_of_theta`` is a positive number or a function of theta that also
     takes an array of theta, as ``law.zeta_normalization`` does.
@@ -164,7 +167,6 @@ class ImplicitSolver:
     THETA_LO = 1e-4
     THETA_HI = 1.0 - 1e-4
     BISECT_TOL = 1e-10
-    BISECT_MAX_STEPS = 80
     SECANT_STEPS = 3
     REPLAY_EPS = 1e-12
 
@@ -197,9 +199,8 @@ class ImplicitSolver:
         self._c_of_theta = c_of_theta
         self._log_n = math.log(self.n)
         self._g = g = self._g_array(self._grid, c_grid)
-        # grid interval j brackets s exactly when s lies in (_g_min[j], _g_max[j]],
+        # grid interval j brackets s exactly when s lies in (g[j], _g_max[j]],
         # which is empty wherever g does not rise
-        self._g_min = g[:-1]
         self._g_max = np.maximum(g[:-1], g[1:])
 
     def growth(self, theta: float) -> float:
@@ -218,60 +219,41 @@ class ImplicitSolver:
         """Bisect g - target on the grid interval ``interval[i]`` for each
         ``target[i]``, every bracket at once.
 
-        Each bracket halves until it is at most BISECT_TOL wide (then its
-        midpoint is the root) or g hits the target exactly at a midpoint,
-        after at most BISECT_MAX_STEPS halvings.  All live brackets have
-        taken the same number of steps, so that count is one integer.  g
-        rises across each bracket, so g - target < 0 at its lower end.
-        Returns the roots and each one's step count.  g is evaluated only
-        where a certified root cannot tell a midpoint's side (class docstring).
+        Each step halves every bracket still wider than BISECT_TOL; where g
+        hits the target exactly at a midpoint, both ends move there.  On the
+        uniform grid every bracket without a hit takes the same number of
+        steps.  g rises across each bracket, so g - target < 0 at its lower
+        end.  Returns each root (its final bracket's midpoint) and its count
+        of halvings that did not hit.  The secant stage makes SECANT_STEPS - 1
+        evaluations of g, and halving evaluates g only where a certified root
+        cannot tell a midpoint's side (class docstring).
         """
         lo, hi = self._grid[interval], self._grid[interval + 1]
         log_target = np.log(target)
         x0, f0 = lo, np.log(self._g[interval]) - log_target
         x1, f1 = hi, np.log(self._g[interval + 1]) - log_target
-        for _ in range(self.SECANT_STEPS):
+        for step in range(self.SECANT_STEPS):
+            if step:  # g only between updates: the last x is not evaluated
+                x0, f0, x1, f1 = x1, f1, x, np.log(self._g_array(x)) - log_target
             with np.errstate(divide="ignore", invalid="ignore"):
                 x = np.clip(x1 - f1 * (x1 - x0) / (f1 - f0), lo, hi)
             x = np.where(np.isnan(x), x1, x)  # f1 == f0: stay
-            x0, f0, x1, f1 = x1, f1, x, np.log(self._g_array(x)) - log_target
         g_near = self._g_array(np.concatenate([x - self.REPLAY_EPS, x + self.REPLAY_EPS]))
         rises = np.concatenate([[False], self._g[1:] > self._g[:-1], [False]])
         sure = ((g_near[:x.size] < target) & (target < g_near[x.size:])
                 & rises[interval] & rises[interval + 1] & rises[interval + 2])
         x = np.where(sure, x, np.nan)  # NaN: evaluate every midpoint
-        roots = np.empty(target.size)
         steps = np.zeros(target.size, dtype=int)
-        live = np.arange(target.size)
-        step = 0
-        while live.size:
-            done = hi - lo <= self.BISECT_TOL
-            if step == self.BISECT_MAX_STEPS:
-                done[:] = True
-            if np.count_nonzero(done):
-                roots[live[done]] = 0.5 * (lo[done] + hi[done])
-                steps[live[done]] = step
-                keep = ~done
-                live, lo, hi, target, x = (a[keep] for a in (live, lo, hi, target, x))
-                if not live.size:
-                    break
+        while (live := hi - lo > self.BISECT_TOL).any():
             mid = 0.5 * (lo + hi)
             f_mid = np.where(mid < x, -1.0, 1.0)
-            near = np.flatnonzero(~(np.abs(mid - x) > self.REPLAY_EPS))
+            near = np.flatnonzero(live & ~(np.abs(mid - x) > self.REPLAY_EPS))
             if near.size:
                 f_mid[near] = self._g_array(mid[near]) - target[near]
-            if np.count_nonzero(f_mid) < f_mid.size:
-                hit = f_mid == 0.0
-                roots[live[hit]] = mid[hit]
-                steps[live[hit]] = step
-                keep = ~hit
-                live, lo, hi, target, x, mid, f_mid = (
-                    a[keep] for a in (live, lo, hi, target, x, mid, f_mid))
-            up = f_mid < 0.0
-            lo = np.where(up, mid, lo)
-            hi = np.where(up, hi, mid)
-            step += 1
-        return roots, steps
+            lo = np.where(live & (f_mid <= 0.0), mid, lo)
+            hi = np.where(live & ~(f_mid < 0.0), mid, hi)
+            steps += live & (f_mid != 0.0)
+        return 0.5 * (lo + hi), steps
 
     def _roots(self, stats: np.ndarray):
         """The root of g(theta) = s in the lowest rising bracket of each
@@ -283,7 +265,7 @@ class ImplicitSolver:
         usable = np.flatnonzero(stats >= 1.0)
         order = usable[np.argsort(stats[usable], kind="stable")]
         ranked = stats[order]
-        first = np.searchsorted(ranked, self._g_min, side="right")
+        first = np.searchsorted(ranked, self._g[:-1], side="right")
         count = np.searchsorted(ranked, self._g_max, side="right") - first
         # interval j brackets ranked[first[j]:first[j] + count[j]]: one entry each
         interval = np.repeat(np.arange(count.size), count)

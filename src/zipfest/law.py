@@ -341,18 +341,17 @@ class PowerLaw:
             quick = 2.0 - _hat_integral_inverse(_hat_integral(math.log(2.5), s) - 2.0 ** -s, s)
         return top, bottom - top, quick
 
-    def _accepted(self, first: int, rngs, uniforms, bounds=None) -> np.ndarray:
+    def _accepted(self, first: int, rngs, uniforms, bounds) -> np.ndarray:
         """The support positions, first..cutoff with first >= 2, that the
         uniforms ``uniforms[i]`` drawn from ``rngs[i]`` map to: row i holds
         them in stream order, padded with inf.
 
-        Rejection-inversion with the hat x^-s, s = 1/theta (see
-        :meth:`_tail_bounds`; ``bounds``, if given, is its value from
-        ``first``) maps each uniform on its own, every row in one pass; a row
-        that falls short then draws exactly the count still missing from its
-        own generator, until every ball is kept.
+        Rejection-inversion with the hat x^-s, s = 1/theta (``bounds`` is
+        :meth:`_tail_bounds` from ``first``) maps each uniform on its own,
+        every row in one pass; a row that falls short then draws exactly the
+        count still missing from its own generator, until every ball is kept.
         """
-        top, span, quick = bounds or self._tail_bounds(first)
+        top, span, quick = bounds
         want = np.array([u.size for u in uniforms])
         out = np.full((want.size, want.max()), np.inf)
         if not out.size:
@@ -499,13 +498,8 @@ def make_zipf_law(theta: float, i0: int = 0, tail_epsilon: float = 1e-12) -> Pow
 def zeta_normalization(theta):
     """c(theta) = 1 / zeta(1/theta), the zeta-law normalization constant as a
     (differentiable) function of the exponent.  Accepts scalars or arrays;
-    an array takes one call of the array ``zeta``."""
-    if np.ndim(theta) == 0:
-        th = float(theta)
-        if not 0.0 < th < 1.0:
-            raise DomainError(f"theta must lie in (0, 1), got {theta!r}")
-        return 1.0 / zeta(1.0 / th)
-    th = np.asarray(theta, dtype=float)
+    an array takes one call of the array ``zeta``, a scalar the scalar one."""
+    th = float(theta) if np.ndim(theta) == 0 else np.asarray(theta, dtype=float)
     if not np.all((th > 0.0) & (th < 1.0)):
         raise DomainError(f"theta must lie in (0, 1), got {theta!r}")
     return 1.0 / zeta(1.0 / th)

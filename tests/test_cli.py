@@ -1,13 +1,18 @@
+import csv
+import hashlib
+import io
 import json
+import math
 from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from zipfest import cli
-from zipfest.cli import _csv_text, main
+from zipfest import asymptotics, cli
+from zipfest.cli import _csv_text, _json_write, main
 from zipfest.errors import ZipfestError
 from zipfest.estimators import ImplicitSolver
+from zipfest.ingest import read_counts_csv
 from zipfest.law import zeta_normalization
 from zipfest.montecarlo import CovarianceRow, EstimatorReport, ExperimentConfig
 
@@ -271,6 +276,75 @@ def test_study_flag_defaults_are_the_config_defaults(monkeypatch, capsys, comman
 def test_csv_row_without_a_column_raises():
     with pytest.raises(KeyError):
         _csv_text(["estimator", "coverage"], [{"estimator": "ratio-r1"}])
+
+
+def test_non_finite_floats_are_written_as_missing_values():
+    values = [math.nan, math.inf, -math.inf]
+    assert [_json_write(v) for v in values] == ["null"] * 3
+    assert json.loads(_json_write({"v": values, "ok": 0.5})) == {"v": [None] * 3, "ok": 0.5}
+    assert _csv_text(["a", "b", "c", "d"],
+                     [{"a": math.nan, "b": math.inf, "c": -math.inf, "d": 0.5}]) == "a,b,c,d\n,,,0.5\n"
+
+
+def test_an_overflowing_covariance_is_strict_json(capsys):
+    # t + tau overflows to inf, so some covariance values are inf or NaN
+    code, out, err = run(capsys, ["eval-asymptotics", "--theta", "0.5",
+                                  "--tau-t", "1e308:1e308"])
+    assert (code, err) == (0, "")
+
+    def reject(constant):
+        raise AssertionError(f"{constant} is not JSON")
+
+    rows = json.loads(out, parse_constant=reject)
+    assert any(row["kind"] == "cov" and row["value"] is None for row in rows)
+
+
+def test_estimate_output_file_holds_stdout_and_a_manifest(capsys, tmp_path, corpus):
+    path, _ = corpus
+    argv = ["estimate", "--input", str(path), "--estimators", "all",
+            "--c-model", "zeta", "--k", "1,2"]
+    _, stdout, _ = run(capsys, argv)
+    output = tmp_path / "est.json"
+    assert run(capsys, argv + ["--output", str(output)]) == (0, "", "")
+    assert output.read_text(encoding="utf-8") == stdout
+    manifest = json.loads((tmp_path / "est.json.manifest.json").read_text())
+    assert manifest["command"] == "estimate"
+    assert manifest["config"]["output"] == str(output)
+    assert manifest["inputs"] == {str(path): hashlib.sha256(path.read_bytes()).hexdigest()}
+    config_text = json.dumps(manifest["config"], sort_keys=True)
+    assert manifest["config_hash"] == hashlib.sha256(config_text.encode()).hexdigest()
+
+
+def test_eval_asymptotics_csv_values_are_the_asymptotics_functions(capsys):
+    code, out, err = run(capsys, ["eval-asymptotics", "--theta", "0.3,0.7", "--k", "1,2",
+                                  "--tau-t", "0.5:1,1:1", "--nu", "2", "--format", "csv"])
+    assert (code, err) == (0, "")
+    rows = list(csv.DictReader(io.StringIO(out)))
+    # per theta: ratio-r1, two ratio-k, r, u, two rk, and 3 x 3 x 2 covariances
+    assert len(rows) == 2 * 25
+    for row in rows:
+        theta, kind = float(row["theta"]), row["kind"]
+        k = int(row["k"]) if row["k"] else None
+        if kind == "ratio-r1-variance":
+            value = asymptotics.ratio_r1_variance(theta)
+        elif kind == "ratio-k-variance":
+            value = asymptotics.ratio_k_variance(theta, k)
+        elif kind.startswith("implicit-variance-"):
+            value = asymptotics.implicit_variance(theta, kind.rpartition("-")[2], k)
+        else:
+            assert kind == "cov"
+            value = asymptotics.CovarianceSpec(theta, nu=2).cov(
+                int(row["i"]), int(row["j"]), float(row["tau"]), float(row["t"]))
+        assert row["value"] == f"{value:.10g}"
+
+
+def test_simulate_snapshot_is_that_of_the_counts_written(capsys, tmp_path):
+    output, snapshot = tmp_path / "counts.csv", tmp_path / "snap.json"
+    code, out, err = run(capsys, ["simulate", "--theta", "0.6", "--n", "3000", "--seed", "7",
+                                  "--k-max", "5", "--output", str(output),
+                                  "--snapshot", str(snapshot)])
+    assert (code, out, err) == (0, "", "")
+    assert json.loads(snapshot.read_text()) == read_counts_csv(output).snapshot(5).to_json_dict()
 
 
 @pytest.mark.parametrize("flag", [["--config", "study.cfg"],

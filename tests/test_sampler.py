@@ -110,7 +110,7 @@ class TestRejectionInversion:
         first = law.head_width(10 ** 5) + 1
         n = 10 ** 6
         rng = SeedSpec(2024).generator()
-        pos = law._accepted(first, [rng], [rng.random(n)])[0]
+        pos = law._accepted(first, [rng], [rng.random(n)], law._tail_bounds(first))[0]
         mass = _tail_mass(law, first)
         for i in range(first, first + 5):
             p = law.probability(i) / mass
@@ -125,7 +125,7 @@ class TestRejectionInversion:
         first = law.head_width(10 ** 5) + 1
         n = 10 ** 6
         rng = SeedSpec(2025).generator()
-        pos = law._accepted(first, [rng], [rng.random(n)])[0]
+        pos = law._accepted(first, [rng], [rng.random(n)], law._tail_bounds(first))[0]
         p = law.c * (zeta_tail(s, 2 ** 53) - zeta_tail(s, law.cutoff)) / _tail_mass(law, first)
         se = math.sqrt(p * (1.0 - p) / n)
         assert abs(np.count_nonzero(pos > 2 ** 53) / n - p) <= 5.0 * se
@@ -164,7 +164,8 @@ class TestRejectionInversion:
         assert math.comb(n, 2) * (mass / law.total_mass) * p_far * q < 1e-6
         smallest = np.arange(4000) * 2.0 ** -53
         stub = _Uniforms(smallest)
-        pos = law._accepted(first, [stub], [stub.random(smallest.size)])[0]
+        pos = law._accepted(first, [stub], [stub.random(smallest.size)],
+                            law._tail_bounds(first))[0]
         assert pos.min() > 2 ** 53
         assert np.unique(pos, return_counts=True)[1].max() <= run
 
@@ -189,7 +190,7 @@ class TestRejectionInversion:
                                 _hat_integral(math.log(3.5), s) - 3.0 ** -s, 102)[1:-1]
         rejected = (rest_of_3 - top) / (bottom - top)
         stub = _Uniforms(rejected)
-        law._accepted(2, [stub], [stub.random(rejected.size)])
+        law._accepted(2, [stub], [stub.random(rejected.size)], law._tail_bounds(2))
         assert stub.sizes[:2] == [rejected.size, rejected.size]
 
         far = np.linspace(_hat_integral(math.log(3e13), s), _hat_integral(math.log(1e14), s), 4000)
@@ -198,7 +199,7 @@ class TestRejectionInversion:
         kept = r[np.floor(x + 0.5) - x <= 0.4]  # well inside the bound
         assert kept.size > 2500
         stub = _Uniforms(kept)
-        law._accepted(2, [stub], [stub.random(kept.size)])
+        law._accepted(2, [stub], [stub.random(kept.size)], law._tail_bounds(2))
         assert stub.sizes == [kept.size]
 
     def test_cutoff_beyond_float64_is_a_domain_error(self):
