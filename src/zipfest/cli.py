@@ -391,8 +391,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="poissonized horizon (balls; defaults to --n)")
     p.add_argument("--mode", choices=("fixed", "poisson"), default="fixed",
                    help="fixed ball count or poissonized horizon")
-    p.add_argument("--seed", type=int, default=0, help="master seed (64-bit)")
-    p.add_argument("--stream", type=int, default=0, help="stream index")
+    p.add_argument("--seed", type=int, default=0,
+                   help="master seed, a non-negative integer of any size")
+    p.add_argument("--stream", type=int, default=0,
+                   help="stream index, a non-negative integer of any size")
     p.add_argument("--k-max", type=int, default=DEFAULT_K_MAX,
                    help="largest exact count tracked in the snapshot")
     p.add_argument("--output", required=True, help="counts CSV path")
@@ -404,7 +406,8 @@ def build_parser() -> argparse.ArgumentParser:
         add_common_law(p)
         p.add_argument("--n", type=int, default=100000, help="balls per replication")
         p.add_argument("--m", type=int, default=2000, help="replications (>= 100)")
-        p.add_argument("--seed", type=int, default=0, help="master seed (64-bit)")
+        p.add_argument("--seed", type=int, default=0,
+                       help="master seed, a non-negative integer of any size")
         p.add_argument("--workers", type=int, default=1,
                        help="parallel worker processes")
         p.add_argument("--format", choices=("json", "csv"), default="json",

@@ -12,7 +12,9 @@ with the exact finite-n expectation oracle, scales by sqrt(alpha(n)) and
 compares empirical covariances against the limiting covariance function.
 
 Both studies draw replication ``rep`` on stream ``SeedSpec(seed, rep)``,
-the normality study on the one-point grid (1.0,).  A draw is an occupancy
+the normality study on the one-point grid (1.0,); ``sample_trajectories``
+derives the Philox keys of a chunk's streams in one numpy pass and builds
+no ``SeedSequence`` per replication.  A draw is an occupancy
 profile, not n balls: one multinomial over the heaviest urns per grid
 increment plus the balls beyond them, so its cost follows the number of
 occupied urns, about n^theta.  ``sample_trajectories`` draws a chunk's
@@ -176,9 +178,10 @@ def _law_from_config(cfg: ExperimentConfig) -> PowerLaw:
     return make_zipf_law(cfg.theta, i0=cfg.i0, tail_epsilon=cfg.tail_epsilon)
 
 
-def _seeds(cfg: ExperimentConfig, rep_lo: int, rep_hi: int):
-    """The streams of replications rep_lo..rep_hi - 1, one at a time."""
-    return (SeedSpec(cfg.seed, rep) for rep in range(rep_lo, rep_hi))
+def _seeds(cfg: ExperimentConfig, rep_lo: int, rep_hi: int) -> list[SeedSpec]:
+    """The streams of replications rep_lo..rep_hi - 1, whose keys
+    ``sample_trajectories`` derives in one pass."""
+    return [SeedSpec(cfg.seed, rep) for rep in range(rep_lo, rep_hi)]
 
 
 def _normality_chunk(cfg: ExperimentConfig, law: PowerLaw, rep_lo: int, rep_hi: int):
@@ -223,6 +226,7 @@ def normality_study(config: ExperimentConfig) -> StudyReport:
         raise UsageError(f"normality studies need n >= 2, got {config.n}")
     if not 0.0 < config.level < 1.0:
         raise UsageError(f"confidence level must lie in (0, 1), got {config.level!r}")
+    SeedSpec(config.seed)  # a bad master raises DomainError before the law is built
     requested = expand_estimators(config.estimators, config.k_values)
     for _, tag, _ in requested:
         if ESTIMATORS[tag].target is None:
@@ -287,6 +291,7 @@ def covariance_study(config: ExperimentConfig) -> StudyReport:
         raise UsageError(f"covariance studies need M >= 100, got {config.m}")
     if config.nu < 1 or config.nu > DEFAULT_K_MAX:
         raise UsageError(f"nu must lie in 1..{DEFAULT_K_MAX}, got {config.nu}")
+    SeedSpec(config.seed)  # a bad master raises DomainError before the law is built
     # (``sample_trajectory`` rejects a grid that does not lie in (0, 1])
     if config.grid[0] > 0.0 and math.floor(config.n * config.grid[0]) < 1:
         raise UsageError(f"covariance studies need n * t >= 1 at the first grid time "

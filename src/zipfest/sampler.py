@@ -19,11 +19,18 @@ first.
 
 Streams: any (master seed, stream index) pair yields an independent Philox
 counter-based generator (period 2^256), so replications can run in parallel
-and still reproduce bit-for-bit, however they are cut into blocks.
+and still reproduce bit-for-bit, however they are cut into blocks.  Philox
+is counter-based (Salmon et al., SC 2011), so a stream is just its 128-bit
+key: the key numpy's ``SeedSequence(master, spawn_key=(stream,))`` would
+generate.  ``sample_trajectories`` derives the keys of all its seeds in one
+numpy pass of that hash, with the master's part taken once, and builds each
+generator from its key without a ``SeedSequence``; ``SeedSpec.generator``
+is the one-stream case of the same routine.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -40,22 +47,149 @@ __all__ = ["SeedSpec", "sample_fixed", "sample_trajectory", "sample_trajectories
 
 @dataclass(frozen=True)
 class SeedSpec:
-    """(master seed, stream index); distinct streams are independent."""
+    """(master seed, stream index), each a non-negative integer of any size;
+    distinct streams are independent."""
 
     master: int
     stream: int = 0
 
+    def __post_init__(self):
+        for name in ("master", "stream"):
+            value = getattr(self, name)
+            if type(value) is not int:  # a bool is refused too
+                if not isinstance(value, np.integer):
+                    raise DomainError(f"seed {name} must be a non-negative integer, "
+                                      f"got {value!r}")
+                value = int(value)
+                object.__setattr__(self, name, value)
+            if value < 0:
+                raise DomainError(f"seed {name} must be a non-negative integer, got {value!r}")
+
     def generator(self) -> np.random.Generator:
-        seq = np.random.SeedSequence(entropy=self.master, spawn_key=(self.stream,))
-        return np.random.Generator(np.random.Philox(seq))
+        return _generator(_philox_key(self.master, _words(self.stream)))
 
 
 def _as_seed(seed) -> SeedSpec:
     if isinstance(seed, SeedSpec):
         return seed
     if isinstance(seed, (int, np.integer)):
-        return SeedSpec(master=int(seed))
+        return SeedSpec(master=seed)
     raise UsageError(f"seed must be an int or SeedSpec, got {seed!r}")
+
+
+# ----------------------------------------------------------------------
+# stream keys: SeedSequence's hash (numpy/random/bit_generator.pyx), on
+# 32-bit words held in Python ints or int64 arrays, whose products wrap
+# without a warning; the masks keep the low 32 bits
+# ----------------------------------------------------------------------
+
+_MASK = 0xFFFFFFFF
+_POOL = 4  # SeedSequence's default pool size, in words
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+
+
+def _words(value: int) -> list[int]:
+    """The 32-bit words of a non-negative int, lowest first; 0 is one word."""
+    if value <= _MASK:
+        return [value]
+    return [value >> shift & _MASK for shift in range(0, value.bit_length(), 32)]
+
+
+def _hashmix(value, const: int, mult: int = _MULT_A):
+    """``value`` hashed, and the hash constant after it."""
+    after = const * mult & _MASK
+    value = (value ^ const) * after & _MASK
+    return value ^ value >> 16, after
+
+
+def _mix(x, y):
+    # each product is masked, so a Python int never meets an array above 2^32
+    mixed = ((_MIX_L * x & _MASK) - (_MIX_R * y & _MASK)) & _MASK
+    return mixed ^ mixed >> 16
+
+
+def _absorb(pool: list, const: int, words) -> tuple[list, int]:
+    """Mix each of ``words`` into every pool word."""
+    for word in words:
+        for dst in range(_POOL):
+            value, const = _hashmix(word, const)
+            pool[dst] = _mix(pool[dst], value)
+    return pool, const
+
+
+@functools.lru_cache(maxsize=64)
+def _master_pool(master: int) -> tuple[tuple[int, ...], int]:
+    """The pool once the master's words are mixed in, and the hash constant
+    then: the part of a key that no stream changes.  A spawn key pads the
+    master with zero words to the pool size."""
+    words = _words(master)
+    words += [0] * (_POOL - len(words))
+    pool, const = [], _INIT_A
+    for word in words[:_POOL]:
+        value, const = _hashmix(word, const)
+        pool.append(value)
+    for src in range(_POOL):
+        for dst in range(_POOL):
+            if src != dst:
+                value, const = _hashmix(pool[src], const)
+                pool[dst] = _mix(pool[dst], value)
+    pool, const = _absorb(pool, const, words[_POOL:])
+    return tuple(pool), const
+
+
+def _philox_key(master: int, words) -> np.ndarray:
+    """``SeedSequence(master, spawn_key=(stream,)).generate_state(2, np.uint64)``
+    for streams given by their 32-bit ``words``, lowest first: Python ints
+    for one stream (a key of shape (2,)), or int64 arrays with one entry per
+    stream of the same word count (keys of shape (streams, 2))."""
+    pool, const = _master_pool(master)
+    pool, _ = _absorb(list(pool), const, words)
+    state, const = [], _INIT_B
+    for value in pool:
+        value, const = _hashmix(value, const, _MULT_B)
+        state.append(value)
+    return np.ascontiguousarray(np.array(state, dtype="<u4").T).view("<u8")
+
+
+def _keys(seeds) -> np.ndarray:
+    """The Philox key of each seed, one row per seed: one key pass per
+    master and stream word count."""
+    seeds = [_as_seed(seed) for seed in seeds]
+    groups = {}
+    for row, seed in enumerate(seeds):
+        words = _words(seed.stream)
+        rows, columns = groups.setdefault((seed.master, len(words)), ([], []))
+        rows.append(row)
+        columns.append(words)
+    keys = np.empty((len(seeds), 2), dtype=np.uint64)
+    for (master, _), (rows, columns) in groups.items():
+        keys[rows] = _philox_key(master, np.array(columns, dtype=np.int64).T)
+    return keys
+
+
+@functools.cache
+def _key_type() -> type:
+    """A seed sequence type that hands Philox its key, already derived.  It
+    is built on first use, so importing the package leaves ``numpy.random``
+    unloaded: loaded at import, it raised a study's peak memory 0.6 MiB."""
+    from numpy.random.bit_generator import ISeedSequence
+
+    class Key(ISeedSequence):
+        __slots__ = ("key",)
+
+        def __init__(self, key):
+            self.key = key
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            return self.key  # Philox asks for its key only: 2 words of uint64
+
+    return Key
+
+
+def _generator(key) -> np.random.Generator:
+    return np.random.Generator(np.random.Philox(_key_type()(key)))
 
 
 def _counts_dict(law: PowerLaw, n: int, rng: np.random.Generator) -> dict:
@@ -86,8 +220,9 @@ def sample_trajectories(law: PowerLaw, n: int, grid, seeds,
 
     The first floor(n*t) balls of one draw of n form the sample at time t,
     so earlier snapshots are prefixes of later ones by construction.  The
-    seeds are drawn in blocks (``PowerLaw.draw_prefixes``), and each block
-    is tallied in one pass (``occupancy.tally_block``).
+    seeds' Philox keys come from one key pass, the seeds are drawn in blocks
+    (``PowerLaw.draw_prefixes``), and each block is tallied in one pass
+    (``occupancy.tally_block``).
     """
     if not (isinstance(n, (int, np.integer)) and n >= 1):
         raise DomainError(f"n must be a positive integer, got {n!r}")
@@ -99,7 +234,7 @@ def sample_trajectories(law: PowerLaw, n: int, grid, seeds,
     sizes = [math.floor(n * t) for t in grid]
     tallies = []
     for head, rows, positions, counts in law.draw_prefixes(
-            sizes, (_as_seed(s).generator() for s in seeds)):
+            sizes, (_generator(key) for key in _keys(seeds))):
         del positions  # each array is freed as soon as it is used up
         tallies.append(tally_block(head, rows, counts, k_max=k_max).reshape(*head.shape[:2], -1))
         del head, rows, counts

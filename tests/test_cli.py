@@ -13,8 +13,9 @@ from zipfest.cli import _csv_text, _json_write, main
 from zipfest.errors import ZipfestError
 from zipfest.estimators import ImplicitSolver
 from zipfest.ingest import read_counts_csv
-from zipfest.law import zeta_normalization
+from zipfest.law import make_zipf_law, zeta_normalization
 from zipfest.montecarlo import CovarianceRow, EstimatorReport, ExperimentConfig
+from zipfest.sampler import SeedSpec, sample_fixed, sample_poissonized
 
 ALL_ESTIMATES = ["implicit-r", "implicit-u", "implicit-rk(1)", "implicit-rk(2)",
                  "ratio-r1", "ratio-k(1)", "ratio-k(2)", "log-ratio"]
@@ -345,6 +346,21 @@ def test_simulate_snapshot_is_that_of_the_counts_written(capsys, tmp_path):
                                   "--snapshot", str(snapshot)])
     assert (code, out, err) == (0, "", "")
     assert json.loads(snapshot.read_text()) == read_counts_csv(output).snapshot(5).to_json_dict()
+
+
+@pytest.mark.parametrize("seed, stream", [(2 ** 62, 2 ** 33), (10 ** 40 + 1, 3)])
+def test_simulate_takes_seeds_of_any_size(capsys, tmp_path, seed, stream):
+    # a master beyond 2^64 and a stream of two 32-bit words
+    law = make_zipf_law(0.6)
+    expected = {"fixed": sample_fixed(law, 2000, SeedSpec(seed, stream)),
+                "poisson": sample_poissonized(law, 2000.0, SeedSpec(seed, stream))}
+    for mode, counts in expected.items():
+        path = tmp_path / f"{mode}.csv"
+        code, out, err = run(capsys, ["simulate", "--theta", "0.6", "--n", "2000",
+                                      "--mode", mode, "--seed", str(seed),
+                                      "--stream", str(stream), "--output", str(path)])
+        assert (code, out, err) == (0, "", "")
+        assert read_counts_csv(path).counts == counts.counts, mode
 
 
 @pytest.mark.parametrize("flag", [["--config", "study.cfg"],

@@ -11,7 +11,7 @@ import pytest
 import scipy.stats as st
 
 from zipfest import montecarlo
-from zipfest.errors import InsufficientDataError, NoRootError, UsageError
+from zipfest.errors import DomainError, InsufficientDataError, NoRootError, UsageError
 from zipfest.estimators import ESTIMATORS, expand_estimators, snapshot_k_max
 from zipfest.law import make_zipf_law, zeta_normalization
 from zipfest.sampler import SeedSpec, sample_trajectory
@@ -39,16 +39,26 @@ def test_workers_default_ignores_environment(monkeypatch):
     assert covariance_study(replace(SMALL, n=500)).rows
 
 
-def test_importing_the_package_loads_no_process_pool():
-    # only a study with workers > 1 imports the pool and multiprocessing
+def _modules_after_import(prefixes) -> str:
+    """The loaded modules that start with one of ``prefixes`` once a fresh
+    interpreter has imported the package."""
     code = ("import sys, zipfest.cli; print(sorted(m for m in sys.modules "
-            "if m.startswith(('multiprocessing', 'concurrent.futures.process'))))")
+            f"if m.startswith({tuple(prefixes)!r})))")
     src = os.path.dirname(os.path.dirname(montecarlo.__file__))
     paths = filter(None, [src, os.environ.get("PYTHONPATH")])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(paths)}
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True).stdout
-    assert out == "[]\n"
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True).stdout
+
+
+def test_importing_the_package_loads_no_process_pool():
+    # only a study with workers > 1 imports the pool and multiprocessing
+    assert _modules_after_import(["multiprocessing", "concurrent.futures.process"]) == "[]\n"
+
+
+def test_importing_the_package_loads_no_numpy_random():
+    # the first draw loads it; loaded at import, it raised a study's peak memory
+    assert _modules_after_import(["numpy.random"]) == "[]\n"
 
 
 @pytest.mark.parametrize("study", [normality_study, covariance_study])
@@ -195,6 +205,30 @@ def test_implicit_rk_rows_exclude_no_replication():
         "implicit-rk(1)", "implicit-rk(2)", "implicit-rk(3)"]
     for row in report.rows:
         assert (row.m_included, row.m_excluded) == (100, 0), row.estimator
+
+
+def test_a_study_builds_no_seed_sequence(monkeypatch):
+    # every replication's Philox key comes from one key pass per chunk
+    built = []
+
+    class Counted(np.random.SeedSequence):
+        def __init__(self, *args, **kwargs):
+            built.append(args)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "SeedSequence", Counted)
+    normality_study(replace(SMALL, m=200))
+    assert built == []
+
+
+@pytest.mark.parametrize("study", [normality_study, covariance_study])
+def test_a_negative_seed_is_a_domain_error_before_the_law(monkeypatch, study):
+    def no_law(*args, **kwargs):
+        raise AssertionError("the law was built")
+
+    monkeypatch.setattr(montecarlo, "make_zipf_law", no_law)
+    with pytest.raises(DomainError, match="non-negative integer"):
+        study(replace(SMALL, n=1000, seed=-1))
 
 
 @pytest.mark.parametrize("study, changes, message", [

@@ -10,7 +10,7 @@ from zipfest import law as law_module
 from zipfest.errors import DomainError, InputFormatError, UsageError
 from zipfest.ingest import read_counts_csv, write_counts_csv
 from zipfest.law import _hat_integral, _hat_integral_inverse, make_zipf_law
-from zipfest.sampler import (SeedSpec, sample_fixed, sample_poissonized,
+from zipfest.sampler import (SeedSpec, _generator, _keys, sample_fixed, sample_poissonized,
                              sample_trajectories, sample_trajectory)
 from zipfest.specfun import zeta_tail
 
@@ -33,6 +33,48 @@ class TestDeterminism:
         a = sample_fixed(law05, 100, 5)
         b = sample_fixed(law05, 100, SeedSpec(5, 0))
         assert a.counts == b.counts
+
+
+class TestStreamKeys:
+    MASTERS = [0, 1, 2 ** 31, 2 ** 32 + 5, 12345678901234567890, 2 ** 128 + 3]
+    STREAMS = [0, 1, 2 ** 32 - 1, 2 ** 32, 99999999999]
+
+    @staticmethod
+    def _reference(master, stream):
+        return np.random.SeedSequence(master, spawn_key=(stream,))
+
+    def test_keys_and_draws_match_seed_sequence(self):
+        # one key pass over every master and stream width at once, and the
+        # one-stream generator of each pair
+        seeds = [SeedSpec(m, s) for m in self.MASTERS for s in self.STREAMS]
+        for seed, key in zip(seeds, _keys(seeds)):
+            ref = self._reference(seed.master, seed.stream)
+            assert key.tolist() == ref.generate_state(2, np.uint64).tolist(), seed
+            first = np.random.Generator(np.random.Philox(ref)).random(8).tolist()
+            assert _generator(key).random(8).tolist() == first, seed
+            assert seed.generator().random(8).tolist() == first, seed
+
+    def test_a_generator_holds_no_seed_sequence(self):
+        rng = SeedSpec(1, 5).generator()
+        assert not isinstance(rng.bit_generator.seed_seq, np.random.SeedSequence)
+
+    def test_numpy_integers_are_accepted_as_ints(self, law05):
+        seed = SeedSpec(np.uint64(2 ** 63 + 1), np.int32(7))
+        assert seed == SeedSpec(2 ** 63 + 1, 7)
+        assert type(seed.master) is int and type(seed.stream) is int
+        assert sample_fixed(law05, 100, np.int64(5)).counts == sample_fixed(law05, 100, 5).counts
+
+    @pytest.mark.parametrize("master, stream", [(-1, 0), (0, -1), (1.5, 0), (0, 2.0),
+                                                (True, 0), ("3", 0), (None, 0)])
+    def test_a_bad_seed_is_a_domain_error(self, master, stream):
+        with pytest.raises(DomainError, match="non-negative integer"):
+            SeedSpec(master, stream).generator()
+
+    def test_a_negative_int_seed_is_a_domain_error(self, law05):
+        with pytest.raises(DomainError):
+            sample_fixed(law05, 10, -5)
+        with pytest.raises(DomainError):
+            sample_trajectories(law05, 10, (1.0,), [SeedSpec(1, 0), -5])
 
 
 class TestFixed:
@@ -373,6 +415,32 @@ class TestTrajectory:
                 se = sample.std(ddof=1) / math.sqrt(reps)
                 expected = law.expected_statistic(m, stat, k=k)
                 assert abs(sample.mean() - expected) <= 5.0 * se, (m, stat, k)
+
+    @pytest.mark.parametrize("theta", [0.5, 0.7, 0.9])
+    def test_prefix_second_moments(self, theta):
+        # poissonized, Var R(t) = E R(2t) - E R(t) and Cov(R(s), R(t)) =
+        # E R(s + t) - E R(t) for s <= t; n fixed balls take away
+        # E R_1(s) E R_1(t) / n (de-Poissonization), which at theta = 0.9 is
+        # about 20 SE, so a wrong joint law of the prefixes shows
+        law = make_zipf_law(theta)
+        n, m = 10 ** 4, 1000
+        half, full = sample_trajectories(law, n, (0.5, 1.0),
+                                         [SeedSpec(2027, rep) for rep in range(m)])
+
+        def mean(t, stat, k=None):
+            return law.expected_statistic(t, stat, mode="poissonized", k=k)
+
+        cases = {
+            "Var R_n": (full.r, full.r,
+                        mean(2 * n, "r") - mean(n, "r") - mean(n, "rk", 1) ** 2 / n),
+            "Cov(R_n/2, R_n)": (half.r, full.r,
+                                mean(1.5 * n, "r") - mean(n, "r")
+                                - mean(n / 2, "rk", 1) * mean(n, "rk", 1) / n),
+        }
+        for name, (x, y, target) in cases.items():
+            products = (x - x.mean()) * (y - y.mean())
+            z = (products.mean() - target) / (products.std(ddof=1) / math.sqrt(m))
+            assert abs(z) <= 5.0, (name, z)
 
     def test_ball_counts_match_grid(self, law05):
         snaps = sample_trajectory(law05, 1000, [0.31, 0.62, 1.0], 2)
