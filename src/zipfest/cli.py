@@ -29,8 +29,7 @@ from datetime import datetime, timezone
 from . import __version__
 from .errors import UsageError, ZipfestError
 from .estimators import ESTIMATORS, expand_estimators, snapshot_k_max
-from .ingest import (load_counts, read_counts_csv, to_occupancy, tokenize_file,
-                     write_counts_csv)
+from .ingest import counts_csv, load_counts, read_counts_csv, to_occupancy, tokenize_file
 from .law import make_zipf_law, zeta_normalization
 from .montecarlo import (NORMALITY_ESTIMATORS, ExperimentConfig,
                          covariance_study, normality_study)
@@ -243,6 +242,8 @@ def _cmd_estimate(args) -> int:
 # ----------------------------------------------------------------------
 
 def _cmd_simulate(args) -> int:
+    if args.output == "-" and args.snapshot == "-":
+        raise UsageError("--output and --snapshot cannot both be '-' (stdout)")
     law = make_zipf_law(args.theta, i0=args.i0, tail_epsilon=args.tail_epsilon)
     seed = SeedSpec(args.seed, args.stream)
     if args.mode == "fixed":
@@ -251,7 +252,7 @@ def _cmd_simulate(args) -> int:
         # the horizon defaults to --n, so check the one in use by the t rule
         horizon = _check_range("t", args.t if args.t is not None else float(args.n))
         counts = sample_poissonized(law, horizon, seed)
-    write_counts_csv(counts, args.output)
+    _emit(counts_csv(counts), args.output)
     if args.snapshot:
         snap = counts.snapshot(k_max=args.k_max)
         _emit(_json_write(snap.to_json_dict()) + "\n", args.snapshot)
@@ -397,9 +398,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="stream index, a non-negative integer of any size")
     p.add_argument("--k-max", type=int, default=DEFAULT_K_MAX,
                    help="largest exact count tracked in the snapshot")
-    p.add_argument("--output", required=True, help="counts CSV path")
+    p.add_argument("--output", required=True, help="counts CSV path ('-' = stdout)")
     p.add_argument("--snapshot", default=None,
-                   help="optional JSON snapshot path")
+                   help="optional JSON snapshot path ('-' = stdout)")
     p.set_defaults(func=_cmd_simulate)
 
     def add_study_common(p):

@@ -45,4 +45,4 @@ class NoRootError(ZipfestError):
 
 
 class AmbiguousRootError(ZipfestError):
-    """Never raised; kept only for perfbench/replay.py's import until ROADMAP item 4 drops it."""
+    """Never raised; kept only for perfbench/replay.py's import until ROADMAP item 3 drops it."""

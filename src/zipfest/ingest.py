@@ -3,7 +3,7 @@ count table, ``occupancy.OccupancyCounts``.
 
 Three inputs: UTF-8 text (``tokenize_text``, ``tokenize_file``), keyed by
 token; a ``token,count`` CSV (``load_counts``); and a ``urn_index,count``
-CSV (``read_counts_csv``), keyed by urn, which ``write_counts_csv`` writes.
+CSV (``read_counts_csv``), keyed by urn, whose text ``counts_csv`` makes.
 Both CSV formats go through one reader and differ only in how a key is
 parsed and in what a repeated key means.  The estimators read only the
 count-of-count profile, so a key's spelling or label never reaches them;
@@ -45,7 +45,7 @@ from .errors import InputFormatError, InsufficientDataError
 from .occupancy import OccupancyCounts
 
 __all__ = ["tokenize_text", "tokenize_file", "load_counts", "read_counts_csv",
-           "write_counts_csv", "to_occupancy"]
+           "counts_csv", "to_occupancy"]
 
 # maximal runs of Unicode letters: word characters minus digits/underscore
 _TOKEN_RE = re.compile(r"[^\W\d_]+", re.UNICODE)
@@ -148,18 +148,15 @@ def load_counts(path) -> OccupancyCounts:
 
 
 def read_counts_csv(path) -> OccupancyCounts:
-    """Read the urn count CSV of :func:`write_counts_csv`, with total the sum
+    """Read the urn count CSV of :func:`counts_csv`, with total the sum
     of the counts; a repeated urn index is an error."""
     return _read_table(path, "urn_index", int, sum_duplicates=False)
 
 
-def write_counts_csv(counts: OccupancyCounts, path) -> None:
-    """CSV (urn_index, count) sorted by index."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["urn_index", "count"])
-        for urn in sorted(counts.counts):
-            writer.writerow([urn, counts.counts[urn]])
+def counts_csv(counts: OccupancyCounts) -> str:
+    """The CSV text (urn_index, count) of ``counts``, sorted by index."""
+    return "urn_index,count\n" + "".join(f"{urn},{counts.counts[urn]}\n"
+                                          for urn in sorted(counts.counts))
 
 
 def _read_table(path, column: str, key, sum_duplicates: bool) -> OccupancyCounts:

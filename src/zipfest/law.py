@@ -6,12 +6,11 @@ The central object is :class:`PowerLaw`, the exact zeta law
 
 A law knows how to
 
-* evaluate per-urn probabilities and the counting function
-  alpha(x) = max{ j : p_j >= 1/x }, in closed form
-  alpha(x) = i0 + floor((x / zeta(1/theta))^theta), i.e. (c x)^theta with
-  c = 1/zeta(1/theta); note the division by zeta, which is what the
-  definition of alpha forces; where alpha is a scale, it counts urns
-  (those with x p >= 1, Karlin's alpha), which is alpha(x) - i0,
+* evaluate the counting function alpha(x) = max{ j : p_j >= 1/x } in
+  closed form, alpha(x) = i0 + floor((x / zeta(1/theta))^theta), i.e.
+  (c x)^theta with c = 1/zeta(1/theta); note the division by zeta, which is
+  what the definition of alpha forces; where alpha is a scale, it counts
+  urns (those with x p >= 1, Karlin's alpha), which is alpha(x) - i0,
 * compute exact expectations of the occupancy statistics R, U and R_k
   for a fixed number of balls or a poissonized horizon, as sums over the
   urns of P(X = k), C(n, k) p^k (1-p)^(n-k) or (np)^k e^-np / k!, in closed
@@ -30,7 +29,8 @@ A law knows how to
   (:meth:`PowerLaw.draw_prefixes`).
 
 Truncation policy: the support is cut at the smallest index whose remaining
-tail mass is below ``tail_epsilon`` (default 1e-12).  Oracles never
+tail mass is below the ``tail_epsilon`` of :func:`make_zipf_law` (default
+1e-12); the law keeps only that cutoff and the discarded mass.  Oracles never
 renormalize; the tail contribution beyond the enumeration window is added
 through that series in the exact zeta tail sums, with the truncation
 remainder bounded explicitly.  Sampling renormalizes over the retained
@@ -123,21 +123,9 @@ class PowerLaw:
     i0: int
     c: float
     cutoff: int
-    tail_epsilon: float
     discarded_mass: float
     total_mass: float
     _s: float = field(repr=False)
-
-    # ------------------------------------------------------------------
-    # point evaluations
-    # ------------------------------------------------------------------
-
-    def probability(self, i: int) -> float:
-        """Model probability of urn ``i`` (0.0 off the support)."""
-        m = i - self.i0
-        if m < 1:
-            return 0.0
-        return self.c * float(m) ** (-self._s)
 
     def counting_function(self, x: float) -> int:
         """alpha(x) = max{ j : p_j >= 1/x }; 0 when even the top urn is lighter.
@@ -489,8 +477,7 @@ def make_zipf_law(theta: float, i0: int = 0, tail_epsilon: float = 1e-12) -> Pow
     cutoff = _minimal_cutoff(s, c, tail_epsilon)
     discarded = c * zeta_tail(s, cutoff)
     return PowerLaw(
-        theta=theta, i0=int(i0), c=c, cutoff=cutoff,
-        tail_epsilon=float(tail_epsilon), discarded_mass=discarded,
+        theta=theta, i0=int(i0), c=c, cutoff=cutoff, discarded_mass=discarded,
         total_mass=1.0 - discarded, _s=s,
     )
 

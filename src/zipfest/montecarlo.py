@@ -5,7 +5,9 @@ estimator's standardized statistic exactly as its limit theorem states it
 (using the true exponent), and reports moments, a Kolmogorov-Smirnov
 diagnostic against the standard normal, plug-in CI coverage, and the
 theoretical variance target.  Statistic, standardization and target all come
-from the estimator table ``estimators.ESTIMATORS``.
+from the estimator table ``estimators.ESTIMATORS``.  Every row is reported:
+its KS diagnostic needs 100 usable replications and its moments 2, and each
+reads NaN below that.
 
 ``covariance_study`` samples nested trajectories, centers every component
 with the exact finite-n expectation oracle, scales by sqrt(alpha(n)) and
@@ -49,7 +51,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import asymptotics
-from .errors import UsageError, ZipfestError
+from .errors import UsageError
 from .estimators import (ESTIMATORS, confidence_bounds, expand_estimators,
                          normal_cdf, snapshot_k_max)
 from .law import PowerLaw, make_zipf_law, zeta_normalization
@@ -241,11 +243,9 @@ def normality_study(config: ExperimentConfig) -> StudyReport:
         vals = values[name]
         included = vals[~np.isnan(vals)]
         m_excluded = int(np.isnan(vals).sum())
-        if included.size < 100:
-            raise ZipfestError(
-                f"estimator {name}: only {included.size} usable replications")
-        mean, variance, skew, kurt = _moments(included)
-        distance, pvalue = ks_test(included / math.sqrt(target))
+        mean, variance, skew, kurt = _moments(included) if included.size >= 2 else (math.nan,) * 4
+        distance, pvalue = (ks_test(included / math.sqrt(target)) if included.size >= 100
+                            else (math.nan, math.nan))
         cov = covered[name]
         cov = cov[~np.isnan(cov)]
         coverage = float(cov.mean()) if cov.size else None
@@ -292,7 +292,7 @@ def covariance_study(config: ExperimentConfig) -> StudyReport:
     if config.nu < 1 or config.nu > DEFAULT_K_MAX:
         raise UsageError(f"nu must lie in 1..{DEFAULT_K_MAX}, got {config.nu}")
     SeedSpec(config.seed)  # a bad master raises DomainError before the law is built
-    # (``sample_trajectory`` rejects a grid that does not lie in (0, 1])
+    # (``sample_trajectories`` rejects a grid that does not lie in (0, 1])
     if config.grid[0] > 0.0 and math.floor(config.n * config.grid[0]) < 1:
         raise UsageError(f"covariance studies need n * t >= 1 at the first grid time "
                          f"t = {config.grid[0]}, got n = {config.n}")

@@ -3,27 +3,30 @@
 An :class:`OccupancyCounts` is the one count table of the package: a key ->
 count map, keyed by urn for a drawn sample and by token for a text, with
 its total.  Only the multiset of counts reaches a statistic, so a key's
-label never does.  A :class:`StatisticsSnapshot` carries, for one
+label never does.  A :class:`StatisticsSnapshot` holds, for one
 configuration,
 
     r          number of occupied urns,
     r_k[k]     urns holding exactly k balls, k = 1..k_max,
-    r_star_k   urns holding at least k balls, k = 1..k_max+1,
-    u          urns holding an odd number of balls.
+    u          urns holding an odd number of balls,
+
+and derives from them ``r_star_k``, the urns holding at least k balls,
+R - sum_{j<k} R_j for k = 1..k_max+1.
 
 ``tally_block`` counts the counts of a whole block of configurations, such
 as the draws of one block of seeds, in one pass: each configuration is a
 row of a head count matrix, in which empty urns appear as zeros, plus the
 tail run lengths tagged with its row.  ``SnapshotColumns.from_tally`` reads
-the statistics of every row off the tallies, and ``summarize_counts``, the
-snapshot of one multiset of counts, is the one-row case.  ``u`` comes from
-the same tally: a count beyond the tracked range is tallied in one of two
-bins by its parity, so ``u`` stays exact even when some urns hold more than
+the statistics of every row off the tallies, and
+``OccupancyCounts.snapshot`` is the one-row case.  ``u`` comes from the
+same tally: a count beyond the tracked range is tallied in one of two bins
+by its parity, so ``u`` stays exact even when some urns hold more than
 ``k_max`` balls.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -31,8 +34,7 @@ import numpy as np
 
 from .errors import UsageError
 
-__all__ = ["OccupancyCounts", "StatisticsSnapshot", "SnapshotColumns", "summarize_counts",
-           "tally_block"]
+__all__ = ["OccupancyCounts", "StatisticsSnapshot", "SnapshotColumns", "tally_block"]
 
 DEFAULT_K_MAX = 8
 _NONE = np.empty(0, dtype=np.intp)
@@ -45,8 +47,13 @@ class StatisticsSnapshot:
     total: float  # ball count n, or poissonized horizon t
     r: int
     r_k: tuple[int, ...]          # index k-1 holds R_{n,k}, k = 1..k_max
-    r_star_k: tuple[int, ...]     # index k-1 holds R*_{n,k}, k = 1..k_max+1
     u: int
+
+    @property
+    def r_star_k(self) -> tuple[int, ...]:
+        """Index k-1 holds R*_{n,k} = R - sum_{j<k} R_{n,j}, k = 1..k_max+1."""
+        return tuple(itertools.accumulate(self.r_k, lambda at_least, r_k: at_least - r_k,
+                                          initial=self.r))
 
     def exact_count(self, k: int) -> int:
         """R_{n,k}; k must not exceed k_max."""
@@ -74,7 +81,6 @@ class SnapshotColumns:
     total: float
     r: np.ndarray
     r_k: np.ndarray       # shape (snapshots, k_max); column k-1 holds R_{n,k}
-    r_star_k: np.ndarray  # shape (snapshots, k_max + 1)
     u: np.ndarray
 
     def exact_count(self, k: int) -> np.ndarray:
@@ -86,22 +92,19 @@ class SnapshotColumns:
     @classmethod
     def from_tally(cls, total, tally: np.ndarray, k_max: int) -> SnapshotColumns:
         """The columns of the rows of a :func:`tally_block`."""
-        # at_least[:, k-1] = urns holding at least k balls
-        at_least = tally[:, :0:-1].cumsum(axis=1)[:, ::-1]
-        return cls(total=total, r=at_least[:, 0], r_k=tally[:, 1:k_max + 1],
-                   r_star_k=at_least[:, :k_max + 1], u=tally[:, 1::2].sum(axis=1))
+        return cls(total=total, r=tally[:, 1:].sum(axis=1), r_k=tally[:, 1:k_max + 1],
+                   u=tally[:, 1::2].sum(axis=1))
 
     @classmethod
     def of(cls, snapshot: StatisticsSnapshot) -> SnapshotColumns:
         """The one-row columns of ``snapshot``."""
         return cls(total=snapshot.total, r=np.array([snapshot.r]), r_k=np.array([snapshot.r_k]),
-                   r_star_k=np.array([snapshot.r_star_k]), u=np.array([snapshot.u]))
+                   u=np.array([snapshot.u]))
 
     def snapshot(self, i: int) -> StatisticsSnapshot:
         """Snapshot ``i``."""
         return StatisticsSnapshot(total=self.total, r=int(self.r[i]),
-                                  r_k=tuple(self.r_k[i].tolist()),
-                                  r_star_k=tuple(self.r_star_k[i].tolist()), u=int(self.u[i]))
+                                  r_k=tuple(self.r_k[i].tolist()), u=int(self.u[i]))
 
 
 def tally_block(head, rows, counts, k_max: int = DEFAULT_K_MAX) -> np.ndarray:
@@ -142,12 +145,5 @@ class OccupancyCounts:
 
     def snapshot(self, k_max: int = DEFAULT_K_MAX) -> StatisticsSnapshot:
         values = np.fromiter(self.counts.values(), dtype=np.int64, count=len(self.counts))
-        return summarize_counts((values,), self.total, k_max=k_max)
-
-
-def summarize_counts(parts, total, k_max: int = DEFAULT_K_MAX) -> StatisticsSnapshot:
-    """Snapshot of the urns whose ball counts the integer arrays ``parts``
-    hold between them (urn identities dropped); a count of 0 is an empty urn
-    and counts nothing, so the parts need not be joined or filtered first."""
-    tally = tally_block(np.concatenate(parts)[None, :], _NONE, _NONE, k_max=k_max)
-    return SnapshotColumns.from_tally(total, tally, k_max).snapshot(0)
+        tally = tally_block(values[None, :], _NONE, _NONE, k_max=k_max)
+        return SnapshotColumns.from_tally(self.total, tally, k_max).snapshot(0)

@@ -48,6 +48,14 @@ def run(capsys, argv):
     return code, out, err
 
 
+def strict_json(text):
+    """``json.loads``, failing on the NaN and Infinity that strict parsers reject."""
+    def reject(constant):
+        raise AssertionError(f"{constant} is not JSON")
+
+    return json.loads(text, parse_constant=reject)
+
+
 def test_estimate_all_reruns_byte_identical(capsys, corpus):
     path, counts = corpus
     argv = ["estimate", "--input", str(path), "--estimators", "all",
@@ -213,9 +221,8 @@ def test_usage_error_is_one_line_with_exit_2(capsys, corpus, tmp_path, argv):
 @pytest.mark.parametrize("argv", [
     # the cutoff of theta = 0.97 exceeds the float64 range, so it cannot be sampled
     ["simulate", "--theta", "0.97", "--n", "100"],
-    # R_8 = 0 in about half of the replications at n = 2000
-    ["study-normality", "--theta", "0.5", "--n", "2000", "--m", "100", "--k", "8",
-     "--estimators", "ratio-k"],
+    # a study's draws meet the same refusal
+    ["study-normality", "--theta", "0.97", "--n", "2000", "--m", "100"],
     # zeta(1/theta) would need an explicit sum of more than 5e7 terms
     ["simulate", "--theta", "2.5e-8", "--n", "10"],
 ])
@@ -228,6 +235,30 @@ def test_runtime_failure_is_one_line_with_exit_1(capsys, tmp_path, argv):
     assert err.startswith("zipfest: error: ")
     assert err.count("\n") == 1 and "Traceback" not in err
     assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("argv, included", [
+    # R_8 = 0 in 32 of the 100 replications at n = 2000
+    (["--k", "8", "--estimators", "ratio-k"], 68),
+    # no replication holds an urn of 200 balls
+    (["--k", "200", "--estimators", "implicit-rk"], 0),
+    (["--k", "1", "--estimators", "ratio-k"], 100),
+])
+def test_a_row_with_few_usable_replications_is_reported(capsys, argv, included):
+    argv = ["study-normality", "--theta", "0.5", "--n", "2000", "--m", "100", *argv]
+    code, out, err = run(capsys, argv)
+    assert (code, err) == (0, "")
+    row, = strict_json(out)["rows"]
+    assert (row["m_included"], row["m_excluded"]) == (included, 100 - included)
+    assert all((row[name] is None) == (included < 100) for name in ("ks_distance", "ks_pvalue"))
+    moments = [row[name] for name in ("mean", "variance", "skewness", "excess_kurtosis",
+                                      "variance_ratio")]
+    assert all((value is None) == (included < 2) for value in moments)
+    code, out, err = run(capsys, argv + ["--format", "csv"])
+    assert (code, err) == (0, "")
+    csv_row, = csv.DictReader(io.StringIO(out))
+    assert (csv_row["ks_distance"] == "") == (included < 100)
+    assert (csv_row["mean"] == "") == (included < 2)
 
 
 @pytest.mark.parametrize("args", [["--theta", "0.01"], ["--theta", "0.05"],
@@ -292,11 +323,7 @@ def test_an_overflowing_covariance_is_strict_json(capsys):
     code, out, err = run(capsys, ["eval-asymptotics", "--theta", "0.5",
                                   "--tau-t", "1e308:1e308"])
     assert (code, err) == (0, "")
-
-    def reject(constant):
-        raise AssertionError(f"{constant} is not JSON")
-
-    rows = json.loads(out, parse_constant=reject)
+    rows = strict_json(out)
     assert any(row["kind"] == "cov" and row["value"] is None for row in rows)
 
 
@@ -346,6 +373,22 @@ def test_simulate_snapshot_is_that_of_the_counts_written(capsys, tmp_path):
                                   "--snapshot", str(snapshot)])
     assert (code, out, err) == (0, "", "")
     assert json.loads(snapshot.read_text()) == read_counts_csv(output).snapshot(5).to_json_dict()
+
+
+@pytest.mark.parametrize("mode", ["fixed", "poisson"])
+def test_simulate_output_dash_is_stdout(capsys, tmp_path, monkeypatch, mode):
+    monkeypatch.chdir(tmp_path)
+    argv = ["simulate", "--theta", "0.6", "--n", "3000", "--seed", "7", "--mode", mode]
+    code, out, err = run(capsys, argv + ["--output", "-"])
+    assert (code, err) == (0, "") and out.startswith("urn_index,count\n")
+    assert list(tmp_path.iterdir()) == []  # no file named '-', and no manifest
+    assert run(capsys, argv + ["--output", "counts.csv"]) == (0, "", "")
+    assert out.encode() == (tmp_path / "counts.csv").read_bytes()
+    # the counts and the snapshot cannot share stdout
+    code, out, err = run(capsys, argv + ["--output", "-", "--snapshot", "-"])
+    assert (code, out) == (2, "") and err.startswith("zipfest: usage error: ")
+    assert err.count("\n") == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["counts.csv", "counts.csv.manifest.json"]
 
 
 @pytest.mark.parametrize("seed, stream", [(2 ** 62, 2 ** 33), (10 ** 40 + 1, 3)])

@@ -22,12 +22,7 @@ from conftest import WORKERS
 
 def make_snapshot(total, r, r_k, u=0, k_max=8):
     r_k = tuple(r_k) + (0,) * (k_max - len(r_k))
-    r_star = []
-    running = r
-    for k in range(1, k_max + 2):
-        r_star.append(running)
-        running -= r_k[k - 1] if k <= k_max else 0
-    return StatisticsSnapshot(total=total, r=r, r_k=r_k, r_star_k=tuple(r_star), u=u)
+    return StatisticsSnapshot(total=total, r=r, r_k=r_k, u=u)
 
 
 def scan(solver):
@@ -373,7 +368,6 @@ def _columns(snaps):
     """The columns of snapshots of one total."""
     return SnapshotColumns(total=snaps[0].total, r=np.array([s.r for s in snaps]),
                            r_k=np.array([s.r_k for s in snaps]),
-                           r_star_k=np.array([s.r_star_k for s in snaps]),
                            u=np.array([s.u for s in snaps]))
 
 

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as hst
 
 from zipfest.errors import UsageError
-from zipfest.occupancy import OccupancyCounts, summarize_counts
+from zipfest.occupancy import OccupancyCounts
 from zipfest.sampler import SeedSpec, sample_fixed
 
 
@@ -27,7 +27,7 @@ class TestSummarize:
         assert snap.u == 3
 
     def test_empty(self):
-        snap = summarize_counts((np.zeros(0, dtype=np.int64),), 0)
+        snap = OccupancyCounts(counts={}, total=0).snapshot()
         assert snap.r == snap.u == 0
         assert all(v == 0 for v in snap.r_k)
         assert all(v == 0 for v in snap.r_star_k)
@@ -67,18 +67,19 @@ class TestInvariants:
            k_max=hst.integers(1, 12))
     def test_identities_hold(self, counts, k_max):
         values = np.asarray(counts, dtype=np.int64)
-        snap = summarize_counts((values,), int(values.sum()), k_max=k_max)
-        # the same multiset in two parts, with empty urns among the counts,
-        # as a drawn profile passes it
-        half = values.size // 2
-        head = np.concatenate([[0], values[:half], [0, 0]])
-        assert summarize_counts((head, values[half:]), snap.total, k_max=k_max) == snap
+        snap = OccupancyCounts(counts=dict(enumerate(counts)), total=int(values.sum())
+                               ).snapshot(k_max=k_max)
+        # empty urns among the counts count nothing, as in a drawn profile
+        padded = {-1: 0, **dict(enumerate(counts)), len(counts): 0}
+        assert OccupancyCounts(counts=padded, total=snap.total).snapshot(k_max=k_max) == snap
         # occupied urns equal the at-least-one count
-        assert snap.r_star_k[0] == snap.r
+        assert snap.r_star_k[0] == snap.r == values.size
         # exact counts difference the survival counts
         for k in range(1, k_max + 1):
             assert snap.exact_count(k) == snap.r_star_k[k - 1] - snap.r_star_k[k]
             assert snap.exact_count(k) == int(np.count_nonzero(values == k))
+        assert snap.r_star_k == tuple(int(np.count_nonzero(values >= k))
+                                      for k in range(1, k_max + 2))
         # parity tally equals the odd exact counts over the full range
         assert snap.u == int(np.count_nonzero(values % 2 == 1))
         # ball conservation

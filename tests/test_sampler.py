@@ -8,7 +8,7 @@ from hypothesis import strategies as hst
 
 from zipfest import law as law_module
 from zipfest.errors import DomainError, InputFormatError, UsageError
-from zipfest.ingest import read_counts_csv, write_counts_csv
+from zipfest.ingest import counts_csv, read_counts_csv
 from zipfest.law import _hat_integral, _hat_integral_inverse, make_zipf_law
 from zipfest.sampler import (SeedSpec, _generator, _keys, sample_fixed, sample_poissonized,
                              sample_trajectories, sample_trajectory)
@@ -155,7 +155,7 @@ class TestRejectionInversion:
         pos = law._accepted(first, [rng], [rng.random(n)], law._tail_bounds(first))[0]
         mass = _tail_mass(law, first)
         for i in range(first, first + 5):
-            p = law.probability(i) / mass
+            p = law.c * i ** (-1.0 / law.theta) / mass
             se = math.sqrt(p * (1.0 - p) / n)
             assert abs(np.count_nonzero(pos == i) / n - p) <= 5.0 * se, i
 
@@ -499,7 +499,7 @@ class TestGoodnessOfFit:
         # per-urn count of urn 1 is Binomial(n, p1); check the empirical mean
         # over replications against n p1 within 4 standard errors
         n, reps = 10 ** 5, 1000
-        p1 = law03.probability(1)
+        p1 = law03.c  # p_1 = c
         import os
         from concurrent.futures import ProcessPoolExecutor
         counts = []
@@ -534,7 +534,7 @@ class TestCountsCsv:
     def test_roundtrip(self, law05, tmp_path):
         counts = sample_fixed(law05, 5000, 3)
         path = tmp_path / "counts.csv"
-        write_counts_csv(counts, path)
+        path.write_text(counts_csv(counts))
         lines = path.read_text().splitlines()
         assert lines[0] == "urn_index,count"
         indices = [int(line.split(",")[0]) for line in lines[1:]]
@@ -547,7 +547,7 @@ class TestCountsCsv:
         counts = sample_fixed(make_zipf_law(0.9), 10 ** 4, 3)
         assert max(counts.counts) > 2 ** 53
         path = tmp_path / "counts.csv"
-        write_counts_csv(counts, path)
+        path.write_text(counts_csv(counts))
         assert read_counts_csv(path).counts == counts.counts
 
     def test_malformed(self, tmp_path):
