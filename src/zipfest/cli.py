@@ -203,8 +203,8 @@ def _build_c_model(spec: str | None):
         return zeta_normalization
     if spec.startswith("const:"):
         value = _parse_float(spec.split(":", 1)[1], "const c model value")
-        if value <= 0:
-            raise UsageError("const c model must be positive")
+        if not (math.isfinite(value) and value > 0):
+            raise UsageError(f"const c model must be finite and positive, got {value!r}")
         return value
     raise UsageError(f"unknown c model {spec!r}; use 'zeta' or 'const:<value>'")
 

@@ -23,11 +23,12 @@ the estimate itself, with the normal quantile of ``statistics.NormalDist``
 is computed, how it is standardized and its limiting variance; the CLI and
 the Monte Carlo studies both dispatch through it.  Every estimate is
 computed on the columns of snapshots (``occupancy.SnapshotColumns``), as
-arrays of estimates and standard errors: an implicit tag solves a whole
-column in one batch, and each closed form is one array routine.  One
-snapshot is the one-row case, which :meth:`EstimatorSpec.estimate` and
-:meth:`ImplicitSolver.solve` wrap in an :class:`EstimateResult`, so the
-estimate of a snapshot is the same bit for bit wherever it is computed.
+arrays of estimates and standard errors: the implicit tags solve all their
+columns in one batch (:func:`estimate_many`), and each closed form is one
+array routine.  One snapshot is the one-row case, which
+:meth:`EstimatorSpec.estimate` and :meth:`ImplicitSolver.solve` wrap in an
+:class:`EstimateResult`, so the estimate of a snapshot is the same bit for
+bit wherever it is computed.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ from . import asymptotics
 from .errors import DomainError, InsufficientDataError, NoRootError, UsageError
 from .occupancy import DEFAULT_K_MAX, SnapshotColumns, StatisticsSnapshot
 
-__all__ = ["EstimateResult", "ImplicitSolver", "ratio_estimate_r1",
+__all__ = ["EstimateResult", "ImplicitSolver", "estimate_many", "ratio_estimate_r1",
            "ratio_estimate_k", "log_ratio_estimate", "normal_cdf",
            "confidence_bounds", "EstimatorSpec", "ESTIMATORS",
            "expand_estimators", "snapshot_k_max"]
@@ -138,10 +139,11 @@ class ImplicitSolver:
     where g rises (g[j+1] > g[j]) bracket a statistic, and each statistic
     takes its root in the lowest such bracket, so g need not be monotone:
     a statistic above the peak of g, or one no rising interval reaches,
-    has no root.  :meth:`solve_many` bisects the roots of a whole array of
-    statistic values in one batch to |delta theta| < 1e-10; :meth:`solve`
-    runs the same batch on one value and raises NoRootError where there is
-    no root.
+    has no root.  A batch bisects the roots of arrays of statistic values of
+    one or more solvers of one normalization to |delta theta| < 1e-10:
+    :meth:`solve_many` is the one-solver batch, :meth:`solve` the one-value
+    batch (it raises NoRootError where there is no root), and
+    :func:`estimate_many` joins every implicit row of a study chunk.
 
     A halving needs only the side of each midpoint, so g is evaluated on a
     few batches rather than at each of the ~23 steps:
@@ -159,8 +161,11 @@ class ImplicitSolver:
       bracket where g never hits s exactly.  So roots and step counts are
       those of evaluating every midpoint, bit for bit.
 
-    ``c_of_theta`` is a positive number or a function of theta that also
-    takes an array of theta, as ``law.zeta_normalization`` does.
+    The stages run once per batch, on the brackets of all its solvers; each
+    g evaluation computes c(theta) once and ``asymptotics.log_growth`` once
+    per solver, and a normality study chunk makes about 6, not 13.
+    ``c_of_theta`` is a finite positive number or a function of theta that
+    also takes an array of theta, as ``law.zeta_normalization`` does.
     """
 
     GRID_POINTS = 2000
@@ -193,8 +198,8 @@ class ImplicitSolver:
             c_grid = _c_on_grid(c_of_theta)
         else:
             c_grid = const = float(c_of_theta)
-            if not const > 0.0:
-                raise DomainError(f"c must be positive, got {c_of_theta!r}")
+            if not (math.isfinite(const) and const > 0.0):
+                raise DomainError(f"c must be finite and positive, got {c_of_theta!r}")
             c_of_theta = lambda theta: const
         self._c_of_theta = c_of_theta
         self._log_n = math.log(self.n)
@@ -215,53 +220,9 @@ class ImplicitSolver:
         return np.exp(asymptotics.log_growth(theta, np.log(c) + self._log_n,
                                              self.which, self.k))
 
-    def _bisect(self, interval, target):
-        """Bisect g - target on the grid interval ``interval[i]`` for each
-        ``target[i]``, every bracket at once.
-
-        Each step halves every bracket still wider than BISECT_TOL; where g
-        hits the target exactly at a midpoint, both ends move there.  On the
-        uniform grid every bracket without a hit takes the same number of
-        steps.  g rises across each bracket, so g - target < 0 at its lower
-        end.  Returns each root (its final bracket's midpoint) and its count
-        of halvings that did not hit.  The secant stage makes SECANT_STEPS - 1
-        evaluations of g, and halving evaluates g only where a certified root
-        cannot tell a midpoint's side (class docstring).
-        """
-        lo, hi = self._grid[interval], self._grid[interval + 1]
-        log_target = np.log(target)
-        x0, f0 = lo, np.log(self._g[interval]) - log_target
-        x1, f1 = hi, np.log(self._g[interval + 1]) - log_target
-        for step in range(self.SECANT_STEPS):
-            if step:  # g only between updates: the last x is not evaluated
-                x0, f0, x1, f1 = x1, f1, x, np.log(self._g_array(x)) - log_target
-            with np.errstate(divide="ignore", invalid="ignore"):
-                x = np.clip(x1 - f1 * (x1 - x0) / (f1 - f0), lo, hi)
-            x = np.where(np.isnan(x), x1, x)  # f1 == f0: stay
-        g_near = self._g_array(np.concatenate([x - self.REPLAY_EPS, x + self.REPLAY_EPS]))
-        rises = np.concatenate([[False], self._g[1:] > self._g[:-1], [False]])
-        sure = ((g_near[:x.size] < target) & (target < g_near[x.size:])
-                & rises[interval] & rises[interval + 1] & rises[interval + 2])
-        x = np.where(sure, x, np.nan)  # NaN: evaluate every midpoint
-        steps = np.zeros(target.size, dtype=int)
-        while (live := hi - lo > self.BISECT_TOL).any():
-            mid = 0.5 * (lo + hi)
-            f_mid = np.where(mid < x, -1.0, 1.0)
-            near = np.flatnonzero(live & ~(np.abs(mid - x) > self.REPLAY_EPS))
-            if near.size:
-                f_mid[near] = self._g_array(mid[near]) - target[near]
-            lo = np.where(live & (f_mid <= 0.0), mid, lo)
-            hi = np.where(live & ~(f_mid < 0.0), mid, hi)
-            steps += live & (f_mid != 0.0)
-        return 0.5 * (lo + hi), steps
-
-    def _roots(self, stats: np.ndarray):
-        """The root of g(theta) = s in the lowest rising bracket of each
-        s >= 1 of ``stats``.
-
-        Returns (owner, interval, root, steps), one entry per statistic that
-        has a root, ordered by the index of that statistic.
-        """
+    def _brackets(self, stats: np.ndarray):
+        """(owner, interval): the index of each s >= 1 of ``stats`` that
+        has a rising bracket, in order, and its lowest such grid interval."""
         usable = np.flatnonzero(stats >= 1.0)
         order = usable[np.argsort(stats[usable], kind="stable")]
         ranked = stats[order]
@@ -273,9 +234,7 @@ class ImplicitSolver:
         owner = order[np.repeat(first, count) + within]
         # entries run by interval, so each owner's first one is its lowest bracket
         owner, lowest = np.unique(owner, return_index=True)
-        interval = interval[lowest]
-        roots, steps = self._bisect(interval, stats[owner])
-        return owner, interval, roots, steps
+        return owner, interval[lowest]
 
     def solve_many(self, stats) -> tuple[np.ndarray, np.ndarray]:
         """theta* for each statistic value, in one batched bisection.
@@ -286,9 +245,7 @@ class ImplicitSolver:
         bit for bit.
         """
         stats = np.asarray(stats, dtype=float).ravel()
-        owner, _, roots, _ = self._roots(stats)
-        theta_hat = np.full(stats.size, np.nan)
-        theta_hat[owner] = roots
+        theta_hat, = _solve_joined([self], [stats])
         outcome = np.select([~(stats >= 1.0), np.isnan(theta_hat)],
                             [self.BELOW_ONE, self.NO_ROOT], self.ROOT)
         return theta_hat, outcome
@@ -301,7 +258,7 @@ class ImplicitSolver:
             raise InsufficientDataError(
                 f"implicit estimation needs a statistic >= 1, got {stat_value!r}")
         stats = np.array([float(stat_value)])
-        _, interval, roots, steps = self._roots(stats)
+        (_, interval, roots, steps), = _roots_joined([self], [stats])
         if roots.size == 0:
             raise NoRootError(
                 f"no root of g(theta) = {stat_value!r} on "
@@ -323,6 +280,71 @@ class ImplicitSolver:
         sigma_sq = asymptotics.implicit_variance(theta_hat[ok], self.which, self.k)
         stderr[ok] = np.sqrt(sigma_sq) / (self._log_n * np.sqrt(stats[ok]))
         return stderr
+
+
+def _roots_joined(solvers, stats):
+    """The roots of the statistics ``stats[i]`` of each ``solvers[i]``, all
+    bisected in one batch (class docstring): per solver, (owner, interval,
+    root, steps), one entry per statistic with a bracket (``_brackets``)."""
+    if not solvers:
+        return []
+    c_of_theta = solvers[0]._c_of_theta
+    if any(solver._c_of_theta is not c_of_theta for solver in solvers):
+        raise UsageError("one batch of implicit solves takes one normalization c(theta)")
+    parts = []
+    for solver, values in zip(solvers, stats):
+        owner, j = solver._brackets(values)
+        g = solver._g
+        rises = np.concatenate([[False], g[1:] > g[:-1], [False]])
+        parts.append((owner, j, values[owner], g[j], g[j + 1],
+                      rises[j] & rises[j + 1] & rises[j + 2]))  # certifiable
+    interval, target, g_lo, g_hi, smooth = (np.concatenate([p[i] for p in parts])
+                                            for i in range(1, 6))
+    offsets = np.cumsum([0] + [p[0].size for p in parts])
+
+    def g_of(x, edges):
+        """g at x, whose entries edges[i]:edges[i + 1] belong to solvers[i]."""
+        c, out = c_of_theta(x), np.empty(x.size)
+        for solver, a, b in zip(solvers, edges[:-1], edges[1:]):
+            if b > a:
+                out[a:b] = solver._g_array(x[a:b], c[a:b] if np.ndim(c) else c)
+        return out
+
+    eps = ImplicitSolver.REPLAY_EPS
+    lo, hi = ImplicitSolver._grid[interval], ImplicitSolver._grid[interval + 1]
+    log_target = np.log(target)
+    x0, f0 = lo, np.log(g_lo) - log_target
+    x1, f1 = hi, np.log(g_hi) - log_target
+    for step in range(ImplicitSolver.SECANT_STEPS):
+        if step:  # g only between updates: the last x is not evaluated
+            x0, f0, x1, f1 = x1, f1, x, np.log(g_of(x, offsets)) - log_target
+        with np.errstate(divide="ignore", invalid="ignore"):
+            x = np.clip(x1 - f1 * (x1 - x0) / (f1 - f0), lo, hi)
+        x = np.where(np.isnan(x), x1, x)  # f1 == f0: stay
+    g_near = g_of(np.stack([x - eps, x + eps], axis=1).ravel(), 2 * offsets)
+    sure = (g_near[0::2] < target) & (target < g_near[1::2]) & smooth
+    x = np.where(sure, x, np.nan)  # NaN: evaluate every midpoint
+    steps = np.zeros(target.size, dtype=int)
+    while (live := hi - lo > ImplicitSolver.BISECT_TOL).any():
+        mid = 0.5 * (lo + hi)
+        f_mid = np.where(mid < x, -1.0, 1.0)
+        near = np.flatnonzero(live & ~(np.abs(mid - x) > eps))
+        if near.size:
+            f_mid[near] = g_of(mid[near], np.searchsorted(near, offsets)) - target[near]
+        lo = np.where(live & (f_mid <= 0.0), mid, lo)
+        hi = np.where(live & ~(f_mid < 0.0), mid, hi)
+        steps += live & (f_mid != 0.0)  # an exact hit moves both ends to mid, uncounted
+    return [(p[0], p[1], 0.5 * (lo[a:b] + hi[a:b]), steps[a:b])
+            for p, a, b in zip(parts, offsets[:-1], offsets[1:])]
+
+
+def _solve_joined(solvers, stats) -> list[np.ndarray]:
+    """theta_hat of each ``solvers[i].solve_many(stats[i])``, NaN where
+    there is no root, in one batch; ``stats[i]`` is a 1-D float array."""
+    out = [np.full(values.size, np.nan) for values in stats]
+    for theta_hat, (owner, _, roots, _) in zip(out, _roots_joined(solvers, stats)):
+        theta_hat[owner] = roots
+    return out
 
 
 # ----------------------------------------------------------------------
@@ -410,7 +432,7 @@ class EstimatorSpec:
 
     def estimate(self, snapshot, k, level, solver=None) -> EstimateResult:
         """The estimate of one snapshot: the one-row case of
-        :meth:`estimate_many`, with its plug-in interval and flags.  Raises
+        :func:`estimate_many`, with its plug-in interval and flags.  Raises
         where that row is NaN.  ``solver``: what :meth:`solver` returns for
         this n and k."""
         if self.solver_kind is not None:
@@ -420,16 +442,6 @@ class EstimatorSpec:
             raise InsufficientDataError(self.no_data.format(k=k))
         return _result(f"{self.tag}({k})" if self.per_k else self.tag, theta_hat[0], stderr[0],
                        level, flags=() if self.target else ("no-normality",))
-
-    def estimate_many(self, columns, k, solver=None) -> tuple[np.ndarray, np.ndarray]:
-        """The theta_hat and stderr of each snapshot of ``columns`` (an
-        ``occupancy.SnapshotColumns``), as arrays, NaN where it has no root
-        or too little data; an implicit tag solves them all in one batch."""
-        if self.solver_kind is None:
-            return self.closed_form(columns, k)
-        stats = np.asarray(self.statistic(columns, k), dtype=float)
-        theta_hat, _ = solver.solve_many(stats)
-        return theta_hat, solver.stderr_many(theta_hat, stats)
 
     def standardize(self, theta_hat, theta, snapshot, k):
         """The standardized error of ``theta_hat``; ``snapshot`` may be
@@ -462,6 +474,19 @@ ESTIMATORS = {spec.tag: spec for spec in (
         "log-ratio", lambda snap, k: snap.r, target=None, closed_form=_log_ratio,
         no_data="log-ratio estimator needs at least one occupied urn"),
 )}
+
+
+def estimate_many(columns, requested, solvers) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The theta_hat and stderr arrays of each (name, tag, k) of
+    ``requested`` on the snapshots of ``columns`` (an
+    ``occupancy.SnapshotColumns``), NaN where there is no root or too little
+    data.  ``solvers[i]`` is what :meth:`EstimatorSpec.solver` returns for
+    row i; the implicit rows are all solved in one batch."""
+    stats = {i: np.asarray(ESTIMATORS[tag].statistic(columns, k), dtype=float)
+             for i, ((_, tag, k), solver) in enumerate(zip(requested, solvers)) if solver}
+    roots = dict(zip(stats, _solve_joined([solvers[i] for i in stats], list(stats.values()))))
+    return [(roots[i], solvers[i].stderr_many(roots[i], stats[i])) if i in roots
+            else ESTIMATORS[tag].closed_form(columns, k) for i, (_, tag, k) in enumerate(requested)]
 
 
 def ratio_estimate_r1(snapshot: StatisticsSnapshot, level: float = 0.95) -> EstimateResult:

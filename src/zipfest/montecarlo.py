@@ -28,11 +28,12 @@ It returns one ``occupancy.SnapshotColumns`` per grid time, bit for bit the
 statistics of ``sample_trajectory`` on each stream.
 A chunk of normality replications then runs in two more stages on whole
 arrays: estimate theta_hat and its standard error for every replication at
-once (one batched ``ImplicitSolver.solve_many`` per implicit estimator, the
-closed forms on the columns); then standardize and check coverage.  No
-per-replication ``EstimateResult`` is built.  A one-snapshot estimate is the
-one-row case of the same array arithmetic, so the standardized values and
-coverage flags equal those of one-snapshot estimates bit for bit.
+once (``estimators.estimate_many``: one batched root-finding pass for all
+implicit estimators, the closed forms on the columns); then standardize and
+check coverage.  No per-replication ``EstimateResult`` is built.  A
+one-snapshot estimate is the one-row case of the same array arithmetic, so
+the standardized values and coverage flags equal those of one-snapshot
+estimates bit for bit.
 
 Replications are independent jobs keyed by replication index, so results
 are identical for any worker count; the aggregation is a commutative merge
@@ -52,8 +53,8 @@ import numpy as np
 
 from . import asymptotics
 from .errors import UsageError
-from .estimators import (ESTIMATORS, confidence_bounds, expand_estimators,
-                         normal_cdf, snapshot_k_max)
+from .estimators import (ESTIMATORS, confidence_bounds, estimate_many,
+                         expand_estimators, normal_cdf, snapshot_k_max)
 from .law import PowerLaw, make_zipf_law, zeta_normalization
 from .occupancy import DEFAULT_K_MAX
 from .sampler import SeedSpec, sample_trajectories
@@ -193,11 +194,11 @@ def _normality_chunk(cfg: ExperimentConfig, law: PowerLaw, rep_lo: int, rep_hi: 
     k_max = snapshot_k_max(requested)
     columns, = sample_trajectories(law, cfg.n, (1.0,), _seeds(cfg, rep_lo, rep_hi), k_max=k_max)
     theta = cfg.theta
+    solvers = [ESTIMATORS[tag].solver(cfg.n, zeta_normalization, k) for _, tag, k in requested]
     values, covered = {}, {}
-    for name, tag, k in requested:
+    for (name, tag, k), (theta_hat, stderr) in zip(
+            requested, estimate_many(columns, requested, solvers)):
         spec = ESTIMATORS[tag]
-        solver = spec.solver(cfg.n, zeta_normalization, k)
-        theta_hat, stderr = spec.estimate_many(columns, k, solver)
         values[name] = spec.standardize(theta_hat, theta, columns, k)
         covered[name] = np.full(theta_hat.size, np.nan)
         rated = np.flatnonzero(stderr > 0.0)  # not where stderr is NaN

@@ -222,11 +222,11 @@ def sample_trajectories(law: PowerLaw, n: int, grid, seeds,
     so earlier snapshots are prefixes of later ones by construction.  The
     seeds' Philox keys come from one key pass, the seeds are drawn in blocks
     (``PowerLaw.draw_prefixes``), and each block is tallied in one pass
-    (``occupancy.tally_block``).  What grows with the number of seeds: the
-    block tallies, kept until they are joined at the end, one int64 row of
-    k_max + 3 or k_max + 4 entries per seed and grid time, plus one array
-    header per block; tracemalloc read about 450 bytes per seed at theta =
-    0.7, n = 2e4, three grid times and k_max = 2.
+    (``occupancy.tally_block``) into one array allocated for all seeds.
+    What grows with the number of seeds: that array, one int64 row of
+    k_max + 3 or k_max + 4 entries per seed and grid time, and the seeds'
+    16-byte keys; tracemalloc read about 165 bytes per seed at theta = 0.7,
+    n = 2e4, three grid times and k_max = 2.
     """
     if not (isinstance(n, (int, np.integer)) and n >= 1):
         raise DomainError(f"n must be a positive integer, got {n!r}")
@@ -236,15 +236,19 @@ def sample_trajectories(law: PowerLaw, n: int, grid, seeds,
     if any(not 0.0 < t <= 1.0 for t in grid) or any(b <= a for a, b in zip(grid, grid[1:])):
         raise UsageError(f"grid must be strictly increasing within (0, 1], got {grid!r}")
     sizes = [math.floor(n * t) for t in grid]
-    tallies = []
-    for head, rows, positions, counts in law.draw_prefixes(
-            sizes, (_generator(key) for key in _keys(seeds))):
-        del positions  # each array is freed as soon as it is used up
-        tallies.append(tally_block(head, rows, counts, k_max=k_max).reshape(*head.shape[:2], -1))
-        del head, rows, counts
-    if not tallies:
+    keys = _keys(seeds)
+    if not len(keys):
         raise UsageError("seeds must be non-empty")
-    tally = np.concatenate(tallies, axis=1)
+    tally, row = None, 0
+    for head, rows, positions, counts in law.draw_prefixes(
+            sizes, (_generator(key) for key in keys)):
+        del positions  # each array is freed as soon as it is used up
+        block = tally_block(head, rows, counts, k_max=k_max).reshape(*head.shape[:2], -1)
+        del head, rows, counts
+        if tally is None:
+            tally = np.empty((len(sizes), len(keys), block.shape[2]), dtype=block.dtype)
+        tally[:, row:row + block.shape[1]] = block
+        row += block.shape[1]
     return [SnapshotColumns.from_tally(m, part, k_max) for m, part in zip(sizes, tally)]
 
 

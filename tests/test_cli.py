@@ -203,6 +203,9 @@ def test_a_malformed_row_is_one_short_line(capsys, tmp_path):
     ["simulate", "--theta", "0.5", "--mode", "poisson", "--n", "10000000000000000000"],
     # alpha(5) = 0 at theta = 0.9: no urn has n p >= 1, so no scale
     ["study-covariance", "--theta", "0.9", "--n", "5", "--m", "100", "--grid", "1.0"],
+    # a normalization must be finite and positive
+    ["estimate", "--estimators", "implicit-r", "--c-model", "const:nan"],
+    ["estimate", "--estimators", "implicit-r", "--c-model", "const:inf"],
 ])
 def test_usage_error_is_one_line_with_exit_2(capsys, corpus, tmp_path, argv):
     argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]

@@ -10,9 +10,10 @@ from hypothesis import strategies as hst
 from zipfest.asymptotics import ratio_k_variance, ratio_r1_variance
 from zipfest.errors import (DomainError, InsufficientDataError, NoRootError,
                             UsageError)
-from zipfest.estimators import (ESTIMATORS, ImplicitSolver, confidence_bounds,
-                                expand_estimators, log_ratio_estimate, ratio_estimate_k,
-                                ratio_estimate_r1, snapshot_k_max)
+from zipfest.estimators import (ESTIMATORS, ImplicitSolver, _roots_joined, _solve_joined,
+                                confidence_bounds, estimate_many, expand_estimators,
+                                log_ratio_estimate, ratio_estimate_k, ratio_estimate_r1,
+                                snapshot_k_max)
 from zipfest.law import make_zipf_law, zeta_normalization
 from zipfest.occupancy import SnapshotColumns, StatisticsSnapshot
 from zipfest.sampler import SeedSpec, sample_fixed, sample_trajectories
@@ -139,8 +140,9 @@ class TestImplicit:
             ImplicitSolver("r", 100, 1.0).solve(0.5)
         with pytest.raises(UsageError):
             ImplicitSolver("rk", 100, 1.0)  # k missing
-        with pytest.raises(DomainError):
-            ImplicitSolver("r", 100, -1.0)
+        for c in (-1.0, math.nan, math.inf):
+            with pytest.raises(DomainError):
+                ImplicitSolver("r", 100, c)
         with pytest.raises(DomainError):
             ImplicitSolver("r", 100, lambda th: 0.5 - th)  # c <= 0 on part of (0, 1)
 
@@ -293,7 +295,7 @@ def _plain_halving(solver, interval, target):
 
 
 def _assert_roots_match_plain_halving(solver, stats):
-    owner, interval, roots, steps = solver._roots(stats)
+    (owner, interval, roots, steps), = _roots_joined([solver], [stats])
     plain_roots, plain_steps = _plain_halving(solver, interval, stats[owner])
     assert np.array_equal(roots, plain_roots)
     assert np.array_equal(steps, plain_steps)
@@ -343,6 +345,84 @@ class TestReplayedHalving:
             assert calls[0] <= 3
 
 
+JOINED_KINDS = [("r", None), ("u", None), ("rk", 1), ("rk", 2), ("rk", 3)]
+
+
+def _joined_rows(solver):
+    """Statistics of every kind for one solver: below 1, NaN, above the peak
+    of g, values at both grid ends (a root in an end interval is never
+    certified, so every midpoint is evaluated), exact grid values of g, and
+    values in between."""
+    g = solver._g
+    on_grid = g[g >= 1.0][::97]
+    ends = [g[0], 0.5 * (g[0] + g[1]), 0.5 * (g[-2] + g[-1]), g[-1]]
+    return np.concatenate([[0.5, np.nan, g.max(), 1.01 * g.max(), 1.0], ends,
+                           on_grid, [1.5, 7.0, 30.0, 40.0, 137.0, 1999.0]])
+
+
+class TestJoinedBatch:
+    def jobs(self):
+        solvers = [_solver(which, k) for which, k in JOINED_KINDS] + [_solver("u", None)]
+        return solvers, [_joined_rows(s) for s in solvers[:-1]] + [np.array([])]
+
+    def test_every_entry_equals_scalar_bisection(self):
+        solvers, stats = self.jobs()
+        joined = _roots_joined(solvers, stats)
+        for solver, values, (owner, interval, roots, steps) in zip(solvers, stats, joined):
+            for mine, alone in zip((owner, interval, roots, steps),
+                                   _roots_joined([solver], [values])[0]):
+                assert np.array_equal(mine, alone)
+            for i, j, root, step in zip(owner, interval, roots.tolist(), steps.tolist()):
+                lo, hi = float(solver._grid[j]), float(solver._grid[j + 1])
+                assert (root, step) == _scalar_bisect(solver, lo, hi, values[i]), values[i]
+        assert sum(roots.size for _, _, roots, _ in joined) > 50
+
+    def test_equals_one_solver_batches_and_any_split(self):
+        solvers, stats = self.jobs()
+        joined = _solve_joined(solvers, stats)
+        # each solver's rows cut at its own point, as worker chunks cut a study
+        halves = [_solve_joined(solvers, [values[:2 * i] for i, values in enumerate(stats)]),
+                  _solve_joined(solvers, [values[2 * i:] for i, values in enumerate(stats)])]
+        for i, (solver, values) in enumerate(zip(solvers, stats)):
+            theta_hat, outcome = solver.solve_many(values)
+            assert np.array_equal(joined[i], theta_hat, equal_nan=True)
+            assert np.array_equal(np.concatenate([halves[0][i], halves[1][i]]), theta_hat,
+                                  equal_nan=True)
+            if values.size:
+                assert set(outcome.tolist()) == {solver.BELOW_ONE, solver.NO_ROOT, solver.ROOT}
+
+    def test_one_normalization_per_batch(self):
+        with pytest.raises(UsageError):
+            _roots_joined([_solver("r", None), ImplicitSolver("r", 2000, 0.3)],
+                          [np.array([5.0]), np.array([5.0])])
+
+    def test_c_is_evaluated_once_per_round(self):
+        # a study batch of five solvers takes the rounds of about one solver,
+        # each with one evaluation of c(theta) and at most one of each solver's g
+        log = []
+
+        def c_of_theta(theta):
+            log.append("c")
+            return zeta_normalization(theta)
+
+        solvers = [ImplicitSolver(which, 10 ** 5, c_of_theta, k=k) for which, k in JOINED_KINDS]
+        for solver in solvers:
+            g_array = solver._g_array
+            solver._g_array = lambda *args, solver=solver, g_array=g_array: (
+                log.append(solver) or g_array(*args))
+        columns, = sample_trajectories(make_zipf_law(0.5), 10 ** 5, (1.0,),
+                                       [SeedSpec(0, rep) for rep in range(200)])
+        stats = [np.asarray(ESTIMATORS[f"implicit-{which}"].statistic(columns, k), dtype=float)
+                 for which, k in JOINED_KINDS]
+        log.clear()
+        _roots_joined(solvers, stats)
+        starts = [i for i, entry in enumerate(log) if entry == "c"]
+        assert starts[0] == 0 and len(starts) <= 7, len(starts)
+        for a, b in zip(starts, starts[1:] + [len(log)]):
+            in_round = log[a + 1:b]
+            assert in_round and len(set(map(id, in_round))) == len(in_round)
+
+
 def test_table_solver_only_for_implicit_tags():
     for spec in ESTIMATORS.values():
         solver = spec.solver(10 ** 4, zeta_normalization, 2)
@@ -381,10 +461,10 @@ def test_one_snapshot_estimate_is_its_row_of_estimate_many(theta):
                                  k_max=snapshot_k_max(requested))
     snaps = [drawn.snapshot(i) for i in range(drawn.r.size)] + EDGE_SNAPSHOTS
     columns = _columns(snaps)
-    for name, tag, k in requested:
+    solvers = [ESTIMATORS[tag].solver(2000, zeta_normalization, k) for _, tag, k in requested]
+    for (name, tag, k), solver, (theta_hat, stderr) in zip(
+            requested, solvers, estimate_many(columns, requested, solvers)):
         spec = ESTIMATORS[tag]
-        solver = spec.solver(2000, zeta_normalization, k)
-        theta_hat, stderr = spec.estimate_many(columns, k, solver)
         for i, snap in enumerate(snaps):
             level = (0.95, 0.9)[i % 2]
             if np.isnan(theta_hat[i]):

@@ -1,5 +1,6 @@
 import math
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -326,6 +327,22 @@ class TestBlocks:
     def test_no_seeds_is_a_usage_error(self, law05):
         with pytest.raises(UsageError):
             sample_trajectories(law05, 100, (1.0,), [])
+
+    def test_memory_per_seed_is_one_tally_row(self, law07):
+        # each block's tally goes straight into one array for all seeds: at
+        # k_max = 2 a row is 6 int64 per grid time, 144 bytes for three, plus
+        # a 16-byte key; a list of block tallies joined at the end held about
+        # 240 bytes per seed
+        grid = (0.25, 0.5, 1.0)
+        sample_trajectories(law07, 20000, grid, [SeedSpec(0, rep) for rep in range(200)], k_max=2)
+        peaks = []
+        for m in (200, 800):
+            seeds = [SeedSpec(0, rep) for rep in range(m)]
+            tracemalloc.start()
+            sample_trajectories(law07, 20000, grid, seeds, k_max=2)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.stop()
+        assert (peaks[1] - peaks[0]) / 600 < 200
 
     def test_runs_stay_within_their_row(self):
         # row 0 has no padding, so its last value meets row 1's first; the
