@@ -10,7 +10,12 @@ Subcommands:
 
 All numeric output is printed with 10 significant digits so runs with the
 same seed are byte-identical; timestamps appear only in the sidecar
-manifest written next to each output file.
+manifest written next to each output file.  Only a file output writes a
+manifest, so only it loads ``hashlib`` (and with it OpenSSL).
+
+``estimate`` reports every requested row: one without a value (no root of
+g, or no urns for its statistic) has null estimate, stderr and interval and
+a flag naming the reason, "no-root" or "insufficient-data".
 
 Exit codes: 0 success, 1 runtime failure, 2 usage error.
 """
@@ -19,7 +24,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import hashlib
 import json
 import math
 import sys
@@ -27,8 +31,8 @@ import warnings
 from datetime import datetime, timezone
 
 from . import __version__
-from .errors import UsageError, ZipfestError
-from .estimators import ESTIMATORS, expand_estimators, snapshot_k_max
+from .errors import InsufficientDataError, NoRootError, UsageError, ZipfestError
+from .estimators import ESTIMATORS, EstimateResult, expand_estimators, snapshot_k_max
 from .ingest import counts_csv, load_counts, read_counts_csv, to_occupancy, tokenize_file
 from .law import make_zipf_law, zeta_normalization
 from .montecarlo import (NORMALITY_ESTIMATORS, ExperimentConfig,
@@ -107,6 +111,7 @@ def _emit_result(args, payload, rows, fields, config, inputs=()) -> int:
 
 
 def _sha256_file(path) -> str:
+    import hashlib
     digest = hashlib.sha256()
     with open(path, "rb") as fh:
         for block in iter(lambda: fh.read(1 << 20), b""):
@@ -117,6 +122,7 @@ def _sha256_file(path) -> str:
 def _write_manifest(output_path, command: str, config: dict, inputs=()) -> None:
     if output_path in (None, "-"):
         return
+    import hashlib  # here, not at the top: an output to stdout loads no OpenSSL
     manifest = {
         "command": command,
         "config": config,
@@ -216,6 +222,9 @@ def _build_c_model(spec: str | None):
 # --input-format -> the reader of that format
 _READERS = {"text": tokenize_file, "tokens": load_counts, "occupancy": read_counts_csv}
 
+# the flag of an estimate row without a value, per error
+_NO_VALUE_FLAGS = {NoRootError: "no-root", InsufficientDataError: "insufficient-data"}
+
 
 def _cmd_estimate(args) -> int:
     requested = expand_estimators(_parse_estimators(args.estimators),
@@ -227,9 +236,14 @@ def _cmd_estimate(args) -> int:
     snapshot = occupancy.snapshot(k_max=snapshot_k_max(requested))
     n = int(occupancy.total)
 
-    results = [ESTIMATORS[tag].estimate(snapshot, k, args.level,
-                                        ESTIMATORS[tag].solver(n, c_model, k))
-               for _, tag, k in requested]
+    results = []
+    for report_id, tag, k in requested:
+        spec = ESTIMATORS[tag]
+        try:
+            results.append(spec.estimate(snapshot, k, args.level, spec.solver(n, c_model, k)))
+        except tuple(_NO_VALUE_FLAGS) as exc:  # a NaN row, flagged, not a failed run
+            results.append(EstimateResult(report_id, math.nan, math.nan, (math.nan, math.nan),
+                                          args.level, (_NO_VALUE_FLAGS[type(exc)],)))
 
     payload = {"n": n, "estimates": [r.to_json_dict() for r in results]}
     rows = [{**r.to_json_dict(), "flags": ";".join(r.flags)} for r in results]

@@ -36,7 +36,6 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from statistics import NormalDist
 from typing import Callable
 
 import numpy as np
@@ -93,6 +92,7 @@ def _z_for_level(level: float) -> float:
         raise DomainError(f"confidence level must lie in (0, 1), got {level!r}")
     if level == 0.95:
         return Z_95
+    from statistics import NormalDist  # here, so the default level loads no `decimal`
     return NormalDist().inv_cdf(0.5 + 0.5 * level)
 
 

@@ -44,7 +44,6 @@ hands it to every chunk; with more workers, the law is pickled to them.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 from dataclasses import asdict, dataclass
@@ -92,7 +91,9 @@ class ExperimentConfig:
         return DEFAULT_K_MAX
 
     def echo(self) -> dict:
-        """Every field but ``workers``, plus ``config_hash``, their SHA-256."""
+        """Every field but ``workers``, plus ``config_hash``, their SHA-256.
+        ``hashlib`` is imported here, so only a study loads it."""
+        import hashlib
         out = asdict(self)
         out.pop("workers")
         blob = json.dumps(out, sort_keys=True, default=str).encode()

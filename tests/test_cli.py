@@ -124,6 +124,43 @@ def test_an_empty_input_is_one_line_with_exit_1(capsys, tmp_path, fmt, header, e
         1, "", "zipfest: error: empty corpus\n")
 
 
+SHORT_TEXT = "the cat sat on the mat and the dog sat on the log while a bird sang\n"
+
+
+@pytest.mark.parametrize("argv, no_value", [
+    # R_3 = 0, so ratio-k(3) has no value; the other rows keep theirs
+    ([], {"ratio-k(3)": "insufficient-data"}),
+    # R_2 = 2 lies above the peak of g_rk(2), and implicit-rk(3) reads R_3 = 0
+    (["--estimators", "all", "--c-model", "zeta"],
+     {"implicit-rk(2)": "no-root", "implicit-rk(3)": "insufficient-data",
+      "ratio-k(3)": "insufficient-data"}),
+])
+def test_a_row_without_a_value_is_flagged_with_exit_0(capsys, tmp_path, argv, no_value):
+    path = tmp_path / "short.txt"
+    path.write_text(SHORT_TEXT, encoding="utf-8")
+    argv = ["estimate", "--input", str(path), "--k", "1,2,3", *argv]
+    code, out, err = run(capsys, argv)
+    assert (code, err) == (0, "")
+    estimates = strict_json(out)["estimates"]
+    assert {e["estimator"]: e["flags"] for e in estimates
+            if e["theta_hat"] is None} == {tag: [flag] for tag, flag in no_value.items()}
+    for e in estimates:
+        values = [e[name] for name in ("theta_hat", "stderr", "ci_lo", "ci_hi")]
+        assert all((v is None) == (e["estimator"] in no_value) for v in values), e
+    # 9 of the 12 occupied urns hold one ball
+    assert next(e for e in estimates if e["estimator"] == "ratio-r1")["theta_hat"] == 0.75
+    code, out, err = run(capsys, argv + ["--format", "csv"])
+    assert (code, err) == (0, "")
+    rows = list(csv.DictReader(io.StringIO(out)))
+    assert [row["estimator"] for row in rows] == [e["estimator"] for e in estimates]
+    for row in rows:
+        if row["estimator"] in no_value:
+            assert row["flags"] == no_value[row["estimator"]]
+            assert row["theta_hat"] == row["stderr"] == row["ci_lo"] == row["ci_hi"] == ""
+        else:
+            assert row["theta_hat"] != ""
+
+
 @pytest.mark.parametrize("fmt", INPUTS)
 def test_invalid_utf8_is_one_line_with_exit_1(capsys, tmp_path, fmt):
     path = tmp_path / "bad"

@@ -39,26 +39,37 @@ def test_workers_default_ignores_environment(monkeypatch):
     assert covariance_study(replace(SMALL, n=500)).rows
 
 
-def _modules_after_import(prefixes) -> str:
+def _modules_after_import(prefixes, statement="pass") -> str:
     """The loaded modules that start with one of ``prefixes`` once a fresh
-    interpreter has imported the package."""
-    code = ("import sys, zipfest.cli; print(sorted(m for m in sys.modules "
+    interpreter has imported the package and run ``statement``: the last
+    line of its stdout."""
+    code = (f"import sys, zipfest.cli; {statement}; print(sorted(m for m in sys.modules "
             f"if m.startswith({tuple(prefixes)!r})))")
     src = os.path.dirname(os.path.dirname(montecarlo.__file__))
     paths = filter(None, [src, os.environ.get("PYTHONPATH")])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(paths)}
     return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                          text=True, check=True).stdout
+                          text=True, check=True).stdout.splitlines()[-1]
 
 
 def test_importing_the_package_loads_no_process_pool():
     # only a study with workers > 1 imports the pool and multiprocessing
-    assert _modules_after_import(["multiprocessing", "concurrent.futures.process"]) == "[]\n"
+    assert _modules_after_import(["multiprocessing", "concurrent.futures.process"]) == "[]"
 
 
 def test_importing_the_package_loads_no_numpy_random():
     # the first draw loads it; loaded at import, it raised a study's peak memory
-    assert _modules_after_import(["numpy.random"]) == "[]\n"
+    assert _modules_after_import(["numpy.random"]) == "[]"
+
+
+def test_an_estimate_to_stdout_loads_no_hashlib_or_statistics(tmp_path):
+    # only a manifest hashes, and only a level other than 0.95 needs NormalDist;
+    # hashlib maps OpenSSL, and statistics loads decimal
+    path = tmp_path / "text.txt"
+    path.write_text("the cat sat on the mat and the dog sat on the log\n", encoding="utf-8")
+    argv = ["estimate", "--input", str(path), "--estimators", "all", "--c-model", "zeta"]
+    statement = f"assert zipfest.cli.main({argv!r}) == 0"
+    assert _modules_after_import(["hashlib", "_hashlib", "statistics"], statement) == "[]"
 
 
 @pytest.mark.parametrize("study", [normality_study, covariance_study])

@@ -510,6 +510,30 @@ class TestPoissonized:
             z = (np.var(values, ddof=1) - variance) / (variance * math.sqrt(2.0 / (m - 1)))
             assert abs(z) <= 5.0, (name, z)
 
+    def test_third_cumulants(self, law03):
+        # an urn is occupied with probability q(t) = 1 - exp(-t p) and holds
+        # an odd count with probability (1 - exp(-2 t p)) / 2; summing the
+        # Bernoulli third cumulants gives, exactly,
+        # k3 R(t) = E R(t) - 3 E R(2t) + 2 E R(3t), k3 U(t) = (E U(3t) - E U(t)) / 2
+        t, m = 2000.0, 4000
+        snaps = [sample_poissonized(law03, t, SeedSpec(13, rep)).snapshot() for rep in range(m)]
+
+        def mean(horizon, stat):
+            return law03.expected_statistic(horizon, stat, mode="poissonized")
+
+        cases = {
+            "R": ([s.r for s in snaps], mean(t, "r") - 3 * mean(2 * t, "r") + 2 * mean(3 * t, "r")),
+            "U": ([s.u for s in snaps], (mean(3 * t, "u") - mean(t, "u")) / 2),
+        }
+        for name, (values, kappa3) in cases.items():
+            centred = np.asarray(values, dtype=float) - np.mean(values)
+            m2, m3 = np.mean(centred ** 2), np.mean(centred ** 3)
+            k3 = m3 * m * m / ((m - 1) * (m - 2))  # the unbiased k-statistic
+            se = math.sqrt(6.0 * m2 ** 3 / m)
+            assert abs(k3 - kappa3) <= 4.0 * se, (name, k3, kappa3, se)
+            if name == "R":  # the skew is large enough that a normal law would fail
+                assert kappa3 > 4.0 * se, (kappa3, se)
+
 
 class TestGoodnessOfFit:
     def test_top_urn_binomial_mean(self, law03):
