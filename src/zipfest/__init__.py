@@ -4,7 +4,7 @@ harness that verifies their limit theorems at desk scale."""
 __version__ = "0.1.0"
 
 from .errors import (DomainError, InputFormatError, InsufficientDataError,
-                     NoRootError, UsageError, ZipfestError)
+                     UsageError, ZipfestError)
 from .law import PowerLaw, make_zipf_law, zeta_normalization
 from .occupancy import OccupancyCounts, StatisticsSnapshot
 from .sampler import SeedSpec, sample_fixed, sample_poissonized, sample_trajectory
@@ -19,7 +19,7 @@ from .ingest import load_counts, to_occupancy, tokenize_text
 __all__ = [
     "__version__",
     "ZipfestError", "DomainError", "UsageError", "InsufficientDataError",
-    "InputFormatError", "NoRootError",
+    "InputFormatError",
     "PowerLaw", "make_zipf_law", "zeta_normalization",
     "OccupancyCounts", "StatisticsSnapshot",
     "SeedSpec", "sample_fixed", "sample_poissonized",

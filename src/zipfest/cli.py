@@ -13,9 +13,11 @@ same seed are byte-identical; timestamps appear only in the sidecar
 manifest written next to each output file.  Only a file output writes a
 manifest, so only it loads ``hashlib`` (and with it OpenSSL).
 
-``estimate`` reports every requested row: one without a value (no root of
-g, or no urns for its statistic) has null estimate, stderr and interval and
-a flag naming the reason, "no-root" or "insufficient-data".
+``estimate`` computes every requested row in one call of
+``estimators.estimate_rows``, with one joined solve for all implicit rows.
+A row without a value (no root of g, no urns for its statistic, or n < 2)
+has null estimate, stderr and interval and one flag naming the reason,
+"no-root" or "insufficient-data"; it is not a failed run.
 
 Exit codes: 0 success, 1 runtime failure, 2 usage error.
 """
@@ -31,8 +33,8 @@ import warnings
 from datetime import datetime, timezone
 
 from . import __version__
-from .errors import InsufficientDataError, NoRootError, UsageError, ZipfestError
-from .estimators import ESTIMATORS, EstimateResult, expand_estimators, snapshot_k_max
+from .errors import UsageError, ZipfestError
+from .estimators import ESTIMATORS, estimate_rows, expand_estimators, snapshot_k_max
 from .ingest import counts_csv, load_counts, read_counts_csv, to_occupancy, tokenize_file
 from .law import make_zipf_law, zeta_normalization
 from .montecarlo import (NORMALITY_ESTIMATORS, ExperimentConfig,
@@ -222,9 +224,6 @@ def _build_c_model(spec: str | None):
 # --input-format -> the reader of that format
 _READERS = {"text": tokenize_file, "tokens": load_counts, "occupancy": read_counts_csv}
 
-# the flag of an estimate row without a value, per error
-_NO_VALUE_FLAGS = {NoRootError: "no-root", InsufficientDataError: "insufficient-data"}
-
 
 def _cmd_estimate(args) -> int:
     requested = expand_estimators(_parse_estimators(args.estimators),
@@ -235,16 +234,9 @@ def _cmd_estimate(args) -> int:
     occupancy = to_occupancy(_READERS[args.input_format](args.input))
     snapshot = occupancy.snapshot(k_max=snapshot_k_max(requested))
     n = int(occupancy.total)
-
-    results = []
-    for report_id, tag, k in requested:
-        spec = ESTIMATORS[tag]
-        try:
-            results.append(spec.estimate(snapshot, k, args.level, spec.solver(n, c_model, k)))
-        except tuple(_NO_VALUE_FLAGS) as exc:  # a NaN row, flagged, not a failed run
-            results.append(EstimateResult(report_id, math.nan, math.nan, (math.nan, math.nan),
-                                          args.level, (_NO_VALUE_FLAGS[type(exc)],)))
-
+    results = estimate_rows(snapshot, requested,
+                            [ESTIMATORS[tag].solver(n, c_model, k) for _, tag, k in requested],
+                            args.level)
     payload = {"n": n, "estimates": [r.to_json_dict() for r in results]}
     rows = [{**r.to_json_dict(), "flags": ";".join(r.flags)} for r in results]
     return _emit_result(args, payload, rows, list(rows[0]), _echo_args(args),

@@ -29,20 +29,5 @@ class InputFormatError(ZipfestError, ValueError):
         self.location = location
 
 
-class NoRootError(ZipfestError):
-    """The implicit-estimator equation has no root where g rises on the search
-    interval.
-
-    Carries g at the lower end of the interval (``g_lo``) and at its peak
-    (``g_hi``), so callers can see which side the statistic fell on.
-    """
-
-    def __init__(self, message, g_lo, g_hi, target):
-        super().__init__(message)
-        self.g_lo = g_lo
-        self.g_hi = g_hi
-        self.target = target
-
-
 class AmbiguousRootError(ZipfestError):
     """Never raised; kept only for perfbench/replay.py's import until ROADMAP item 3 drops it."""

@@ -21,14 +21,20 @@ the estimate itself, with the normal quantile of ``statistics.NormalDist``
 
 :data:`ESTIMATORS` maps each estimator tag to the statistic it reads, how it
 is computed, how it is standardized and its limiting variance; the CLI and
-the Monte Carlo studies both dispatch through it.  Every estimate is
-computed on the columns of snapshots (``occupancy.SnapshotColumns``), as
-arrays of estimates and standard errors: the implicit tags solve all their
-columns in one batch (:func:`estimate_many`), and each closed form is one
-array routine.  One snapshot is the one-row case, which
-:meth:`EstimatorSpec.estimate` and :meth:`ImplicitSolver.solve` wrap in an
-:class:`EstimateResult`, so the estimate of a snapshot is the same bit for
-bit wherever it is computed.
+the Monte Carlo studies both dispatch through it.  One routine,
+:func:`estimate_many`, computes every estimate, on the columns of snapshots
+(``occupancy.SnapshotColumns``), as arrays of estimates and standard errors:
+the implicit tags solve all their columns in one batch, and each closed form
+is one array routine.  One snapshot is the one-row case, which
+:func:`estimate_rows` wraps in an :class:`EstimateResult` per row, so the
+estimate of a snapshot is the same bit for bit wherever it is computed.
+
+An estimate without a value is NaN, never an error, and its row has one
+flag, read from the row itself: "no-root" where a statistic >= 1 was solved
+(g reaches it nowhere it rises), "insufficient-data" otherwise (a statistic
+below 1, or n < 2, where no solver is built).  Only a bad call raises: an
+unknown tag, a k out of range, a level outside (0, 1), or a total that is
+not an integer for log-ratio.
 """
 
 from __future__ import annotations
@@ -41,11 +47,11 @@ from typing import Callable
 import numpy as np
 
 from . import asymptotics
-from .errors import DomainError, InsufficientDataError, NoRootError, UsageError
+from .errors import DomainError, UsageError
 from .occupancy import DEFAULT_K_MAX, SnapshotColumns, StatisticsSnapshot
 
-__all__ = ["EstimateResult", "ImplicitSolver", "estimate_many", "ratio_estimate_r1",
-           "ratio_estimate_k", "log_ratio_estimate", "normal_cdf",
+__all__ = ["EstimateResult", "ImplicitSolver", "estimate_many", "estimate_rows",
+           "ratio_estimate_r1", "ratio_estimate_k", "log_ratio_estimate", "normal_cdf",
            "confidence_bounds", "EstimatorSpec", "ESTIMATORS",
            "expand_estimators", "snapshot_k_max"]
 
@@ -98,20 +104,25 @@ def _z_for_level(level: float) -> float:
 
 def confidence_bounds(theta_hat: np.ndarray, stderr: np.ndarray, level: float):
     """The plug-in intervals of arrays of estimates with positive standard
-    errors, as (lower, upper) arrays."""
+    errors, as (lower, upper) arrays, both ends clipped into [0, 1]: a
+    degenerate estimate gets [0, 0] or [1, 1] at worst, never lo > hi."""
     half = _z_for_level(level) * stderr
-    return np.maximum(theta_hat - half, 0.0), np.minimum(theta_hat + half, 1.0)
+    return np.clip(theta_hat - half, 0.0, 1.0), np.clip(theta_hat + half, 0.0, 1.0)
 
 
-def _result(estimator_id: str, theta_hat, stderr, level: float, flags=(),
+def _result(estimator_id: str, theta_hat, stderr, level: float, flags=(), stat=None,
             diagnostics=None) -> EstimateResult:
     """One row's estimate with its plug-in interval, the point itself where
-    stderr is 0, and ``flags`` plus "degenerate" where theta_hat lies
-    outside (0, 1)."""
+    stderr is 0; a NaN row's one flag (module docstring; ``stat``: the
+    statistic of a solved row), else ``flags`` plus "degenerate" where
+    theta_hat lies outside (0, 1)."""
     theta_hat, stderr = float(theta_hat), float(stderr)
     _z_for_level(level)  # checks the level where the interval is the point, too
     lo, hi = confidence_bounds(theta_hat, stderr, level) if stderr else (theta_hat, theta_hat)
-    flags += () if 0.0 < theta_hat < 1.0 else ("degenerate",)
+    if math.isnan(theta_hat):
+        flags = ("no-root",) if stat is not None and stat >= 1.0 else ("insufficient-data",)
+    elif not 0.0 < theta_hat < 1.0:
+        flags += ("degenerate",)
     return EstimateResult(estimator_id, theta_hat, stderr, (float(lo), float(hi)), level,
                           flags, diagnostics or {})
 
@@ -131,6 +142,12 @@ def _c_on_grid(c_of_theta) -> np.ndarray:
     return c_grid
 
 
+@functools.lru_cache(maxsize=8)
+def _constant_c(c: float):
+    """c(theta) = c; one function per value, so solvers of one c share a batch."""
+    return lambda theta: c
+
+
 class ImplicitSolver:
     """Reusable inverter of one growth curve g(theta) = E-first-order[S_n].
 
@@ -141,9 +158,10 @@ class ImplicitSolver:
     a statistic above the peak of g, or one no rising interval reaches,
     has no root.  A batch bisects the roots of arrays of statistic values of
     one or more solvers of one normalization to |delta theta| < 1e-10:
-    :meth:`solve_many` is the one-solver batch, :meth:`solve` the one-value
-    batch (it raises NoRootError where there is no root), and
-    :func:`estimate_many` joins every implicit row of a study chunk.
+    :func:`estimate_many` joins every implicit row of a study chunk or of a
+    CLI estimate, and :meth:`solve` is the one-value batch.  A value below
+    1, NaN, or without a root is NaN there, not an error, and :meth:`solve`
+    flags it as :func:`estimate_rows` does (module docstring).
 
     A halving needs only the side of each midpoint, so g is evaluated on a
     few batches rather than at each of the ~23 steps:
@@ -175,9 +193,6 @@ class ImplicitSolver:
     SECANT_STEPS = 3
     REPLAY_EPS = 1e-12
 
-    #: outcomes of :meth:`solve_many`
-    ROOT, NO_ROOT, BELOW_ONE = range(3)
-
     _grid = np.linspace(THETA_LO, THETA_HI, GRID_POINTS)
 
     def __init__(self, which: str, n: int, c_of_theta, k: int | None = None):
@@ -197,10 +212,10 @@ class ImplicitSolver:
         if callable(c_of_theta):
             c_grid = _c_on_grid(c_of_theta)
         else:
-            c_grid = const = float(c_of_theta)
-            if not (math.isfinite(const) and const > 0.0):
+            c_grid = float(c_of_theta)
+            if not (math.isfinite(c_grid) and c_grid > 0.0):
                 raise DomainError(f"c must be finite and positive, got {c_of_theta!r}")
-            c_of_theta = lambda theta: const
+            c_of_theta = _constant_c(c_grid)
         self._c_of_theta = c_of_theta
         self._log_n = math.log(self.n)
         self._g = g = self._g_array(self._grid, c_grid)
@@ -236,40 +251,20 @@ class ImplicitSolver:
         owner, lowest = np.unique(owner, return_index=True)
         return owner, interval[lowest]
 
-    def solve_many(self, stats) -> tuple[np.ndarray, np.ndarray]:
-        """theta* for each statistic value, in one batched bisection.
-
-        Returns (theta_hat, outcome): outcome is ROOT, NO_ROOT or BELOW_ONE (a
-        value below 1, or NaN) per value, and theta_hat is NaN wherever it is
-        not ROOT.  Each ROOT value equals what :meth:`solve` returns for it,
-        bit for bit.
-        """
-        stats = np.asarray(stats, dtype=float).ravel()
-        theta_hat, = _solve_joined([self], [stats])
-        outcome = np.select([~(stats >= 1.0), np.isnan(theta_hat)],
-                            [self.BELOW_ONE, self.NO_ROOT], self.ROOT)
-        return theta_hat, outcome
-
     def solve(self, stat_value: float, level: float = 0.95) -> EstimateResult:
-        """The estimate of one statistic value, the one-value case of
-        :meth:`solve_many` and :meth:`stderr_many`, with its bisection's
-        bracket and step count as ``diagnostics``."""
-        if not stat_value >= 1.0:
-            raise InsufficientDataError(
-                f"implicit estimation needs a statistic >= 1, got {stat_value!r}")
+        """The estimate of one statistic value, the one-value batch, with
+        its bisection's step count (0 where there is no root) and bracket
+        as ``diagnostics``; NaN and flagged where there is no root."""
         stats = np.array([float(stat_value)])
         (_, interval, roots, steps), = _roots_joined([self], [stats])
-        if roots.size == 0:
-            raise NoRootError(
-                f"no root of g(theta) = {stat_value!r} on "
-                f"[{self.THETA_LO}, {self.THETA_HI}] where g rises",
-                g_lo=float(self._g[0]), g_hi=float(self._g.max()), target=float(stat_value))
-        j = int(interval[0])
+        diagnostics = {"iterations": int(steps.sum()), "stat_value": float(stat_value)}
+        if roots.size:
+            j = int(interval[0])
+            diagnostics["bracket"] = (float(self._grid[j]), float(self._grid[j + 1]))
+        theta_hat = roots if roots.size else np.array([math.nan])
         tag = f"implicit-{self.which}" if self.which != "rk" else f"implicit-rk({self.k})"
-        return _result(tag, roots[0], self.stderr_many(roots, stats)[0], level,
-                       diagnostics={"iterations": int(steps[0]),
-                                    "bracket": (float(self._grid[j]), float(self._grid[j + 1])),
-                                    "stat_value": float(stat_value)})
+        return _result(tag, theta_hat[0], self.stderr_many(theta_hat, stats)[0], level,
+                       stat=float(stat_value), diagnostics=diagnostics)
 
     def stderr_many(self, theta_hat: np.ndarray, stats: np.ndarray) -> np.ndarray:
         """The plug-in standard error sigma(theta_hat) / (ln n sqrt(S_n)) of
@@ -338,15 +333,6 @@ def _roots_joined(solvers, stats):
             for p, a, b in zip(parts, offsets[:-1], offsets[1:])]
 
 
-def _solve_joined(solvers, stats) -> list[np.ndarray]:
-    """theta_hat of each ``solvers[i].solve_many(stats[i])``, NaN where
-    there is no root, in one batch; ``stats[i]`` is a 1-D float array."""
-    out = [np.full(values.size, np.nan) for values in stats]
-    for theta_hat, (owner, _, roots, _) in zip(out, _roots_joined(solvers, stats)):
-        theta_hat[owner] = roots
-    return out
-
-
 # ----------------------------------------------------------------------
 # closed forms: (theta_hat, stderr) arrays over the snapshots of columns
 # ----------------------------------------------------------------------
@@ -389,15 +375,16 @@ def _ratio_k(columns, k):
 
 
 def _log_ratio(columns, k):
-    """Baseline theta_hat = ln R_n / ln n, NaN where R_n = 0.
+    """Baseline theta_hat = ln R_n / ln n, NaN where R_n = 0 or n < 2.
 
     Consistent, but ln n (theta_hat - theta) tends to a constant rather
     than a normal limit, so stderr is 0 and the interval is degenerate.
     """
     n = columns.total
-    if not (float(n).is_integer() and n >= 2):
-        raise DomainError(f"log-ratio estimator needs integer n >= 2, got {n!r}")
-    theta_hat = np.array([math.log(r) / math.log(n) if r >= 1 else math.nan
+    if not float(n).is_integer():
+        raise DomainError(f"log-ratio estimator needs an integer n, got {n!r}")
+    log_n = math.log(n) if n >= 2 else math.nan
+    theta_hat = np.array([math.log(r) / log_n if r >= 1 else math.nan
                           for r in columns.r.tolist()])
     return theta_hat, np.where(np.isnan(theta_hat), np.nan, 0.0)
 
@@ -423,25 +410,12 @@ class EstimatorSpec:
     solver_kind: str | None = None      # ImplicitSolver kind, implicit only
     # (columns, k) -> (theta_hat, stderr) arrays, NaN where the statistic is 0
     closed_form: Callable | None = None
-    no_data: str = ""                   # a closed form's error there, k filled in
 
     def solver(self, n, c_of_theta, k) -> ImplicitSolver | None:
-        """The ImplicitSolver :meth:`estimate` needs; None for closed forms."""
-        if self.solver_kind is not None:
+        """The ImplicitSolver of this tag's rows in :func:`estimate_many`;
+        None for closed forms, and below n = 2, where those rows are NaN."""
+        if self.solver_kind is not None and n >= 2:
             return ImplicitSolver(self.solver_kind, n, c_of_theta, k=k)
-
-    def estimate(self, snapshot, k, level, solver=None) -> EstimateResult:
-        """The estimate of one snapshot: the one-row case of
-        :func:`estimate_many`, with its plug-in interval and flags.  Raises
-        where that row is NaN.  ``solver``: what :meth:`solver` returns for
-        this n and k."""
-        if self.solver_kind is not None:
-            return solver.solve(float(self.statistic(snapshot, k)), level=level)
-        theta_hat, stderr = self.closed_form(SnapshotColumns.of(snapshot), k)
-        if np.isnan(theta_hat[0]):
-            raise InsufficientDataError(self.no_data.format(k=k))
-        return _result(f"{self.tag}({k})" if self.per_k else self.tag, theta_hat[0], stderr[0],
-                       level, flags=() if self.target else ("no-normality",))
 
     def standardize(self, theta_hat, theta, snapshot, k):
         """The standardized error of ``theta_hat``; ``snapshot`` may be
@@ -464,15 +438,12 @@ ESTIMATORS = {spec.tag: spec for spec in (
         solver_kind="rk", target=lambda theta, k: asymptotics.implicit_variance(theta, "rk", k)),
     EstimatorSpec(
         "ratio-r1", lambda snap, k: snap.r, closed_form=_ratio_r1,
-        no_data="ratio estimator needs at least one occupied urn",
         target=lambda theta, k: asymptotics.ratio_r1_variance(theta)),
     EstimatorSpec(
         "ratio-k", lambda snap, k: snap.exact_count(k), per_k=True,
-        closed_form=_ratio_k, no_data="no urns with exactly {k} balls",
-        target=asymptotics.ratio_k_variance),
+        closed_form=_ratio_k, target=asymptotics.ratio_k_variance),
     EstimatorSpec(
-        "log-ratio", lambda snap, k: snap.r, target=None, closed_form=_log_ratio,
-        no_data="log-ratio estimator needs at least one occupied urn"),
+        "log-ratio", lambda snap, k: snap.r, target=None, closed_form=_log_ratio),
 )}
 
 
@@ -481,27 +452,46 @@ def estimate_many(columns, requested, solvers) -> list[tuple[np.ndarray, np.ndar
     ``requested`` on the snapshots of ``columns`` (an
     ``occupancy.SnapshotColumns``), NaN where there is no root or too little
     data.  ``solvers[i]`` is what :meth:`EstimatorSpec.solver` returns for
-    row i; the implicit rows are all solved in one batch."""
+    row i; the implicit rows with a solver are all solved in one batch, and
+    those without one are NaN."""
     stats = {i: np.asarray(ESTIMATORS[tag].statistic(columns, k), dtype=float)
              for i, ((_, tag, k), solver) in enumerate(zip(requested, solvers)) if solver}
-    roots = dict(zip(stats, _solve_joined([solvers[i] for i in stats], list(stats.values()))))
-    return [(roots[i], solvers[i].stderr_many(roots[i], stats[i])) if i in roots
-            else ESTIMATORS[tag].closed_form(columns, k) for i, (_, tag, k) in enumerate(requested)]
+    solved = {}
+    for i, (owner, _, roots, _) in zip(stats, _roots_joined([solvers[i] for i in stats],
+                                                             list(stats.values()))):
+        theta_hat = np.full(stats[i].size, np.nan)
+        theta_hat[owner] = roots
+        solved[i] = theta_hat, solvers[i].stderr_many(theta_hat, stats[i])
+    nan = np.full(columns.r.size, np.nan)
+    return [solved[i] if i in solved
+            else ESTIMATORS[tag].closed_form(columns, k) if ESTIMATORS[tag].closed_form
+            else (nan, nan) for i, (_, tag, k) in enumerate(requested)]
+
+
+def estimate_rows(snapshot, requested, solvers, level: float) -> list[EstimateResult]:
+    """The estimate of each (name, tag, k) of ``requested`` on one snapshot,
+    the one-row case of :func:`estimate_many` (whose ``solvers`` it takes),
+    with its plug-in interval and flags (module docstring)."""
+    rows = estimate_many(SnapshotColumns.of(snapshot), requested, solvers)
+    return [_result(name, theta_hat[0], stderr[0], level,
+                    () if ESTIMATORS[tag].target else ("no-normality",),
+                    stat=float(ESTIMATORS[tag].statistic(snapshot, k)) if solver else None)
+            for (name, tag, k), solver, (theta_hat, stderr) in zip(requested, solvers, rows)]
 
 
 def ratio_estimate_r1(snapshot: StatisticsSnapshot, level: float = 0.95) -> EstimateResult:
     """The ratio-r1 estimate of one snapshot."""
-    return ESTIMATORS["ratio-r1"].estimate(snapshot, None, level)
+    return estimate_rows(snapshot, [("ratio-r1", "ratio-r1", None)], [None], level)[0]
 
 
 def ratio_estimate_k(snapshot: StatisticsSnapshot, k: int, level: float = 0.95) -> EstimateResult:
     """The ratio-k estimate of one snapshot."""
-    return ESTIMATORS["ratio-k"].estimate(snapshot, k, level)
+    return estimate_rows(snapshot, [(f"ratio-k({k})", "ratio-k", k)], [None], level)[0]
 
 
 def log_ratio_estimate(snapshot: StatisticsSnapshot, level: float = 0.95) -> EstimateResult:
     """The log-ratio estimate of one snapshot."""
-    return ESTIMATORS["log-ratio"].estimate(snapshot, None, level)
+    return estimate_rows(snapshot, [("log-ratio", "log-ratio", None)], [None], level)[0]
 
 
 def expand_estimators(tags, k_values) -> list[tuple[str, str, int | None]]:

@@ -12,7 +12,7 @@ from zipfest import asymptotics, cli
 from zipfest.cli import _csv_text, _json_write, main
 from zipfest.errors import ZipfestError
 from zipfest.estimators import ImplicitSolver
-from zipfest.ingest import read_counts_csv
+from zipfest.ingest import counts_csv, read_counts_csv
 from zipfest.law import make_zipf_law, zeta_normalization
 from zipfest.montecarlo import CovarianceRow, EstimatorReport, ExperimentConfig
 from zipfest.sampler import SeedSpec, sample_fixed, sample_poissonized
@@ -159,6 +159,57 @@ def test_a_row_without_a_value_is_flagged_with_exit_0(capsys, tmp_path, argv, no
             assert row["theta_hat"] == row["stderr"] == row["ci_lo"] == row["ci_hi"] == ""
         else:
             assert row["theta_hat"] != ""
+
+
+def test_implicit_rows_evaluate_c_as_often_as_one_row(capsys, tmp_path, monkeypatch):
+    # all five implicit rows are solved in one batch: c(theta) once on the
+    # solvers' grid and once per round of the joined solve, as for one row
+    path = tmp_path / "urns.csv"
+    path.write_text(counts_csv(sample_fixed(make_zipf_law(0.6), 20_000, SeedSpec(11))),
+                    encoding="utf-8")
+
+    def c_calls(estimators):
+        calls = []
+
+        def counted(theta):  # a new function, so no c table is cached for it
+            calls.append(np.size(theta))
+            return zeta_normalization(theta)
+
+        monkeypatch.setattr(cli, "zeta_normalization", counted)
+        code, out, err = run(capsys, ["estimate", "--input", str(path), "--input-format",
+                                      "occupancy", "--estimators", estimators,
+                                      "--c-model", "zeta", "--k", "1,2,3"])
+        assert (code, err) == (0, "")
+        assert all(e["theta_hat"] is not None for e in json.loads(out)["estimates"])
+        return len(calls)
+
+    assert c_calls("all") <= c_calls("implicit-r")
+
+
+def test_one_token_gives_rows_without_a_value_with_exit_0(capsys, tmp_path):
+    # n = 1: log-ratio and every implicit row have no value, ratio-r1 and
+    # ratio-k keep theirs
+    path = tmp_path / "one.txt"
+    path.write_text("hello\n", encoding="utf-8")
+    for argv in ([], ["--estimators", "all", "--c-model", "zeta"]):
+        code, out, err = run(capsys, ["estimate", "--input", str(path), *argv])
+        assert (code, err) == (0, "")
+        for e in strict_json(out)["estimates"]:
+            no_value = e["estimator"] == "log-ratio" or e["estimator"].startswith("implicit")
+            assert (e["theta_hat"] is None, e["flags"] == ["insufficient-data"]) == (
+                no_value, no_value), e
+
+
+def test_a_degenerate_estimate_has_an_ordered_interval(capsys, tmp_path):
+    # R_1 = 5 and R_2 = 300: ratio-k(1) reads -119 and ratio-k(2) reads 2
+    path = tmp_path / "tokens.csv"
+    path.write_text("token,count\n" + "".join(f"w{i},2\n" for i in range(300))
+                    + "".join(f"z{i},1\n" for i in range(5)), encoding="utf-8")
+    code, out, err = run(capsys, ["estimate", "--input", str(path), "--input-format", "tokens",
+                                  "--estimators", "ratio-k", "--k", "1,2"])
+    assert (code, err) == (0, "")
+    assert [(e["theta_hat"], e["ci_lo"], e["ci_hi"]) for e in json.loads(out)["estimates"]] == [
+        (-119, 0, 0), (2, 1, 1)]
 
 
 @pytest.mark.parametrize("fmt", INPUTS)

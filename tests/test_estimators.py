@@ -1,3 +1,4 @@
+import functools
 import math
 from concurrent.futures import ProcessPoolExecutor
 
@@ -8,14 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as hst
 
 from zipfest.asymptotics import ratio_k_variance, ratio_r1_variance
-from zipfest.errors import (DomainError, InsufficientDataError, NoRootError,
-                            UsageError)
-from zipfest.estimators import (ESTIMATORS, ImplicitSolver, _roots_joined, _solve_joined,
-                                confidence_bounds, estimate_many, expand_estimators,
+from zipfest.errors import DomainError, UsageError
+from zipfest.estimators import (ESTIMATORS, ImplicitSolver, _roots_joined, confidence_bounds,
+                                estimate_many, estimate_rows, expand_estimators,
                                 log_ratio_estimate, ratio_estimate_k, ratio_estimate_r1,
                                 snapshot_k_max)
 from zipfest.law import make_zipf_law, zeta_normalization
-from zipfest.occupancy import SnapshotColumns, StatisticsSnapshot
+from zipfest.occupancy import OccupancyCounts, SnapshotColumns, StatisticsSnapshot
 from zipfest.sampler import SeedSpec, sample_fixed, sample_trajectories
 
 from conftest import WORKERS
@@ -85,11 +85,14 @@ class TestImplicit:
             / (math.log(10 ** 4) * math.sqrt(138.1976598))
         assert result.stderr == pytest.approx(expected, rel=1e-6)
 
-    def test_no_root_carries_endpoints(self):
-        with pytest.raises(NoRootError) as err:
-            ImplicitSolver("r", 10 ** 4, zeta_normalization).solve(1.0)
-        assert err.value.g_lo > 1.0
-        assert err.value.target == 1.0
+    def test_no_root_is_a_flagged_nan_row(self):
+        # g at the bottom of the grid already exceeds 1, so 1 has no root
+        solver = ImplicitSolver("r", 10 ** 4, zeta_normalization)
+        assert solver.growth(solver.THETA_LO) > 1.0
+        result = solver.solve(1.0)
+        assert all(math.isnan(v) for v in (result.theta_hat, result.stderr, *result.ci))
+        assert result.flags == ("no-root",)
+        assert result.diagnostics == {"iterations": 0, "stat_value": 1.0}
 
     def test_ambiguous_roots_listed(self):
         # g crosses each statistic several times; the root lies in the lowest
@@ -125,19 +128,19 @@ class TestImplicit:
 
     def test_rk2_above_the_peak_has_no_root(self):
         solver = ImplicitSolver("rk", 2000, zeta_normalization, k=2)
-        with pytest.raises(NoRootError) as err:
-            solver.solve(60.0)
-        assert err.value.g_hi == pytest.approx(54.13, abs=0.01)
-        assert err.value.g_hi == pytest.approx(scan(solver)[1].max(), rel=1e-12)
-        assert err.value.target == 60.0
+        assert scan(solver)[1].max() == pytest.approx(54.13, abs=0.01)
+        result = solver.solve(60.0)
+        assert math.isnan(result.theta_hat) and result.flags == ("no-root",)
+        assert result.diagnostics["iterations"] == 0
 
     def test_validation(self):
         with pytest.raises(UsageError):
             ImplicitSolver("sideways", 100, 1.0)
         with pytest.raises(DomainError):
             ImplicitSolver("r", 1, 1.0)
-        with pytest.raises(InsufficientDataError):
-            ImplicitSolver("r", 100, 1.0).solve(0.5)
+        for stat in (0.5, math.nan):  # a value without a root, not an error
+            result = ImplicitSolver("r", 100, 1.0).solve(stat)
+            assert math.isnan(result.theta_hat) and result.flags == ("insufficient-data",)
         with pytest.raises(UsageError):
             ImplicitSolver("rk", 100, 1.0)  # k missing
         for c in (-1.0, math.nan, math.inf):
@@ -147,16 +150,15 @@ class TestImplicit:
             ImplicitSolver("r", 100, lambda th: 0.5 - th)  # c <= 0 on part of (0, 1)
 
     def test_tiny_sample_robustness(self, law05):
-        # n = 10: estimates either land in (0,1) or raise a typed error
+        # n = 10: estimates either land in (0,1) or are NaN with the reason
         for seed in range(30):
             snap = sample_fixed(law05, 10, SeedSpec(2000, seed)).snapshot()
             for which, stat in (("r", snap.r), ("u", snap.u)):
-                try:
-                    result = ImplicitSolver(which, 10, zeta_normalization).solve(
-                        float(stat))
-                except (NoRootError, InsufficientDataError):
-                    continue
-                assert 0.0 < result.theta_hat < 1.0
+                result = ImplicitSolver(which, 10, zeta_normalization).solve(float(stat))
+                if math.isnan(result.theta_hat):
+                    assert result.flags == ("no-root" if stat >= 1 else "insufficient-data",)
+                else:
+                    assert 0.0 < result.theta_hat < 1.0
 
 
 # one solver per kind at n = 2000: R and U have one root for statistics up to
@@ -172,25 +174,32 @@ def _solver(which, k):
     return _SOLVERS[which, k]
 
 
-def _solve_one(solver, stat):
-    """(outcome, theta_hat) of solve(), in solve_many's terms."""
-    try:
-        return solver.ROOT, solver.solve(stat).theta_hat
-    except NoRootError:
-        return solver.NO_ROOT, None
-    except InsufficientDataError:
-        return solver.BELOW_ONE, None
+def _stat_columns(stats):
+    """Columns whose every statistic (R, U and R_1, R_2) reads ``stats``."""
+    stats = np.asarray(stats, dtype=float)
+    return SnapshotColumns(total=2000, r=stats, r_k=np.repeat(stats[:, None], 2, axis=1),
+                           u=stats)
 
 
-def _assert_solve_many_matches_solve(solver, stats):
-    theta_hat, outcome = solver.solve_many(np.array(stats, dtype=float))
-    for stat, theta, kind in zip(stats, theta_hat.tolist(), outcome.tolist()):
-        expected_kind, expected_theta = _solve_one(solver, stat)
-        assert kind == expected_kind, stat
-        if kind == solver.ROOT:
-            assert theta == expected_theta, stat  # bit for bit
+def _batch(solver, stats):
+    """theta_hat and stderr of ``stats`` in one solver's ``estimate_many`` batch."""
+    tag = f"implicit-{solver.which}"
+    return estimate_many(_stat_columns(stats), [(tag, tag, solver.k)], [solver])[0]
+
+
+def _assert_batch_matches_solve(solver, stats):
+    """Each value of one batch equals solve() of it, bit for bit, and is NaN
+    where solve() is, with the flag of its reason; returns solve()'s flags."""
+    flags = set()
+    for stat, theta, stderr in zip(stats, *(v.tolist() for v in _batch(solver, stats))):
+        result = solver.solve(stat)
+        assert (math.isnan(theta), math.isnan(stderr)) == (math.isnan(result.theta_hat),) * 2
+        if math.isnan(theta):
+            assert result.flags == ("no-root" if stat >= 1.0 else "insufficient-data",), stat
         else:
-            assert math.isnan(theta), stat
+            assert (theta, stderr) == (result.theta_hat, result.stderr), stat
+        flags.add(result.flags)
+    return flags
 
 
 def _scalar_bisect(solver, lo, hi, target):
@@ -212,13 +221,15 @@ def _scalar_bisect(solver, lo, hi, target):
 
 
 class TestSolveMany:
+    """Many values in one batch (``estimate_many``) against ``solve()`` of
+    each, and ``solve()`` against the scalar bisection."""
+
     @pytest.mark.parametrize("which, k", SOLVE_MANY_KINDS)
     def test_matches_scalar_bisection(self, which, k):
         solver = _solver(which, k)
         for stat in (1.5, 2.0, 7.0, 30.0, 137.0, 800.0, 1999.0):
-            try:
-                result = solver.solve(stat)
-            except NoRootError:
+            result = solver.solve(stat)
+            if result.flags == ("no-root",):
                 continue
             root, steps = _scalar_bisect(solver, *result.diagnostics["bracket"], stat)
             assert (result.theta_hat, result.diagnostics["iterations"]) == (root, steps)
@@ -227,10 +238,8 @@ class TestSolveMany:
     def test_every_outcome_matches_solve(self, which, k):
         stats = [0.0, 0.5, float("nan"), 1.0, 2.0, 3.0, 10.0, 40.0, 54.0, 60.0,
                  137.0, 1999.0, 2000.2, 2500.0, 1e6, 10.0, 3.0]
-        solver = _solver(which, k)
-        _assert_solve_many_matches_solve(solver, stats)
-        _, outcome = solver.solve_many(stats)
-        assert set(outcome.tolist()) == {solver.BELOW_ONE, solver.NO_ROOT, solver.ROOT}
+        assert _assert_batch_matches_solve(_solver(which, k), stats) == {
+            (), ("no-root",), ("insufficient-data",)}
 
     @pytest.mark.parametrize("which, k", SOLVE_MANY_KINDS)
     @settings(max_examples=15, deadline=None)
@@ -239,7 +248,7 @@ class TestSolveMany:
                                       hst.just(float("nan"))),
                            min_size=1, max_size=6))
     def test_equals_solve_bit_for_bit(self, which, k, stats):
-        _assert_solve_many_matches_solve(_solver(which, k), stats)
+        _assert_batch_matches_solve(_solver(which, k), stats)
 
     def test_solve_keeps_its_diagnostics(self):
         solver = _solver("r", None)
@@ -249,14 +258,14 @@ class TestSolveMany:
         assert hi - lo == pytest.approx(solver._grid[1] - solver._grid[0])
         # 1/2000 halves below the 1e-10 tolerance after 23 steps
         assert result.diagnostics["iterations"] == 23
+        assert solver.solve(0.5).diagnostics == {"iterations": 0, "stat_value": 0.5}
 
     def test_empty_and_constant_c(self):
-        theta_hat, outcome = _solver("u", None).solve_many([])
-        assert theta_hat.size == outcome.size == 0
+        theta_hat, stderr = _batch(_solver("u", None), [])
+        assert theta_hat.size == stderr.size == 0
         solver = ImplicitSolver("r", 10 ** 4, 0.3)
-        theta_hat, outcome = solver.solve_many([50.0, 200.0])
-        assert theta_hat.tolist() == [solver.solve(50.0).theta_hat,
-                                      solver.solve(200.0).theta_hat]
+        assert _batch(solver, [50.0, 200.0])[0].tolist() == [solver.solve(50.0).theta_hat,
+                                                             solver.solve(200.0).theta_hat]
 
 
 def _plain_halving(solver, interval, target):
@@ -337,7 +346,7 @@ class TestReplayedHalving:
             return g_array(*args)
 
         solver._g_array = counted
-        solver.solve_many(stats)
+        _roots_joined([solver], [stats])
         assert calls[0] <= 5
         for stat in stats[:20].tolist():
             calls[0] = 0
@@ -346,6 +355,15 @@ class TestReplayedHalving:
 
 
 JOINED_KINDS = [("r", None), ("u", None), ("rk", 1), ("rk", 2), ("rk", 3)]
+
+
+def _theta_hat(solvers, stats):
+    """theta_hat of each ``stats[i]`` of ``solvers[i]`` in one batch, NaN
+    where there is no root."""
+    out = [np.full(values.size, np.nan) for values in stats]
+    for theta_hat, (owner, _, roots, _) in zip(out, _roots_joined(solvers, stats)):
+        theta_hat[owner] = roots
+    return out
 
 
 def _joined_rows(solver):
@@ -379,22 +397,28 @@ class TestJoinedBatch:
 
     def test_equals_one_solver_batches_and_any_split(self):
         solvers, stats = self.jobs()
-        joined = _solve_joined(solvers, stats)
+        joined = _theta_hat(solvers, stats)
         # each solver's rows cut at its own point, as worker chunks cut a study
-        halves = [_solve_joined(solvers, [values[:2 * i] for i, values in enumerate(stats)]),
-                  _solve_joined(solvers, [values[2 * i:] for i, values in enumerate(stats)])]
+        halves = [_theta_hat(solvers, [values[:2 * i] for i, values in enumerate(stats)]),
+                  _theta_hat(solvers, [values[2 * i:] for i, values in enumerate(stats)])]
         for i, (solver, values) in enumerate(zip(solvers, stats)):
-            theta_hat, outcome = solver.solve_many(values)
+            theta_hat, = _theta_hat([solver], [values])
             assert np.array_equal(joined[i], theta_hat, equal_nan=True)
             assert np.array_equal(np.concatenate([halves[0][i], halves[1][i]]), theta_hat,
                                   equal_nan=True)
-            if values.size:
-                assert set(outcome.tolist()) == {solver.BELOW_ONE, solver.NO_ROOT, solver.ROOT}
+            if values.size:  # values below 1, values >= 1 without a root, and roots
+                no_root = np.isnan(theta_hat) & (values >= 1.0)
+                assert no_root.any() and 0 < np.isnan(theta_hat).sum() < values.size
 
     def test_one_normalization_per_batch(self):
         with pytest.raises(UsageError):
             _roots_joined([_solver("r", None), ImplicitSolver("r", 2000, 0.3)],
                           [np.array([5.0]), np.array([5.0])])
+        # solvers of one constant c share a batch
+        solvers = [ImplicitSolver("r", 2000, 0.3), ImplicitSolver("u", 2000, 0.3)]
+        joined = _theta_hat(solvers, [np.array([50.0]), np.array([40.0])])
+        assert [t.tolist() for t in joined] == [[solvers[0].solve(50.0).theta_hat],
+                                               [solvers[1].solve(40.0).theta_hat]]
 
     def test_c_is_evaluated_once_per_round(self):
         # a study batch of five solvers takes the rounds of about one solver,
@@ -454,32 +478,68 @@ def _columns(snaps):
 @pytest.mark.parametrize("theta", [0.3, 0.5, 0.9])
 def test_one_snapshot_estimate_is_its_row_of_estimate_many(theta):
     # every tag of the table, at both levels: theta_hat, stderr and interval
-    # bit for bit, and where the row is NaN, the error of the one estimate
+    # bit for bit, and where the row is NaN, the one flag that says why
     requested = expand_estimators(list(ESTIMATORS), [1, 2, 3])
     drawn, = sample_trajectories(make_zipf_law(theta), 2000, (1.0,),
                                  [SeedSpec(31, rep) for rep in range(100)],
                                  k_max=snapshot_k_max(requested))
     snaps = [drawn.snapshot(i) for i in range(drawn.r.size)] + EDGE_SNAPSHOTS
-    columns = _columns(snaps)
     solvers = [ESTIMATORS[tag].solver(2000, zeta_normalization, k) for _, tag, k in requested]
-    for (name, tag, k), solver, (theta_hat, stderr) in zip(
-            requested, solvers, estimate_many(columns, requested, solvers)):
-        spec = ESTIMATORS[tag]
-        for i, snap in enumerate(snaps):
-            level = (0.95, 0.9)[i % 2]
+    rows = estimate_many(_columns(snaps), requested, solvers)
+    for i, snap in enumerate(snaps):
+        level = (0.95, 0.9)[i % 2]
+        for (name, tag, k), result, (theta_hat, stderr) in zip(
+                requested, estimate_rows(snap, requested, solvers, level), rows):
+            spec = ESTIMATORS[tag]
             if np.isnan(theta_hat[i]):
                 no_root = spec.solver_kind is not None and spec.statistic(snap, k) >= 1
-                with pytest.raises(NoRootError if no_root else InsufficientDataError):
-                    spec.estimate(snap, k, level, solver)
+                assert result.flags == ("no-root" if no_root else "insufficient-data",)
+                assert all(math.isnan(v) for v in (result.theta_hat, result.stderr, *result.ci))
                 continue
             ci = (theta_hat[i], theta_hat[i])
             if stderr[i] > 0.0:
                 ci = confidence_bounds(theta_hat[i], stderr[i], level)
             flags = (() if spec.target else ("no-normality",)) + (
                 () if 0.0 < theta_hat[i] < 1.0 else ("degenerate",))
-            result = spec.estimate(snap, k, level, solver)
             assert (result.estimator_id, result.theta_hat, result.stderr, result.ci,
                     result.flags) == (name, theta_hat[i], stderr[i], ci, flags), (name, i)
+
+
+def test_below_two_balls_no_solver_is_built():
+    # n = 1: every implicit row and log-ratio are NaN; ratio-r1 and ratio-k
+    # keep their values
+    requested = expand_estimators(list(ESTIMATORS), [1])
+    solvers = [ESTIMATORS[tag].solver(1, zeta_normalization, k) for _, tag, k in requested]
+    assert solvers == [None] * len(requested)
+    results = estimate_rows(make_snapshot(1, 1, [1], u=1), requested, solvers, 0.95)
+    assert {r.estimator_id: r.flags for r in results} == {
+        "implicit-r": ("insufficient-data",), "implicit-u": ("insufficient-data",),
+        "implicit-rk(1)": ("insufficient-data",), "ratio-r1": ("degenerate",),
+        "ratio-k(1)": ("degenerate",), "log-ratio": ("insufficient-data",)}
+    with pytest.raises(DomainError):  # a total that is not an integer still raises
+        log_ratio_estimate(make_snapshot(2.5, 1, [1]))
+
+
+@functools.lru_cache(maxsize=64)
+def _table_solver(tag, n, k):
+    """The table's solver of ``tag`` for n balls, built once per (tag, n, k)."""
+    return ESTIMATORS[tag].solver(n, zeta_normalization, k)
+
+
+@settings(max_examples=60, deadline=None)
+@given(counts=hst.lists(hst.integers(1, 6), min_size=1, max_size=400),
+       level=hst.sampled_from([0.5, 0.9, 0.95, 0.999]))
+def test_every_interval_lies_in_the_unit_interval(counts, level):
+    # of every tag, degenerate estimates too: 0 <= ci_lo <= ci_hi <= 1
+    total = sum(counts)
+    snap = OccupancyCounts(dict(enumerate(counts)), total).snapshot(k_max=4)
+    requested = expand_estimators(list(ESTIMATORS), [1, 2, 3])
+    solvers = [_table_solver(tag, total, k) for _, tag, k in requested]
+    for result in estimate_rows(snap, requested, solvers, level):
+        if math.isnan(result.theta_hat):
+            assert result.flags in (("no-root",), ("insufficient-data",))
+        else:
+            assert 0.0 <= result.ci[0] <= result.ci[1] <= 1.0, result
 
 
 class TestRatioR1:
@@ -504,9 +564,8 @@ class TestRatioR1:
         assert "degenerate" in result.flags
 
     def test_no_data(self):
-        snap = make_snapshot(100, 0, [0])
-        with pytest.raises(InsufficientDataError):
-            ratio_estimate_r1(snap)
+        result = ratio_estimate_r1(make_snapshot(100, 0, [0]))
+        assert math.isnan(result.theta_hat) and result.flags == ("insufficient-data",)
 
 
 class TestRatioK:
@@ -528,8 +587,8 @@ class TestRatioK:
 
     def test_contract(self):
         snap = make_snapshot(100, 50, [10, 0, 5])
-        with pytest.raises(InsufficientDataError):
-            ratio_estimate_k(snap, 2)
+        result = ratio_estimate_k(snap, 2)
+        assert math.isnan(result.theta_hat) and result.flags == ("insufficient-data",)
         with pytest.raises(UsageError):
             ratio_estimate_k(snap, 8)  # k+1 beyond tracked range
         with pytest.raises(UsageError):

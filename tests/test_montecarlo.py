@@ -11,8 +11,8 @@ import pytest
 import scipy.stats as st
 
 from zipfest import montecarlo
-from zipfest.errors import DomainError, InsufficientDataError, NoRootError, UsageError
-from zipfest.estimators import ESTIMATORS, expand_estimators, snapshot_k_max
+from zipfest.errors import DomainError, UsageError
+from zipfest.estimators import ESTIMATORS, estimate_rows, expand_estimators, snapshot_k_max
 from zipfest.law import make_zipf_law, zeta_normalization
 from zipfest.sampler import SeedSpec, sample_trajectory
 from zipfest.montecarlo import ExperimentConfig, covariance_study, normality_study
@@ -153,23 +153,19 @@ def test_chunk_memory_does_not_grow_with_the_block():
 
 
 def _reference_chunk(cfg, rep_lo, rep_hi):
-    """_normality_chunk as a loop over replications and ``spec.estimate``."""
+    """_normality_chunk as a loop over replications and one-snapshot
+    ``estimate_rows``."""
     law = make_zipf_law(cfg.theta, i0=cfg.i0, tail_epsilon=cfg.tail_epsilon)
     requested = expand_estimators(cfg.estimators, cfg.k_values)
-    solvers = {name: ESTIMATORS[tag].solver(cfg.n, zeta_normalization, k)
-               for name, tag, k in requested}
+    solvers = [ESTIMATORS[tag].solver(cfg.n, zeta_normalization, k) for _, tag, k in requested]
     values = {name: np.full(rep_hi - rep_lo, np.nan) for name, _, _ in requested}
     covered = {name: np.full(rep_hi - rep_lo, np.nan) for name, _, _ in requested}
     for offset, rep in enumerate(range(rep_lo, rep_hi)):
         snap, = sample_trajectory(law, cfg.n, (1.0,), SeedSpec(cfg.seed, rep),
                                   k_max=snapshot_k_max(requested))
-        for name, tag, k in requested:
-            spec = ESTIMATORS[tag]
-            try:
-                est = spec.estimate(snap, k, cfg.level, solvers[name])
-            except (NoRootError, InsufficientDataError):
-                continue
-            values[name][offset] = spec.standardize(est.theta_hat, cfg.theta, snap, k)
+        for (name, tag, k), est in zip(requested,
+                                       estimate_rows(snap, requested, solvers, cfg.level)):
+            values[name][offset] = ESTIMATORS[tag].standardize(est.theta_hat, cfg.theta, snap, k)
             if est.stderr > 0.0:
                 covered[name][offset] = float(est.ci[0] <= cfg.theta <= est.ci[1])
     return values, covered
