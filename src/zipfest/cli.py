@@ -14,10 +14,12 @@ manifest written next to each output file.  Only a file output writes a
 manifest, so only it loads ``hashlib`` (and with it OpenSSL).
 
 ``estimate`` computes every requested row in one call of
-``estimators.estimate_rows``, with one joined solve for all implicit rows.
-A row without a value (no root of g, no urns for its statistic, or n < 2)
-has null estimate, stderr and interval and one flag naming the reason,
-"no-root" or "insufficient-data"; it is not a failed run.
+``estimators.estimate_rows``, given the c(theta) of ``--c-model`` (a
+``const:<v>`` is a constant function), with one joined solve for all
+implicit rows.  A row without a value (no root of g, no urns for its
+statistic, or n < 2) has null estimate, stderr and interval and one flag
+naming the reason, "no-root" or "insufficient-data"; it is not a failed
+run.  A requested k above the input's n is a usage error.
 
 Exit codes: 0 success, 1 runtime failure, 2 usage error.
 """
@@ -177,8 +179,8 @@ _FLAG_RANGES = {
     "theta": (lambda v: 0.0 < v < 1.0, "lie in (0, 1)"),
     "i0": (lambda v: v >= 0, "be >= 0"),
     "tail_epsilon": (lambda v: 0.0 < v <= 1e-6, "lie in (0, 1e-6]"),
-    "n": (lambda v: v >= 1, "be >= 1"),
-    # numpy's Poisson draw refuses a mean above about 9.2e18
+    # numpy's multinomial and Poisson draws refuse a count above about 9.2e18
+    "n": (lambda v: 1 <= v <= 9.2e18, "lie in [1, 9.2e18]"),
     "t": (lambda v: 0.0 < v <= 9.2e18, "lie in (0, 9.2e18]"),
     "k_max": (lambda v: v >= 1, "be >= 1"),
     "level": (lambda v: 0.0 < v < 1.0, "lie in (0, 1)"),
@@ -213,7 +215,7 @@ def _build_c_model(spec: str | None):
         value = _parse_float(spec.split(":", 1)[1], "const c model value")
         if not (math.isfinite(value) and value > 0):
             raise UsageError(f"const c model must be finite and positive, got {value!r}")
-        return value
+        return lambda theta: value
     raise UsageError(f"unknown c model {spec!r}; use 'zeta' or 'const:<value>'")
 
 
@@ -232,11 +234,9 @@ def _cmd_estimate(args) -> int:
     if any(ESTIMATORS[tag].solver_kind for _, tag, _ in requested) and c_model is None:
         raise UsageError("implicit estimators need a known normalization: pass --c-model")
     occupancy = to_occupancy(_READERS[args.input_format](args.input))
-    snapshot = occupancy.snapshot(k_max=snapshot_k_max(requested))
     n = int(occupancy.total)
-    results = estimate_rows(snapshot, requested,
-                            [ESTIMATORS[tag].solver(n, c_model, k) for _, tag, k in requested],
-                            args.level)
+    snapshot = occupancy.snapshot(k_max=snapshot_k_max(requested, n))
+    results = estimate_rows(snapshot, requested, args.level, c_model)
     payload = {"n": n, "estimates": [r.to_json_dict() for r in results]}
     rows = [{**r.to_json_dict(), "flags": ";".join(r.flags)} for r in results]
     return _emit_result(args, payload, rows, list(rows[0]), _echo_args(args),
@@ -255,9 +255,8 @@ def _cmd_simulate(args) -> int:
     if args.mode == "fixed":
         counts = sample_fixed(law, args.n, seed)
     else:
-        # the horizon defaults to --n, so check the one in use by the t rule
-        horizon = _check_range("t", args.t if args.t is not None else float(args.n))
-        counts = sample_poissonized(law, horizon, seed)
+        # the horizon defaults to --n, which the n rule keeps within the t rule
+        counts = sample_poissonized(law, args.t if args.t is not None else float(args.n), seed)
     _emit(counts_csv(counts), args.output)
     if args.snapshot:
         snap = counts.snapshot(k_max=args.k_max)

@@ -22,19 +22,21 @@ the estimate itself, with the normal quantile of ``statistics.NormalDist``
 :data:`ESTIMATORS` maps each estimator tag to the statistic it reads, how it
 is computed, how it is standardized and its limiting variance; the CLI and
 the Monte Carlo studies both dispatch through it.  One routine,
-:func:`estimate_many`, computes every estimate, on the columns of snapshots
-(``occupancy.SnapshotColumns``), as arrays of estimates and standard errors:
-the implicit tags solve all their columns in one batch, and each closed form
-is one array routine.  One snapshot is the one-row case, which
+:func:`estimate_many`, computes every estimate, on a snapshot in its array
+form (``occupancy.StatisticsSnapshot``), as arrays of estimates and standard
+errors: it builds the solver of each implicit row from the one c(theta) it
+is given, solves all their samples in one batch, and runs each closed form
+as one array routine.  One sample is the one-entry case, which
 :func:`estimate_rows` wraps in an :class:`EstimateResult` per row, so the
 estimate of a snapshot is the same bit for bit wherever it is computed.
 
 An estimate without a value is NaN, never an error, and its row has one
 flag, read from the row itself: "no-root" where a statistic >= 1 was solved
 (g reaches it nowhere it rises), "insufficient-data" otherwise (a statistic
-below 1, or n < 2, where no solver is built).  Only a bad call raises: an
-unknown tag, a k out of range, a level outside (0, 1), or a total that is
-not an integer for log-ratio.
+below 1, or n below ``ImplicitSolver.MIN_N``, where no solver is built).
+Only a bad call raises: an unknown tag, a k out of range, a level outside
+(0, 1), an implicit row without c(theta), or a total that is not an integer
+for log-ratio.
 """
 
 from __future__ import annotations
@@ -48,7 +50,7 @@ import numpy as np
 
 from . import asymptotics
 from .errors import DomainError, UsageError
-from .occupancy import DEFAULT_K_MAX, SnapshotColumns, StatisticsSnapshot
+from .occupancy import DEFAULT_K_MAX, StatisticsSnapshot
 
 __all__ = ["EstimateResult", "ImplicitSolver", "estimate_many", "estimate_rows",
            "ratio_estimate_r1", "ratio_estimate_k", "log_ratio_estimate", "normal_cdf",
@@ -142,12 +144,6 @@ def _c_on_grid(c_of_theta) -> np.ndarray:
     return c_grid
 
 
-@functools.lru_cache(maxsize=8)
-def _constant_c(c: float):
-    """c(theta) = c; one function per value, so solvers of one c share a batch."""
-    return lambda theta: c
-
-
 class ImplicitSolver:
     """Reusable inverter of one growth curve g(theta) = E-first-order[S_n].
 
@@ -182,8 +178,10 @@ class ImplicitSolver:
     The stages run once per batch, on the brackets of all its solvers; each
     g evaluation computes c(theta) once and ``asymptotics.log_growth`` once
     per solver, and a normality study chunk makes about 6, not 13.
-    ``c_of_theta`` is a finite positive number or a function of theta that
-    also takes an array of theta, as ``law.zeta_normalization`` does.
+    ``c_of_theta`` is a function of theta that also takes an array of theta,
+    as ``law.zeta_normalization`` does (a constant c may return one number);
+    :func:`estimate_many` builds every solver of a batch from one.  ``n`` is
+    an integer of at least MIN_N, as ln n must be positive.
     """
 
     GRID_POINTS = 2000
@@ -192,33 +190,25 @@ class ImplicitSolver:
     BISECT_TOL = 1e-10
     SECANT_STEPS = 3
     REPLAY_EPS = 1e-12
+    MIN_N = 2
 
     _grid = np.linspace(THETA_LO, THETA_HI, GRID_POINTS)
 
     def __init__(self, which: str, n: int, c_of_theta, k: int | None = None):
         if which not in _IMPLICIT_TAGS:
             raise UsageError(f"unknown implicit estimator tag {which!r}")
-        if not (isinstance(n, (int, np.integer)) and n >= 2):
-            raise DomainError(f"implicit estimators need integer n >= 2, got {n!r}")
-        if which == "rk":
-            if k is None or int(k) < 1:
-                raise UsageError("implicit rk estimator needs k >= 1")
-            k = int(k)
-        else:
-            k = None
+        if not (isinstance(n, (int, np.integer)) and n >= self.MIN_N):
+            raise DomainError(f"implicit estimators need integer n >= {self.MIN_N}, got {n!r}")
+        if not callable(c_of_theta):
+            raise UsageError(f"c(theta) must be a function of theta, got {c_of_theta!r}")
+        if which == "rk" and (k is None or int(k) < 1):
+            raise UsageError("implicit rk estimator needs k >= 1")
         self.which = which
         self.n = int(n)
-        self.k = k
-        if callable(c_of_theta):
-            c_grid = _c_on_grid(c_of_theta)
-        else:
-            c_grid = float(c_of_theta)
-            if not (math.isfinite(c_grid) and c_grid > 0.0):
-                raise DomainError(f"c must be finite and positive, got {c_of_theta!r}")
-            c_of_theta = _constant_c(c_grid)
+        self.k = int(k) if which == "rk" else None
         self._c_of_theta = c_of_theta
         self._log_n = math.log(self.n)
-        self._g = g = self._g_array(self._grid, c_grid)
+        self._g = g = self._g_array(self._grid, _c_on_grid(c_of_theta))
         # grid interval j brackets s exactly when s lies in (g[j], _g_max[j]],
         # which is empty wherever g does not rise
         self._g_max = np.maximum(g[:-1], g[1:])
@@ -280,12 +270,11 @@ class ImplicitSolver:
 def _roots_joined(solvers, stats):
     """The roots of the statistics ``stats[i]`` of each ``solvers[i]``, all
     bisected in one batch (class docstring): per solver, (owner, interval,
-    root, steps), one entry per statistic with a bracket (``_brackets``)."""
+    root, steps), one entry per statistic with a bracket (``_brackets``).
+    Every solver shares the c(theta) of the first."""
     if not solvers:
         return []
     c_of_theta = solvers[0]._c_of_theta
-    if any(solver._c_of_theta is not c_of_theta for solver in solvers):
-        raise UsageError("one batch of implicit solves takes one normalization c(theta)")
     parts = []
     for solver, values in zip(solvers, stats):
         owner, j = solver._brackets(values)
@@ -334,7 +323,7 @@ def _roots_joined(solvers, stats):
 
 
 # ----------------------------------------------------------------------
-# closed forms: (theta_hat, stderr) arrays over the snapshots of columns
+# closed forms: (theta_hat, stderr) arrays over the samples of a snapshot
 # ----------------------------------------------------------------------
 
 def _ratio_r1(columns, k):
@@ -360,10 +349,7 @@ def _ratio_k(columns, k):
     """
     if not (isinstance(k, (int, np.integer)) and k >= 1):
         raise UsageError(f"k must be a positive integer, got {k!r}")
-    k_max = columns.r_k.shape[1]
-    if k + 1 > k_max:
-        raise UsageError(f"snapshot tracks k up to {k_max}; k={k} needs k+1")
-    r_k, r_k1 = columns.exact_count(k), columns.exact_count(k + 1)
+    r_k, r_k1 = columns.exact_count(k), columns.exact_count(k + 1)  # refuses k + 1 > k_max
     theta_hat, stderr = np.full(r_k.size, np.nan), np.full(r_k.size, np.nan)
     ok = np.flatnonzero(r_k >= 1)
     estimate = (k * r_k[ok] - (k + 1) * r_k1[ok]) / r_k[ok]
@@ -411,15 +397,13 @@ class EstimatorSpec:
     # (columns, k) -> (theta_hat, stderr) arrays, NaN where the statistic is 0
     closed_form: Callable | None = None
 
-    def solver(self, n, c_of_theta, k) -> ImplicitSolver | None:
-        """The ImplicitSolver of this tag's rows in :func:`estimate_many`;
-        None for closed forms, and below n = 2, where those rows are NaN."""
-        if self.solver_kind is not None and n >= 2:
-            return ImplicitSolver(self.solver_kind, n, c_of_theta, k=k)
+    def solved(self, n) -> bool:
+        """Whether :func:`estimate_many` solves this tag's rows at total n."""
+        return self.solver_kind is not None and n >= ImplicitSolver.MIN_N
 
     def standardize(self, theta_hat, theta, snapshot, k):
-        """The standardized error of ``theta_hat``; ``snapshot`` may be
-        ``SnapshotColumns`` and ``theta_hat`` an array of its estimates."""
+        """The standardized error of ``theta_hat``; ``snapshot`` may be in
+        its array form and ``theta_hat`` an array of its estimates."""
         scale = np.sqrt(self.statistic(snapshot, k))
         if self.solver_kind is not None:
             scale = math.log(snapshot.total) * scale
@@ -447,51 +431,54 @@ ESTIMATORS = {spec.tag: spec for spec in (
 )}
 
 
-def estimate_many(columns, requested, solvers) -> list[tuple[np.ndarray, np.ndarray]]:
+def estimate_many(columns, requested, c_of_theta=None) -> list[tuple[np.ndarray, np.ndarray]]:
     """The theta_hat and stderr arrays of each (name, tag, k) of
-    ``requested`` on the snapshots of ``columns`` (an
-    ``occupancy.SnapshotColumns``), NaN where there is no root or too little
-    data.  ``solvers[i]`` is what :meth:`EstimatorSpec.solver` returns for
-    row i; the implicit rows with a solver are all solved in one batch, and
-    those without one are NaN."""
-    stats = {i: np.asarray(ESTIMATORS[tag].statistic(columns, k), dtype=float)
-             for i, ((_, tag, k), solver) in enumerate(zip(requested, solvers)) if solver}
-    solved = {}
-    for i, (owner, _, roots, _) in zip(stats, _roots_joined([solvers[i] for i in stats],
+    ``requested`` on the samples of ``columns`` (an
+    ``occupancy.StatisticsSnapshot`` in its array form), NaN where there is
+    no root or too little data.  Each implicit row that
+    :meth:`EstimatorSpec.solved` gets an ``ImplicitSolver`` of
+    ``c_of_theta``, and all of them are solved in one batch."""
+    nan = np.full(columns.r.size, np.nan)
+    rows, solvers, stats = [], {}, {}
+    for i, (_, tag, k) in enumerate(requested):
+        spec = ESTIMATORS[tag]
+        rows.append(spec.closed_form(columns, k) if spec.closed_form else (nan, nan))
+        if spec.solved(columns.total):
+            solvers[i] = ImplicitSolver(spec.solver_kind, columns.total, c_of_theta, k=k)
+            stats[i] = np.asarray(spec.statistic(columns, k), dtype=float)
+    for i, (owner, _, roots, _) in zip(stats, _roots_joined(list(solvers.values()),
                                                              list(stats.values()))):
         theta_hat = np.full(stats[i].size, np.nan)
         theta_hat[owner] = roots
-        solved[i] = theta_hat, solvers[i].stderr_many(theta_hat, stats[i])
-    nan = np.full(columns.r.size, np.nan)
-    return [solved[i] if i in solved
-            else ESTIMATORS[tag].closed_form(columns, k) if ESTIMATORS[tag].closed_form
-            else (nan, nan) for i, (_, tag, k) in enumerate(requested)]
+        rows[i] = theta_hat, solvers[i].stderr_many(theta_hat, stats[i])
+    return rows
 
 
-def estimate_rows(snapshot, requested, solvers, level: float) -> list[EstimateResult]:
+def estimate_rows(snapshot, requested, level: float, c_of_theta=None) -> list[EstimateResult]:
     """The estimate of each (name, tag, k) of ``requested`` on one snapshot,
-    the one-row case of :func:`estimate_many` (whose ``solvers`` it takes),
-    with its plug-in interval and flags (module docstring)."""
-    rows = estimate_many(SnapshotColumns.of(snapshot), requested, solvers)
+    the one-entry case of :func:`estimate_many` (whose ``c_of_theta`` it
+    takes), with its plug-in interval and flags (module docstring)."""
+    rows = estimate_many(StatisticsSnapshot.of(snapshot), requested, c_of_theta)
     return [_result(name, theta_hat[0], stderr[0], level,
                     () if ESTIMATORS[tag].target else ("no-normality",),
-                    stat=float(ESTIMATORS[tag].statistic(snapshot, k)) if solver else None)
-            for (name, tag, k), solver, (theta_hat, stderr) in zip(requested, solvers, rows)]
+                    stat=float(ESTIMATORS[tag].statistic(snapshot, k))
+                    if ESTIMATORS[tag].solved(snapshot.total) else None)
+            for (name, tag, k), (theta_hat, stderr) in zip(requested, rows)]
 
 
 def ratio_estimate_r1(snapshot: StatisticsSnapshot, level: float = 0.95) -> EstimateResult:
     """The ratio-r1 estimate of one snapshot."""
-    return estimate_rows(snapshot, [("ratio-r1", "ratio-r1", None)], [None], level)[0]
+    return estimate_rows(snapshot, [("ratio-r1", "ratio-r1", None)], level)[0]
 
 
 def ratio_estimate_k(snapshot: StatisticsSnapshot, k: int, level: float = 0.95) -> EstimateResult:
     """The ratio-k estimate of one snapshot."""
-    return estimate_rows(snapshot, [(f"ratio-k({k})", "ratio-k", k)], [None], level)[0]
+    return estimate_rows(snapshot, [(f"ratio-k({k})", "ratio-k", k)], level)[0]
 
 
 def log_ratio_estimate(snapshot: StatisticsSnapshot, level: float = 0.95) -> EstimateResult:
     """The log-ratio estimate of one snapshot."""
-    return estimate_rows(snapshot, [("log-ratio", "log-ratio", None)], [None], level)[0]
+    return estimate_rows(snapshot, [("log-ratio", "log-ratio", None)], level)[0]
 
 
 def expand_estimators(tags, k_values) -> list[tuple[str, str, int | None]]:
@@ -506,7 +493,12 @@ def expand_estimators(tags, k_values) -> list[tuple[str, str, int | None]]:
     return out
 
 
-def snapshot_k_max(requested) -> int:
-    """The count range a snapshot must track for ``expand_estimators`` output:
-    R_{k+1}, which ratio-k(k) reads, is the highest exact count of any tag."""
-    return max([DEFAULT_K_MAX] + [k + 1 for _, _, k in requested if k is not None])
+def snapshot_k_max(requested, n) -> int:
+    """The count range a snapshot of n balls must track for
+    ``expand_estimators`` output: R_{k+1}, which ratio-k(k) reads, is the
+    highest exact count of any tag.  A k above n is a usage error: R_k = 0
+    there, and a count table would still take room for every count up to k."""
+    k = max((k for _, _, k in requested if k is not None), default=0)
+    if k > n:
+        raise UsageError(f"k={k} exceeds the sample size n={n}, where R_k = 0")
+    return max(DEFAULT_K_MAX, k + 1)

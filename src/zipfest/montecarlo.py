@@ -24,16 +24,16 @@ replications in blocks of a fixed number of head counts and tail balls
 (``law.PowerLaw.draw_prefixes``): each replication draws from its own
 stream, and the tail map, sort, run lengths and count-of-counts run once per
 block, so memory does not grow with the replications a block could hold.
-It returns one ``occupancy.SnapshotColumns`` per grid time, bit for bit the
-statistics of ``sample_trajectory`` on each stream.
+It returns one ``occupancy.StatisticsSnapshot`` per grid time, in its array
+form, bit for bit the statistics of ``sample_trajectory`` on each stream.
 A chunk of normality replications then runs in two more stages on whole
 arrays: estimate theta_hat and its standard error for every replication at
-once (``estimators.estimate_many``: one batched root-finding pass for all
-implicit estimators, the closed forms on the columns); then standardize and
-check coverage.  No per-replication ``EstimateResult`` is built.  A
-one-snapshot estimate is the one-row case of the same array arithmetic, so
-the standardized values and coverage flags equal those of one-snapshot
-estimates bit for bit.
+once (``estimators.estimate_many`` with c(theta) = 1/zeta(1/theta): one
+batched root-finding pass for all implicit estimators, the closed forms on
+the arrays); then standardize and check coverage.  No per-replication
+``EstimateResult`` is built.  A one-snapshot estimate is the one-entry case
+of the same array arithmetic, so the standardized values and coverage flags
+equal those of one-snapshot estimates bit for bit.
 
 Replications are independent jobs keyed by replication index, so results
 are identical for any worker count; the aggregation is a commutative merge
@@ -192,19 +192,17 @@ def _normality_chunk(cfg: ExperimentConfig, law: PowerLaw, rep_lo: int, rep_hi: 
     """Standardized values / coverage flags for one chunk of replications,
     NaN where an estimator has no usable estimate."""
     requested = expand_estimators(cfg.estimators, cfg.k_values)
-    k_max = snapshot_k_max(requested)
+    k_max = snapshot_k_max(requested, cfg.n)
     columns, = sample_trajectories(law, cfg.n, (1.0,), _seeds(cfg, rep_lo, rep_hi), k_max=k_max)
-    theta = cfg.theta
-    solvers = [ESTIMATORS[tag].solver(cfg.n, zeta_normalization, k) for _, tag, k in requested]
     values, covered = {}, {}
     for (name, tag, k), (theta_hat, stderr) in zip(
-            requested, estimate_many(columns, requested, solvers)):
+            requested, estimate_many(columns, requested, zeta_normalization)):
         spec = ESTIMATORS[tag]
-        values[name] = spec.standardize(theta_hat, theta, columns, k)
+        values[name] = spec.standardize(theta_hat, cfg.theta, columns, k)
         covered[name] = np.full(theta_hat.size, np.nan)
         rated = np.flatnonzero(stderr > 0.0)  # not where stderr is NaN
         lo, hi = confidence_bounds(theta_hat[rated], stderr[rated], cfg.level)
-        covered[name][rated] = (lo <= theta) & (theta <= hi)
+        covered[name][rated] = (lo <= cfg.theta) & (cfg.theta <= hi)
     return values, covered
 
 
@@ -235,6 +233,7 @@ def normality_study(config: ExperimentConfig) -> StudyReport:
     for _, tag, _ in requested:
         if ESTIMATORS[tag].target is None:
             raise UsageError(f"{tag} has no normal limit; drop it from normality studies")
+    snapshot_k_max(requested, config.n)  # a k above n is a usage error
     chunks = _run_chunked(config, _law_from_config(config), _normality_chunk)
     values = {name: np.concatenate([c[0][name] for c in chunks]) for name, _, _ in requested}
     covered = {name: np.concatenate([c[1][name] for c in chunks]) for name, _, _ in requested}
@@ -280,7 +279,7 @@ def _covariance_chunk(cfg: ExperimentConfig, law: PowerLaw, rep_lo: int, rep_hi:
     for a, columns in enumerate(sample_trajectories(law, cfg.n, cfg.grid,
                                                     _seeds(cfg, rep_lo, rep_hi), k_max=cfg.nu)):
         out[:, a, 0] = columns.r
-        out[:, a, 1:] = columns.r_k[:, :cfg.nu]
+        out[:, a, 1:] = columns.r_k[:cfg.nu].T
     return out
 
 

@@ -4,10 +4,10 @@ An :class:`OccupancyCounts` is the one count table of the package: a key ->
 count map, keyed by urn for a drawn sample and by token for a text, with
 its total.  Only the multiset of counts reaches a statistic, so a key's
 label never does.  A :class:`StatisticsSnapshot` holds, for one
-configuration,
+configuration or, as arrays, for many configurations of one total,
 
     r          number of occupied urns,
-    r_k[k]     urns holding exactly k balls, k = 1..k_max,
+    r_k[k-1]   urns holding exactly k balls, k = 1..k_max,
     u          urns holding an odd number of balls,
 
 and derives from them ``r_star_k``, the urns holding at least k balls,
@@ -16,8 +16,8 @@ R - sum_{j<k} R_j for k = 1..k_max+1.
 ``tally_block`` counts the counts of a whole block of configurations, such
 as the draws of one block of seeds, in one pass: each configuration is a
 row of a head count matrix, in which empty urns appear as zeros, plus the
-tail run lengths tagged with its row.  ``SnapshotColumns.from_tally`` reads
-the statistics of every row off the tallies, and
+tail run lengths tagged with its row.  ``StatisticsSnapshot.from_tally``
+reads the statistics of every row off the tallies, and
 ``OccupancyCounts.snapshot`` is the one-row case.  ``u`` comes from the
 same tally: a count beyond the tracked range is tallied in one of two bins
 by its parity, so ``u`` stays exact even when some urns hold more than
@@ -34,7 +34,7 @@ import numpy as np
 
 from .errors import UsageError
 
-__all__ = ["OccupancyCounts", "StatisticsSnapshot", "SnapshotColumns", "tally_block"]
+__all__ = ["OccupancyCounts", "StatisticsSnapshot", "tally_block"]
 
 DEFAULT_K_MAX = 8
 _NONE = np.empty(0, dtype=np.intp)
@@ -42,26 +42,45 @@ _NONE = np.empty(0, dtype=np.intp)
 
 @dataclass(frozen=True)
 class StatisticsSnapshot:
-    """Occupancy statistics of one sample (immutable, safe to share)."""
+    """Occupancy statistics of one sample (ints, and a tuple ``r_k``), or of
+    many samples of one total (arrays, ``r_k`` of shape (k_max, samples));
+    ``r_k[k-1]`` is R_{n,k} in both forms (immutable, safe to share)."""
 
     total: float  # ball count n, or poissonized horizon t
-    r: int
-    r_k: tuple[int, ...]          # index k-1 holds R_{n,k}, k = 1..k_max
-    u: int
+    r: int | np.ndarray
+    r_k: tuple[int, ...] | np.ndarray  # index k-1 holds R_{n,k}, k = 1..k_max
+    u: int | np.ndarray
 
     @property
-    def r_star_k(self) -> tuple[int, ...]:
+    def r_star_k(self) -> tuple:
         """Index k-1 holds R*_{n,k} = R - sum_{j<k} R_{n,j}, k = 1..k_max+1."""
         return tuple(itertools.accumulate(self.r_k, lambda at_least, r_k: at_least - r_k,
                                           initial=self.r))
 
-    def exact_count(self, k: int) -> int:
+    def exact_count(self, k: int):
         """R_{n,k}; k must not exceed k_max."""
         if not 1 <= k <= len(self.r_k):
             raise UsageError(f"k={k} outside tracked range 1..{len(self.r_k)}")
         return self.r_k[k - 1]
 
-    def to_json_dict(self) -> dict:
+    @classmethod
+    def from_tally(cls, total, tally: np.ndarray, k_max: int) -> StatisticsSnapshot:
+        """The array form of the rows of a :func:`tally_block`."""
+        return cls(total=total, r=tally[:, 1:].sum(axis=1), r_k=tally[:, 1:k_max + 1].T,
+                   u=tally[:, 1::2].sum(axis=1))
+
+    @classmethod
+    def of(cls, snapshot: StatisticsSnapshot) -> StatisticsSnapshot:
+        """The one-sample ``snapshot`` as one-entry arrays."""
+        return cls(total=snapshot.total, r=np.array([snapshot.r]),
+                   r_k=np.array([snapshot.r_k]).T, u=np.array([snapshot.u]))
+
+    def sample(self, i: int) -> StatisticsSnapshot:
+        """Sample ``i`` of the array form, in the one-sample form."""
+        return StatisticsSnapshot(total=self.total, r=int(self.r[i]),
+                                  r_k=tuple(self.r_k[:, i].tolist()), u=int(self.u[i]))
+
+    def to_json_dict(self) -> dict:  # of the one-sample form
         total = self.total
         return {
             "n": int(total) if float(total).is_integer() else float(total),
@@ -70,41 +89,6 @@ class StatisticsSnapshot:
             "r_star_k": list(self.r_star_k),
             "u": self.u,
         }
-
-
-@dataclass(frozen=True)
-class SnapshotColumns:
-    """The statistics of many snapshots of one total, one array entry per
-    snapshot.  It reads like a :class:`StatisticsSnapshot` whose fields are
-    arrays, so ``estimators.ESTIMATORS``' statistics apply to it unchanged."""
-
-    total: float
-    r: np.ndarray
-    r_k: np.ndarray       # shape (snapshots, k_max); column k-1 holds R_{n,k}
-    u: np.ndarray
-
-    def exact_count(self, k: int) -> np.ndarray:
-        """R_{n,k} of each snapshot; k must not exceed k_max."""
-        if not 1 <= k <= self.r_k.shape[1]:
-            raise UsageError(f"k={k} outside tracked range 1..{self.r_k.shape[1]}")
-        return self.r_k[:, k - 1]
-
-    @classmethod
-    def from_tally(cls, total, tally: np.ndarray, k_max: int) -> SnapshotColumns:
-        """The columns of the rows of a :func:`tally_block`."""
-        return cls(total=total, r=tally[:, 1:].sum(axis=1), r_k=tally[:, 1:k_max + 1],
-                   u=tally[:, 1::2].sum(axis=1))
-
-    @classmethod
-    def of(cls, snapshot: StatisticsSnapshot) -> SnapshotColumns:
-        """The one-row columns of ``snapshot``."""
-        return cls(total=snapshot.total, r=np.array([snapshot.r]), r_k=np.array([snapshot.r_k]),
-                   u=np.array([snapshot.u]))
-
-    def snapshot(self, i: int) -> StatisticsSnapshot:
-        """Snapshot ``i``."""
-        return StatisticsSnapshot(total=self.total, r=int(self.r[i]),
-                                  r_k=tuple(self.r_k[i].tolist()), u=int(self.u[i]))
 
 
 def tally_block(head, rows, counts, k_max: int = DEFAULT_K_MAX) -> np.ndarray:
@@ -146,4 +130,4 @@ class OccupancyCounts:
     def snapshot(self, k_max: int = DEFAULT_K_MAX) -> StatisticsSnapshot:
         values = np.fromiter(self.counts.values(), dtype=np.int64, count=len(self.counts))
         tally = tally_block(values[None, :], _NONE, _NONE, k_max=k_max)
-        return SnapshotColumns.from_tally(self.total, tally, k_max).snapshot(0)
+        return StatisticsSnapshot.from_tally(self.total, tally, k_max).sample(0)

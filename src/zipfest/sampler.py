@@ -12,9 +12,10 @@ counted into run lengths.  A seed whose uniforms fall short tops up from its
 own generator by exactly the balls still missing, so by the accepted-prefix
 rule each prefix holds the balls that drawing one batch at a time gives.
 ``sample_trajectories`` tallies each block in one pass
-(``occupancy.tally_block``); ``sample_trajectory`` is its one-seed case, and
-the urn -> count maps of ``sample_fixed`` and ``sample_poissonized`` add the
-urn indices to a one-seed block.  A poissonized sample draws a Poisson total
+(``occupancy.tally_block``) into ``occupancy.StatisticsSnapshot``s in their
+array form; ``sample_trajectory`` is its one-seed case, and the urn -> count
+maps of ``sample_fixed`` and ``sample_poissonized`` add the urn indices to
+a one-seed block.  A poissonized sample draws a Poisson total
 first.
 
 Streams: any (master seed, stream index) pair yields an independent Philox
@@ -38,8 +39,7 @@ import numpy as np
 
 from .errors import DomainError, UsageError
 from .law import PowerLaw
-from .occupancy import (DEFAULT_K_MAX, OccupancyCounts, SnapshotColumns,
-                        StatisticsSnapshot, tally_block)
+from .occupancy import DEFAULT_K_MAX, OccupancyCounts, StatisticsSnapshot, tally_block
 
 __all__ = ["SeedSpec", "sample_fixed", "sample_trajectory", "sample_trajectories",
            "sample_poissonized"]
@@ -213,10 +213,10 @@ def sample_fixed(law: PowerLaw, n: int, seed) -> OccupancyCounts:
 
 
 def sample_trajectories(law: PowerLaw, n: int, grid, seeds,
-                        k_max: int = DEFAULT_K_MAX) -> list[SnapshotColumns]:
+                        k_max: int = DEFAULT_K_MAX) -> list[StatisticsSnapshot]:
     """The snapshots along ``grid`` of one nested sample per seed of
-    ``seeds``, as one :class:`SnapshotColumns` per grid time with one row
-    per seed.
+    ``seeds``, as one :class:`StatisticsSnapshot` per grid time in its
+    array form, with one entry per seed.
 
     The first floor(n*t) balls of one draw of n form the sample at time t,
     so earlier snapshots are prefixes of later ones by construction.  The
@@ -249,7 +249,7 @@ def sample_trajectories(law: PowerLaw, n: int, grid, seeds,
             tally = np.empty((len(sizes), len(keys), block.shape[2]), dtype=block.dtype)
         tally[:, row:row + block.shape[1]] = block
         row += block.shape[1]
-    return [SnapshotColumns.from_tally(m, part, k_max) for m, part in zip(sizes, tally)]
+    return [StatisticsSnapshot.from_tally(m, part, k_max) for m, part in zip(sizes, tally)]
 
 
 def sample_trajectory(law: PowerLaw, n: int, grid, seed,
@@ -257,7 +257,7 @@ def sample_trajectory(law: PowerLaw, n: int, grid, seed,
     """Snapshots of one nested sample along ``grid``: the one-seed case of
     :func:`sample_trajectories`.  With the same seed, the snapshot at t = 1
     matches ``sample_fixed`` exactly."""
-    return [columns.snapshot(0)
+    return [columns.sample(0)
             for columns in sample_trajectories(law, n, grid, [seed], k_max=k_max)]
 
 

@@ -161,24 +161,31 @@ def test_a_row_without_a_value_is_flagged_with_exit_0(capsys, tmp_path, argv, no
             assert row["theta_hat"] != ""
 
 
-def test_implicit_rows_evaluate_c_as_often_as_one_row(capsys, tmp_path, monkeypatch):
+@pytest.mark.parametrize("c_model", ["zeta", "const:0.3"])
+def test_implicit_rows_evaluate_c_as_often_as_one_row(capsys, tmp_path, monkeypatch, c_model):
     # all five implicit rows are solved in one batch: c(theta) once on the
     # solvers' grid and once per round of the joined solve, as for one row
     path = tmp_path / "urns.csv"
     path.write_text(counts_csv(sample_fixed(make_zipf_law(0.6), 20_000, SeedSpec(11))),
                     encoding="utf-8")
+    build_c_model = cli._build_c_model
 
     def c_calls(estimators):
         calls = []
 
-        def counted(theta):  # a new function, so no c table is cached for it
-            calls.append(np.size(theta))
-            return zeta_normalization(theta)
+        def counted_model(spec):
+            c_of_theta = build_c_model(spec)
 
-        monkeypatch.setattr(cli, "zeta_normalization", counted)
+            def counted(theta):  # a new function, so no c table is cached for it
+                calls.append(np.size(theta))
+                return c_of_theta(theta)
+
+            return counted
+
+        monkeypatch.setattr(cli, "_build_c_model", counted_model)
         code, out, err = run(capsys, ["estimate", "--input", str(path), "--input-format",
                                       "occupancy", "--estimators", estimators,
-                                      "--c-model", "zeta", "--k", "1,2,3"])
+                                      "--c-model", c_model, "--k", "1,2,3"])
         assert (code, err) == (0, "")
         assert all(e["theta_hat"] is not None for e in json.loads(out)["estimates"])
         return len(calls)
@@ -287,13 +294,21 @@ def test_a_malformed_row_is_one_short_line(capsys, tmp_path):
     ["eval-asymptotics", "--theta", "0.5", "--tau-t", "1:nan"],
     ["simulate", "--theta", "0.5", "--mode", "poisson", "--t", "1e19"],
     ["simulate", "--theta", "0.5", "--mode", "poisson", "--t", "1e300"],
-    # without --t the horizon is --n, which the t rule checks too
+    # without --t the horizon is --n, which the n rule keeps within the t rule
     ["simulate", "--theta", "0.5", "--mode", "poisson", "--n", "10000000000000000000"],
     # alpha(5) = 0 at theta = 0.9: no urn has n p >= 1, so no scale
     ["study-covariance", "--theta", "0.9", "--n", "5", "--m", "100", "--grid", "1.0"],
     # a normalization must be finite and positive
     ["estimate", "--estimators", "implicit-r", "--c-model", "const:nan"],
     ["estimate", "--estimators", "implicit-r", "--c-model", "const:inf"],
+    # numpy's multinomial draw refuses an n above 2^63 - 1
+    ["simulate", "--theta", "0.01", "--n", "10000000000000000000"],
+    ["study-normality", "--theta", "0.01", "--n", "10000000000000000000", "--m", "100"],
+    # R_k = 0 for every k above n, and a tally up to k would take memory in
+    # proportion to k (the corpus has 20000 tokens)
+    ["estimate", "--estimators", "ratio-k", "--k", "1000000000000"],
+    ["study-normality", "--theta", "0.5", "--n", "2000", "--m", "100",
+     "--k", "1000000000000"],
 ])
 def test_usage_error_is_one_line_with_exit_2(capsys, corpus, tmp_path, argv):
     argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]

@@ -1,4 +1,3 @@
-import functools
 import math
 from concurrent.futures import ProcessPoolExecutor
 
@@ -15,7 +14,7 @@ from zipfest.estimators import (ESTIMATORS, ImplicitSolver, _roots_joined, confi
                                 log_ratio_estimate, ratio_estimate_k, ratio_estimate_r1,
                                 snapshot_k_max)
 from zipfest.law import make_zipf_law, zeta_normalization
-from zipfest.occupancy import OccupancyCounts, SnapshotColumns, StatisticsSnapshot
+from zipfest.occupancy import OccupancyCounts, StatisticsSnapshot
 from zipfest.sampler import SeedSpec, sample_fixed, sample_trajectories
 
 from conftest import WORKERS
@@ -60,9 +59,10 @@ class TestImplicit:
                 assert got == pytest.approx(theta, abs=1e-8)
 
     def test_constant_c_model(self):
-        result = ImplicitSolver("r", 10 ** 4, 1.0).solve(200.0)
-        check = ImplicitSolver("r", 10 ** 4, lambda th: 1.0).solve(200.0)
-        assert result.theta_hat == pytest.approx(check.theta_hat, abs=1e-12)
+        # a constant c may return one number for an array of theta
+        result = ImplicitSolver("r", 10 ** 4, lambda th: 1.0).solve(200.0)
+        check = ImplicitSolver("r", 10 ** 4, lambda th: np.ones(np.shape(th))).solve(200.0)
+        assert (result.theta_hat, result.stderr) == (check.theta_hat, check.stderr)
 
     def test_second_solver_reuses_the_normalization_table(self):
         grid_calls = []
@@ -134,18 +134,24 @@ class TestImplicit:
         assert result.diagnostics["iterations"] == 0
 
     def test_validation(self):
+        def one(theta):
+            return 1.0
+
         with pytest.raises(UsageError):
-            ImplicitSolver("sideways", 100, 1.0)
+            ImplicitSolver("sideways", 100, one)
         with pytest.raises(DomainError):
-            ImplicitSolver("r", 1, 1.0)
+            ImplicitSolver("r", 1, one)
         for stat in (0.5, math.nan):  # a value without a root, not an error
-            result = ImplicitSolver("r", 100, 1.0).solve(stat)
+            result = ImplicitSolver("r", 100, one).solve(stat)
             assert math.isnan(result.theta_hat) and result.flags == ("insufficient-data",)
         with pytest.raises(UsageError):
-            ImplicitSolver("rk", 100, 1.0)  # k missing
+            ImplicitSolver("rk", 100, one)  # k missing
+        for c in (0.3, None):  # c(theta) is a function, never a number
+            with pytest.raises(UsageError):
+                ImplicitSolver("r", 100, c)
         for c in (-1.0, math.nan, math.inf):
             with pytest.raises(DomainError):
-                ImplicitSolver("r", 100, c)
+                ImplicitSolver("r", 100, lambda th, c=c: c)
         with pytest.raises(DomainError):
             ImplicitSolver("r", 100, lambda th: 0.5 - th)  # c <= 0 on part of (0, 1)
 
@@ -175,16 +181,18 @@ def _solver(which, k):
 
 
 def _stat_columns(stats):
-    """Columns whose every statistic (R, U and R_1, R_2) reads ``stats``."""
+    """A snapshot of n = 2000 in its array form whose every statistic (R, U
+    and R_1, R_2) reads ``stats``."""
     stats = np.asarray(stats, dtype=float)
-    return SnapshotColumns(total=2000, r=stats, r_k=np.repeat(stats[:, None], 2, axis=1),
-                           u=stats)
+    return StatisticsSnapshot(total=2000, r=stats, r_k=np.repeat(stats[None, :], 2, axis=0),
+                              u=stats)
 
 
 def _batch(solver, stats):
-    """theta_hat and stderr of ``stats`` in one solver's ``estimate_many`` batch."""
+    """theta_hat and stderr of ``stats`` in the ``estimate_many`` batch of
+    the row of ``solver``, a solver for n = 2000, and of its c(theta)."""
     tag = f"implicit-{solver.which}"
-    return estimate_many(_stat_columns(stats), [(tag, tag, solver.k)], [solver])[0]
+    return estimate_many(_stat_columns(stats), [(tag, tag, solver.k)], solver._c_of_theta)[0]
 
 
 def _assert_batch_matches_solve(solver, stats):
@@ -263,7 +271,7 @@ class TestSolveMany:
     def test_empty_and_constant_c(self):
         theta_hat, stderr = _batch(_solver("u", None), [])
         assert theta_hat.size == stderr.size == 0
-        solver = ImplicitSolver("r", 10 ** 4, 0.3)
+        solver = ImplicitSolver("r", 2000, lambda theta: 0.3)
         assert _batch(solver, [50.0, 200.0])[0].tolist() == [solver.solve(50.0).theta_hat,
                                                              solver.solve(200.0).theta_hat]
 
@@ -410,16 +418,6 @@ class TestJoinedBatch:
                 no_root = np.isnan(theta_hat) & (values >= 1.0)
                 assert no_root.any() and 0 < np.isnan(theta_hat).sum() < values.size
 
-    def test_one_normalization_per_batch(self):
-        with pytest.raises(UsageError):
-            _roots_joined([_solver("r", None), ImplicitSolver("r", 2000, 0.3)],
-                          [np.array([5.0]), np.array([5.0])])
-        # solvers of one constant c share a batch
-        solvers = [ImplicitSolver("r", 2000, 0.3), ImplicitSolver("u", 2000, 0.3)]
-        joined = _theta_hat(solvers, [np.array([50.0]), np.array([40.0])])
-        assert [t.tolist() for t in joined] == [[solvers[0].solve(50.0).theta_hat],
-                                               [solvers[1].solve(40.0).theta_hat]]
-
     def test_c_is_evaluated_once_per_round(self):
         # a study batch of five solvers takes the rounds of about one solver,
         # each with one evaluation of c(theta) and at most one of each solver's g
@@ -448,12 +446,10 @@ class TestJoinedBatch:
 
 
 def test_table_solver_only_for_implicit_tags():
+    # estimate_many builds a solver for the rows of implicit tags, from n = 2
     for spec in ESTIMATORS.values():
-        solver = spec.solver(10 ** 4, zeta_normalization, 2)
-        if spec.solver_kind is None:
-            assert solver is None
-        else:
-            assert (solver.which, solver.n) == (spec.solver_kind, 10 ** 4)
+        assert spec.solved(10 ** 4) == spec.solved(2) == (spec.solver_kind is not None)
+        assert not spec.solved(1)
 
 
 # snapshots of n = 2000 balls where some estimate is NaN or lies on or beyond
@@ -469,10 +465,23 @@ EDGE_SNAPSHOTS = [
 
 
 def _columns(snaps):
-    """The columns of snapshots of one total."""
-    return SnapshotColumns(total=snaps[0].total, r=np.array([s.r for s in snaps]),
-                           r_k=np.array([s.r_k for s in snaps]),
-                           u=np.array([s.u for s in snaps]))
+    """The array form of one-sample snapshots of one total."""
+    return StatisticsSnapshot(total=snaps[0].total, r=np.array([s.r for s in snaps]),
+                              r_k=np.array([s.r_k for s in snaps]).T,
+                              u=np.array([s.u for s in snaps]))
+
+
+@pytest.mark.parametrize("snap", EDGE_SNAPSHOTS)
+def test_one_sample_and_array_forms_round_trip(snap):
+    one = StatisticsSnapshot.of(snap)
+    assert (one.r.shape, one.r_k.shape, one.u.shape) == ((1,), (len(snap.r_k), 1), (1,))
+    assert one.sample(0) == snap
+    assert type(one.sample(0).r_k) is tuple
+    for k in range(1, len(snap.r_k) + 1):
+        assert one.exact_count(k).tolist() == [snap.exact_count(k)]
+    assert [v.tolist() for v in one.r_star_k] == [[v] for v in snap.r_star_k]
+    many = _columns(EDGE_SNAPSHOTS)
+    assert [many.sample(i) for i in range(len(EDGE_SNAPSHOTS))] == EDGE_SNAPSHOTS
 
 
 @pytest.mark.parametrize("theta", [0.3, 0.5, 0.9])
@@ -482,14 +491,13 @@ def test_one_snapshot_estimate_is_its_row_of_estimate_many(theta):
     requested = expand_estimators(list(ESTIMATORS), [1, 2, 3])
     drawn, = sample_trajectories(make_zipf_law(theta), 2000, (1.0,),
                                  [SeedSpec(31, rep) for rep in range(100)],
-                                 k_max=snapshot_k_max(requested))
-    snaps = [drawn.snapshot(i) for i in range(drawn.r.size)] + EDGE_SNAPSHOTS
-    solvers = [ESTIMATORS[tag].solver(2000, zeta_normalization, k) for _, tag, k in requested]
-    rows = estimate_many(_columns(snaps), requested, solvers)
+                                 k_max=snapshot_k_max(requested, 2000))
+    snaps = [drawn.sample(i) for i in range(drawn.r.size)] + EDGE_SNAPSHOTS
+    rows = estimate_many(_columns(snaps), requested, zeta_normalization)
     for i, snap in enumerate(snaps):
         level = (0.95, 0.9)[i % 2]
         for (name, tag, k), result, (theta_hat, stderr) in zip(
-                requested, estimate_rows(snap, requested, solvers, level), rows):
+                requested, estimate_rows(snap, requested, level, zeta_normalization), rows):
             spec = ESTIMATORS[tag]
             if np.isnan(theta_hat[i]):
                 no_root = spec.solver_kind is not None and spec.statistic(snap, k) >= 1
@@ -507,23 +515,15 @@ def test_one_snapshot_estimate_is_its_row_of_estimate_many(theta):
 
 def test_below_two_balls_no_solver_is_built():
     # n = 1: every implicit row and log-ratio are NaN; ratio-r1 and ratio-k
-    # keep their values
+    # keep their values; no solver is built, so none needs a c(theta)
     requested = expand_estimators(list(ESTIMATORS), [1])
-    solvers = [ESTIMATORS[tag].solver(1, zeta_normalization, k) for _, tag, k in requested]
-    assert solvers == [None] * len(requested)
-    results = estimate_rows(make_snapshot(1, 1, [1], u=1), requested, solvers, 0.95)
+    results = estimate_rows(make_snapshot(1, 1, [1], u=1), requested, 0.95)
     assert {r.estimator_id: r.flags for r in results} == {
         "implicit-r": ("insufficient-data",), "implicit-u": ("insufficient-data",),
         "implicit-rk(1)": ("insufficient-data",), "ratio-r1": ("degenerate",),
         "ratio-k(1)": ("degenerate",), "log-ratio": ("insufficient-data",)}
     with pytest.raises(DomainError):  # a total that is not an integer still raises
         log_ratio_estimate(make_snapshot(2.5, 1, [1]))
-
-
-@functools.lru_cache(maxsize=64)
-def _table_solver(tag, n, k):
-    """The table's solver of ``tag`` for n balls, built once per (tag, n, k)."""
-    return ESTIMATORS[tag].solver(n, zeta_normalization, k)
 
 
 @settings(max_examples=60, deadline=None)
@@ -534,8 +534,7 @@ def test_every_interval_lies_in_the_unit_interval(counts, level):
     total = sum(counts)
     snap = OccupancyCounts(dict(enumerate(counts)), total).snapshot(k_max=4)
     requested = expand_estimators(list(ESTIMATORS), [1, 2, 3])
-    solvers = [_table_solver(tag, total, k) for _, tag, k in requested]
-    for result in estimate_rows(snap, requested, solvers, level):
+    for result in estimate_rows(snap, requested, level, zeta_normalization):
         if math.isnan(result.theta_hat):
             assert result.flags in (("no-root",), ("insufficient-data",))
         else:

@@ -157,14 +157,13 @@ def _reference_chunk(cfg, rep_lo, rep_hi):
     ``estimate_rows``."""
     law = make_zipf_law(cfg.theta, i0=cfg.i0, tail_epsilon=cfg.tail_epsilon)
     requested = expand_estimators(cfg.estimators, cfg.k_values)
-    solvers = [ESTIMATORS[tag].solver(cfg.n, zeta_normalization, k) for _, tag, k in requested]
     values = {name: np.full(rep_hi - rep_lo, np.nan) for name, _, _ in requested}
     covered = {name: np.full(rep_hi - rep_lo, np.nan) for name, _, _ in requested}
     for offset, rep in enumerate(range(rep_lo, rep_hi)):
         snap, = sample_trajectory(law, cfg.n, (1.0,), SeedSpec(cfg.seed, rep),
-                                  k_max=snapshot_k_max(requested))
-        for (name, tag, k), est in zip(requested,
-                                       estimate_rows(snap, requested, solvers, cfg.level)):
+                                  k_max=snapshot_k_max(requested, cfg.n))
+        for (name, tag, k), est in zip(
+                requested, estimate_rows(snap, requested, cfg.level, zeta_normalization)):
             values[name][offset] = ESTIMATORS[tag].standardize(est.theta_hat, cfg.theta, snap, k)
             if est.stderr > 0.0:
                 covered[name][offset] = float(est.ci[0] <= cfg.theta <= est.ci[1])

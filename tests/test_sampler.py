@@ -313,7 +313,7 @@ class TestBlocks:
         assert [c.total for c in columns] == [math.floor(300 * t) for t in grid]
         for rep, seed in enumerate(seeds):
             one = sample_trajectory(law, 300, grid, seed, k_max=3)
-            assert [c.snapshot(rep) for c in columns] == one, rep
+            assert [c.sample(rep) for c in columns] == one, rep
 
     def test_tail_bounds_are_computed_once_per_draw(self, monkeypatch):
         law, calls = make_zipf_law(0.7), []
