@@ -52,7 +52,7 @@ def _exp(theta):
     return math.exp if isinstance(theta, float) else np.exp
 
 
-def log_growth(theta, log_cn, stat: str, k: int | None = None):
+def log_growth(theta, log_cn, stat: str, k: int | None = None, ln_gamma_1m=None):
     """ln g, with g the first-order growth term of E[S_n] and log_cn = ln(c n):
 
         r      Gamma(1-theta) (c n)^theta
@@ -61,15 +61,23 @@ def log_growth(theta, log_cn, stat: str, k: int | None = None):
 
     ``theta`` and ``log_cn`` are floats or arrays of one shape.  A float stays
     on ``math`` and the scalar ``ln_gamma``; callers check ``stat`` and ``k``.
+    ``ln_gamma_1m``, if given, is ln Gamma(1-theta), which r, u and rk at
+    k = 1 read and so may share; the sum is the same bit for bit.
     """
     scale = theta * log_cn
+    if stat == "rk" and k != 1:
+        ln_gamma_head = ln_gamma(k - theta)
+    elif ln_gamma_1m is None:
+        ln_gamma_head = ln_gamma(1.0 - theta)
+    else:
+        ln_gamma_head = ln_gamma_1m
     if stat == "r":
-        return ln_gamma(1.0 - theta) + scale
+        return ln_gamma_head + scale
     if stat == "u":
-        return ln_gamma(1.0 - theta) + scale + (theta - 1.0) * _LN2
+        return ln_gamma_head + scale + (theta - 1.0) * _LN2
     if stat == "rk":
         log = math.log if isinstance(theta, float) else np.log
-        return log(theta) + ln_gamma(k - theta) - ln_gamma(k + 1.0) + scale
+        return log(theta) + ln_gamma_head - ln_gamma(k + 1.0) + scale
     raise UsageError(f"unknown statistic {stat!r}")
 
 

@@ -19,7 +19,9 @@ manifest, so only it loads ``hashlib`` (and with it OpenSSL).
 implicit rows.  A row without a value (no root of g, no urns for its
 statistic, or n < 2) has null estimate, stderr and interval and one flag
 naming the reason, "no-root" or "insufficient-data"; it is not a failed
-run.  A requested k above the input's n is a usage error.
+run.  A requested k above the input's n is a usage error, and so is a
+``simulate --k-max`` above both the sample size and its default, and a
+``--workers`` above the usable CPU count.
 
 Exit codes: 0 success, 1 runtime failure, 2 usage error.
 """
@@ -30,6 +32,7 @@ import argparse
 import dataclasses
 import json
 import math
+import os
 import sys
 import warnings
 from datetime import datetime, timezone
@@ -174,6 +177,11 @@ def _parse_floats(spec: str, what: str) -> tuple[float, ...]:
     return tuple(_parse_float(t, what) for t in spec.split(",") if t.strip())
 
 
+#: the CPUs this process may run on, which bound ``--workers``: a study
+#: forks all its workers at once
+_CPUS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+         else os.cpu_count() or 1)
+
 # flag -> (test, rule) of each numeric flag with a restricted range
 _FLAG_RANGES = {
     "theta": (lambda v: 0.0 < v < 1.0, "lie in (0, 1)"),
@@ -186,7 +194,7 @@ _FLAG_RANGES = {
     "level": (lambda v: 0.0 < v < 1.0, "lie in (0, 1)"),
     "seed": (lambda v: v >= 0, "be >= 0"),
     "stream": (lambda v: v >= 0, "be >= 0"),
-    "workers": (lambda v: v >= 1, "be >= 1"),
+    "workers": (lambda v: 1 <= v <= _CPUS, f"lie in [1, {_CPUS}], the usable CPU count"),
     "nu": (lambda v: v >= 1, "be >= 1"),
 }
 
@@ -250,13 +258,19 @@ def _cmd_estimate(args) -> int:
 def _cmd_simulate(args) -> int:
     if args.output == "-" and args.snapshot == "-":
         raise UsageError("--output and --snapshot cannot both be '-' (stdout)")
+    # the horizon defaults to --n, which the n rule keeps within the t rule
+    horizon = args.t if args.t is not None else float(args.n)
+    size = args.n if args.mode == "fixed" else math.ceil(horizon)
+    if args.k_max > max(size, DEFAULT_K_MAX):
+        # R_k = 0 above the sample size, and a tally up to k_max would take
+        # memory in proportion to it
+        raise UsageError(f"--k-max {args.k_max} exceeds the sample size {size}")
     law = make_zipf_law(args.theta, i0=args.i0, tail_epsilon=args.tail_epsilon)
     seed = SeedSpec(args.seed, args.stream)
     if args.mode == "fixed":
         counts = sample_fixed(law, args.n, seed)
     else:
-        # the horizon defaults to --n, which the n rule keeps within the t rule
-        counts = sample_poissonized(law, args.t if args.t is not None else float(args.n), seed)
+        counts = sample_poissonized(law, horizon, seed)
     _emit(counts_csv(counts), args.output)
     if args.snapshot:
         snap = counts.snapshot(k_max=args.k_max)
@@ -402,7 +416,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--stream", type=int, default=0,
                    help="stream index, a non-negative integer of any size")
     p.add_argument("--k-max", type=int, default=DEFAULT_K_MAX,
-                   help="largest exact count tracked in the snapshot")
+                   help="largest exact count tracked in the snapshot, at most the "
+                        "sample size (--n, or --t rounded up) or the default")
     p.add_argument("--output", required=True, help="counts CSV path ('-' = stdout)")
     p.add_argument("--snapshot", default=None,
                    help="optional JSON snapshot path ('-' = stdout)")

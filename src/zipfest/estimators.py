@@ -25,10 +25,11 @@ the Monte Carlo studies both dispatch through it.  One routine,
 :func:`estimate_many`, computes every estimate, on a snapshot in its array
 form (``occupancy.StatisticsSnapshot``), as arrays of estimates and standard
 errors: it builds the solver of each implicit row from the one c(theta) it
-is given, solves all their samples in one batch, and runs each closed form
-as one array routine.  One sample is the one-entry case, which
-:func:`estimate_rows` wraps in an :class:`EstimateResult` per row, so the
-estimate of a snapshot is the same bit for bit wherever it is computed.
+is given, solves the distinct statistic values of all their samples in one
+batch, and runs each closed form as one array routine.  One sample is the
+one-entry case, which :func:`estimate_rows` wraps in an
+:class:`EstimateResult` per row, so the estimate of a snapshot is the same
+bit for bit wherever it is computed.
 
 An estimate without a value is NaN, never an error, and its row has one
 flag, read from the row itself: "no-root" where a statistic >= 1 was solved
@@ -51,6 +52,7 @@ import numpy as np
 from . import asymptotics
 from .errors import DomainError, UsageError
 from .occupancy import DEFAULT_K_MAX, StatisticsSnapshot
+from .specfun import ln_gamma
 
 __all__ = ["EstimateResult", "ImplicitSolver", "estimate_many", "estimate_rows",
            "ratio_estimate_r1", "ratio_estimate_k", "log_ratio_estimate", "normal_cdf",
@@ -91,8 +93,14 @@ class EstimateResult:
 # normal CDF and confidence intervals
 # ----------------------------------------------------------------------
 
-def normal_cdf(x: float) -> float:
-    return 0.5 * (1.0 + math.erf(x / math.sqrt(2.0)))
+#: ``math.erf`` of a float, or of each entry of an array
+_erf_each = np.frompyfunc(math.erf, 1, 1)
+
+
+def normal_cdf(x):
+    """Phi(x) of a float, or of each entry of an array in one pass: the
+    float operations of 0.5 (1 + erf(x / sqrt 2)) on each entry."""
+    return 0.5 * (1.0 + np.asarray(_erf_each(x / math.sqrt(2.0)), dtype=float))
 
 
 def _z_for_level(level: float) -> float:
@@ -134,14 +142,18 @@ def _result(estimator_id: str, theta_hat, stderr, level: float, flags=(), stat=N
 # ----------------------------------------------------------------------
 
 @functools.lru_cache(maxsize=8)
-def _c_on_grid(c_of_theta) -> np.ndarray:
-    """c(theta) on ``ImplicitSolver``'s theta grid, a class constant, so it
-    is computed once per normalization function (read-only, shared)."""
-    c_grid = np.asarray(c_of_theta(ImplicitSolver._grid), dtype=float)
+def _terms_on_grid(c_of_theta) -> tuple[np.ndarray, np.ndarray]:
+    """ln c(theta) and ln Gamma(1 - theta) on ``ImplicitSolver``'s theta
+    grid, the terms of g that do not depend on the solver: class constants,
+    computed once per normalization function (read-only, shared)."""
+    grid = ImplicitSolver._grid
+    c_grid = np.asarray(c_of_theta(grid), dtype=float)
     if not np.all(np.isfinite(c_grid) & (c_grid > 0.0)):
         raise DomainError("c(theta) must be finite and positive on (0, 1)")
-    c_grid.flags.writeable = False
-    return c_grid
+    terms = np.asarray(np.log(c_grid)), ln_gamma(1.0 - grid)  # ln c is 0-d for a constant
+    for term in terms:
+        term.flags.writeable = False
+    return terms
 
 
 class ImplicitSolver:
@@ -175,9 +187,14 @@ class ImplicitSolver:
       bracket where g never hits s exactly.  So roots and step counts are
       those of evaluating every midpoint, bit for bit.
 
-    The stages run once per batch, on the brackets of all its solvers; each
-    g evaluation computes c(theta) once and ``asymptotics.log_growth`` once
-    per solver, and a normality study chunk makes about 6, not 13.
+    The stages run once per batch, on the brackets of all its solvers, and
+    a normality study chunk makes about 6 g evaluations, not 13.  Each
+    computes the terms that depend on theta alone, c(theta), ln c(theta)
+    and ln Gamma(1 - theta) (which r, u and rk(1) share), once for all
+    solvers, then ``asymptotics.log_growth`` once per solver (``_g_array``);
+    on the grid those terms are class constants.  :func:`estimate_many`
+    passes each distinct statistic value of a row once, so a chunk's batch
+    holds no more values than its rows have distinct ones.
     ``c_of_theta`` is a function of theta that also takes an array of theta,
     as ``law.zeta_normalization`` does (a constant c may return one number);
     :func:`estimate_many` builds every solver of a batch from one.  ``n`` is
@@ -208,7 +225,7 @@ class ImplicitSolver:
         self.k = int(k) if which == "rk" else None
         self._c_of_theta = c_of_theta
         self._log_n = math.log(self.n)
-        self._g = g = self._g_array(self._grid, _c_on_grid(c_of_theta))
+        self._g = g = self._g_array(self._grid, *_terms_on_grid(c_of_theta))
         # grid interval j brackets s exactly when s lies in (g[j], _g_max[j]],
         # which is empty wherever g does not rise
         self._g_max = np.maximum(g[:-1], g[1:])
@@ -218,12 +235,14 @@ class ImplicitSolver:
         return math.exp(asymptotics.log_growth(
             theta, math.log(self._c_of_theta(theta)) + self._log_n, self.which, self.k))
 
-    def _g_array(self, theta: np.ndarray, c=None) -> np.ndarray:
-        """g at an array of theta; ``c``: c(theta) there, if already known."""
-        if c is None:
-            c = self._c_of_theta(theta)
-        return np.exp(asymptotics.log_growth(theta, np.log(c) + self._log_n,
-                                             self.which, self.k))
+    def _g_array(self, theta: np.ndarray, log_c=None, ln_gamma_1m=None) -> np.ndarray:
+        """g at an array of theta from its terms that do not depend on the
+        solver, where already known: ``log_c``, ln c(theta), and
+        ``ln_gamma_1m``, ln Gamma(1 - theta) (``asymptotics.log_growth``)."""
+        if log_c is None:
+            log_c = np.log(self._c_of_theta(theta))
+        return np.exp(asymptotics.log_growth(theta, log_c + self._log_n, self.which, self.k,
+                                             ln_gamma_1m))
 
     def _brackets(self, stats: np.ndarray):
         """(owner, interval): the index of each s >= 1 of ``stats`` that
@@ -287,11 +306,13 @@ def _roots_joined(solvers, stats):
     offsets = np.cumsum([0] + [p[0].size for p in parts])
 
     def g_of(x, edges):
-        """g at x, whose entries edges[i]:edges[i + 1] belong to solvers[i]."""
-        c, out = c_of_theta(x), np.empty(x.size)
+        """g at x, whose entries edges[i]:edges[i + 1] belong to solvers[i],
+        with ln c(x) and ln Gamma(1 - x) computed once for all of them."""
+        log_c, ln_gamma_1m, out = np.log(c_of_theta(x)), ln_gamma(1.0 - x), np.empty(x.size)
         for solver, a, b in zip(solvers, edges[:-1], edges[1:]):
             if b > a:
-                out[a:b] = solver._g_array(x[a:b], c[a:b] if np.ndim(c) else c)
+                out[a:b] = solver._g_array(x[a:b], log_c[a:b] if np.ndim(log_c) else log_c,
+                                           ln_gamma_1m[a:b])
         return out
 
     eps = ImplicitSolver.REPLAY_EPS
@@ -437,7 +458,9 @@ def estimate_many(columns, requested, c_of_theta=None) -> list[tuple[np.ndarray,
     ``occupancy.StatisticsSnapshot`` in its array form), NaN where there is
     no root or too little data.  Each implicit row that
     :meth:`EstimatorSpec.solved` gets an ``ImplicitSolver`` of
-    ``c_of_theta``, and all of them are solved in one batch."""
+    ``c_of_theta``, and all of them are solved in one batch, each distinct
+    value of a row's statistic once: its estimate and standard error depend
+    on that value alone, so every sample that repeats it shares them."""
     nan = np.full(columns.r.size, np.nan)
     rows, solvers, stats = [], {}, {}
     for i, (_, tag, k) in enumerate(requested):
@@ -445,12 +468,15 @@ def estimate_many(columns, requested, c_of_theta=None) -> list[tuple[np.ndarray,
         rows.append(spec.closed_form(columns, k) if spec.closed_form else (nan, nan))
         if spec.solved(columns.total):
             solvers[i] = ImplicitSolver(spec.solver_kind, columns.total, c_of_theta, k=k)
-            stats[i] = np.asarray(spec.statistic(columns, k), dtype=float)
-    for i, (owner, _, roots, _) in zip(stats, _roots_joined(list(solvers.values()),
-                                                             list(stats.values()))):
-        theta_hat = np.full(stats[i].size, np.nan)
+            # (distinct values, the index of each sample's value among them)
+            stats[i] = np.unique(np.asarray(spec.statistic(columns, k), dtype=float),
+                                 return_inverse=True)
+    for i, (owner, _, roots, _) in zip(stats, _roots_joined(
+            list(solvers.values()), [values for values, _ in stats.values()])):
+        values, inverse = stats[i]
+        theta_hat = np.full(values.size, np.nan)
         theta_hat[owner] = roots
-        rows[i] = theta_hat, solvers[i].stderr_many(theta_hat, stats[i])
+        rows[i] = theta_hat[inverse], solvers[i].stderr_many(theta_hat, values)[inverse]
     return rows
 
 

@@ -29,8 +29,10 @@ form, bit for bit the statistics of ``sample_trajectory`` on each stream.
 A chunk of normality replications then runs in two more stages on whole
 arrays: estimate theta_hat and its standard error for every replication at
 once (``estimators.estimate_many`` with c(theta) = 1/zeta(1/theta): one
-batched root-finding pass for all implicit estimators, the closed forms on
-the arrays); then standardize and check coverage.  No per-replication
+batched root-finding pass for all implicit estimators, which solves each
+distinct statistic value once and shares the terms of g that depend on
+theta alone between them; the closed forms on the arrays); then
+standardize and check coverage.  No per-replication
 ``EstimateResult`` is built.  A one-snapshot estimate is the one-entry case
 of the same array arithmetic, so the standardized values and coverage flags
 equal those of one-snapshot estimates bit for bit.
@@ -116,7 +118,7 @@ def ks_test(sample) -> tuple[float, float]:
     m = x.size
     if m < 100:
         raise UsageError(f"KS diagnostic needs at least 100 points, got {m}")
-    cdf = np.array([normal_cdf(v) for v in x])
+    cdf = normal_cdf(x)
     upper = np.max(np.arange(1, m + 1) / m - cdf)
     lower = np.max(cdf - np.arange(0, m) / m)
     distance = max(upper, lower)

@@ -3,6 +3,7 @@ import hashlib
 import io
 import json
 import math
+import os
 from dataclasses import fields
 
 import numpy as np
@@ -10,7 +11,7 @@ import pytest
 
 from zipfest import asymptotics, cli
 from zipfest.cli import _csv_text, _json_write, main
-from zipfest.errors import ZipfestError
+from zipfest.errors import UsageError, ZipfestError
 from zipfest.estimators import ImplicitSolver
 from zipfest.ingest import counts_csv, read_counts_csv
 from zipfest.law import make_zipf_law, zeta_normalization
@@ -309,6 +310,11 @@ def test_a_malformed_row_is_one_short_line(capsys, tmp_path):
     ["estimate", "--estimators", "ratio-k", "--k", "1000000000000"],
     ["study-normality", "--theta", "0.5", "--n", "2000", "--m", "100",
      "--k", "1000000000000"],
+    # the same for a snapshot's --k-max above the sample size: --n, or the
+    # horizon --t rounded up
+    ["simulate", "--theta", "0.5", "--n", "100", "--k-max", "1000000000000",
+     "--snapshot", "{tmp}/snapshot.json"],
+    ["simulate", "--theta", "0.5", "--mode", "poisson", "--t", "99.5", "--k-max", "101"],
 ])
 def test_usage_error_is_one_line_with_exit_2(capsys, corpus, tmp_path, argv):
     argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
@@ -322,6 +328,29 @@ def test_usage_error_is_one_line_with_exit_2(capsys, corpus, tmp_path, argv):
     assert err.startswith("zipfest: usage error: ")
     assert err.count("\n") == 1 and "Traceback" not in err
     assert not any(tmp_path.iterdir())
+
+
+def test_k_max_up_to_the_sample_size_or_the_default_is_accepted(capsys, tmp_path):
+    for argv in (["--n", "5"], ["--n", "100", "--k-max", "100"],
+                 ["--mode", "poisson", "--t", "99.5", "--k-max", "100"]):
+        code, out, err = run(capsys, ["simulate", "--theta", "0.5", *argv, "--output", "-",
+                                      "--snapshot", str(tmp_path / "snapshot.json")])
+        assert (code, err) == (0, ""), argv
+
+
+@pytest.mark.parametrize("command", [["study-normality"], ["study-covariance"]])
+def test_workers_are_bounded_by_the_usable_cpus(command):
+    # checked on the parsed flags alone: a study with that many workers
+    # would fork them all at once
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    parser = cli.build_parser()
+    for workers, ok in ((1, True), (cpus, True), (cpus + 1, False), (10 ** 6, False)):
+        args = parser.parse_args([*command, "--theta", "0.5", "--workers", str(workers)])
+        if ok:
+            cli._check_ranges(args)
+        else:
+            with pytest.raises(UsageError, match="--workers must lie in"):
+                cli._check_ranges(args)
 
 
 @pytest.mark.parametrize("argv", [

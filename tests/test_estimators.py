@@ -7,6 +7,7 @@ import scipy.stats as st
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
+from zipfest import estimators
 from zipfest.asymptotics import ratio_k_variance, ratio_r1_variance
 from zipfest.errors import DomainError, UsageError
 from zipfest.estimators import (ESTIMATORS, ImplicitSolver, _roots_joined, confidence_bounds,
@@ -511,6 +512,71 @@ def test_one_snapshot_estimate_is_its_row_of_estimate_many(theta):
                 () if 0.0 < theta_hat[i] < 1.0 else ("degenerate",))
             assert (result.estimator_id, result.theta_hat, result.stderr, result.ci,
                     result.flags) == (name, theta_hat[i], stderr[i], ci, flags), (name, i)
+
+
+class TestDistinctValues:
+    """``estimate_many`` solves each distinct value of a row's statistic
+    once and gives every sample that repeats it the same estimate."""
+
+    REQUESTED = expand_estimators(["implicit-r", "implicit-u", "implicit-rk"], [1, 2])
+
+    def chunk(self):
+        # n = 2000: values below 1, NaN, rk(2) values above the peak of g
+        # (about 54.13), roots in the lowest and highest grid intervals, and
+        # most of them repeated
+        rng = np.random.default_rng(26)
+        pool = [0.0, 0.5, np.nan, 1.0, 2.0, 7.0, 40.0, 54.0, 60.0, 137.0, 1999.0, 2500.0]
+        r, u, r_1, r_2 = (rng.choice(pool, 60) for _ in range(4))
+        r_k = np.stack([r_1, r_2, np.zeros(60)])
+        return StatisticsSnapshot(total=2000, r=r, r_k=r_k, u=u)
+
+    def test_equals_each_one_entry_estimate(self):
+        columns = self.chunk()
+        rows = estimate_many(columns, self.REQUESTED, zeta_normalization)
+        for i in range(columns.r.size):
+            snap = StatisticsSnapshot(total=2000, r=float(columns.r[i]),
+                                      r_k=tuple(columns.r_k[:, i].tolist()),
+                                      u=float(columns.u[i]))
+            one = estimate_many(StatisticsSnapshot.of(snap), self.REQUESTED, zeta_normalization)
+            results = estimate_rows(snap, self.REQUESTED, 0.95, zeta_normalization)
+            for (theta_hat, stderr), mine, result in zip(rows, one, results):
+                assert np.array_equal(theta_hat[i:i + 1], mine[0], equal_nan=True)
+                assert np.array_equal(stderr[i:i + 1], mine[1], equal_nan=True)
+                assert np.array_equal([theta_hat[i], stderr[i]],
+                                      [result.theta_hat, result.stderr], equal_nan=True)
+        for theta_hat, _ in rows:  # NaN entries and values in every row
+            assert np.isnan(theta_hat).any() and (~np.isnan(theta_hat)).sum() > 10
+        assert np.isnan(rows[3][0][columns.r_k[1] == 60.0]).all()  # rk(2) above its peak
+
+    def test_each_distinct_value_is_solved_once(self, monkeypatch):
+        columns = self.chunk()
+        seen = []
+
+        def recorded(solvers, stats):
+            seen.append(stats)
+            return _roots_joined(solvers, stats)
+
+        monkeypatch.setattr(estimators, "_roots_joined", recorded)
+        estimate_many(columns, self.REQUESTED, zeta_normalization)
+        stats, = seen
+        for (_, tag, k), values in zip(self.REQUESTED, stats):
+            column = np.asarray(ESTIMATORS[tag].statistic(columns, k), dtype=float)
+            assert np.isnan(values).sum() == 1
+            finite = values[~np.isnan(values)]
+            assert np.array_equal(np.sort(finite), np.unique(column[~np.isnan(column)]))
+
+    def test_any_split_of_the_chunk(self):
+        # worker chunks hold different sets of distinct values
+        columns = self.chunk()
+        whole = estimate_many(columns, self.REQUESTED, zeta_normalization)
+        halves = [estimate_many(StatisticsSnapshot(total=2000, r=columns.r[part],
+                                                   r_k=columns.r_k[:, part], u=columns.u[part]),
+                                self.REQUESTED, zeta_normalization)
+                  for part in (slice(0, 23), slice(23, None))]
+        for i, (theta_hat, stderr) in enumerate(whole):
+            for got, want in ((np.concatenate([h[i][0] for h in halves]), theta_hat),
+                              (np.concatenate([h[i][1] for h in halves]), stderr)):
+                assert np.array_equal(got, want, equal_nan=True)
 
 
 def test_below_two_balls_no_solver_is_built():

@@ -1,5 +1,6 @@
 import concurrent.futures
 import json
+import math
 import os
 import subprocess
 import sys
@@ -12,7 +13,8 @@ import scipy.stats as st
 
 from zipfest import montecarlo
 from zipfest.errors import DomainError, UsageError
-from zipfest.estimators import ESTIMATORS, estimate_rows, expand_estimators, snapshot_k_max
+from zipfest.estimators import (ESTIMATORS, estimate_rows, expand_estimators, normal_cdf,
+                                snapshot_k_max)
 from zipfest.law import make_zipf_law, zeta_normalization
 from zipfest.sampler import SeedSpec, sample_trajectory
 from zipfest.montecarlo import ExperimentConfig, covariance_study, normality_study
@@ -88,6 +90,19 @@ def test_ks_test_matches_scipy(shift):
     distance, pvalue = montecarlo.ks_test(x)
     assert distance == pytest.approx(expected.statistic, rel=1e-12)
     assert pvalue == pytest.approx(expected.pvalue, rel=1e-12)
+
+
+def test_ks_test_takes_phi_of_each_value_bit_for_bit():
+    # Phi of the whole sorted sample in one array pass, entry by entry the
+    # float Phi of one value
+    x = np.concatenate([np.linspace(-40.0, 40.0, 8001), [0.0, 1e-300, -1e-300]])
+    scalar = np.array([normal_cdf(float(v)) for v in x])
+    formula = np.array([0.5 * (1.0 + math.erf(float(v) / math.sqrt(2.0))) for v in x])
+    for reference in (scalar, formula):
+        assert np.array_equal(normal_cdf(x).view(np.int64), reference.view(np.int64))
+    m, cdf = x.size, np.sort(scalar)
+    distance = max(np.max(np.arange(1, m + 1) / m - cdf), np.max(cdf - np.arange(0, m) / m))
+    assert montecarlo.ks_test(x)[0] == distance
 
 
 def test_ks_test_needs_100_points():
