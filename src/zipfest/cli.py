@@ -20,8 +20,9 @@ implicit rows.  A row without a value (no root of g, no urns for its
 statistic, or n < 2) has null estimate, stderr and interval and one flag
 naming the reason, "no-root" or "insufficient-data"; it is not a failed
 run.  A requested k above the input's n is a usage error, and so is a
-``simulate --k-max`` above both the sample size and its default, and a
-``--workers`` above the usable CPU count.
+``simulate --k-max`` above both the sample size and its default.  Each
+numeric flag's range sits on its declaration, as its argparse ``type``, and
+every parser error is one ``zipfest: usage error:`` line, with no usage block.
 
 Exit codes: 0 success, 1 runtime failure, 2 usage error.
 """
@@ -32,7 +33,6 @@ import argparse
 import dataclasses
 import json
 import math
-import os
 import sys
 import warnings
 from datetime import datetime, timezone
@@ -42,7 +42,7 @@ from .errors import UsageError, ZipfestError
 from .estimators import ESTIMATORS, estimate_rows, expand_estimators, snapshot_k_max
 from .ingest import counts_csv, load_counts, read_counts_csv, to_occupancy, tokenize_file
 from .law import make_zipf_law, zeta_normalization
-from .montecarlo import (NORMALITY_ESTIMATORS, ExperimentConfig,
+from .montecarlo import (NORMALITY_ESTIMATORS, USABLE_CPUS, ExperimentConfig,
                          covariance_study, normality_study)
 from .occupancy import DEFAULT_K_MAX
 from .sampler import SeedSpec, sample_fixed, sample_poissonized
@@ -156,16 +156,6 @@ def _parse_estimators(spec: str) -> list[str]:
     return tags
 
 
-def _parse_k_list(spec: str) -> list[int]:
-    try:
-        ks = [int(t) for t in spec.split(",") if t.strip()]
-    except ValueError as exc:
-        raise UsageError(f"bad k list {spec!r}: {exc}")
-    if not ks or any(k < 1 for k in ks):
-        raise UsageError(f"k list must contain positive integers, got {spec!r}")
-    return ks
-
-
 def _parse_float(text: str, what: str) -> float:
     try:
         return float(text)
@@ -173,45 +163,41 @@ def _parse_float(text: str, what: str) -> float:
         raise UsageError(f"bad {what} {text!r}: not a number") from None
 
 
-def _parse_floats(spec: str, what: str) -> tuple[float, ...]:
-    return tuple(_parse_float(t, what) for t in spec.split(",") if t.strip())
+def _ranged(kind, ok, rule: str):
+    """An argparse ``type``: the flag's text read as ``kind``, refused unless ``ok``."""
+    def convert(text: str):
+        try:
+            value = kind(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid {kind.__name__} value: {text!r}") from None
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must {rule}, got {text!r}")
+        return value
+    return convert
 
 
-#: the CPUs this process may run on, which bound ``--workers``: a study
-#: forks all its workers at once
-_CPUS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-         else os.cpu_count() or 1)
-
-# flag -> (test, rule) of each numeric flag with a restricted range
-_FLAG_RANGES = {
-    "theta": (lambda v: 0.0 < v < 1.0, "lie in (0, 1)"),
-    "i0": (lambda v: v >= 0, "be >= 0"),
-    "tail_epsilon": (lambda v: 0.0 < v <= 1e-6, "lie in (0, 1e-6]"),
-    # numpy's multinomial and Poisson draws refuse a count above about 9.2e18
-    "n": (lambda v: 1 <= v <= 9.2e18, "lie in [1, 9.2e18]"),
-    "t": (lambda v: 0.0 < v <= 9.2e18, "lie in (0, 9.2e18]"),
-    "k_max": (lambda v: v >= 1, "be >= 1"),
-    "level": (lambda v: 0.0 < v < 1.0, "lie in (0, 1)"),
-    "seed": (lambda v: v >= 0, "be >= 0"),
-    "stream": (lambda v: v >= 0, "be >= 0"),
-    "workers": (lambda v: 1 <= v <= _CPUS, f"lie in [1, {_CPUS}], the usable CPU count"),
-    "nu": (lambda v: v >= 1, "be >= 1"),
-}
+_unit = _ranged(float, lambda v: 0.0 < v < 1.0, "lie in (0, 1)")
+_non_negative = _ranged(int, lambda v: v >= 0, "be >= 0")
+_positive = _ranged(int, lambda v: v >= 1, "be >= 1")
+_tail_epsilon = _ranged(float, lambda v: 0.0 < v <= 1e-6, "lie in (0, 1e-6]")
+# numpy's multinomial and Poisson draws refuse a count above about 9.2e18
+_ball_count = _ranged(int, lambda v: 1 <= v <= 9.2e18, "lie in [1, 9.2e18]")
+_horizon = _ranged(float, lambda v: 0.0 < v <= 9.2e18, "lie in (0, 9.2e18]")
+_workers = _ranged(int, lambda v: 1 <= v <= USABLE_CPUS,
+                   f"lie in [1, {USABLE_CPUS}], the usable CPU count")
 
 
-def _check_range(name: str, value):
-    ok, rule = _FLAG_RANGES[name]
-    if not ok(value):
-        raise UsageError(f"--{name.replace('_', '-')} must {rule}, got {value!r}")
-    return value
+def _list_of(convert):
+    """An argparse ``type``: a non-empty comma list, each value read by ``convert``."""
+    def convert_list(spec: str) -> list:
+        values = [convert(t) for t in spec.split(",") if t.strip()]
+        if not values:
+            raise argparse.ArgumentTypeError(f"must hold at least one value, got {spec!r}")
+        return values
+    return convert_list
 
 
-def _check_ranges(args) -> None:
-    """Reject an out-of-range flag before the command reads or writes a file."""
-    for name in _FLAG_RANGES:
-        value = getattr(args, name, None)
-        if isinstance(value, (int, float)):  # eval-asymptotics' --theta is a list
-            _check_range(name, value)
+_k_list = _list_of(_positive)
 
 
 def _build_c_model(spec: str | None):
@@ -236,8 +222,7 @@ _READERS = {"text": tokenize_file, "tokens": load_counts, "occupancy": read_coun
 
 
 def _cmd_estimate(args) -> int:
-    requested = expand_estimators(_parse_estimators(args.estimators),
-                                  _parse_k_list(args.k))
+    requested = expand_estimators(_parse_estimators(args.estimators), args.k)
     c_model = _build_c_model(args.c_model)
     if any(ESTIMATORS[tag].solver_kind for _, tag, _ in requested) and c_model is None:
         raise UsageError("implicit estimators need a known normalization: pass --c-model")
@@ -300,12 +285,13 @@ def _emit_study(args, report) -> int:
 def _cmd_study_normality(args) -> int:
     return _emit_study(args, normality_study(_study_config(
         args, estimators=tuple(_parse_estimators(args.estimators)),
-        k_values=tuple(_parse_k_list(args.k)), level=args.level)))
+        k_values=tuple(args.k), level=args.level)))
 
 
 def _cmd_study_covariance(args) -> int:
     return _emit_study(args, covariance_study(_study_config(
-        args, grid=_parse_floats(args.grid, "grid value"), nu=args.nu)))
+        args, grid=tuple(_parse_float(t, "grid value") for t in args.grid.split(",") if t.strip()),
+        nu=args.nu)))
 
 
 # ----------------------------------------------------------------------
@@ -329,8 +315,6 @@ def _parse_tau_t(spec: str) -> list[tuple[float, float]]:
 
 
 def _cmd_eval_asymptotics(args) -> int:
-    thetas = [_check_range("theta", t) for t in _parse_floats(args.theta, "theta")]
-    k_values = _parse_k_list(args.k)
     pairs = _parse_tau_t(args.tau_t) if args.tau_t else []
     fields = ["kind", "theta", "k", "i", "j", "tau", "t", "value"]
     rows = []
@@ -338,14 +322,14 @@ def _cmd_eval_asymptotics(args) -> int:
     def add(kind, theta, value, k=None, i=None, j=None, tau=None, t=None):
         rows.append(dict(zip(fields, (kind, theta, k, i, j, tau, t, value))))
 
-    for theta in thetas:
+    for theta in args.theta:
         add("ratio-r1-variance", theta, asymptotics.ratio_r1_variance(theta))
-        for k in k_values:
+        for k in args.k:
             add("ratio-k-variance", theta, asymptotics.ratio_k_variance(theta, k), k=k)
         for which in ("r", "u"):
             add(f"implicit-variance-{which}", theta,
                 asymptotics.implicit_variance(theta, which))
-        for k in k_values:
+        for k in args.k:
             add("implicit-variance-rk", theta,
                 asymptotics.implicit_variance(theta, "rk", k), k=k)
         if pairs:
@@ -366,8 +350,15 @@ def _echo_args(args) -> dict:
 # parser
 # ----------------------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    """A parser whose every error is a ``UsageError``: one line and exit 2."""
+
+    def error(self, message):
+        raise UsageError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="zipfest",
         description="Estimate power-law exponents from occupancy statistics "
                     "and verify the estimators' limit theorems by simulation.")
@@ -376,9 +367,9 @@ def build_parser() -> argparse.ArgumentParser:
     fmt = argparse.ArgumentDefaultsHelpFormatter
 
     def add_common_law(p):
-        p.add_argument("--theta", type=float, required=True,
+        p.add_argument("--theta", type=_unit, required=True,
                        help="power-law exponent in (0,1) (dimensionless)")
-        p.add_argument("--tail-epsilon", type=float, default=1e-12,
+        p.add_argument("--tail-epsilon", type=_tail_epsilon, default=1e-12,
                        help="probability mass allowed beyond the support cutoff")
 
     p = sub.add_parser("estimate", formatter_class=fmt,
@@ -391,11 +382,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--estimators", default="ratio-r1,ratio-k,log-ratio",
                    help="comma list or 'all' "
                         f"(choices: {', '.join(ESTIMATORS)})")
-    p.add_argument("--k", default="1", help="comma list of k values (ball counts)")
+    p.add_argument("--k", type=_k_list, default="1", help="comma list of k values (ball counts)")
     p.add_argument("--c-model", default=None,
                    help="normalization c(theta) for implicit estimators: "
                         "'zeta' or 'const:<value>'")
-    p.add_argument("--level", type=float, default=0.95,
+    p.add_argument("--level", type=_unit, default=0.95,
                    help="confidence level in (0,1)")
     p.add_argument("--format", choices=("json", "csv"), default="json",
                    help="output format")
@@ -405,17 +396,18 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", formatter_class=fmt,
                        help="draw an occupancy sample from a zeta law")
     add_common_law(p)
-    p.add_argument("--i0", type=int, default=0, help="index shift of the zeta law (urns)")
-    p.add_argument("--n", type=int, default=10000, help="number of balls")
-    p.add_argument("--t", type=float, default=None,
+    p.add_argument("--i0", type=_non_negative, default=0,
+                   help="index shift of the zeta law (urns)")
+    p.add_argument("--n", type=_ball_count, default=10000, help="number of balls")
+    p.add_argument("--t", type=_horizon, default=None,
                    help="poissonized horizon (balls; defaults to --n)")
     p.add_argument("--mode", choices=("fixed", "poisson"), default="fixed",
                    help="fixed ball count or poissonized horizon")
-    p.add_argument("--seed", type=int, default=0,
+    p.add_argument("--seed", type=_non_negative, default=0,
                    help="master seed, a non-negative integer of any size")
-    p.add_argument("--stream", type=int, default=0,
+    p.add_argument("--stream", type=_non_negative, default=0,
                    help="stream index, a non-negative integer of any size")
-    p.add_argument("--k-max", type=int, default=DEFAULT_K_MAX,
+    p.add_argument("--k-max", type=_positive, default=DEFAULT_K_MAX,
                    help="largest exact count tracked in the snapshot, at most the "
                         "sample size (--n, or --t rounded up) or the default")
     p.add_argument("--output", required=True, help="counts CSV path ('-' = stdout)")
@@ -425,11 +417,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_study_common(p):
         add_common_law(p)
-        p.add_argument("--n", type=int, default=100000, help="balls per replication")
+        p.add_argument("--n", type=_ball_count, default=100000, help="balls per replication")
         p.add_argument("--m", type=int, default=2000, help="replications (>= 100)")
-        p.add_argument("--seed", type=int, default=0,
+        p.add_argument("--seed", type=_non_negative, default=0,
                        help="master seed, a non-negative integer of any size")
-        p.add_argument("--workers", type=int, default=1,
+        p.add_argument("--workers", type=_workers, default=1,
                        help="parallel worker processes")
         p.add_argument("--format", choices=("json", "csv"), default="json",
                        help="output format")
@@ -440,8 +432,8 @@ def build_parser() -> argparse.ArgumentParser:
     add_study_common(p)
     p.add_argument("--estimators", default=",".join(NORMALITY_ESTIMATORS),
                    help="comma list (log-ratio not allowed here)")
-    p.add_argument("--k", default="1", help="comma list of k values")
-    p.add_argument("--level", type=float, default=0.95, help="CI level in (0,1)")
+    p.add_argument("--k", type=_k_list, default="1", help="comma list of k values")
+    p.add_argument("--level", type=_unit, default=0.95, help="CI level in (0,1)")
     p.set_defaults(func=_cmd_study_normality)
 
     p = sub.add_parser("study-covariance", formatter_class=fmt,
@@ -449,19 +441,19 @@ def build_parser() -> argparse.ArgumentParser:
     add_study_common(p)
     p.add_argument("--grid", default="0.5,1.0",
                    help="comma list of times in (0,1], strictly increasing")
-    p.add_argument("--nu", type=int, default=1,
+    p.add_argument("--nu", type=_positive, default=1,
                    help="number of exact-count components (indices 1..nu)")
     p.set_defaults(func=_cmd_study_covariance)
 
     p = sub.add_parser("eval-asymptotics", formatter_class=fmt,
                        help="tabulate limiting variances and covariance values")
-    p.add_argument("--theta", required=True,
+    p.add_argument("--theta", type=_list_of(_unit), required=True,
                    help="comma list of exponents in (0,1)")
-    p.add_argument("--k", default="1,2,3", help="comma list of k values")
+    p.add_argument("--k", type=_k_list, default="1,2,3", help="comma list of k values")
     p.add_argument("--tau-t", default="",
                    help="comma list of tau:t pairs for covariance rows "
                         "(e.g. '0.5:1.0,1.0:1.0')")
-    p.add_argument("--nu", type=int, default=1,
+    p.add_argument("--nu", type=_positive, default=1,
                    help="covariance components 0..nu")
     p.add_argument("--format", choices=("json", "csv"), default="json",
                    help="output format")
@@ -472,14 +464,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
         with warnings.catch_warnings():
             # one line, without the source line that the default prints
             warnings.showwarning = lambda message, *_: print(f"zipfest: warning: {message}",
                                                              file=sys.stderr)
-            _check_ranges(args)
+            args = build_parser().parse_args(argv)
             return args.func(args)
     except UsageError as exc:
         print(f"zipfest: usage error: {exc}", file=sys.stderr)

@@ -62,6 +62,7 @@ __all__ = ["PowerLaw", "make_zipf_law", "zeta_normalization"]
 # Enumeration window for the expectation oracles stops once n * p <= this.
 _ORACLE_SMALLNESS = 0.125
 _ORACLE_MIN_WINDOW = 4096
+_ORACLE_BLOCK = 1 << 16  # urns summed at once, so memory stays bounded
 
 _STATS = ("r", "u", "rk")
 
@@ -156,14 +157,14 @@ class PowerLaw:
 
         An urn of the enumeration window adds its term in closed form: for n
         balls 1 - (1-p)^n (R), (1 - (1-2p)^n) / 2 (U) and C(n, k) p^k
-        (1-p)^(n-k) (R_k); poissonized 1 - e^-np, (1 - e^-2np) / 2 and
-        (np)^k e^-np / k!.  Beyond the window every n p <= 1/8, and P(X = k)
-        = front * sum_j (-1)^j coef(m, j) p^(k+j), front = coef(n, k), is one
-        alternating series in the exact zeta tail sums of p's powers, with
-        coef(m, j) = C(m, j), m = n - k, for n balls and m^j / j!, m = n,
-        poissonized.  R and U are minus the k = 0 series without its first
-        term, U with p doubled and the sum halved.  The first neglected term
-        bounds the truncation error, below 1e-9 or the call raises.
+        (1-p)^(n-k) (R_k); poissonized 1 - e^-np, (1 - e^-2np) / 2 and (np)^k
+        e^-np / k!, summed in blocks of 2^16 urns.  Beyond the window every n p
+        <= 1/8, and P(X = k) = front * sum_j (-1)^j coef(m, j) p^(k+j), front =
+        coef(n, k), is one alternating series in the exact zeta tail sums of
+        p's powers, with coef(m, j) = C(m, j), m = n - k, for n balls and m^j /
+        j!, m = n, poissonized.  R and U are minus the k = 0 series without its
+        first term, U with p doubled and the sum halved.  The first neglected
+        term bounds the truncation error, below 1e-9 or the call raises.
         """
         stat, k = _check_stat(stat, k)
         if mode not in ("fixed", "poissonized"):
@@ -177,8 +178,10 @@ class PowerLaw:
             if stat == "rk" and k > n:
                 return 0.0
         window = self._oracle_window(float(n))
-        probs = self.c * np.arange(1, window + 1, dtype=float) ** (-self._s)
-        head = float(np.sum(_urn_terms(probs, n, stat, mode, k)))
+        head = 0.0
+        for lo in range(0, window, _ORACLE_BLOCK):
+            urns = np.arange(lo + 1, min(lo + _ORACLE_BLOCK, window) + 1, dtype=float)
+            head += float(np.sum(_urn_terms(self.c * urns ** (-self._s), n, stat, mode, k)))
         if window == self.cutoff:
             return head
         s, c = self._s, self.c

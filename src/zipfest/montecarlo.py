@@ -40,14 +40,16 @@ equal those of one-snapshot estimates bit for bit.
 Replications are independent jobs keyed by replication index, so results
 are identical for any worker count; the aggregation is a commutative merge
 over replication-indexed slots.  The worker count is
-``ExperimentConfig.workers`` (default 1).  A study builds its law once and
-hands it to every chunk; with more workers, the law is pickled to them.
+``ExperimentConfig.workers`` (default 1), at most ``USABLE_CPUS``, the CPUs
+this process may run on.  A study builds its law once and hands it to every
+chunk; with more workers, the law is pickled to them.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import os
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -62,6 +64,10 @@ from .sampler import SeedSpec, sample_trajectories
 
 __all__ = ["ExperimentConfig", "EstimatorReport", "StudyReport", "CovarianceRow",
            "normality_study", "covariance_study", "ks_test"]
+
+#: the CPUs this process may run on, which bound ``ExperimentConfig.workers``
+USABLE_CPUS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+               else os.cpu_count() or 1)
 
 #: every estimator with a normal limit, in table order
 NORMALITY_ESTIMATORS = tuple(tag for tag, spec in ESTIMATORS.items()
@@ -181,6 +187,8 @@ class StudyReport:
 
 
 def _law_from_config(cfg: ExperimentConfig) -> PowerLaw:
+    if not 1 <= cfg.workers <= USABLE_CPUS:  # the pool forks every worker at once
+        raise UsageError(f"workers must be >= 1 and at most {USABLE_CPUS}, got {cfg.workers!r}")
     return make_zipf_law(cfg.theta, i0=cfg.i0, tail_epsilon=cfg.tail_epsilon)
 
 
@@ -210,8 +218,6 @@ def _normality_chunk(cfg: ExperimentConfig, law: PowerLaw, rep_lo: int, rep_hi: 
 
 def _run_chunked(cfg: ExperimentConfig, law: PowerLaw, chunk_fn):
     workers = int(cfg.workers)
-    if workers < 1:
-        raise UsageError(f"workers must be >= 1, got {workers!r}")
     if workers == 1:
         return [chunk_fn(cfg, law, 0, cfg.m)]
     from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing, so only here

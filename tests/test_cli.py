@@ -1,3 +1,4 @@
+import argparse
 import csv
 import hashlib
 import io
@@ -340,17 +341,18 @@ def test_k_max_up_to_the_sample_size_or_the_default_is_accepted(capsys, tmp_path
 
 @pytest.mark.parametrize("command", [["study-normality"], ["study-covariance"]])
 def test_workers_are_bounded_by_the_usable_cpus(command):
-    # checked on the parsed flags alone: a study with that many workers
-    # would fork them all at once
+    # refused at parse time: a study with that many workers would fork them
+    # all at once
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     parser = cli.build_parser()
     for workers, ok in ((1, True), (cpus, True), (cpus + 1, False), (10 ** 6, False)):
-        args = parser.parse_args([*command, "--theta", "0.5", "--workers", str(workers)])
+        argv = [*command, "--theta", "0.5", "--workers", str(workers)]
         if ok:
-            cli._check_ranges(args)
+            assert parser.parse_args(argv).workers == workers
         else:
-            with pytest.raises(UsageError, match="--workers must lie in"):
-                cli._check_ranges(args)
+            with pytest.raises(UsageError, match="argument --workers: must lie in") as exc:
+                parser.parse_args(argv)
+            assert "\n" not in str(exc.value)
 
 
 @pytest.mark.parametrize("argv", [
@@ -544,7 +546,61 @@ def test_simulate_takes_seeds_of_any_size(capsys, tmp_path, seed, stream):
 @pytest.mark.parametrize("flag", [["--config", "study.cfg"],
                                   ["--variance-tolerance", "0.2"], ["--i0", "5"]])
 def test_removed_flags_are_rejected(capsys, flag):
-    with pytest.raises(SystemExit) as exc:
-        main(["study-normality", "--theta", "0.5", *flag])
-    assert exc.value.code == 2
-    assert "unrecognized arguments" in capsys.readouterr().err
+    code, out, err = run(capsys, ["study-normality", "--theta", "0.5", *flag])
+    assert (code, out) == (2, "")
+    assert err.startswith("zipfest: usage error: unrecognized arguments: ")
+    assert flag[0] in err and err.count("\n") == 1
+
+
+# the valid value of each flag that a subcommand requires
+REQUIRED = {"--theta": "0.5", "--input": "x", "--output": "-"}
+PROBES = ["nan", "inf", "-inf", "1e400", "-1", "0", "1.5", "9223372036854775808", "abc", ""]
+
+
+def _subcommands(parser):
+    action, = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return action.choices
+
+
+def test_every_typed_flag_parses_or_is_one_usage_error_line():
+    # the flags come from the parser itself, so a flag added later is probed
+    # too; only the parser runs, no command
+    parser = cli.build_parser()
+    probed = set()
+    for command, sub in _subcommands(parser).items():
+        required = [a.option_strings[0] for a in sub._actions if a.required]
+        assert set(required) <= set(REQUIRED), (command, required)
+        for action in sub._actions:
+            if action.type is None:
+                continue
+            flag = action.option_strings[0]
+            base = [command]
+            for name in required:
+                if name != flag:
+                    base += [name, REQUIRED[name]]
+            probed.add(flag)
+            for value in PROBES:
+                try:
+                    parser.parse_args([*base, flag, value])
+                except UsageError as exc:
+                    message = str(exc)
+                    assert flag in message and "\n" not in message, (command, flag, value)
+                else:
+                    # no typed flag takes nan: each has a range, or reads ints
+                    assert value != "nan", (command, flag)
+    assert {"--theta", "--n", "--t", "--workers", "--level", "--nu"} <= probed
+
+
+@pytest.mark.parametrize("argv", [
+    ["estimate"],
+    ["simulate", "--theta", "abc", "--output", "{tmp}/counts.csv"],
+    ["study-normality", "--theta", "0.5", "--format", "xml"],
+    ["eval-asymptotics", "--theta", "0.5,nan"],
+    ["eval-asymptotics", "--theta", "0.5", "--no-such-flag"],
+])
+def test_parser_errors_are_one_usage_error_line(capsys, tmp_path, argv):
+    code, out, err = run(capsys, [a.replace("{tmp}", str(tmp_path)) for a in argv])
+    assert (code, out) == (2, "")
+    assert err.startswith("zipfest: usage error: ") and err.count("\n") == 1
+    assert "usage:" not in err
+    assert not any(tmp_path.iterdir())

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -241,6 +242,31 @@ class TestExpectedStatistic:
             law05.expected_statistic(10.5, "r")  # fixed mode needs integer
         with pytest.raises(UsageError):
             law05.expected_statistic(10, "r", mode="sideways")
+
+    # the window grows as n^theta and is summed in blocks of 2^16 urns
+    STATS = [("r", None), ("u", None), ("rk", 1)]
+
+    def test_window_memory_is_bounded(self):
+        law09 = make_zipf_law(0.9)
+        assert law09._oracle_window(1e7) > 16 * law_module._ORACLE_BLOCK
+        for stat, k in self.STATS:
+            tracemalloc.start()
+            try:
+                law09.expected_statistic(10 ** 7, stat, k=k)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 8 * 2 ** 20, (stat, peak)
+
+    def test_blocks_sum_to_the_one_block_sum(self, monkeypatch):
+        law09 = make_zipf_law(0.9)
+        window = law09._oracle_window(1e6)
+        assert window > 3 * law_module._ORACLE_BLOCK
+        blocked = [law09.expected_statistic(10 ** 6, stat, k=k) for stat, k in self.STATS]
+        monkeypatch.setattr(law_module, "_ORACLE_BLOCK", window + 1)
+        for (stat, k), value in zip(self.STATS, blocked):
+            one = law09.expected_statistic(10 ** 6, stat, k=k)
+            assert value == pytest.approx(one, rel=1e-12, abs=0.0), stat
 
 
 class TestLeadingTerm:

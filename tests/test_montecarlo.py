@@ -41,6 +41,18 @@ def test_workers_default_ignores_environment(monkeypatch):
     assert covariance_study(replace(SMALL, n=500)).rows
 
 
+@pytest.mark.parametrize("study", [normality_study, covariance_study])
+def test_workers_above_the_usable_cpus_are_refused_before_any_process(monkeypatch, study):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the study went on past its workers check")
+
+    # the pool forks every worker at its first submit
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
+    monkeypatch.setattr(montecarlo, "make_zipf_law", refuse)
+    with pytest.raises(UsageError, match=f"at most {montecarlo.USABLE_CPUS}, got"):
+        study(replace(SMALL, workers=montecarlo.USABLE_CPUS + 1))
+
+
 def _modules_after_import(prefixes, statement="pass") -> str:
     """The loaded modules that start with one of ``prefixes`` once a fresh
     interpreter has imported the package and run ``statement``: the last
