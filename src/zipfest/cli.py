@@ -179,6 +179,8 @@ def _ranged(kind, ok, rule: str):
 _unit = _ranged(float, lambda v: 0.0 < v < 1.0, "lie in (0, 1)")
 _non_negative = _ranged(int, lambda v: v >= 0, "be >= 0")
 _positive = _ranged(int, lambda v: v >= 1, "be >= 1")
+# the covariance components a snapshot tracks; cov overflows far beyond them
+_nu = _ranged(int, lambda v: 1 <= v <= DEFAULT_K_MAX, f"lie in 1..{DEFAULT_K_MAX}")
 _tail_epsilon = _ranged(float, lambda v: 0.0 < v <= 1e-6, "lie in (0, 1e-6]")
 # numpy's multinomial and Poisson draws refuse a count above about 9.2e18
 _ball_count = _ranged(int, lambda v: 1 <= v <= 9.2e18, "lie in [1, 9.2e18]")
@@ -441,7 +443,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_study_common(p)
     p.add_argument("--grid", default="0.5,1.0",
                    help="comma list of times in (0,1], strictly increasing")
-    p.add_argument("--nu", type=_positive, default=1,
+    p.add_argument("--nu", type=_nu, default=1,
                    help="number of exact-count components (indices 1..nu)")
     p.set_defaults(func=_cmd_study_covariance)
 
@@ -453,7 +455,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tau-t", default="",
                    help="comma list of tau:t pairs for covariance rows "
                         "(e.g. '0.5:1.0,1.0:1.0')")
-    p.add_argument("--nu", type=_positive, default=1,
+    p.add_argument("--nu", type=_nu, default=1,
                    help="covariance components 0..nu")
     p.add_argument("--format", choices=("json", "csv"), default="json",
                    help="output format")

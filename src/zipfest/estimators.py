@@ -8,8 +8,9 @@ Three families:
   sigma(theta*) / (ln n sqrt(S_n)); theta* is the lowest root where g
   rises (with c(theta) = 1/zeta(1/theta), g_rk peaks below theta = 1 for
   every k >= 2, and the second root, beyond the peak, is spurious),
-  bisected on the theta grid with g evaluated only where a secant-located,
-  certified root cannot replay a step,
+  bisected on the theta grid with g evaluated only where a root located
+  from the grid's g by one cubic and one secant step, and certified,
+  cannot replay a step,
 * ratio estimators built from two statistics (no c needed):
   R_{n,1}/R_n and (k R_{n,k} - (k+1) R_{n,k+1}) / R_{n,k},
 * the log-ratio baseline ln R_n / ln n, consistent but with a
@@ -174,9 +175,11 @@ class ImplicitSolver:
     A halving needs only the side of each midpoint, so g is evaluated on a
     few batches rather than at each of the ~23 steps:
 
-    * locate: SECANT_STEPS secant steps on ln g - ln s from the grid ends,
-      each clipped to the bracket, put x near the root; g is evaluated
-      only between steps, SECANT_STEPS - 1 times;
+    * locate: x is the theta where the cubic through (ln g, theta) at the
+      four grid points around the bracket, which the solver holds, meets
+      ln s; one secant step on ln g - ln s from x against the nearer
+      bracket end takes the cubic's error (up to about 1e-12) down to
+      rounding.  Each x is clipped to the bracket; g is evaluated once;
     * certify: x holds the root within REPLAY_EPS if g(x - REPLAY_EPS) < s <
       g(x + REPLAY_EPS) and g rises on the bracket's grid interval and both
       its neighbours (next to a turn of g, or at a grid end, g is too flat);
@@ -187,14 +190,20 @@ class ImplicitSolver:
       bracket where g never hits s exactly.  So roots and step counts are
       those of evaluating every midpoint, bit for bit.
 
-    The stages run once per batch, on the brackets of all its solvers, and
-    a normality study chunk makes about 6 g evaluations, not 13.  Each
-    computes the terms that depend on theta alone, c(theta), ln c(theta)
-    and ln Gamma(1 - theta) (which r, u and rk(1) share), once for all
-    solvers, then ``asymptotics.log_growth`` once per solver (``_g_array``);
-    on the grid those terms are class constants.  :func:`estimate_many`
-    passes each distinct statistic value of a row once, so a chunk's batch
-    holds no more values than its rows have distinct ones.
+    REPLAY_EPS = 1e-14 keeps the replay exact: x lies a few ulps from the
+    root, and where g rises on three grid intervals the rounding of g blurs
+    its side of s over less than 1e-14 of theta, so a midpoint beyond
+    REPLAY_EPS of x evaluates to the side its position gives (tier 1 checks
+    this against plain halving from n = 2 to 1e10, up to the peak of g).
+    As a midpoint lands that near x about once per 1000 brackets, a
+    normality study chunk takes 2 rounds of g (locate, certify), not 23.  A
+    round runs once per batch, on the brackets of all its solvers, and
+    computes the terms that depend on theta alone, c(theta), ln c(theta) and
+    ln Gamma(1 - theta) (which r, u and rk(1) share), once for all solvers,
+    then ``asymptotics.log_growth`` once per solver (``_g_array``); on the
+    grid those terms are class constants.  :func:`estimate_many` passes
+    each distinct statistic value of a row once, so a chunk's batch holds
+    no more values than its rows have distinct ones.
     ``c_of_theta`` is a function of theta that also takes an array of theta,
     as ``law.zeta_normalization`` does (a constant c may return one number);
     :func:`estimate_many` builds every solver of a batch from one.  ``n`` is
@@ -205,8 +214,7 @@ class ImplicitSolver:
     THETA_LO = 1e-4
     THETA_HI = 1.0 - 1e-4
     BISECT_TOL = 1e-10
-    SECANT_STEPS = 3
-    REPLAY_EPS = 1e-12
+    REPLAY_EPS = 1e-14
     MIN_N = 2
 
     _grid = np.linspace(THETA_LO, THETA_HI, GRID_POINTS)
@@ -294,15 +302,17 @@ def _roots_joined(solvers, stats):
     if not solvers:
         return []
     c_of_theta = solvers[0]._c_of_theta
+    grid = ImplicitSolver._grid
     parts = []
     for solver, values in zip(solvers, stats):
         owner, j = solver._brackets(values)
         g = solver._g
         rises = np.concatenate([[False], g[1:] > g[:-1], [False]])
-        parts.append((owner, j, values[owner], g[j], g[j + 1],
+        window = np.clip(j - 1, 0, grid.size - 4)[:, None] + np.arange(4)  # j - 1..j + 2
+        parts.append((owner, j, values[owner], window, np.log(g[window]),
                       rises[j] & rises[j + 1] & rises[j + 2]))  # certifiable
-    interval, target, g_lo, g_hi, smooth = (np.concatenate([p[i] for p in parts])
-                                            for i in range(1, 6))
+    interval, target, window, log_window, smooth = (np.concatenate([p[i] for p in parts])
+                                                    for i in range(1, 6))
     offsets = np.cumsum([0] + [p[0].size for p in parts])
 
     def g_of(x, edges):
@@ -316,16 +326,21 @@ def _roots_joined(solvers, stats):
         return out
 
     eps = ImplicitSolver.REPLAY_EPS
-    lo, hi = ImplicitSolver._grid[interval], ImplicitSolver._grid[interval + 1]
+    lo, hi = grid[interval], grid[interval + 1]
     log_target = np.log(target)
-    x0, f0 = lo, np.log(g_lo) - log_target
-    x1, f1 = hi, np.log(g_hi) - log_target
-    for step in range(ImplicitSolver.SECANT_STEPS):
-        if step:  # g only between updates: the last x is not evaluated
-            x0, f0, x1, f1 = x1, f1, x, np.log(g_of(x, offsets)) - log_target
-        with np.errstate(divide="ignore", invalid="ignore"):
-            x = np.clip(x1 - f1 * (x1 - x0) / (f1 - f0), lo, hi)
-        x = np.where(np.isnan(x), x1, x)  # f1 == f0: stay
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # theta where the cubic through (ln g - ln s, theta) at the window's
+        # four points meets 0 (Lagrange weights), kept within the bracket
+        y = log_window - log_target[:, None]
+        ratio = y[:, None, :] / (y[:, None, :] - y[:, :, None])  # [entry, i, m]
+        ratio[:, np.arange(4), np.arange(4)] = 1.0
+        x = lo + ((grid[window] - lo[:, None]) * ratio.prod(axis=2)).sum(axis=1)
+        x = np.fmin(np.fmax(x, lo), hi)  # NaN (g flat in the window): lo
+        # one secant step against the nearer bracket end: window point 1 or 2
+        # wherever the bracket can be certified (not at a grid end)
+        f, upper = np.log(g_of(x, offsets)) - log_target, hi - x < x - lo
+        secant = x - f * (x - np.where(upper, hi, lo)) / (f - np.where(upper, y[:, 2], y[:, 1]))
+    x = np.fmin(np.fmax(np.where(np.isnan(secant), x, secant), lo), hi)  # NaN: f equal at both
     g_near = g_of(np.stack([x - eps, x + eps], axis=1).ravel(), 2 * offsets)
     sure = (g_near[0::2] < target) & (target < g_near[1::2]) & smooth
     x = np.where(sure, x, np.nan)  # NaN: evaluate every midpoint

@@ -262,7 +262,7 @@ class PowerLaw:
                 yield self._prefix_block(block, width, bounds)
                 block, held = [], 0
             batches = np.array([rng.multinomial(b - a, probs) for a, b in zip([0, *sizes], sizes)])
-            balls = int(batches[:, -1].sum()) if bounds else 0
+            balls = sum(batches[:, -1].tolist()) if bounds else 0
             block.append((rng, batches, rng.random(balls) if balls else np.empty(0)))
             last = batches.size + balls
             held += last

@@ -14,9 +14,10 @@ with the exact finite-n expectation oracle, scales by sqrt(alpha(n)) and
 compares empirical covariances against the limiting covariance function.
 
 Both studies draw replication ``rep`` on stream ``SeedSpec(seed, rep)``,
-the normality study on the one-point grid (1.0,); ``sample_trajectories``
-derives the Philox keys of a chunk's streams in one numpy pass and builds
-no ``SeedSequence`` per replication.  A draw is an occupancy
+the normality study on the one-point grid (1.0,).  A chunk hands
+``sample_trajectories`` the master seed and the range of its replications,
+whose Philox keys it derives from the range in one numpy pass, with no
+``SeedSpec`` or ``SeedSequence`` per replication.  A draw is an occupancy
 profile, not n balls: one multinomial over the heaviest urns per grid
 increment plus the balls beyond them, so its cost follows the number of
 occupied urns, about n^theta.  ``sample_trajectories`` draws a chunk's
@@ -41,8 +42,10 @@ Replications are independent jobs keyed by replication index, so results
 are identical for any worker count; the aggregation is a commutative merge
 over replication-indexed slots.  The worker count is
 ``ExperimentConfig.workers`` (default 1), at most ``USABLE_CPUS``, the CPUs
-this process may run on.  A study builds its law once and hands it to every
-chunk; with more workers, the law is pickled to them.
+this process may run on.  An M whose replications would keep more bytes
+than ``PHYSICAL_MEMORY`` holds is refused before the law is built.  A study
+builds its law once and hands it to every chunk; with more workers, the law
+is pickled to them.
 """
 
 from __future__ import annotations
@@ -68,6 +71,9 @@ __all__ = ["ExperimentConfig", "EstimatorReport", "StudyReport", "CovarianceRow"
 #: the CPUs this process may run on, which bound ``ExperimentConfig.workers``
 USABLE_CPUS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
                else os.cpu_count() or 1)
+#: the machine's physical memory in bytes, which bounds ``ExperimentConfig.m``
+PHYSICAL_MEMORY = (os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+                   if hasattr(os, "sysconf") else math.inf)
 
 #: every estimator with a normal limit, in table order
 NORMALITY_ESTIMATORS = tuple(tag for tag, spec in ESTIMATORS.items()
@@ -192,10 +198,21 @@ def _law_from_config(cfg: ExperimentConfig) -> PowerLaw:
     return make_zipf_law(cfg.theta, i0=cfg.i0, tail_epsilon=cfg.tail_epsilon)
 
 
-def _seeds(cfg: ExperimentConfig, rep_lo: int, rep_hi: int) -> list[SeedSpec]:
+def _check_memory(cfg: ExperimentConfig, grid_times: int, k_max: int, values: int) -> None:
+    """Refuse an M whose replications would keep more bytes than the
+    machine's memory.  A replication keeps its 16-byte key, one int64 tally
+    row of at most k_max + 4 entries per grid time, and ``values`` float64
+    values."""
+    kept = cfg.m * (16 + 8 * grid_times * (k_max + 4) + 8 * values)
+    if kept > PHYSICAL_MEMORY:
+        raise UsageError(f"M = {cfg.m} replications would keep {kept} bytes, more than "
+                         f"the machine's {PHYSICAL_MEMORY} bytes of memory")
+
+
+def _seeds(cfg: ExperimentConfig, rep_lo: int, rep_hi: int) -> tuple[int, range]:
     """The streams of replications rep_lo..rep_hi - 1, whose keys
-    ``sample_trajectories`` derives in one pass."""
-    return [SeedSpec(cfg.seed, rep) for rep in range(rep_lo, rep_hi)]
+    ``sample_trajectories`` derives from the range in one pass."""
+    return cfg.seed, range(rep_lo, rep_hi)
 
 
 def _normality_chunk(cfg: ExperimentConfig, law: PowerLaw, rep_lo: int, rep_hi: int):
@@ -241,7 +258,9 @@ def normality_study(config: ExperimentConfig) -> StudyReport:
     for _, tag, _ in requested:
         if ESTIMATORS[tag].target is None:
             raise UsageError(f"{tag} has no normal limit; drop it from normality studies")
-    snapshot_k_max(requested, config.n)  # a k above n is a usage error
+    k_max = snapshot_k_max(requested, config.n)  # a k above n is a usage error
+    # each estimator row keeps a standardized value and a coverage flag
+    _check_memory(config, 1, k_max, 2 * len(requested))
     chunks = _run_chunked(config, _law_from_config(config), _normality_chunk)
     values = {name: np.concatenate([c[0][name] for c in chunks]) for name, _, _ in requested}
     covered = {name: np.concatenate([c[1][name] for c in chunks]) for name, _, _ in requested}
@@ -305,6 +324,8 @@ def covariance_study(config: ExperimentConfig) -> StudyReport:
     if config.grid[0] > 0.0 and math.floor(config.n * config.grid[0]) < 1:
         raise UsageError(f"covariance studies need n * t >= 1 at the first grid time "
                          f"t = {config.grid[0]}, got n = {config.n}")
+    # each grid time keeps nu + 1 raw and nu + 1 centered components
+    _check_memory(config, len(config.grid), config.nu, 2 * len(config.grid) * (config.nu + 1))
     law = _law_from_config(config)
     # alpha(n) counts urns: counting_function(n) is i0 + alpha(n), or 0 if none
     alpha = max(law.counting_function(float(config.n)) - law.i0, 0)

@@ -25,8 +25,9 @@ is counter-based (Salmon et al., SC 2011), so a stream is just its 128-bit
 key: the key numpy's ``SeedSequence(master, spawn_key=(stream,))`` would
 generate.  ``sample_trajectories`` derives the keys of all its seeds in one
 numpy pass of that hash, with the master's part taken once, and builds each
-generator from its key without a ``SeedSequence``; ``SeedSpec.generator``
-is the one-stream case of the same routine.
+generator from its key without a ``SeedSequence``; a study chunk passes its
+master and range of streams, whose keys come from the range with no
+``SeedSpec`` per stream.  ``SeedSpec.generator`` is the one-stream case.
 """
 
 from __future__ import annotations
@@ -55,18 +56,21 @@ class SeedSpec:
 
     def __post_init__(self):
         for name in ("master", "stream"):
-            value = getattr(self, name)
-            if type(value) is not int:  # a bool is refused too
-                if not isinstance(value, np.integer):
-                    raise DomainError(f"seed {name} must be a non-negative integer, "
-                                      f"got {value!r}")
-                value = int(value)
-                object.__setattr__(self, name, value)
-            if value < 0:
-                raise DomainError(f"seed {name} must be a non-negative integer, got {value!r}")
+            object.__setattr__(self, name, _seed_int(name, getattr(self, name)))
 
     def generator(self) -> np.random.Generator:
         return _generator(_philox_key(self.master, _words(self.stream)))
+
+
+def _seed_int(name: str, value) -> int:
+    """``value`` as a Python int, if it is a non-negative integer."""
+    if type(value) is not int:  # a bool is refused too
+        if not isinstance(value, np.integer):
+            raise DomainError(f"seed {name} must be a non-negative integer, got {value!r}")
+        value = int(value)
+    if value < 0:
+        raise DomainError(f"seed {name} must be a non-negative integer, got {value!r}")
+    return value
 
 
 def _as_seed(seed) -> SeedSpec:
@@ -142,8 +146,9 @@ def _master_pool(master: int) -> tuple[tuple[int, ...], int]:
 def _philox_key(master: int, words) -> np.ndarray:
     """``SeedSequence(master, spawn_key=(stream,)).generate_state(2, np.uint64)``
     for streams given by their 32-bit ``words``, lowest first: Python ints
-    for one stream (a key of shape (2,)), or int64 arrays with one entry per
-    stream of the same word count (keys of shape (streams, 2))."""
+    for one stream (a key of shape (2,)), or for many, each word an int64
+    array with one entry per stream or a Python int they share (keys of
+    shape (streams, 2)); both wrap to the same low 32 bits."""
     pool, const = _master_pool(master)
     pool, _ = _absorb(list(pool), const, words)
     state, const = [], _INIT_B
@@ -154,18 +159,32 @@ def _philox_key(master: int, words) -> np.ndarray:
 
 
 def _keys(seeds) -> np.ndarray:
-    """The Philox key of each seed, one row per seed: one key pass per
-    master and stream word count."""
-    seeds = [_as_seed(seed) for seed in seeds]
-    groups = {}
-    for row, seed in enumerate(seeds):
-        words = _words(seed.stream)
-        rows, columns = groups.setdefault((seed.master, len(words)), ([], []))
-        rows.append(row)
-        columns.append(words)
-    keys = np.empty((len(seeds), 2), dtype=np.uint64)
-    for (master, _), (rows, columns) in groups.items():
-        keys[rows] = _philox_key(master, np.array(columns, dtype=np.int64).T)
+    """The Philox key of each seed of ``seeds``, one row per seed: a list of
+    seeds, or a (master, range of step 1) pair for the streams of the range
+    under one master, which builds no seed per stream.  The streams of one
+    master that differ only in their lowest 32-bit word share a key pass."""
+    groups, size = {}, 0  # (master, stream >> 32) -> (rows, the streams' lowest words)
+    if isinstance(seeds, tuple) and len(seeds) == 2 and isinstance(seeds[1], range):
+        master, streams = _seed_int("master", seeds[0]), seeds[1]
+        if streams.start < 0 or streams.step != 1:
+            raise DomainError(f"seed streams must be a range of step 1 from 0, got {streams!r}")
+        first = streams.start
+        while first < streams.stop:  # a range crossing a multiple of 2^32 splits there
+            last = min(streams.stop, ((first >> 32) + 1) << 32)
+            low = first & _MASK
+            groups[master, first >> 32] = (slice(size, size + last - first),
+                                           np.arange(low, low + last - first, dtype=np.int64))
+            size, first = size + last - first, last
+    else:
+        for size, seed in enumerate(seeds, 1):
+            seed = _as_seed(seed)
+            rows, low = groups.setdefault((seed.master, seed.stream >> 32), ([], []))
+            rows.append(size - 1)
+            low.append(seed.stream & _MASK)
+    keys = np.empty((size, 2), dtype=np.uint64)
+    for (master, high), (rows, low) in groups.items():
+        keys[rows] = _philox_key(master, [np.asarray(low, dtype=np.int64),
+                                          *(_words(high) if high else ())])
     return keys
 
 
@@ -216,7 +235,8 @@ def sample_trajectories(law: PowerLaw, n: int, grid, seeds,
                         k_max: int = DEFAULT_K_MAX) -> list[StatisticsSnapshot]:
     """The snapshots along ``grid`` of one nested sample per seed of
     ``seeds``, as one :class:`StatisticsSnapshot` per grid time in its
-    array form, with one entry per seed.
+    array form, with one entry per seed.  ``seeds`` is a list of seeds, or
+    a (master, range(lo, hi)) pair: the streams lo..hi - 1 of one master.
 
     The first floor(n*t) balls of one draw of n form the sample at time t,
     so earlier snapshots are prefixes of later ones by construction.  The
@@ -225,8 +245,9 @@ def sample_trajectories(law: PowerLaw, n: int, grid, seeds,
     (``occupancy.tally_block``) into one array allocated for all seeds.
     What grows with the number of seeds: that array, one int64 row of
     k_max + 3 or k_max + 4 entries per seed and grid time, and the seeds'
-    16-byte keys; tracemalloc read about 165 bytes per seed at theta = 0.7,
-    n = 2e4, three grid times and k_max = 2.
+    16-byte keys (a range of streams builds no object per seed); tracemalloc
+    read about 160 bytes per seed at theta = 0.7, n = 2e4, three grid times
+    and k_max = 2.
     """
     if not (isinstance(n, (int, np.integer)) and n >= 1):
         raise DomainError(f"n must be a positive integer, got {n!r}")

@@ -503,6 +503,24 @@ def test_eval_asymptotics_csv_values_are_the_asymptotics_functions(capsys):
         assert row["value"] == f"{value:.10g}"
 
 
+@pytest.mark.parametrize("nu", ["9", "1000"])
+def test_eval_asymptotics_nu_beyond_the_tracked_counts_is_a_usage_error(capsys, nu):
+    # at --nu 1000, cov overflowed math.exp; the bound is that of study-covariance
+    code, out, err = run(capsys, ["eval-asymptotics", "--theta", "0.5", "--tau-t", "1:1",
+                                  "--nu", nu])
+    assert (code, out) == (2, "")
+    assert err.startswith("zipfest: usage error: ") and err.count("\n") == 1
+    assert "--nu" in err
+
+
+def test_eval_asymptotics_nu_8_prints_every_covariance(capsys):
+    code, out, err = run(capsys, ["eval-asymptotics", "--theta", "0.5", "--tau-t", "0.5:1,1:1",
+                                  "--nu", "8", "--format", "csv"])
+    assert (code, err) == (0, "")
+    rows = [row for row in csv.DictReader(io.StringIO(out)) if row["kind"] == "cov"]
+    assert len(rows) == 2 * (8 + 1) ** 2
+
+
 def test_simulate_snapshot_is_that_of_the_counts_written(capsys, tmp_path):
     output, snapshot = tmp_path / "counts.csv", tmp_path / "snap.json"
     code, out, err = run(capsys, ["simulate", "--theta", "0.6", "--n", "3000", "--seed", "7",

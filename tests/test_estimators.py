@@ -320,7 +320,7 @@ def _assert_roots_match_plain_halving(solver, stats):
 
 
 class TestReplayedHalving:
-    @pytest.mark.parametrize("n", [2000, 2 * 10 ** 6])
+    @pytest.mark.parametrize("n", [2000, 2 * 10 ** 6, 2, 3, 10, 10 ** 10])
     @pytest.mark.parametrize("which, k", [("r", None), ("u", None), ("rk", 1),
                                           ("rk", 2), ("rk", 8)])
     def test_roots_match_plain_halving(self, which, k, n):
@@ -328,6 +328,10 @@ class TestReplayedHalving:
         # and g is flattest just below its peak
         solver = ImplicitSolver(which, n, zeta_normalization, k=k)
         g = solver._g[solver._g >= 1.0]
+        if not g.size:  # g_rk(k) stays below 1 for k >= 2 at n <= 10: no root
+            assert k >= 2 and n <= 10
+            assert _roots_joined([solver], [np.array([1.0, 2.0])])[0][0].size == 0
+            return
         rng = np.random.default_rng(n + (k or 0))
         stats = np.concatenate([g, np.nextafter(g, 0.0), np.nextafter(g, np.inf),
                                 np.exp(rng.uniform(0.0, math.log(g.max()), 1000)),
@@ -356,11 +360,11 @@ class TestReplayedHalving:
 
         solver._g_array = counted
         _roots_joined([solver], [stats])
-        assert calls[0] <= 5
+        assert calls[0] <= 2
         for stat in stats[:20].tolist():
             calls[0] = 0
             assert solver.solve(stat).diagnostics["iterations"] == 23
-            assert calls[0] <= 3
+            assert calls[0] <= 2
 
 
 JOINED_KINDS = [("r", None), ("u", None), ("rk", 1), ("rk", 2), ("rk", 3)]
@@ -440,7 +444,7 @@ class TestJoinedBatch:
         log.clear()
         _roots_joined(solvers, stats)
         starts = [i for i, entry in enumerate(log) if entry == "c"]
-        assert starts[0] == 0 and len(starts) <= 7, len(starts)
+        assert starts[0] == 0 and len(starts) <= 2, len(starts)
         for a, b in zip(starts, starts[1:] + [len(log)]):
             in_round = log[a + 1:b]
             assert in_round and len(set(map(id, in_round))) == len(in_round)

@@ -254,6 +254,36 @@ def test_a_study_builds_no_seed_sequence(monkeypatch):
     assert built == []
 
 
+def test_a_study_builds_one_seed_spec(monkeypatch):
+    # the master check; each chunk's keys come from its range of replications
+    built = []
+    post_init = SeedSpec.__post_init__
+
+    def counted(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(SeedSpec, "__post_init__", counted)
+    normality_study(replace(SMALL, m=200))
+    assert len(built) <= 1
+
+
+@pytest.mark.parametrize("study", [normality_study, covariance_study])
+def test_an_m_beyond_the_memory_is_refused_before_the_law(monkeypatch, study):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the study went on past its memory check")
+
+    monkeypatch.setattr(montecarlo, "make_zipf_law", refuse)
+    monkeypatch.setattr(montecarlo, "sample_trajectories", refuse)
+    # each replication keeps more than 100 bytes: its key and a tally row
+    monkeypatch.setattr(montecarlo, "PHYSICAL_MEMORY", 100 * 100)
+    with pytest.raises(UsageError, match="M = 100 replications would keep"):
+        study(replace(SMALL, m=100))
+    monkeypatch.setattr(montecarlo, "PHYSICAL_MEMORY", 10 ** 6)
+    with pytest.raises(AssertionError, match="past its memory check"):
+        study(replace(SMALL, m=100))
+
+
 @pytest.mark.parametrize("study", [normality_study, covariance_study])
 def test_a_negative_seed_is_a_domain_error_before_the_law(monkeypatch, study):
     def no_law(*args, **kwargs):

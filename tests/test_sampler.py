@@ -55,6 +55,24 @@ class TestStreamKeys:
             assert _generator(key).random(8).tolist() == first, seed
             assert seed.generator().random(8).tolist() == first, seed
 
+    @pytest.mark.parametrize("master", [0, 2 ** 62, 10 ** 40], ids=["0", "2^62", "10^40"])
+    @pytest.mark.parametrize("streams", [range(300), range(2 ** 32 - 3, 2 ** 32 + 3),
+                                         range(75, 150)], ids=["0-299", "2^32", "75-149"])
+    def test_keys_from_a_range_match_one_seed_at_a_time(self, master, streams):
+        # a chunk's keys come from its range of replications, split where the
+        # range crosses 2^32, with no SeedSpec per stream
+        keys = _keys((master, streams))
+        assert len(keys) == len(streams)
+        for stream, key in zip(streams, keys):
+            first = SeedSpec(master, stream).generator().random(8).tolist()
+            assert _generator(key).random(8).tolist() == first, stream
+
+    @pytest.mark.parametrize("seeds", [(-1, range(3)), (0, range(-1, 3)), (0, range(0, 6, 2)),
+                                       (1.5, range(3))])
+    def test_a_bad_range_of_streams_is_a_domain_error(self, seeds):
+        with pytest.raises(DomainError):
+            _keys(seeds)
+
     def test_a_generator_holds_no_seed_sequence(self):
         rng = SeedSpec(1, 5).generator()
         assert not isinstance(rng.bit_generator.seed_seq, np.random.SeedSequence)
