@@ -183,12 +183,16 @@ class ImplicitSolver:
     * certify: x holds the root within REPLAY_EPS if g(x - REPLAY_EPS) < s <
       g(x + REPLAY_EPS) and g rises on the bracket's grid interval and both
       its neighbours (next to a turn of g, or at a grid end, g is too flat);
-    * halve: a certified bracket takes the side ``mid < x`` wherever its
-      midpoint lies more than REPLAY_EPS from x; g is evaluated at every
-      other midpoint.  Halving runs until no bracket is wider than
-      BISECT_TOL, which on the uniform grid is the same step for every
-      bracket where g never hits s exactly.  So roots and step counts are
-      those of evaluating every midpoint, bit for bit.
+    * halve: every bracket is halved by the side of x alone (``mid < x``),
+      with no evaluation.  Halving toward x leaves the nearest midpoints on
+      each side of x as the final lo and hi, so a bracket whose final lo or
+      hi lies within REPLAY_EPS of x had a midpoint that near; it is halved
+      again from its grid interval, with g evaluated at each such midpoint,
+      and so is each bracket that is not certified, at every midpoint.
+      Halving runs until no bracket is wider than BISECT_TOL, which on the
+      uniform grid is the same step for every bracket where g never hits s
+      exactly.  So roots and step counts are those of evaluating every
+      midpoint, bit for bit.
 
     REPLAY_EPS = 1e-14 keeps the replay exact: x lies a few ulps from the
     root, and where g rises on three grid intervals the rounding of g blurs
@@ -344,16 +348,31 @@ def _roots_joined(solvers, stats):
     g_near = g_of(np.stack([x - eps, x + eps], axis=1).ravel(), 2 * offsets)
     sure = (g_near[0::2] < target) & (target < g_near[1::2]) & smooth
     x = np.where(sure, x, np.nan)  # NaN: evaluate every midpoint
-    steps = np.zeros(target.size, dtype=int)
-    while (live := hi - lo > ImplicitSolver.BISECT_TOL).any():
-        mid = 0.5 * (lo + hi)
-        f_mid = np.where(mid < x, -1.0, 1.0)
-        near = np.flatnonzero(live & ~(np.abs(mid - x) > eps))
-        if near.size:
-            f_mid[near] = g_of(mid[near], np.searchsorted(near, offsets)) - target[near]
-        lo = np.where(live & (f_mid <= 0.0), mid, lo)
-        hi = np.where(live & ~(f_mid < 0.0), mid, hi)
-        steps += live & (f_mid != 0.0)  # an exact hit moves both ends to mid, uncounted
+
+    def halve(lo, hi, x, rows=None):
+        """Halve [lo, hi] in place toward x, by g near x for the batch's
+        entries ``rows``; returns the step counts."""
+        steps = np.zeros(lo.size, dtype=int)
+        while (live := hi - lo > ImplicitSolver.BISECT_TOL).any():
+            mid = 0.5 * (lo + hi)
+            up = mid < x
+            down = ~up
+            near = () if rows is None else np.flatnonzero(live & ~(np.abs(mid - x) > eps))
+            if len(near):
+                f_mid = g_of(mid[near], np.searchsorted(rows[near], offsets)) - target[rows[near]]
+                up[near], down[near] = f_mid <= 0.0, ~(f_mid < 0.0)  # NaN: down
+            np.copyto(lo, mid, where=live & up)
+            np.copyto(hi, mid, where=live & down)
+            steps += live & (up ^ down)  # an exact hit moves both ends to mid, uncounted
+        return steps
+
+    steps = halve(lo, hi, x)
+    # a midpoint within eps of x, or no certified x: halve again, by g there
+    redo = np.flatnonzero(~(np.abs(lo - x) > eps) | ~(np.abs(hi - x) > eps))
+    if redo.size:
+        redo_lo, redo_hi = grid[interval[redo]], grid[interval[redo] + 1]
+        steps[redo] = halve(redo_lo, redo_hi, x[redo], redo)
+        lo[redo], hi[redo] = redo_lo, redo_hi
     return [(p[0], p[1], 0.5 * (lo[a:b] + hi[a:b]), steps[a:b])
             for p, a, b in zip(parts, offsets[:-1], offsets[1:])]
 

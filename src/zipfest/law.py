@@ -49,6 +49,7 @@ cannot be sampled.
 from __future__ import annotations
 
 import math
+import os
 import sys
 from dataclasses import dataclass, field
 
@@ -65,6 +66,11 @@ _ORACLE_MIN_WINDOW = 4096
 _ORACLE_BLOCK = 1 << 16  # urns summed at once, so memory stays bounded
 
 _STATS = ("r", "u", "rk")
+
+#: the machine's physical memory in bytes, which bounds a draw's head and a
+#: study's M (``montecarlo._check_memory``)
+PHYSICAL_MEMORY = (os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+                   if hasattr(os, "sysconf") else math.inf)
 
 #: head counts and tail uniforms that one block of draws holds, about: a
 #: block maps, sorts and counts many generators' draws at once, and memory
@@ -215,15 +221,27 @@ class PowerLaw:
     # occupancy draws
     # ------------------------------------------------------------------
 
-    def head_width(self, n: int) -> int:
+    def head_width(self, n: int, grid_times: int = 1, name: str = "n") -> int:
         """W, the urns whose ball counts :meth:`draw_prefixes` draws as one
         multinomial for n balls: about alpha(n) = (c n)^theta, the urns with
-        n p >= 1, at least one and at most the cutoff."""
-        return max(1, min(self.cutoff, int((self.c * n) ** self.theta)))
+        n p >= 1, at least one and at most the cutoff.  A head that needs
+        more bytes than ``PHYSICAL_MEMORY``, 8 per urn for its probabilities
+        and 8 per urn and grid time for its counts, is a usage error that
+        names ``name``, the flag or field that set n."""
+        width = max(1, min(self.cutoff, int((self.c * n) ** self.theta)))
+        need = 8 * width * (1 + grid_times)
+        if need > PHYSICAL_MEMORY:
+            raise UsageError(f"{name} = {n} needs a head of {width} urns, {need} bytes, "
+                             f"more than the machine's {PHYSICAL_MEMORY} bytes of memory")
+        return width
 
     def draw_prefixes(self, sizes, rngs):
         """Occupancy of the first m balls of one draw of independent balls
         per generator of ``rngs``, for each m of the non-decreasing ``sizes``.
+        A generator is any object with numpy's ``multinomial`` and ``random``,
+        such as one seed's stream of a shared, re-keyed generator, which draws
+        spare uniforms for its top-ups and replays its draws if they run out
+        (``sampler._Stream``).
 
         Balls sizes[j-1]+1..sizes[j] form batch j.  Each generator draws, in
         this order, the counts of positions 1..W, W = ``head_width(sizes[-1])``,
@@ -253,7 +271,7 @@ class PowerLaw:
         and a run of 0 balls at inf pads a row (one generator and one m need
         no padding).  A law whose head reaches the cutoff has no tail.
         """
-        width = self.head_width(sizes[-1])
+        width = self.head_width(sizes[-1], len(sizes))
         probs = self._head_probabilities(width)
         bounds = self._tail_bounds(width + 1) if width < self.cutoff else None
         block, held, last = [], 0, 0
@@ -266,6 +284,7 @@ class PowerLaw:
             block.append((rng, batches, rng.random(balls) if balls else np.empty(0)))
             last = batches.size + balls
             held += last
+        rng = batches = None  # so that the last block frees the last draw as it goes
         if block:
             yield self._prefix_block(block, width, bounds)
 
@@ -285,12 +304,12 @@ class PowerLaw:
             accepted = self._accepted(width + 1, rngs, uniforms, bounds)
         else:
             accepted = np.empty((len(rngs), 0))
-        del uniforms
+        del rngs, uniforms  # a stream's spare uniforms too
         # row i of prefix j: the first e_j accepted positions of generator i
         tails = np.where(np.arange(accepted.shape[1]) < counts[:, :, width:], accepted, np.inf)
         del accepted
         tails.sort()
-        return (counts[:, :, :width], *_runs(tails.reshape(len(counts) * len(rngs), -1)))
+        return (counts[:, :, :width], *_runs(tails.reshape(counts.shape[0] * counts.shape[1], -1)))
 
     def _head_probabilities(self, width: int) -> np.ndarray:
         """The multinomial's probabilities for head width ``width``: positions
@@ -340,7 +359,8 @@ class PowerLaw:
         Rejection-inversion with the hat x^-s, s = 1/theta (``bounds`` is
         :meth:`_tail_bounds` from ``first``) maps each uniform on its own,
         every row in one pass; a row that falls short then draws exactly the
-        count still missing from its own generator, until every ball is kept.
+        count still missing from its own generator (a stream's spares first,
+        :meth:`draw_prefixes`), until every ball is kept.
         """
         top, span, quick = bounds
         want = np.array([u.size for u in uniforms])

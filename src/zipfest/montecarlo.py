@@ -17,7 +17,8 @@ Both studies draw replication ``rep`` on stream ``SeedSpec(seed, rep)``,
 the normality study on the one-point grid (1.0,).  A chunk hands
 ``sample_trajectories`` the master seed and the range of its replications,
 whose Philox keys it derives from the range in one numpy pass, with no
-``SeedSpec`` or ``SeedSequence`` per replication.  A draw is an occupancy
+``SeedSpec`` or ``SeedSequence`` per replication, and draws them all from
+one Philox generator, re-keyed per replication.  A draw is an occupancy
 profile, not n balls: one multinomial over the heaviest urns per grid
 increment plus the balls beyond them, so its cost follows the number of
 occupied urns, about n^theta.  ``sample_trajectories`` draws a chunk's
@@ -31,21 +32,23 @@ A chunk of normality replications then runs in two more stages on whole
 arrays: estimate theta_hat and its standard error for every replication at
 once (``estimators.estimate_many`` with c(theta) = 1/zeta(1/theta): one
 batched root-finding pass for all implicit estimators, which solves each
-distinct statistic value once and shares the terms of g that depend on
-theta alone between them; the closed forms on the arrays); then
-standardize and check coverage.  No per-replication
-``EstimateResult`` is built.  A one-snapshot estimate is the one-entry case
-of the same array arithmetic, so the standardized values and coverage flags
-equal those of one-snapshot estimates bit for bit.
+distinct statistic value once, shares the terms of g that depend on theta
+alone between them, and halves its brackets with g evaluated only at the
+midpoints too near a root to take the side of its located value; the
+closed forms on the arrays); then standardize and check coverage.  No
+per-replication ``EstimateResult`` is built.  A one-snapshot estimate is
+the one-entry case of the same array arithmetic, so the standardized values
+and coverage flags equal those of one-snapshot estimates bit for bit.
 
 Replications are independent jobs keyed by replication index, so results
 are identical for any worker count; the aggregation is a commutative merge
 over replication-indexed slots.  The worker count is
 ``ExperimentConfig.workers`` (default 1), at most ``USABLE_CPUS``, the CPUs
 this process may run on.  An M whose replications would keep more bytes
-than ``PHYSICAL_MEMORY`` holds is refused before the law is built.  A study
-builds its law once and hands it to every chunk; with more workers, the law
-is pickled to them.
+than ``law.PHYSICAL_MEMORY`` holds is refused before the law is built, and
+an n whose draw's head would need more (``law.PowerLaw.head_width``) before
+any worker starts.  A study builds its law once and hands it to every
+chunk; with more workers, the law is pickled to them.
 """
 
 from __future__ import annotations
@@ -61,7 +64,7 @@ from . import asymptotics
 from .errors import UsageError
 from .estimators import (ESTIMATORS, confidence_bounds, estimate_many,
                          expand_estimators, normal_cdf, snapshot_k_max)
-from .law import PowerLaw, make_zipf_law, zeta_normalization
+from .law import PHYSICAL_MEMORY, PowerLaw, make_zipf_law, zeta_normalization
 from .occupancy import DEFAULT_K_MAX
 from .sampler import SeedSpec, sample_trajectories
 
@@ -71,9 +74,6 @@ __all__ = ["ExperimentConfig", "EstimatorReport", "StudyReport", "CovarianceRow"
 #: the CPUs this process may run on, which bound ``ExperimentConfig.workers``
 USABLE_CPUS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
                else os.cpu_count() or 1)
-#: the machine's physical memory in bytes, which bounds ``ExperimentConfig.m``
-PHYSICAL_MEMORY = (os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-                   if hasattr(os, "sysconf") else math.inf)
 
 #: every estimator with a normal limit, in table order
 NORMALITY_ESTIMATORS = tuple(tag for tag, spec in ESTIMATORS.items()
@@ -122,9 +122,7 @@ class ExperimentConfig:
 def ks_test(sample) -> tuple[float, float]:
     """One-sample KS distance and asymptotic p-value against N(0, 1).
 
-    The p-value uses the Kolmogorov series
-    2 sum_{j>=1} (-1)^(j-1) exp(-2 j^2 lambda^2) at lambda = sqrt(m) D,
-    truncated at 100 terms.
+    The p-value is :func:`_kolmogorov_p` at lambda = sqrt(m) D.
     """
     x = np.sort(np.asarray(sample, dtype=float))
     m = x.size
@@ -134,11 +132,21 @@ def ks_test(sample) -> tuple[float, float]:
     upper = np.max(np.arange(1, m + 1) / m - cdf)
     lower = np.max(cdf - np.arange(0, m) / m)
     distance = max(upper, lower)
-    lam = math.sqrt(m) * distance
+    return float(distance), _kolmogorov_p(math.sqrt(m) * distance)
+
+
+def _kolmogorov_p(lam: float) -> float:
+    """The Kolmogorov series 2 sum_{j>=1} (-1)^(j-1) exp(-2 j^2 lambda^2),
+    truncated at 100 terms, clipped to [0, 1].  The terms fall with j, so
+    from the first that underflows to 0.0 (j about 20 at lambda = 1) every
+    later one is 0.0 too, and the sum stops there with the same bits."""
     p = 0.0
     for j in range(1, 101):
-        p += 2.0 * (-1.0) ** (j - 1) * math.exp(-2.0 * j * j * lam * lam)
-    return float(distance), float(min(max(p, 0.0), 1.0))
+        term = math.exp(-2.0 * j * j * lam * lam)
+        if term == 0.0:
+            break
+        p += 2.0 * (-1.0) ** (j - 1) * term
+    return float(min(max(p, 0.0), 1.0))
 
 
 def _moments(values: np.ndarray) -> tuple[float, float, float, float]:
@@ -261,7 +269,9 @@ def normality_study(config: ExperimentConfig) -> StudyReport:
     k_max = snapshot_k_max(requested, config.n)  # a k above n is a usage error
     # each estimator row keeps a standardized value and a coverage flag
     _check_memory(config, 1, k_max, 2 * len(requested))
-    chunks = _run_chunked(config, _law_from_config(config), _normality_chunk)
+    law = _law_from_config(config)
+    law.head_width(config.n)  # a head beyond the memory is refused before any worker starts
+    chunks = _run_chunked(config, law, _normality_chunk)
     values = {name: np.concatenate([c[0][name] for c in chunks]) for name, _, _ in requested}
     covered = {name: np.concatenate([c[1][name] for c in chunks]) for name, _, _ in requested}
 
@@ -333,6 +343,7 @@ def covariance_study(config: ExperimentConfig) -> StudyReport:
         raise UsageError(f"covariance studies need an urn with n * p >= 1, which needs "
                          f"n >= {math.ceil(1.0 / law.c)} at theta = {config.theta}, "
                          f"got n = {config.n}")
+    law.head_width(math.floor(config.n * config.grid[-1]), len(config.grid))
     scale = math.sqrt(alpha)
     comps = config.nu + 1
     raw = np.concatenate(_run_chunked(config, law, _covariance_chunk), axis=0)

@@ -9,7 +9,7 @@ them in one call; then, for a block of seeds at once, rejection-inversion
 maps the uniforms to positions of the retained support, renormalized (the
 law records the discarded mass), and each prefix's tail is sorted and
 counted into run lengths.  A seed whose uniforms fall short tops up from its
-own generator by exactly the balls still missing, so by the accepted-prefix
+own stream by exactly the balls still missing, so by the accepted-prefix
 rule each prefix holds the balls that drawing one batch at a time gives.
 ``sample_trajectories`` tallies each block in one pass
 (``occupancy.tally_block``) into ``occupancy.StatisticsSnapshot``s in their
@@ -24,10 +24,11 @@ and still reproduce bit-for-bit, however they are cut into blocks.  Philox
 is counter-based (Salmon et al., SC 2011), so a stream is just its 128-bit
 key: the key numpy's ``SeedSequence(master, spawn_key=(stream,))`` would
 generate.  ``sample_trajectories`` derives the keys of all its seeds in one
-numpy pass of that hash, with the master's part taken once, and builds each
-generator from its key without a ``SeedSequence``; a study chunk passes its
-master and range of streams, whose keys come from the range with no
-``SeedSpec`` per stream.  ``SeedSpec.generator`` is the one-stream case.
+numpy pass of that hash, with the master's part taken once, and re-keys one
+generator for each (``_Stream``: about 1 us, where a new one took 5); a
+study chunk passes its master and range of streams, whose keys come from the
+range with no ``SeedSpec`` per stream.  ``SeedSpec.generator`` is the
+one-stream case.
 """
 
 from __future__ import annotations
@@ -211,6 +212,50 @@ def _generator(key) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(_key_type()(key)))
 
 
+_SPARES = 4  # uniforms a stream draws beyond those asked for, for its top-ups
+
+
+class _Stream:
+    """One seed's draws from the one generator of a ``sample_trajectories``
+    call, bit for bit those of a generator of its own.  Each ``random`` draws
+    ``_SPARES`` uniforms more, which the next call serves first; a top-up
+    beyond them, once a later stream has been keyed, keys the generator
+    again and replays the log (the binomial cache depends on (n, p) alone)."""
+
+    def __init__(self, shared: list, key: list):
+        self._shared, self._key, self._log, self._spares = shared, key, [], np.empty(0)
+
+    def _draw(self, size: int, probs=None) -> np.ndarray:
+        """``size`` uniforms, or a multinomial of ``size`` balls over ``probs``."""
+        rng, keyed, state = self._shared
+        if keyed is not self._key:
+            state["state"]["key"] = self._key
+            rng.bit_generator.state = state
+            self._shared[1], log, self._log = self._key, self._log, []
+            for draw in log:  # none at a stream's first draw
+                self._draw(*draw)
+        self._log.append((size, probs))
+        return rng.random(size) if probs is None else rng.multinomial(size, probs)
+
+    multinomial = _draw
+
+    def random(self, size: int) -> np.ndarray:
+        if size > self._spares.size:
+            drawn = self._draw(size - self._spares.size + _SPARES)
+            self._spares = np.concatenate([self._spares, drawn]) if self._spares.size else drawn
+        out, self._spares = self._spares[:size], self._spares[size:]
+        return out
+
+
+def _streams(keys):
+    """A :class:`_Stream` per Philox key of ``keys``, sharing [a generator, the
+    key list it is keyed with (not the stream, which its block frees), and
+    a new Philox's state, counter 0 and a buffer of 4 words all used]."""
+    shared = [_generator(keys[0]), None, {"bit_generator": "Philox", "buffer": (0,) * 4,
+              "buffer_pos": 4, "has_uint32": 0, "uinteger": 0, "state": {"counter": (0,) * 4}}]
+    return (_Stream(shared, key.tolist()) for key in keys)
+
+
 def _counts_dict(law: PowerLaw, n: int, rng: np.random.Generator) -> dict:
     head, _, tail_positions, tail_counts = next(law.draw_prefixes([n], [rng]))
     head = head[0, 0]
@@ -240,12 +285,13 @@ def sample_trajectories(law: PowerLaw, n: int, grid, seeds,
 
     The first floor(n*t) balls of one draw of n form the sample at time t,
     so earlier snapshots are prefixes of later ones by construction.  The
-    seeds' Philox keys come from one key pass, the seeds are drawn in blocks
-    (``PowerLaw.draw_prefixes``), and each block is tallied in one pass
-    (``occupancy.tally_block``) into one array allocated for all seeds.
-    What grows with the number of seeds: that array, one int64 row of
-    k_max + 3 or k_max + 4 entries per seed and grid time, and the seeds'
-    16-byte keys (a range of streams builds no object per seed); tracemalloc
+    seeds' Philox keys come from one key pass, one generator re-keyed per
+    seed draws them (:class:`_Stream`) in blocks (``PowerLaw.draw_prefixes``),
+    and each block is tallied in one pass (``occupancy.tally_block``) into
+    one array allocated for all seeds.  What grows with the number of seeds:
+    that array, one int64 row of k_max + 3 or k_max + 4 entries per seed and
+    grid time, and the seeds' 16-byte keys (a range of streams builds no
+    object per seed, and a stream lives as long as its block); tracemalloc
     read about 160 bytes per seed at theta = 0.7, n = 2e4, three grid times
     and k_max = 2.
     """
@@ -261,8 +307,7 @@ def sample_trajectories(law: PowerLaw, n: int, grid, seeds,
     if not len(keys):
         raise UsageError("seeds must be non-empty")
     tally, row = None, 0
-    for head, rows, positions, counts in law.draw_prefixes(
-            sizes, (_generator(key) for key in keys)):
+    for head, rows, positions, counts in law.draw_prefixes(sizes, _streams(keys)):
         del positions  # each array is freed as soon as it is used up
         block = tally_block(head, rows, counts, k_max=k_max).reshape(*head.shape[:2], -1)
         del head, rows, counts

@@ -10,7 +10,8 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from zipfest import asymptotics, cli
+from zipfest import asymptotics, cli, montecarlo
+from zipfest import law as law_module
 from zipfest.cli import _csv_text, _json_write, main
 from zipfest.errors import UsageError, ZipfestError
 from zipfest.estimators import ImplicitSolver
@@ -328,6 +329,38 @@ def test_usage_error_is_one_line_with_exit_2(capsys, corpus, tmp_path, argv):
     assert out == ""
     assert err.startswith("zipfest: usage error: ")
     assert err.count("\n") == 1 and "Traceback" not in err
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("argv, name", [
+    (["simulate", "--theta", "0.9", "--n", "9000000000000000000"], "--n"),
+    (["simulate", "--theta", "0.9", "--mode", "poisson", "--t", "9000000000000000000"], "--t"),
+    (["study-normality", "--theta", "0.9", "--n", "9000000000000000000", "--m", "100"], "n"),
+    (["study-covariance", "--theta", "0.9", "--n", "9000000000000000000", "--m", "100",
+      "--grid", "1.0"], "n"),
+])
+@pytest.mark.parametrize("memory", [None, 1000])
+def test_a_head_beyond_the_memory_is_one_usage_error_line(capsys, monkeypatch, tmp_path,
+                                                           argv, name, memory):
+    # at n = 9e18 and theta = 0.9 the head holds 1.5e16 urns, 106 PiB of
+    # probabilities alone; under a 1000-byte memory, n = 1e4 at theta = 0.5
+    # is refused too (77 urns, 1232 bytes).  Nothing is drawn or written,
+    # and no worker starts.
+    def refuse(*args, **kwargs):
+        raise AssertionError("went on past the head check")
+
+    for module, refused in ((cli, "sample_fixed"), (cli, "sample_poissonized"),
+                            (montecarlo, "_run_chunked")):
+        monkeypatch.setattr(module, refused, refuse)
+    if memory is not None:
+        monkeypatch.setattr(law_module, "PHYSICAL_MEMORY", memory)
+        argv = [a.replace("0.9", "0.5").replace("9000000000000000000", "10000") for a in argv]
+    if argv[0] == "simulate":
+        argv = argv + ["--output", str(tmp_path / "counts.csv")]
+    code, out, err = run(capsys, argv)
+    assert code == 2 and out == ""
+    assert err.startswith(f"zipfest: usage error: {name} = ")
+    assert "needs a head of" in err and err.count("\n") == 1
     assert not any(tmp_path.iterdir())
 
 

@@ -347,6 +347,45 @@ class TestReplayedHalving:
         assert peak == 1831
         _assert_roots_match_plain_halving(solver, solver._g[peak:peak + 1])
 
+    @staticmethod
+    def _midpoints(solver, j, toward):
+        """The midpoints that halving grid interval j toward ``toward`` visits."""
+        lo, hi, mids = solver._grid[j], solver._grid[j + 1], []
+        while hi - lo > solver.BISECT_TOL:
+            mids.append(0.5 * (lo + hi))
+            lo, hi = (mids[-1], hi) if mids[-1] < toward else (lo, mids[-1])
+        return mids
+
+    def test_only_redone_brackets_evaluate_a_midpoint(self):
+        # s = g(m), m a midpoint of its bracket's halving, puts the located x
+        # within REPLAY_EPS of m, so the bracket is halved again and g is
+        # evaluated at m alone, an exact hit; the grid's end intervals are
+        # never certified, so g is evaluated at each of their 23 midpoints
+        solver = ImplicitSolver("r", 2000, zeta_normalization)
+        grid, g, g_array = solver._grid, solver._g, solver._g_array
+        mids = self._midpoints(solver, 900, grid[900] + 0.3 * (grid[901] - grid[900]))
+        at_mid = np.array(mids[3::6])  # steps 3, 9, 15 and 21
+        ends = np.array([0.5 * (g[0] + g[1]), 0.5 * (g[-2] + g[-1])])
+        certified = np.exp(np.random.default_rng(1).uniform(1.0, 7.0, 60))
+        stats = np.concatenate([certified, g_array(at_mid), ends])
+        evaluated = []
+        solver._g_array = lambda theta, *terms: (evaluated.append(theta.copy())
+                                                 or g_array(theta, *terms))
+        _roots_joined([solver], [certified])
+        assert [x.size for x in evaluated] == [60, 120]  # locate and certify
+        evaluated.clear()
+        (owner, interval, roots, steps), = _roots_joined([solver], [stats])
+        assert [x.size for x in evaluated[:2]] == [66, 132]
+        midpoints = np.concatenate(evaluated[2:])
+        in_ends = (midpoints < grid[1]) | (midpoints > grid[-2])
+        assert np.count_nonzero(in_ends) == 2 * 23
+        assert sorted(midpoints[~in_ends].tolist()) == sorted(at_mid.tolist())
+        assert roots[60:64].tolist() == at_mid.tolist()
+        solver._g_array = g_array
+        plain_roots, plain_steps = _plain_halving(solver, interval, stats[owner])
+        assert np.array_equal(roots, plain_roots) and np.array_equal(steps, plain_steps)
+        assert steps[60:64].tolist() == [3, 9, 15, 21]
+
     def test_a_study_batch_takes_a_few_evaluations(self):
         law = make_zipf_law(0.5)
         stats = np.array([float(sample_fixed(law, 10 ** 5, SeedSpec(0, rep)).snapshot().r)

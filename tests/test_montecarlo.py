@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 import scipy.stats as st
 
-from zipfest import montecarlo
+from zipfest import law as law_module
+from zipfest import montecarlo, sampler
 from zipfest.errors import DomainError, UsageError
 from zipfest.estimators import (ESTIMATORS, estimate_rows, expand_estimators, normal_cdf,
                                 snapshot_k_max)
@@ -121,6 +122,29 @@ def test_ks_test_needs_100_points():
     montecarlo.ks_test(np.linspace(-2.0, 2.0, 100))
     with pytest.raises(UsageError, match="at least 100 points, got 99"):
         montecarlo.ks_test(np.linspace(-2.0, 2.0, 99))
+
+
+def _kolmogorov_100_terms(lam):
+    p = 0.0
+    for j in range(1, 101):
+        p += 2.0 * (-1.0) ** (j - 1) * math.exp(-2.0 * j * j * lam * lam)
+    return float(min(max(p, 0.0), 1.0))
+
+
+def test_kolmogorov_series_stops_at_its_first_zero_term_bit_for_bit():
+    lams = np.linspace(0.0, 3.0, 3001).tolist()
+    # the lambda at which term j first underflows to 0.0, and the float below it
+    for j in (1, 2, 20, 65, 100):
+        below, zero = 0.0, 30.0
+        while np.nextafter(below, zero) < zero:
+            mid = 0.5 * (below + zero)
+            if math.exp(-2.0 * j * j * mid * mid) == 0.0:
+                zero = mid
+            else:
+                below = mid
+        lams += [below, zero]
+    for lam in lams:
+        assert montecarlo._kolmogorov_p(lam) == _kolmogorov_100_terms(lam), lam
 
 
 def test_covariance_rows_do_not_depend_on_the_index_shift():
@@ -266,6 +290,31 @@ def test_a_study_builds_one_seed_spec(monkeypatch):
     monkeypatch.setattr(SeedSpec, "__post_init__", counted)
     normality_study(replace(SMALL, m=200))
     assert len(built) <= 1
+
+
+@pytest.mark.parametrize("study, m", [(normality_study, 200), (covariance_study, 100)])
+def test_a_chunk_builds_one_generator(monkeypatch, study, m):
+    # one per replication before streams shared a re-keyed generator
+    built, generator = [], sampler._generator
+    monkeypatch.setattr(sampler, "_generator", lambda key: built.append(key) or generator(key))
+    study(replace(SMALL, m=m))
+    assert len(built) == 1
+
+
+@pytest.mark.parametrize("study", [normality_study, covariance_study])
+def test_a_head_beyond_the_memory_is_refused_before_any_worker(monkeypatch, study):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the study went on past its head check")
+
+    monkeypatch.setattr(montecarlo, "_run_chunked", refuse)
+    # a head of 34 urns (n = 2000 at theta = 0.5) needs 544 bytes at one
+    # grid time, 1088 at three
+    monkeypatch.setattr(law_module, "PHYSICAL_MEMORY", 500)
+    with pytest.raises(UsageError, match="n = 2000 needs a head of"):
+        study(replace(SMALL, grid=(0.25, 0.5, 1.0)))
+    monkeypatch.setattr(law_module, "PHYSICAL_MEMORY", 10 ** 6)
+    with pytest.raises(AssertionError, match="past its head check"):
+        study(replace(SMALL, grid=(0.25, 0.5, 1.0)))
 
 
 @pytest.mark.parametrize("study", [normality_study, covariance_study])

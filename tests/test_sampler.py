@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as hst
 
 from zipfest import law as law_module
+from zipfest import sampler
 from zipfest.errors import DomainError, InputFormatError, UsageError
 from zipfest.ingest import counts_csv, read_counts_csv
 from zipfest.law import _hat_integral, _hat_integral_inverse, make_zipf_law
@@ -394,6 +395,39 @@ class TestBlocks:
                 mine = rows == j * len(streams) + row
                 assert (np.repeat(positions[mine], counts[mine]).tolist()
                         == np.sort(np.concatenate(tails[:j + 1])).tolist())
+
+
+    @pytest.mark.parametrize("grid", [(1.0,), (0.25, 0.5, 1.0)])
+    @pytest.mark.parametrize("theta", [0.3, 0.9])
+    def test_rebuilt_streams_draw_as_their_own_generators(self, monkeypatch, theta, grid):
+        # with no spare uniforms, a top-up of any seed but the last one keyed
+        # keys the shared generator again and replays that seed's draws; at
+        # n = 40 a few of 300 seeds redraw a tail ball
+        law, n = make_zipf_law(theta), 40
+        seeds = [SeedSpec(3, rep) for rep in range(300)]
+        default = sample_trajectories(law, n, grid, seeds, k_max=3)
+        replays, draw = [], sampler._Stream._draw
+
+        def logged(stream, *args):
+            if stream._shared[1] is not stream._key and stream._log:
+                replays.append(stream)
+            return draw(stream, *args)
+
+        monkeypatch.setattr(sampler, "_SPARES", 0)
+        monkeypatch.setattr(sampler._Stream, "_draw", logged)
+        rebuilt = sample_trajectories(law, n, grid, seeds, k_max=3)
+        assert replays
+        # every ball's urn, too: a snapshot may not see a wrong urn
+        sizes = [math.floor(n * t) for t in grid]
+        blocks = law.draw_prefixes(sizes, sampler._streams(_keys(seeds)))
+        alone = law.draw_prefixes(sizes, (seed.generator() for seed in seeds))
+        for block, reference in zip(blocks, alone, strict=True):
+            assert all(np.array_equal(a, b) for a, b in zip(block, reference))
+        for rep, seed in enumerate(seeds):
+            one = sample_trajectory(law, n, grid, seed, k_max=3)
+            assert [c.sample(rep) for c in rebuilt] == [c.sample(rep) for c in default] == one
+            if len(grid) == 1:  # a generator of its own, with no stream
+                assert one[0] == sample_fixed(law, n, seed).snapshot(k_max=3)
 
 
 class TestTrajectory:
