@@ -177,6 +177,7 @@ def _ranged(kind, ok, rule: str):
 
 
 _unit = _ranged(float, lambda v: 0.0 < v < 1.0, "lie in (0, 1)")
+_time = _ranged(float, lambda v: 0.0 < v <= 1.0, "lie in (0, 1]")
 _non_negative = _ranged(int, lambda v: v >= 0, "be >= 0")
 _positive = _ranged(int, lambda v: v >= 1, "be >= 1")
 # the covariance components a snapshot tracks; cov overflows far beyond them
@@ -293,8 +294,7 @@ def _cmd_study_normality(args) -> int:
 
 def _cmd_study_covariance(args) -> int:
     return _emit_study(args, covariance_study(_study_config(
-        args, grid=tuple(_parse_float(t, "grid value") for t in args.grid.split(",") if t.strip()),
-        nu=args.nu)))
+        args, grid=tuple(args.grid), nu=args.nu)))
 
 
 # ----------------------------------------------------------------------
@@ -442,7 +442,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("study-covariance", formatter_class=fmt,
                        help="Monte Carlo check of the limiting covariance function")
     add_study_common(p)
-    p.add_argument("--grid", default="0.5,1.0",
+    p.add_argument("--grid", type=_list_of(_time), default="0.5,1.0",
                    help="comma list of times in (0,1], strictly increasing")
     p.add_argument("--nu", type=_nu, default=1,
                    help="number of exact-count components (indices 1..nu)")

@@ -67,10 +67,14 @@ _ORACLE_BLOCK = 1 << 16  # urns summed at once, so memory stays bounded
 
 _STATS = ("r", "u", "rk")
 
-#: the machine's physical memory in bytes, which bounds a draw's head and a
-#: study's M (``montecarlo._check_memory``)
+#: the machine's physical memory in bytes, which bounds a draw
+#: (``PowerLaw.head_width``) and a study's M (``montecarlo._check_memory``)
 PHYSICAL_MEMORY = (os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
                    if hasattr(os, "sysconf") else math.inf)
+
+#: the bytes a draw holds per tail ball, at its peak: tracemalloc read 57.6
+#: at one grid time and 69.7 at three, theta = 0.9 and n = 1e5 to 4e6
+_TAIL_BALL_BYTES = 72
 
 #: head counts and tail uniforms that one block of draws holds, about: a
 #: block maps, sorts and counts many generators' draws at once, and memory
@@ -224,15 +228,19 @@ class PowerLaw:
     def head_width(self, n: int, grid_times: int = 1, name: str = "n") -> int:
         """W, the urns whose ball counts :meth:`draw_prefixes` draws as one
         multinomial for n balls: about alpha(n) = (c n)^theta, the urns with
-        n p >= 1, at least one and at most the cutoff.  A head that needs
-        more bytes than ``PHYSICAL_MEMORY``, 8 per urn for its probabilities
-        and 8 per urn and grid time for its counts, is a usage error that
-        names ``name``, the flag or field that set n."""
+        n p >= 1, at least one and at most the cutoff.  A draw that needs
+        more bytes than ``PHYSICAL_MEMORY`` is a usage error that names
+        ``name``, the flag or field that set n: 8 per urn of the head for its
+        probabilities, 8 per urn and grid time for its counts, and
+        ``_TAIL_BALL_BYTES`` per ball expected beyond the head, n times the
+        tail's share of the retained mass."""
         width = max(1, min(self.cutoff, int((self.c * n) ** self.theta)))
-        need = 8 * width * (1 + grid_times)
+        balls = n * (self.c * zeta_tail(self._s, width) - self.discarded_mass) / self.total_mass
+        need = 8 * width * (1 + grid_times) + _TAIL_BALL_BYTES * balls
         if need > PHYSICAL_MEMORY:
-            raise UsageError(f"{name} = {n} needs a head of {width} urns, {need} bytes, "
-                             f"more than the machine's {PHYSICAL_MEMORY} bytes of memory")
+            raise UsageError(f"{name} = {n} needs a head of {width} urns and about "
+                             f"{balls:.3g} tail balls, {need:.3g} bytes, more than the "
+                             f"machine's {PHYSICAL_MEMORY} bytes of memory")
         return width
 
     def draw_prefixes(self, sizes, rngs):

@@ -14,31 +14,14 @@ with the exact finite-n expectation oracle, scales by sqrt(alpha(n)) and
 compares empirical covariances against the limiting covariance function.
 
 Both studies draw replication ``rep`` on stream ``SeedSpec(seed, rep)``,
-the normality study on the one-point grid (1.0,).  A chunk hands
+the normality study on the one-point grid (1.0,): a chunk hands
 ``sample_trajectories`` the master seed and the range of its replications,
-whose Philox keys it derives from the range in one numpy pass, with no
-``SeedSpec`` or ``SeedSequence`` per replication, and draws them all from
-one Philox generator, re-keyed per replication.  A draw is an occupancy
-profile, not n balls: one multinomial over the heaviest urns per grid
-increment plus the balls beyond them, so its cost follows the number of
-occupied urns, about n^theta.  ``sample_trajectories`` draws a chunk's
-replications in blocks of a fixed number of head counts and tail balls
-(``law.PowerLaw.draw_prefixes``): each replication draws from its own
-stream, and the tail map, sort, run lengths and count-of-counts run once per
-block, so memory does not grow with the replications a block could hold.
-It returns one ``occupancy.StatisticsSnapshot`` per grid time, in its array
-form, bit for bit the statistics of ``sample_trajectory`` on each stream.
-A chunk of normality replications then runs in two more stages on whole
-arrays: estimate theta_hat and its standard error for every replication at
-once (``estimators.estimate_many`` with c(theta) = 1/zeta(1/theta): one
-batched root-finding pass for all implicit estimators, which solves each
-distinct statistic value once, shares the terms of g that depend on theta
-alone between them, and halves its brackets with g evaluated only at the
-midpoints too near a root to take the side of its located value; the
-closed forms on the arrays); then standardize and check coverage.  No
-per-replication ``EstimateResult`` is built.  A one-snapshot estimate is
-the one-entry case of the same array arithmetic, so the standardized values
-and coverage flags equal those of one-snapshot estimates bit for bit.
+and gets one ``occupancy.StatisticsSnapshot`` per grid time, in its array
+form.  A normality chunk then estimates theta_hat and its standard error
+for every replication at once (``estimators.estimate_many`` with c(theta) =
+1/zeta(1/theta)), standardizes them and checks coverage, all on whole
+arrays; no per-replication ``EstimateResult`` is built, and the values equal
+those of one-snapshot estimates bit for bit.
 
 Replications are independent jobs keyed by replication index, so results
 are identical for any worker count; the aggregation is a commutative merge
@@ -46,8 +29,8 @@ over replication-indexed slots.  The worker count is
 ``ExperimentConfig.workers`` (default 1), at most ``USABLE_CPUS``, the CPUs
 this process may run on.  An M whose replications would keep more bytes
 than ``law.PHYSICAL_MEMORY`` holds is refused before the law is built, and
-an n whose draw's head would need more (``law.PowerLaw.head_width``) before
-any worker starts.  A study builds its law once and hands it to every
+an n whose draw would need more (``law.PowerLaw.head_width``) before any
+worker starts.  A study builds its law once and hands it to every
 chunk; with more workers, the law is pickled to them.
 """
 
@@ -66,7 +49,7 @@ from .estimators import (ESTIMATORS, confidence_bounds, estimate_many,
                          expand_estimators, normal_cdf, snapshot_k_max)
 from .law import PHYSICAL_MEMORY, PowerLaw, make_zipf_law, zeta_normalization
 from .occupancy import DEFAULT_K_MAX
-from .sampler import SeedSpec, sample_trajectories
+from .sampler import SeedSpec, check_grid, sample_trajectories
 
 __all__ = ["ExperimentConfig", "EstimatorReport", "StudyReport", "CovarianceRow",
            "normality_study", "covariance_study", "ks_test"]
@@ -217,18 +200,13 @@ def _check_memory(cfg: ExperimentConfig, grid_times: int, k_max: int, values: in
                          f"the machine's {PHYSICAL_MEMORY} bytes of memory")
 
 
-def _seeds(cfg: ExperimentConfig, rep_lo: int, rep_hi: int) -> tuple[int, range]:
-    """The streams of replications rep_lo..rep_hi - 1, whose keys
-    ``sample_trajectories`` derives from the range in one pass."""
-    return cfg.seed, range(rep_lo, rep_hi)
-
-
 def _normality_chunk(cfg: ExperimentConfig, law: PowerLaw, rep_lo: int, rep_hi: int):
     """Standardized values / coverage flags for one chunk of replications,
     NaN where an estimator has no usable estimate."""
     requested = expand_estimators(cfg.estimators, cfg.k_values)
     k_max = snapshot_k_max(requested, cfg.n)
-    columns, = sample_trajectories(law, cfg.n, (1.0,), _seeds(cfg, rep_lo, rep_hi), k_max=k_max)
+    columns, = sample_trajectories(law, cfg.n, (1.0,), cfg.seed, range(rep_lo, rep_hi),
+                                   k_max=k_max)
     values, covered = {}, {}
     for (name, tag, k), (theta_hat, stderr) in zip(
             requested, estimate_many(columns, requested, zeta_normalization)):
@@ -313,8 +291,8 @@ class CovarianceRow:
 
 def _covariance_chunk(cfg: ExperimentConfig, law: PowerLaw, rep_lo: int, rep_hi: int):
     out = np.empty((rep_hi - rep_lo, len(cfg.grid), cfg.nu + 1))
-    for a, columns in enumerate(sample_trajectories(law, cfg.n, cfg.grid,
-                                                    _seeds(cfg, rep_lo, rep_hi), k_max=cfg.nu)):
+    for a, columns in enumerate(sample_trajectories(law, cfg.n, cfg.grid, cfg.seed,
+                                                    range(rep_lo, rep_hi), k_max=cfg.nu)):
         out[:, a, 0] = columns.r
         out[:, a, 1:] = columns.r_k[:cfg.nu].T
     return out
@@ -323,19 +301,17 @@ def _covariance_chunk(cfg: ExperimentConfig, law: PowerLaw, rep_lo: int, rep_hi:
 def covariance_study(config: ExperimentConfig) -> StudyReport:
     """Empirical covariance of the centered, scaled occupancy paths against
     the limiting covariance function."""
-    if len(config.grid) < 1:
-        raise UsageError("covariance studies need a non-empty time grid")
+    grid = check_grid(config.grid)
     if config.m < 100:
         raise UsageError(f"covariance studies need M >= 100, got {config.m}")
     if config.nu < 1 or config.nu > DEFAULT_K_MAX:
         raise UsageError(f"nu must lie in 1..{DEFAULT_K_MAX}, got {config.nu}")
     SeedSpec(config.seed)  # a bad master raises DomainError before the law is built
-    # (``sample_trajectories`` rejects a grid that does not lie in (0, 1])
-    if config.grid[0] > 0.0 and math.floor(config.n * config.grid[0]) < 1:
+    if math.floor(config.n * grid[0]) < 1:
         raise UsageError(f"covariance studies need n * t >= 1 at the first grid time "
-                         f"t = {config.grid[0]}, got n = {config.n}")
+                         f"t = {grid[0]}, got n = {config.n}")
     # each grid time keeps nu + 1 raw and nu + 1 centered components
-    _check_memory(config, len(config.grid), config.nu, 2 * len(config.grid) * (config.nu + 1))
+    _check_memory(config, len(grid), config.nu, 2 * len(grid) * (config.nu + 1))
     law = _law_from_config(config)
     # alpha(n) counts urns: counting_function(n) is i0 + alpha(n), or 0 if none
     alpha = max(law.counting_function(float(config.n)) - law.i0, 0)
@@ -343,12 +319,12 @@ def covariance_study(config: ExperimentConfig) -> StudyReport:
         raise UsageError(f"covariance studies need an urn with n * p >= 1, which needs "
                          f"n >= {math.ceil(1.0 / law.c)} at theta = {config.theta}, "
                          f"got n = {config.n}")
-    law.head_width(math.floor(config.n * config.grid[-1]), len(config.grid))
+    law.head_width(math.floor(config.n * grid[-1]), len(grid))
     scale = math.sqrt(alpha)
     comps = config.nu + 1
     raw = np.concatenate(_run_chunked(config, law, _covariance_chunk), axis=0)
     centered = np.empty_like(raw)
-    for a, t in enumerate(config.grid):
+    for a, t in enumerate(grid):
         m = int(math.floor(config.n * t))
         centered[:, a, 0] = (raw[:, a, 0] - law.expected_statistic(m, "r")) / scale
         for j in range(1, comps):
@@ -358,9 +334,9 @@ def covariance_study(config: ExperimentConfig) -> StudyReport:
     spec = asymptotics.CovarianceSpec(config.theta, nu=config.nu)
     m_reps = centered.shape[0]
     rows = []
-    for a, tau in enumerate(config.grid):
-        for b in range(a, len(config.grid)):
-            t = config.grid[b]
+    for a, tau in enumerate(grid):
+        for b in range(a, len(grid)):
+            t = grid[b]
             for i in range(comps):
                 for j in range(comps):
                     if a == b and j < i:

@@ -13,22 +13,20 @@ own stream by exactly the balls still missing, so by the accepted-prefix
 rule each prefix holds the balls that drawing one batch at a time gives.
 ``sample_trajectories`` tallies each block in one pass
 (``occupancy.tally_block``) into ``occupancy.StatisticsSnapshot``s in their
-array form; ``sample_trajectory`` is its one-seed case, and the urn -> count
-maps of ``sample_fixed`` and ``sample_poissonized`` add the urn indices to
-a one-seed block.  A poissonized sample draws a Poisson total
+array form; ``sample_trajectory`` is its one-stream case, and the urn ->
+count maps of ``sample_fixed`` and ``sample_poissonized`` add the urn
+indices to a one-seed block.  A poissonized sample draws a Poisson total
 first.
 
-Streams: any (master seed, stream index) pair yields an independent Philox
-counter-based generator (period 2^256), so replications can run in parallel
-and still reproduce bit-for-bit, however they are cut into blocks.  Philox
-is counter-based (Salmon et al., SC 2011), so a stream is just its 128-bit
-key: the key numpy's ``SeedSequence(master, spawn_key=(stream,))`` would
-generate.  ``sample_trajectories`` derives the keys of all its seeds in one
-numpy pass of that hash, with the master's part taken once, and re-keys one
-generator for each (``_Stream``: about 1 us, where a new one took 5); a
-study chunk passes its master and range of streams, whose keys come from the
-range with no ``SeedSpec`` per stream.  ``SeedSpec.generator`` is the
-one-stream case.
+Streams: a master seed and a range of stream indices name one Philox
+counter-based generator (period 2^256) per stream, so replications can run
+in parallel and still reproduce bit-for-bit, however they are cut into
+blocks.  Philox is counter-based (Salmon et al., SC 2011), so a stream is
+just its 128-bit key: the key numpy's ``SeedSequence(master,
+spawn_key=(stream,))`` would generate, derived for the whole range in one
+numpy pass of that hash (``_keys``).  ``sample_trajectories`` draws every
+stream of its range from one generator, re-keyed per stream (``_Stream``);
+``SeedSpec.generator`` keys the one-stream range.
 """
 
 from __future__ import annotations
@@ -60,7 +58,7 @@ class SeedSpec:
             object.__setattr__(self, name, _seed_int(name, getattr(self, name)))
 
     def generator(self) -> np.random.Generator:
-        return _generator(_philox_key(self.master, _words(self.stream)))
+        return _generator(_keys(self.master, range(self.stream, self.stream + 1))[0])
 
 
 def _seed_int(name: str, value) -> int:
@@ -146,10 +144,9 @@ def _master_pool(master: int) -> tuple[tuple[int, ...], int]:
 
 def _philox_key(master: int, words) -> np.ndarray:
     """``SeedSequence(master, spawn_key=(stream,)).generate_state(2, np.uint64)``
-    for streams given by their 32-bit ``words``, lowest first: Python ints
-    for one stream (a key of shape (2,)), or for many, each word an int64
-    array with one entry per stream or a Python int they share (keys of
-    shape (streams, 2)); both wrap to the same low 32 bits."""
+    for streams given by their 32-bit ``words``, lowest first: an int64
+    array with one entry per stream, then the Python ints they share; one
+    key per row."""
     pool, const = _master_pool(master)
     pool, _ = _absorb(list(pool), const, words)
     state, const = [], _INIT_B
@@ -159,64 +156,34 @@ def _philox_key(master: int, words) -> np.ndarray:
     return np.ascontiguousarray(np.array(state, dtype="<u4").T).view("<u8")
 
 
-def _keys(seeds) -> np.ndarray:
-    """The Philox key of each seed of ``seeds``, one row per seed: a list of
-    seeds, or a (master, range of step 1) pair for the streams of the range
-    under one master, which builds no seed per stream.  The streams of one
-    master that differ only in their lowest 32-bit word share a key pass."""
-    groups, size = {}, 0  # (master, stream >> 32) -> (rows, the streams' lowest words)
-    if isinstance(seeds, tuple) and len(seeds) == 2 and isinstance(seeds[1], range):
-        master, streams = _seed_int("master", seeds[0]), seeds[1]
-        if streams.start < 0 or streams.step != 1:
-            raise DomainError(f"seed streams must be a range of step 1 from 0, got {streams!r}")
-        first = streams.start
-        while first < streams.stop:  # a range crossing a multiple of 2^32 splits there
-            last = min(streams.stop, ((first >> 32) + 1) << 32)
-            low = first & _MASK
-            groups[master, first >> 32] = (slice(size, size + last - first),
-                                           np.arange(low, low + last - first, dtype=np.int64))
-            size, first = size + last - first, last
-    else:
-        for size, seed in enumerate(seeds, 1):
-            seed = _as_seed(seed)
-            rows, low = groups.setdefault((seed.master, seed.stream >> 32), ([], []))
-            rows.append(size - 1)
-            low.append(seed.stream & _MASK)
-    keys = np.empty((size, 2), dtype=np.uint64)
-    for (master, high), (rows, low) in groups.items():
-        keys[rows] = _philox_key(master, [np.asarray(low, dtype=np.int64),
-                                          *(_words(high) if high else ())])
+def _keys(master, streams: range) -> np.ndarray:
+    """The Philox key of each stream of ``streams``, a range of step 1, under
+    ``master``, one row per stream.  The streams that share their words
+    above the lowest share a key pass, so a range crossing a multiple of
+    2^32 splits there."""
+    master = _seed_int("master", master)
+    if not isinstance(streams, range) or streams.start < 0 or streams.step != 1:
+        raise DomainError(f"seed streams must be a range of step 1 from 0, got {streams!r}")
+    keys = np.empty((len(streams), 2), dtype=np.uint64)
+    first = streams.start
+    while first < streams.stop:
+        last = min(streams.stop, ((first >> 32) + 1) << 32)
+        low, *high = _words(first)
+        keys[first - streams.start:last - streams.start] = _philox_key(
+            master, [np.arange(low, low + last - first, dtype=np.int64), *high])
+        first = last
     return keys
 
 
-@functools.cache
-def _key_type() -> type:
-    """A seed sequence type that hands Philox its key, already derived.  It
-    is built on first use, so importing the package leaves ``numpy.random``
-    unloaded: loaded at import, it raised a study's peak memory 0.6 MiB."""
-    from numpy.random.bit_generator import ISeedSequence
-
-    class Key(ISeedSequence):
-        __slots__ = ("key",)
-
-        def __init__(self, key):
-            self.key = key
-
-        def generate_state(self, n_words, dtype=np.uint32):
-            return self.key  # Philox asks for its key only: 2 words of uint64
-
-    return Key
-
-
 def _generator(key) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(_key_type()(key)))
+    return np.random.Generator(np.random.Philox(key=key))
 
 
 _SPARES = 4  # uniforms a stream draws beyond those asked for, for its top-ups
 
 
 class _Stream:
-    """One seed's draws from the one generator of a ``sample_trajectories``
+    """One stream's draws from the one generator of a ``sample_trajectories``
     call, bit for bit those of a generator of its own.  Each ``random`` draws
     ``_SPARES`` uniforms more, which the next call serves first; a top-up
     beyond them, once a later stream has been keyed, keys the generator
@@ -250,10 +217,24 @@ class _Stream:
 def _streams(keys):
     """A :class:`_Stream` per Philox key of ``keys``, sharing [a generator, the
     key list it is keyed with (not the stream, which its block frees), and
-    a new Philox's state, counter 0 and a buffer of 4 words all used]."""
-    shared = [_generator(keys[0]), None, {"bit_generator": "Philox", "buffer": (0,) * 4,
-              "buffer_pos": 4, "has_uint32": 0, "uinteger": 0, "state": {"counter": (0,) * 4}}]
+    its new state, counter 0, which re-keying reads faster as lists]."""
+    rng = _generator(keys[0])
+    state = rng.bit_generator.state
+    state["buffer"] = state["buffer"].tolist()
+    state["state"]["counter"] = state["state"]["counter"].tolist()
+    shared = [rng, None, state]
     return (_Stream(shared, key.tolist()) for key in keys)
+
+
+def check_grid(grid) -> list[float]:
+    """``grid`` as floats, if it is a non-empty, strictly increasing list of
+    times in (0, 1]; else a usage error."""
+    grid = [float(t) for t in grid]
+    if not grid:
+        raise UsageError("grid must be non-empty")
+    if any(not 0.0 < t <= 1.0 for t in grid) or any(b <= a for a, b in zip(grid, grid[1:])):
+        raise UsageError(f"grid must be strictly increasing within (0, 1], got {grid!r}")
+    return grid
 
 
 def _counts_dict(law: PowerLaw, n: int, rng: np.random.Generator) -> dict:
@@ -276,36 +257,31 @@ def sample_fixed(law: PowerLaw, n: int, seed) -> OccupancyCounts:
     return OccupancyCounts(counts=counts, total=int(n))
 
 
-def sample_trajectories(law: PowerLaw, n: int, grid, seeds,
+def sample_trajectories(law: PowerLaw, n: int, grid, master, streams: range,
                         k_max: int = DEFAULT_K_MAX) -> list[StatisticsSnapshot]:
-    """The snapshots along ``grid`` of one nested sample per seed of
-    ``seeds``, as one :class:`StatisticsSnapshot` per grid time in its
-    array form, with one entry per seed.  ``seeds`` is a list of seeds, or
-    a (master, range(lo, hi)) pair: the streams lo..hi - 1 of one master.
+    """The snapshots along ``grid`` of one nested sample per stream of
+    ``streams``, a range of step 1, under the seed ``master``, as one
+    :class:`StatisticsSnapshot` per grid time in its array form, with one
+    entry per stream.
 
     The first floor(n*t) balls of one draw of n form the sample at time t,
     so earlier snapshots are prefixes of later ones by construction.  The
-    seeds' Philox keys come from one key pass, one generator re-keyed per
-    seed draws them (:class:`_Stream`) in blocks (``PowerLaw.draw_prefixes``),
-    and each block is tallied in one pass (``occupancy.tally_block``) into
-    one array allocated for all seeds.  What grows with the number of seeds:
-    that array, one int64 row of k_max + 3 or k_max + 4 entries per seed and
-    grid time, and the seeds' 16-byte keys (a range of streams builds no
-    object per seed, and a stream lives as long as its block); tracemalloc
-    read about 160 bytes per seed at theta = 0.7, n = 2e4, three grid times
-    and k_max = 2.
+    streams' Philox keys come from one key pass, one generator re-keyed per
+    stream draws them (:class:`_Stream`) in blocks
+    (``PowerLaw.draw_prefixes``), and each block is tallied in one pass
+    (``occupancy.tally_block``) into one array allocated for all streams.
+    What grows with the number of streams: that array, one int64 row of
+    k_max + 3 or k_max + 4 entries per stream and grid time, and the
+    streams' 16-byte keys (a stream lives as long as its block); tracemalloc
+    read about 160 bytes per stream at theta = 0.7, n = 2e4, three grid
+    times and k_max = 2.
     """
     if not (isinstance(n, (int, np.integer)) and n >= 1):
         raise DomainError(f"n must be a positive integer, got {n!r}")
-    grid = [float(t) for t in grid]
-    if not grid:
-        raise UsageError("grid must be non-empty")
-    if any(not 0.0 < t <= 1.0 for t in grid) or any(b <= a for a, b in zip(grid, grid[1:])):
-        raise UsageError(f"grid must be strictly increasing within (0, 1], got {grid!r}")
-    sizes = [math.floor(n * t) for t in grid]
-    keys = _keys(seeds)
+    sizes = [math.floor(n * t) for t in check_grid(grid)]
+    keys = _keys(master, streams)
     if not len(keys):
-        raise UsageError("seeds must be non-empty")
+        raise UsageError("streams must be non-empty")
     tally, row = None, 0
     for head, rows, positions, counts in law.draw_prefixes(sizes, _streams(keys)):
         del positions  # each array is freed as soon as it is used up
@@ -323,8 +299,9 @@ def sample_trajectory(law: PowerLaw, n: int, grid, seed,
     """Snapshots of one nested sample along ``grid``: the one-seed case of
     :func:`sample_trajectories`.  With the same seed, the snapshot at t = 1
     matches ``sample_fixed`` exactly."""
-    return [columns.sample(0)
-            for columns in sample_trajectories(law, n, grid, [seed], k_max=k_max)]
+    seed = _as_seed(seed)
+    return [columns.sample(0) for columns in sample_trajectories(
+        law, n, grid, seed.master, range(seed.stream, seed.stream + 1), k_max=k_max)]
 
 
 def sample_poissonized(law: PowerLaw, t: float, seed) -> OccupancyCounts:

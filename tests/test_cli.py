@@ -364,6 +364,34 @@ def test_a_head_beyond_the_memory_is_one_usage_error_line(capsys, monkeypatch, t
     assert not any(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("argv, name", [
+    (["simulate", "--theta", "0.9", "--n", "2000"], "--n"),
+    (["simulate", "--theta", "0.9", "--mode", "poisson", "--t", "2000"], "--t"),
+    (["study-normality", "--theta", "0.9", "--n", "2000", "--m", "100"], "n"),
+    (["study-covariance", "--theta", "0.9", "--n", "2000", "--m", "100", "--grid", "1.0"], "n"),
+])
+def test_a_tail_beyond_the_memory_is_one_usage_error_line(capsys, monkeypatch, tmp_path,
+                                                           argv, name):
+    # at n = 2000 and theta = 0.9 the head of 122 urns needs 1952 bytes, and
+    # about 1100 balls fall beyond it: a memory just above the head's bytes
+    # holds the head but not the tail.  Nothing is drawn or written, and no
+    # worker starts.
+    def refuse(*args, **kwargs):
+        raise AssertionError("went on past the memory check")
+
+    for module, refused in ((cli, "sample_fixed"), (cli, "sample_poissonized"),
+                            (montecarlo, "_run_chunked")):
+        monkeypatch.setattr(module, refused, refuse)
+    monkeypatch.setattr(law_module, "PHYSICAL_MEMORY", 1952 + 100)
+    if argv[0] == "simulate":
+        argv = argv + ["--output", str(tmp_path / "counts.csv")]
+    code, out, err = run(capsys, argv)
+    assert code == 2 and out == ""
+    assert err.startswith(f"zipfest: usage error: {name} = 2000 needs a head of 122 urns")
+    assert "tail balls" in err and err.count("\n") == 1
+    assert not any(tmp_path.iterdir())
+
+
 def test_k_max_up_to_the_sample_size_or_the_default_is_accepted(capsys, tmp_path):
     for argv in (["--n", "5"], ["--n", "100", "--k-max", "100"],
                  ["--mode", "poisson", "--t", "99.5", "--k-max", "100"]):

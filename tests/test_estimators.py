@@ -476,8 +476,7 @@ class TestJoinedBatch:
             g_array = solver._g_array
             solver._g_array = lambda *args, solver=solver, g_array=g_array: (
                 log.append(solver) or g_array(*args))
-        columns, = sample_trajectories(make_zipf_law(0.5), 10 ** 5, (1.0,),
-                                       [SeedSpec(0, rep) for rep in range(200)])
+        columns, = sample_trajectories(make_zipf_law(0.5), 10 ** 5, (1.0,), 0, range(200))
         stats = [np.asarray(ESTIMATORS[f"implicit-{which}"].statistic(columns, k), dtype=float)
                  for which, k in JOINED_KINDS]
         log.clear()
@@ -533,8 +532,7 @@ def test_one_snapshot_estimate_is_its_row_of_estimate_many(theta):
     # every tag of the table, at both levels: theta_hat, stderr and interval
     # bit for bit, and where the row is NaN, the one flag that says why
     requested = expand_estimators(list(ESTIMATORS), [1, 2, 3])
-    drawn, = sample_trajectories(make_zipf_law(theta), 2000, (1.0,),
-                                 [SeedSpec(31, rep) for rep in range(100)],
+    drawn, = sample_trajectories(make_zipf_law(theta), 2000, (1.0,), 31, range(100),
                                  k_max=snapshot_k_max(requested, 2000))
     snaps = [drawn.sample(i) for i in range(drawn.r.size)] + EDGE_SNAPSHOTS
     rows = estimate_many(_columns(snaps), requested, zeta_normalization)

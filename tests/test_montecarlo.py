@@ -317,6 +317,19 @@ def test_a_head_beyond_the_memory_is_refused_before_any_worker(monkeypatch, stud
         study(replace(SMALL, grid=(0.25, 0.5, 1.0)))
 
 
+@pytest.mark.parametrize("grid", [(), (math.nan,), (math.inf,), (1e308,), (-1.0,),
+                                  (0.5, 0.5), (1.0, 0.5)])
+def test_a_bad_grid_is_a_usage_error_before_the_law(monkeypatch, grid):
+    # the grid rule of sample_trajectories, applied before n * t is read:
+    # these ended in a ValueError, OverflowError or TypeError from floor
+    def refuse(*args, **kwargs):
+        raise AssertionError("the study went on past its grid check")
+
+    monkeypatch.setattr(montecarlo, "make_zipf_law", refuse)
+    with pytest.raises(UsageError, match="grid must be"):
+        covariance_study(replace(SMALL, grid=grid))
+
+
 @pytest.mark.parametrize("study", [normality_study, covariance_study])
 def test_an_m_beyond_the_memory_is_refused_before_the_law(monkeypatch, study):
     def refuse(*args, **kwargs):

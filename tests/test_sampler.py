@@ -46,10 +46,11 @@ class TestStreamKeys:
         return np.random.SeedSequence(master, spawn_key=(stream,))
 
     def test_keys_and_draws_match_seed_sequence(self):
-        # one key pass over every master and stream width at once, and the
-        # one-stream generator of each pair
+        # every master and stream width, each pair keyed as a one-stream
+        # range, and the one-stream generator of each pair
         seeds = [SeedSpec(m, s) for m in self.MASTERS for s in self.STREAMS]
-        for seed, key in zip(seeds, _keys(seeds)):
+        for seed in seeds:
+            key, = _keys(seed.master, range(seed.stream, seed.stream + 1))
             ref = self._reference(seed.master, seed.stream)
             assert key.tolist() == ref.generate_state(2, np.uint64).tolist(), seed
             first = np.random.Generator(np.random.Philox(ref)).random(8).tolist()
@@ -62,7 +63,7 @@ class TestStreamKeys:
     def test_keys_from_a_range_match_one_seed_at_a_time(self, master, streams):
         # a chunk's keys come from its range of replications, split where the
         # range crosses 2^32, with no SeedSpec per stream
-        keys = _keys((master, streams))
+        keys = _keys(master, streams)
         assert len(keys) == len(streams)
         for stream, key in zip(streams, keys):
             first = SeedSpec(master, stream).generator().random(8).tolist()
@@ -72,7 +73,7 @@ class TestStreamKeys:
                                        (1.5, range(3))])
     def test_a_bad_range_of_streams_is_a_domain_error(self, seeds):
         with pytest.raises(DomainError):
-            _keys(seeds)
+            _keys(*seeds)
 
     def test_a_generator_holds_no_seed_sequence(self):
         rng = SeedSpec(1, 5).generator()
@@ -94,7 +95,7 @@ class TestStreamKeys:
         with pytest.raises(DomainError):
             sample_fixed(law05, 10, -5)
         with pytest.raises(DomainError):
-            sample_trajectories(law05, 10, (1.0,), [SeedSpec(1, 0), -5])
+            sample_trajectories(law05, 10, (1.0,), -5, range(1))
 
 
 class TestFixed:
@@ -328,7 +329,7 @@ class TestBlocks:
             monkeypatch.setattr(law_module, "_BLOCK_ELEMENTS", budget)
         law, m = make_zipf_law(theta), 150
         seeds = [SeedSpec(31, rep) for rep in range(m)]
-        columns = sample_trajectories(law, 300, grid, seeds, k_max=3)
+        columns = sample_trajectories(law, 300, grid, 31, range(m), k_max=3)
         assert [c.total for c in columns] == [math.floor(300 * t) for t in grid]
         for rep, seed in enumerate(seeds):
             one = sample_trajectory(law, 300, grid, seed, k_max=3)
@@ -343,9 +344,26 @@ class TestBlocks:
         blocks = list(law.draw_prefixes([1000, 2000], streams))
         assert len(blocks) >= 4 and calls == [law.head_width(2000) + 1]
 
+    def test_tail_balls_count_in_a_draws_memory(self, monkeypatch):
+        # n = 2000 at theta = 0.9: a head of 122 urns, 16 bytes each at one
+        # grid time, and about 1100 balls beyond it, which the rule counts at
+        # _TAIL_BALL_BYTES each
+        law = make_zipf_law(0.9)
+        assert law.head_width(2000) == 122
+        monkeypatch.setattr(law_module, "PHYSICAL_MEMORY", 1952 + 100)
+        for draw in (lambda: law.head_width(2000), lambda: sample_fixed(law, 2000, 1),
+                     lambda: sample_trajectories(law, 2000, (1.0,), 1, range(3))):
+            with pytest.raises(UsageError, match="about 1.1e\\+03 tail balls"):
+                draw()
+        tail = 2000 * (law.c * zeta_tail(1 / 0.9, 122) - law.discarded_mass) / law.total_mass
+        assert 1000 < tail < 1200
+        need = 1952 + law_module._TAIL_BALL_BYTES * tail
+        monkeypatch.setattr(law_module, "PHYSICAL_MEMORY", math.ceil(need))
+        assert law.head_width(2000) == 122
+
     def test_no_seeds_is_a_usage_error(self, law05):
         with pytest.raises(UsageError):
-            sample_trajectories(law05, 100, (1.0,), [])
+            sample_trajectories(law05, 100, (1.0,), 0, range(0))
 
     def test_memory_per_seed_is_one_tally_row(self, law07):
         # each block's tally goes straight into one array for all seeds: at
@@ -353,12 +371,11 @@ class TestBlocks:
         # a 16-byte key; a list of block tallies joined at the end held about
         # 240 bytes per seed
         grid = (0.25, 0.5, 1.0)
-        sample_trajectories(law07, 20000, grid, [SeedSpec(0, rep) for rep in range(200)], k_max=2)
+        sample_trajectories(law07, 20000, grid, 0, range(200), k_max=2)
         peaks = []
         for m in (200, 800):
-            seeds = [SeedSpec(0, rep) for rep in range(m)]
             tracemalloc.start()
-            sample_trajectories(law07, 20000, grid, seeds, k_max=2)
+            sample_trajectories(law07, 20000, grid, 0, range(m), k_max=2)
             peaks.append(tracemalloc.get_traced_memory()[1])
             tracemalloc.stop()
         assert (peaks[1] - peaks[0]) / 600 < 200
@@ -405,7 +422,7 @@ class TestBlocks:
         # n = 40 a few of 300 seeds redraw a tail ball
         law, n = make_zipf_law(theta), 40
         seeds = [SeedSpec(3, rep) for rep in range(300)]
-        default = sample_trajectories(law, n, grid, seeds, k_max=3)
+        default = sample_trajectories(law, n, grid, 3, range(300), k_max=3)
         replays, draw = [], sampler._Stream._draw
 
         def logged(stream, *args):
@@ -415,11 +432,11 @@ class TestBlocks:
 
         monkeypatch.setattr(sampler, "_SPARES", 0)
         monkeypatch.setattr(sampler._Stream, "_draw", logged)
-        rebuilt = sample_trajectories(law, n, grid, seeds, k_max=3)
+        rebuilt = sample_trajectories(law, n, grid, 3, range(300), k_max=3)
         assert replays
         # every ball's urn, too: a snapshot may not see a wrong urn
         sizes = [math.floor(n * t) for t in grid]
-        blocks = law.draw_prefixes(sizes, sampler._streams(_keys(seeds)))
+        blocks = law.draw_prefixes(sizes, sampler._streams(_keys(3, range(300))))
         alone = law.draw_prefixes(sizes, (seed.generator() for seed in seeds))
         for block, reference in zip(blocks, alone, strict=True):
             assert all(np.array_equal(a, b) for a, b in zip(block, reference))
@@ -435,6 +452,16 @@ class TestTrajectory:
         snaps = sample_trajectory(law05, 10 ** 4, [1.0], SeedSpec(77, 0))
         single = sample_fixed(law05, 10 ** 4, SeedSpec(77, 0)).snapshot()
         assert snaps[0] == single
+
+    @pytest.mark.parametrize("master", [0, 2 ** 64 + 1], ids=["0", "2^64+1"])
+    @pytest.mark.parametrize("stream", [2 ** 32 - 1, 2 ** 32, 2 ** 40 + 3],
+                             ids=["2^32-1", "2^32", "2^40+3"])
+    def test_a_high_stream_matches_fixed(self, law05, master, stream):
+        # sample_trajectory keys the one-stream range of its seed, which
+        # crosses no multiple of 2^32 but may start on or above one
+        seed = SeedSpec(master, stream)
+        snaps = sample_trajectory(law05, 10 ** 4, (1.0,), seed)
+        assert snaps[0] == sample_fixed(law05, 10 ** 4, seed).snapshot()
 
     def test_prefix_monotonicity(self, law05):
         snaps = sample_trajectory(law05, 10 ** 4, [0.25, 0.5, 0.75, 1.0], 5)
@@ -493,8 +520,7 @@ class TestTrajectory:
         # about 20 SE, so a wrong joint law of the prefixes shows
         law = make_zipf_law(theta)
         n, m = 10 ** 4, 1000
-        half, full = sample_trajectories(law, n, (0.5, 1.0),
-                                         [SeedSpec(2027, rep) for rep in range(m)])
+        half, full = sample_trajectories(law, n, (0.5, 1.0), 2027, range(m))
 
         def mean(t, stat, k=None):
             return law.expected_statistic(t, stat, mode="poissonized", k=k)
