@@ -24,7 +24,8 @@ run.  A requested k above the input's n is a usage error, and so is a
 numeric flag's range sits on its declaration, as its argparse ``type``, and
 every parser error is one ``zipfest: usage error:`` line, with no usage block.
 
-Exit codes: 0 success, 1 runtime failure, 2 usage error.
+Exit codes: 0 success, 1 runtime failure (running out of memory too), 2 usage
+error.
 """
 
 from __future__ import annotations
@@ -482,6 +483,9 @@ def main(argv=None) -> int:
         return 1
     except OSError as exc:
         print(f"zipfest: i/o error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:  # an allocation beyond what the memory rules foresee
+        print(f"zipfest: error: out of memory: {exc}", file=sys.stderr)
         return 1
 
 

@@ -18,9 +18,10 @@ A law knows how to
   series in p with coefficients C(n - k, j) or n^j / j!
   (:meth:`PowerLaw.expected_statistic`), and
 * draw the occupancy of n independent balls without drawing each ball:
-  the counts of the heaviest urns 1..W, W about alpha(n), as one
-  multinomial by conditional binomials (Devroye, "Non-Uniform Random
-  Variate Generation", 1986, ch. XI), and the balls beyond urn W one by one
+  the counts of the heaviest urns 1..W, W about alpha(n / B) for n balls
+  drawn in B batches, as one multinomial per batch by conditional binomials
+  (Devroye, "Non-Uniform Random Variate Generation", 1986, ch. XI), which
+  costs a binomial per urn and batch, and the balls beyond urn W one by one
   by rejection-inversion (Hoermann & Derflinger, "Rejection-inversion to
   generate variates from monotone discrete distributions", ACM TOMACS 6(3),
   1996), which needs no table and costs O(1) per ball at any exponent.  The
@@ -67,13 +68,27 @@ _ORACLE_BLOCK = 1 << 16  # urns summed at once, so memory stays bounded
 
 _STATS = ("r", "u", "rk")
 
-#: the machine's physical memory in bytes, which bounds a draw
-#: (``PowerLaw.head_width``) and a study's M (``montecarlo._check_memory``)
-PHYSICAL_MEMORY = (os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-                   if hasattr(os, "sysconf") else math.inf)
 
-#: the bytes a draw holds per tail ball, at its peak: tracemalloc read 57.6
-#: at one grid time and 69.7 at three, theta = 0.9 and n = 1e5 to 4e6
+def _usable_memory() -> float:
+    """The machine's physical memory in bytes, or the process's soft
+    address-space limit (``ulimit -v``) where that is lower."""
+    memory = (os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+              if hasattr(os, "sysconf") else math.inf)
+    try:
+        import resource
+    except ImportError:  # Windows, which has no address-space limit to read
+        return memory
+    limit = resource.getrlimit(resource.RLIMIT_AS)[0]
+    return memory if limit == resource.RLIM_INFINITY else min(memory, limit)
+
+
+#: the bytes this process may hold, which bound a draw
+#: (``PowerLaw.head_width``) and a study's M (``montecarlo._check_memory``)
+USABLE_MEMORY = _usable_memory()
+
+#: the bytes a draw holds per tail ball, at its peak beyond its head:
+#: tracemalloc read 57.6 at one grid time and 68.1 at three, theta = 0.9 and
+#: n = 1e5 to 4e6
 _TAIL_BALL_BYTES = 72
 
 #: head counts and tail uniforms that one block of draws holds, about: a
@@ -226,21 +241,24 @@ class PowerLaw:
     # ------------------------------------------------------------------
 
     def head_width(self, n: int, grid_times: int = 1, name: str = "n") -> int:
-        """W, the urns whose ball counts :meth:`draw_prefixes` draws as one
-        multinomial for n balls: about alpha(n) = (c n)^theta, the urns with
-        n p >= 1, at least one and at most the cutoff.  A draw that needs
-        more bytes than ``PHYSICAL_MEMORY`` is a usage error that names
-        ``name``, the flag or field that set n: 8 per urn of the head for its
-        probabilities, 8 per urn and grid time for its counts, and
-        ``_TAIL_BALL_BYTES`` per ball expected beyond the head, n times the
-        tail's share of the retained mass."""
-        width = max(1, min(self.cutoff, int((self.c * n) ** self.theta)))
+        """W, the urns whose ball counts :meth:`draw_prefixes` draws as a
+        multinomial per batch when it draws n balls in ``grid_times``
+        batches: about alpha(n / grid_times) = (c n / grid_times)^theta, the
+        urns that expect a ball in the mean batch, at least one and at most
+        the cutoff: a head urn costs a binomial per batch, a tail ball one
+        rejection-inversion step.  A draw that needs more bytes than
+        ``USABLE_MEMORY`` is a usage error that names ``name``, the flag or
+        field that set n: 8 per urn of the head for its probabilities, 8 per
+        urn and grid time for its counts, and ``_TAIL_BALL_BYTES`` per ball
+        expected beyond the head, n times the tail's share of the retained
+        mass."""
+        width = max(1, min(self.cutoff, int((self.c * n / grid_times) ** self.theta)))
         balls = n * (self.c * zeta_tail(self._s, width) - self.discarded_mass) / self.total_mass
         need = 8 * width * (1 + grid_times) + _TAIL_BALL_BYTES * balls
-        if need > PHYSICAL_MEMORY:
+        if need > USABLE_MEMORY:
             raise UsageError(f"{name} = {n} needs a head of {width} urns and about "
                              f"{balls:.3g} tail balls, {need:.3g} bytes, more than the "
-                             f"machine's {PHYSICAL_MEMORY} bytes of memory")
+                             f"{USABLE_MEMORY} bytes of memory this process may use")
         return width
 
     def draw_prefixes(self, sizes, rngs):
@@ -252,16 +270,17 @@ class PowerLaw:
         (``sampler._Stream``).
 
         Balls sizes[j-1]+1..sizes[j] form batch j.  Each generator draws, in
-        this order, the counts of positions 1..W, W = ``head_width(sizes[-1])``,
-        of each batch as one multinomial by conditional binomials, then one
-        uniform per ball beyond W of all its batches in one call; the balls
-        are independent, so adding up the batches' counts and joining their
-        tails gives the exact joint law of the prefixes.  The generators are
-        drawn in blocks of about ``_BLOCK_ELEMENTS`` head counts and uniforms:
-        a block takes the next generator while, by the size of the last draw,
-        its draw would still fit, so a draw larger than that is a block of its
-        own.  Each block maps its uniforms to positions (:meth:`_accepted`),
-        then sorts every prefix's tails and counts their runs in one pass.
+        this order, the counts of positions 1..W, W = ``head_width(sizes[-1],
+        len(sizes))``, of each batch as one multinomial by conditional
+        binomials, then one uniform per ball beyond W of all its batches in
+        one call; the balls are independent, so adding up the batches' counts
+        and joining their tails gives the exact joint law of the prefixes,
+        whatever W is.  The generators are drawn in blocks of about
+        ``_BLOCK_ELEMENTS`` head counts and uniforms: a block takes the next
+        generator while, by the size of the last draw, its draw would still
+        fit, so a draw larger than that is a block of its own.  Each block
+        maps its uniforms to positions (:meth:`_accepted`), then sorts every
+        prefix's tails and counts their runs in one pass.
 
         The accepted-prefix rule makes this the draw of one batch at a time:
         each uniform maps to a ball or is rejected on its own, and a rejected

@@ -28,7 +28,7 @@ are identical for any worker count; the aggregation is a commutative merge
 over replication-indexed slots.  The worker count is
 ``ExperimentConfig.workers`` (default 1), at most ``USABLE_CPUS``, the CPUs
 this process may run on.  An M whose replications would keep more bytes
-than ``law.PHYSICAL_MEMORY`` holds is refused before the law is built, and
+than ``law.USABLE_MEMORY`` holds is refused before the law is built, and
 an n whose draw would need more (``law.PowerLaw.head_width``) before any
 worker starts.  A study builds its law once and hands it to every
 chunk; with more workers, the law is pickled to them.
@@ -47,7 +47,7 @@ from . import asymptotics
 from .errors import UsageError
 from .estimators import (ESTIMATORS, confidence_bounds, estimate_many,
                          expand_estimators, normal_cdf, snapshot_k_max)
-from .law import PHYSICAL_MEMORY, PowerLaw, make_zipf_law, zeta_normalization
+from .law import USABLE_MEMORY, PowerLaw, make_zipf_law, zeta_normalization
 from .occupancy import DEFAULT_K_MAX
 from .sampler import SeedSpec, check_grid, sample_trajectories
 
@@ -190,14 +190,14 @@ def _law_from_config(cfg: ExperimentConfig) -> PowerLaw:
 
 
 def _check_memory(cfg: ExperimentConfig, grid_times: int, k_max: int, values: int) -> None:
-    """Refuse an M whose replications would keep more bytes than the
-    machine's memory.  A replication keeps its 16-byte key, one int64 tally
+    """Refuse an M whose replications would keep more bytes than this
+    process may use.  A replication keeps its 16-byte key, one int64 tally
     row of at most k_max + 4 entries per grid time, and ``values`` float64
     values."""
     kept = cfg.m * (16 + 8 * grid_times * (k_max + 4) + 8 * values)
-    if kept > PHYSICAL_MEMORY:
+    if kept > USABLE_MEMORY:
         raise UsageError(f"M = {cfg.m} replications would keep {kept} bytes, more than "
-                         f"the machine's {PHYSICAL_MEMORY} bytes of memory")
+                         f"the {USABLE_MEMORY} bytes of memory this process may use")
 
 
 def _normality_chunk(cfg: ExperimentConfig, law: PowerLaw, rep_lo: int, rep_hi: int):

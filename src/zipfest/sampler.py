@@ -4,7 +4,8 @@ return is ``occupancy.OccupancyCounts``; ``ingest`` reads and writes it.
 The occupancy statistics read only how many balls each urn holds, so no
 sampler draws every ball.  All of them draw through the block routine
 ``PowerLaw.draw_prefixes``: per seed, the count vector of the W heaviest
-urns as one multinomial per grid increment, and one uniform per ball beyond
+urns as one multinomial per grid increment, W about alpha(n / B) for n balls
+and B grid times (``PowerLaw.head_width``), and one uniform per ball beyond
 them in one call; then, for a block of seeds at once, rejection-inversion
 maps the uniforms to positions of the retained support, renormalized (the
 law records the discarded mass), and each prefix's tail is sorted and
@@ -297,8 +298,8 @@ def sample_trajectories(law: PowerLaw, n: int, grid, master, streams: range,
 def sample_trajectory(law: PowerLaw, n: int, grid, seed,
                       k_max: int = DEFAULT_K_MAX) -> list[StatisticsSnapshot]:
     """Snapshots of one nested sample along ``grid``: the one-seed case of
-    :func:`sample_trajectories`.  With the same seed, the snapshot at t = 1
-    matches ``sample_fixed`` exactly."""
+    :func:`sample_trajectories`.  With the same seed, the snapshot of the
+    grid (1.0,) matches ``sample_fixed`` exactly."""
     seed = _as_seed(seed)
     return [columns.sample(0) for columns in sample_trajectories(
         law, n, grid, seed.master, range(seed.stream, seed.stream + 1), k_max=k_max)]

@@ -5,6 +5,9 @@ import io
 import json
 import math
 import os
+import resource
+import subprocess
+import sys
 from dataclasses import fields
 
 import numpy as np
@@ -353,7 +356,7 @@ def test_a_head_beyond_the_memory_is_one_usage_error_line(capsys, monkeypatch, t
                             (montecarlo, "_run_chunked")):
         monkeypatch.setattr(module, refused, refuse)
     if memory is not None:
-        monkeypatch.setattr(law_module, "PHYSICAL_MEMORY", memory)
+        monkeypatch.setattr(law_module, "USABLE_MEMORY", memory)
         argv = [a.replace("0.9", "0.5").replace("9000000000000000000", "10000") for a in argv]
     if argv[0] == "simulate":
         argv = argv + ["--output", str(tmp_path / "counts.csv")]
@@ -382,13 +385,61 @@ def test_a_tail_beyond_the_memory_is_one_usage_error_line(capsys, monkeypatch, t
     for module, refused in ((cli, "sample_fixed"), (cli, "sample_poissonized"),
                             (montecarlo, "_run_chunked")):
         monkeypatch.setattr(module, refused, refuse)
-    monkeypatch.setattr(law_module, "PHYSICAL_MEMORY", 1952 + 100)
+    monkeypatch.setattr(law_module, "USABLE_MEMORY", 1952 + 100)
     if argv[0] == "simulate":
         argv = argv + ["--output", str(tmp_path / "counts.csv")]
     code, out, err = run(capsys, argv)
     assert code == 2 and out == ""
     assert err.startswith(f"zipfest: usage error: {name} = 2000 needs a head of 122 urns")
     assert "tail balls" in err and err.count("\n") == 1
+    assert not any(tmp_path.iterdir())
+
+
+def _main_in_child(argv, address_space, cwd):
+    """(exit code, stdout, stderr) of ``zipfest`` with ``argv``, run in a
+    fresh interpreter in ``cwd`` whose soft address-space limit is
+    ``address_space`` bytes; the child sets it before it starts, so this
+    process keeps its own."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+    done = subprocess.run(
+        [sys.executable, "-c", "import sys; from zipfest.cli import main; sys.exit(main())",
+         *argv], env=env, cwd=cwd, capture_output=True, text=True, timeout=120,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (address_space, hard)))
+    return done.returncode, done.stdout, done.stderr
+
+
+def test_a_draw_beyond_the_address_space_limit_is_one_usage_error_line(tmp_path):
+    # n = 3e8 at theta = 0.9 needs 3.7e9 bytes by the memory rule, which a
+    # 1 GiB address space cannot hold: compared with the machine's memory
+    # alone, the rule let the draw start, and numpy ran out mid-draw
+    limit = 2 ** 30
+    code, out, err = _main_in_child(["simulate", "--theta", "0.9", "--n", "300000000",
+                                     "--output", "counts.csv"], limit, tmp_path)
+    assert code == 2 and out == ""
+    assert err.startswith("zipfest: usage error: --n = 300000000 needs a head of")
+    assert f"the {limit} bytes of memory this process may use" in err
+    assert err.count("\n") == 1
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("argv, module, name", [
+    (["simulate", "--theta", "0.5", "--n", "1000"], cli, "sample_fixed"),
+    (["study-covariance", "--theta", "0.5", "--n", "1000", "--m", "100"],
+     montecarlo, "_run_chunked"),
+])
+def test_an_escaped_memory_error_is_one_error_line(capsys, monkeypatch, tmp_path,
+                                                   argv, module, name):
+    message = "Unable to allocate 383. MiB for an array with shape (1, 50139075)"
+
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(module, name, out_of_memory)
+    code, out, err = run(capsys, argv + ["--output", str(tmp_path / "out")])
+    assert (code, out, err) == (1, "", f"zipfest: error: out of memory: {message}\n")
     assert not any(tmp_path.iterdir())
 
 

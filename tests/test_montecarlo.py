@@ -308,11 +308,11 @@ def test_a_head_beyond_the_memory_is_refused_before_any_worker(monkeypatch, stud
 
     monkeypatch.setattr(montecarlo, "_run_chunked", refuse)
     # a head of 34 urns (n = 2000 at theta = 0.5) needs 544 bytes at one
-    # grid time, 1088 at three
-    monkeypatch.setattr(law_module, "PHYSICAL_MEMORY", 500)
+    # grid time; at three, a head of 20 urns (alpha(2000 / 3)) needs 640
+    monkeypatch.setattr(law_module, "USABLE_MEMORY", 500)
     with pytest.raises(UsageError, match="n = 2000 needs a head of"):
         study(replace(SMALL, grid=(0.25, 0.5, 1.0)))
-    monkeypatch.setattr(law_module, "PHYSICAL_MEMORY", 10 ** 6)
+    monkeypatch.setattr(law_module, "USABLE_MEMORY", 10 ** 6)
     with pytest.raises(AssertionError, match="past its head check"):
         study(replace(SMALL, grid=(0.25, 0.5, 1.0)))
 
@@ -338,10 +338,10 @@ def test_an_m_beyond_the_memory_is_refused_before_the_law(monkeypatch, study):
     monkeypatch.setattr(montecarlo, "make_zipf_law", refuse)
     monkeypatch.setattr(montecarlo, "sample_trajectories", refuse)
     # each replication keeps more than 100 bytes: its key and a tally row
-    monkeypatch.setattr(montecarlo, "PHYSICAL_MEMORY", 100 * 100)
+    monkeypatch.setattr(montecarlo, "USABLE_MEMORY", 100 * 100)
     with pytest.raises(UsageError, match="M = 100 replications would keep"):
         study(replace(SMALL, m=100))
-    monkeypatch.setattr(montecarlo, "PHYSICAL_MEMORY", 10 ** 6)
+    monkeypatch.setattr(montecarlo, "USABLE_MEMORY", 10 ** 6)
     with pytest.raises(AssertionError, match="past its memory check"):
         study(replace(SMALL, m=100))
 

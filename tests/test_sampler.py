@@ -180,6 +180,29 @@ class TestRejectionInversion:
             se = math.sqrt(p * (1.0 - p) / n)
             assert abs(np.count_nonzero(pos == i) / n - p) <= 5.0 * se, i
 
+    def test_urns_past_the_mean_batch_hold_their_share_of_each_prefix(self):
+        # at three grid times the head is alpha(n / 3) urns, so the tail
+        # drawer, not the multinomial, draws urns alpha(n / 3) + 1 ..
+        # alpha(n); the first five must hold m p_i balls on average at each
+        # prefix of m balls, each urn's count binomial(m, p_i)
+        law, n, grid, draws = make_zipf_law(0.9), 10 ** 5, (0.25, 0.5, 1.0), 500
+        sizes = [math.floor(n * t) for t in grid]
+        first = law.head_width(n, len(grid)) + 1
+        assert first == law.counting_function(n / 3) + 1 < law.counting_function(n)
+        urns = np.arange(first, first + 5, dtype=float)
+        held = np.zeros((len(sizes), urns.size))
+        streams = (SeedSpec(2027, rep).generator() for rep in range(draws))
+        for head, rows, positions, counts in law.draw_prefixes(sizes, streams):
+            assert head.shape[2] == first - 1
+            for i, urn in enumerate(urns):
+                hit = positions == urn
+                held[:, i] += np.bincount(rows[hit] // head.shape[1], weights=counts[hit],
+                                          minlength=len(sizes))
+        p = law.c * urns ** (-1.0 / law.theta) / law.total_mass
+        for m, got in zip(sizes, held):
+            se = np.sqrt(draws * m * p * (1.0 - p))
+            assert np.all(np.abs(got - draws * m * p) <= 5.0 * se), (m, got, draws * m * p)
+
     def test_far_tail_share(self):
         # beyond 2^53 positions have no fraction left, and only the quick
         # acceptance test keeps the exact test's rounding from rejecting them
@@ -342,24 +365,32 @@ class TestBlocks:
                             lambda self, first: calls.append(first) or bounds(self, first))
         streams = (SeedSpec(8, rep).generator() for rep in range(100))
         blocks = list(law.draw_prefixes([1000, 2000], streams))
-        assert len(blocks) >= 4 and calls == [law.head_width(2000) + 1]
+        assert len(blocks) >= 4 and calls == [law.head_width(2000, 2) + 1]
 
     def test_tail_balls_count_in_a_draws_memory(self, monkeypatch):
         # n = 2000 at theta = 0.9: a head of 122 urns, 16 bytes each at one
         # grid time, and about 1100 balls beyond it, which the rule counts at
-        # _TAIL_BALL_BYTES each
+        # _TAIL_BALL_BYTES each; at three grid times the head is alpha(2000 /
+        # 3), 45 urns of 32 bytes, and about 1230 balls fall beyond it
         law = make_zipf_law(0.9)
-        assert law.head_width(2000) == 122
-        monkeypatch.setattr(law_module, "PHYSICAL_MEMORY", 1952 + 100)
-        for draw in (lambda: law.head_width(2000), lambda: sample_fixed(law, 2000, 1),
-                     lambda: sample_trajectories(law, 2000, (1.0,), 1, range(3))):
-            with pytest.raises(UsageError, match="about 1.1e\\+03 tail balls"):
+        three = (0.25, 0.5, 1.0)
+        assert law.head_width(2000) == 122 and law.head_width(2000, len(three)) == 45
+        for grid, width, balls in (((1.0,), 122, "1.1e\\+03"), (three, 45, "1.23e\\+03")):
+            head = 8 * width * (1 + len(grid))
+            draws = [lambda: law.head_width(2000, len(grid)),
+                     lambda: sample_trajectories(law, 2000, grid, 1, range(3))]
+            if len(grid) == 1:
+                draws.append(lambda: sample_fixed(law, 2000, 1))
+            monkeypatch.setattr(law_module, "USABLE_MEMORY", head + 100)
+            for draw in draws:
+                with pytest.raises(UsageError, match=f"about {balls} tail balls"):
+                    draw()
+            tail = 2000 * (law.c * zeta_tail(1 / 0.9, width) - law.discarded_mass) / law.total_mass
+            assert 1000 < tail < 1300
+            need = head + law_module._TAIL_BALL_BYTES * tail
+            monkeypatch.setattr(law_module, "USABLE_MEMORY", math.ceil(need))
+            for draw in draws:
                 draw()
-        tail = 2000 * (law.c * zeta_tail(1 / 0.9, 122) - law.discarded_mass) / law.total_mass
-        assert 1000 < tail < 1200
-        need = 1952 + law_module._TAIL_BALL_BYTES * tail
-        monkeypatch.setattr(law_module, "PHYSICAL_MEMORY", math.ceil(need))
-        assert law.head_width(2000) == 122
 
     def test_no_seeds_is_a_usage_error(self, law05):
         with pytest.raises(UsageError):
