@@ -127,6 +127,11 @@ def ratio_k_variance(theta, k: int):
     """
     theta = _check_theta(theta)
     k = _check_k(k)
+    if k >= 2 ** 40:
+        # the second term, about 0.14 sqrt(k), is below 1e-19 of the first,
+        # and log_denom, a difference of terms near 2k ln 2, loses all its
+        # digits as k nears 2^60
+        return (k - theta) * (2 * k + 1 - theta)
     log_denom = (math.log(k) + (2 * k + 2 - theta) * math.log(2.0)
                  + ln_beta(k - theta, float(k)))
     return ((k - theta) * (2 * k + 1 - theta)

@@ -255,7 +255,8 @@ def _cmd_simulate(args) -> int:
         # memory in proportion to it
         raise UsageError(f"--k-max {args.k_max} exceeds the sample size {size}")
     law = make_zipf_law(args.theta, i0=args.i0, tail_epsilon=args.tail_epsilon)
-    law.head_width(size, name="--n" if args.mode == "fixed" else "--t")  # before any draw
+    # before any draw, by the rule of a draw that maps its urns to counts
+    law.head_width(size, name="--n" if args.mode == "fixed" else "--t", urn_map=True)
     seed = SeedSpec(args.seed, args.stream)
     if args.mode == "fixed":
         counts = sample_fixed(law, args.n, seed)

@@ -8,9 +8,8 @@ Three families:
   sigma(theta*) / (ln n sqrt(S_n)); theta* is the lowest root where g
   rises (with c(theta) = 1/zeta(1/theta), g_rk peaks below theta = 1 for
   every k >= 2, and the second root, beyond the peak, is spurious),
-  bisected on the theta grid with g evaluated only where a root located
-  from the grid's g by one cubic and one secant step, and certified,
-  cannot replay a step,
+  located from the grid's g by one cubic and one secant step and certified
+  within 1e-14, or else bisected on the theta grid to 1e-10,
 * ratio estimators built from two statistics (no c needed):
   R_{n,1}/R_n and (k R_{n,k} - (k+1) R_{n,k+1}) / R_{n,k},
 * the log-ratio baseline ln R_n / ln n, consistent but with a
@@ -165,49 +164,40 @@ class ImplicitSolver:
     where g rises (g[j+1] > g[j]) bracket a statistic, and each statistic
     takes its root in the lowest such bracket, so g need not be monotone:
     a statistic above the peak of g, or one no rising interval reaches,
-    has no root.  A batch bisects the roots of arrays of statistic values of
-    one or more solvers of one normalization to |delta theta| < 1e-10:
-    :func:`estimate_many` joins every implicit row of a study chunk or of a
-    CLI estimate, and :meth:`solve` is the one-value batch.  A value below
-    1, NaN, or without a root is NaN there, not an error, and :meth:`solve`
-    flags it as :func:`estimate_rows` does (module docstring).
+    has no root.  A batch finds the roots of arrays of statistic values of
+    one or more solvers of one normalization: :func:`estimate_many` joins
+    every implicit row of a study chunk or of a CLI estimate, and
+    :meth:`solve` is the one-value batch.  A value below 1, NaN, or without
+    a root is NaN there, not an error, and :meth:`solve` flags it as
+    :func:`estimate_rows` does (module docstring).
 
-    A halving needs only the side of each midpoint, so g is evaluated on a
-    few batches rather than at each of the ~23 steps:
+    A batch evaluates g in rounds, each on the brackets of all its solvers:
 
     * locate: x is the theta where the cubic through (ln g, theta) at the
       four grid points around the bracket, which the solver holds, meets
       ln s; one secant step on ln g - ln s from x against the nearer
       bracket end takes the cubic's error (up to about 1e-12) down to
       rounding.  Each x is clipped to the bracket; g is evaluated once;
-    * certify: x holds the root within REPLAY_EPS if g(x - REPLAY_EPS) < s <
-      g(x + REPLAY_EPS) and g rises on the bracket's grid interval and both
-      its neighbours (next to a turn of g, or at a grid end, g is too flat);
-    * halve: every bracket is halved by the side of x alone (``mid < x``),
-      with no evaluation.  Halving toward x leaves the nearest midpoints on
-      each side of x as the final lo and hi, so a bracket whose final lo or
-      hi lies within REPLAY_EPS of x had a midpoint that near; it is halved
-      again from its grid interval, with g evaluated at each such midpoint,
-      and so is each bracket that is not certified, at every midpoint.
-      Halving runs until no bracket is wider than BISECT_TOL, which on the
-      uniform grid is the same step for every bracket where g never hits s
-      exactly.  So roots and step counts are those of evaluating every
-      midpoint, bit for bit.
+    * certify: x is the root, within CERTIFY_EPS = 1e-14, if g(x -
+      CERTIFY_EPS) < s < g(x + CERTIFY_EPS) and g rises on the bracket's
+      grid interval and both its neighbours (next to a turn of g, or at a
+      grid end, g is too flat); where g's rounding blurs its side of s over
+      more theta (near theta = 1, the peak of g_rk, or n below 10, up to
+      about 4e-13), as near as any bisection of g can tell;
+    * halve: every other bracket is bisected from its grid interval, with
+      g evaluated at each midpoint, to |delta theta| < BISECT_TOL, and its
+      root is the midpoint of its last bracket (an exact hit ends early).
 
-    REPLAY_EPS = 1e-14 keeps the replay exact: x lies a few ulps from the
-    root, and where g rises on three grid intervals the rounding of g blurs
-    its side of s over less than 1e-14 of theta, so a midpoint beyond
-    REPLAY_EPS of x evaluates to the side its position gives (tier 1 checks
-    this against plain halving from n = 2 to 1e10, up to the peak of g).
-    As a midpoint lands that near x about once per 1000 brackets, a
-    normality study chunk takes 2 rounds of g (locate, certify), not 23.  A
-    round runs once per batch, on the brackets of all its solvers, and
-    computes the terms that depend on theta alone, c(theta), ln c(theta) and
-    ln Gamma(1 - theta) (which r, u and rk(1) share), once for all solvers,
-    then ``asymptotics.log_growth`` once per solver (``_g_array``); on the
-    grid those terms are class constants.  :func:`estimate_many` passes
-    each distinct statistic value of a row once, so a chunk's batch holds
-    no more values than its rows have distinct ones.
+    Each root thus depends on its own value alone, never on the rest of its
+    batch.  A normality study chunk, where nearly every bracket is
+    certified, takes 2 rounds of g, not the 23 of halving.  A round
+    computes the terms that depend on theta alone, c(theta), ln c(theta)
+    and ln Gamma(1 - theta) (which r, u and rk(1) share), once for all
+    solvers, then ``asymptotics.log_growth`` once per solver
+    (``_g_array``); on the grid those terms are class constants.
+    :func:`estimate_many` passes each distinct statistic value of a row
+    once, so a chunk's batch holds no more values than its rows have
+    distinct ones.
     ``c_of_theta`` is a function of theta that also takes an array of theta,
     as ``law.zeta_normalization`` does (a constant c may return one number);
     :func:`estimate_many` builds every solver of a batch from one.  ``n`` is
@@ -218,7 +208,7 @@ class ImplicitSolver:
     THETA_LO = 1e-4
     THETA_HI = 1.0 - 1e-4
     BISECT_TOL = 1e-10
-    REPLAY_EPS = 1e-14
+    CERTIFY_EPS = 1e-14
     MIN_N = 2
 
     _grid = np.linspace(THETA_LO, THETA_HI, GRID_POINTS)
@@ -274,8 +264,9 @@ class ImplicitSolver:
 
     def solve(self, stat_value: float, level: float = 0.95) -> EstimateResult:
         """The estimate of one statistic value, the one-value batch, with
-        its bisection's step count (0 where there is no root) and bracket
-        as ``diagnostics``; NaN and flagged where there is no root."""
+        its bisection's step count (0 where the root is certified or there
+        is none) and bracket as ``diagnostics``; NaN and flagged where there
+        is no root."""
         stats = np.array([float(stat_value)])
         (_, interval, roots, steps), = _roots_joined([self], [stats])
         diagnostics = {"iterations": int(steps.sum()), "stat_value": float(stat_value)}
@@ -300,7 +291,7 @@ class ImplicitSolver:
 
 def _roots_joined(solvers, stats):
     """The roots of the statistics ``stats[i]`` of each ``solvers[i]``, all
-    bisected in one batch (class docstring): per solver, (owner, interval,
+    found in one batch (class docstring): per solver, (owner, interval,
     root, steps), one entry per statistic with a bracket (``_brackets``).
     Every solver shares the c(theta) of the first."""
     if not solvers:
@@ -329,7 +320,7 @@ def _roots_joined(solvers, stats):
                                            ln_gamma_1m[a:b])
         return out
 
-    eps = ImplicitSolver.REPLAY_EPS
+    eps = ImplicitSolver.CERTIFY_EPS
     lo, hi = grid[interval], grid[interval + 1]
     log_target = np.log(target)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -346,34 +337,17 @@ def _roots_joined(solvers, stats):
         secant = x - f * (x - np.where(upper, hi, lo)) / (f - np.where(upper, y[:, 2], y[:, 1]))
     x = np.fmin(np.fmax(np.where(np.isnan(secant), x, secant), lo), hi)  # NaN: f equal at both
     g_near = g_of(np.stack([x - eps, x + eps], axis=1).ravel(), 2 * offsets)
-    sure = (g_near[0::2] < target) & (target < g_near[1::2]) & smooth
-    x = np.where(sure, x, np.nan)  # NaN: evaluate every midpoint
-
-    def halve(lo, hi, x, rows=None):
-        """Halve [lo, hi] in place toward x, by g near x for the batch's
-        entries ``rows``; returns the step counts."""
-        steps = np.zeros(lo.size, dtype=int)
-        while (live := hi - lo > ImplicitSolver.BISECT_TOL).any():
-            mid = 0.5 * (lo + hi)
-            up = mid < x
-            down = ~up
-            near = () if rows is None else np.flatnonzero(live & ~(np.abs(mid - x) > eps))
-            if len(near):
-                f_mid = g_of(mid[near], np.searchsorted(rows[near], offsets)) - target[rows[near]]
-                up[near], down[near] = f_mid <= 0.0, ~(f_mid < 0.0)  # NaN: down
-            np.copyto(lo, mid, where=live & up)
-            np.copyto(hi, mid, where=live & down)
-            steps += live & (up ^ down)  # an exact hit moves both ends to mid, uncounted
-        return steps
-
-    steps = halve(lo, hi, x)
-    # a midpoint within eps of x, or no certified x: halve again, by g there
-    redo = np.flatnonzero(~(np.abs(lo - x) > eps) | ~(np.abs(hi - x) > eps))
-    if redo.size:
-        redo_lo, redo_hi = grid[interval[redo]], grid[interval[redo] + 1]
-        steps[redo] = halve(redo_lo, redo_hi, x[redo], redo)
-        lo[redo], hi[redo] = redo_lo, redo_hi
-    return [(p[0], p[1], 0.5 * (lo[a:b] + hi[a:b]), steps[a:b])
+    # the rest are halved from their grid interval, by g at every midpoint
+    rest = np.flatnonzero(~((g_near[0::2] < target) & (target < g_near[1::2]) & smooth))
+    lo, hi, steps = lo[rest], hi[rest], np.zeros(x.size, dtype=int)
+    while (live := np.flatnonzero(hi - lo > ImplicitSolver.BISECT_TOL)).size:
+        mid, rows = 0.5 * (lo[live] + hi[live]), rest[live]
+        f_mid = g_of(mid, np.searchsorted(rows, offsets)) - target[rows]
+        up, down = f_mid <= 0.0, ~(f_mid < 0.0)  # NaN: down
+        lo[live[up]], hi[live[down]] = mid[up], mid[down]
+        steps[rows] += up ^ down  # an exact hit moves both ends to mid, uncounted
+    x[rest] = 0.5 * (lo + hi)
+    return [(p[0], p[1], x[a:b], steps[a:b])
             for p, a, b in zip(parts, offsets[:-1], offsets[1:])]
 
 

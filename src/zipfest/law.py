@@ -91,6 +91,12 @@ USABLE_MEMORY = _usable_memory()
 #: n = 1e5 to 4e6
 _TAIL_BALL_BYTES = 72
 
+#: the bytes a draw that builds an urn -> count map holds per urn it may
+#: map, a head urn or a tail ball, at its peak beyond its head's 16 per urn:
+#: tracemalloc read up to 145 at theta = 0.7 to 0.9 and 159 at 0.95, n =
+#: 2e4 to 6e6, in the dict and its Python ints
+_URN_MAP_BYTES = 176
+
 #: head counts and tail uniforms that one block of draws holds, about: a
 #: block maps, sorts and counts many generators' draws at once, and memory
 #: does not grow with their number
@@ -240,7 +246,8 @@ class PowerLaw:
     # occupancy draws
     # ------------------------------------------------------------------
 
-    def head_width(self, n: int, grid_times: int = 1, name: str = "n") -> int:
+    def head_width(self, n: int, grid_times: int = 1, name: str = "n",
+                   urn_map: bool = False) -> int:
         """W, the urns whose ball counts :meth:`draw_prefixes` draws as a
         multinomial per batch when it draws n balls in ``grid_times``
         batches: about alpha(n / grid_times) = (c n / grid_times)^theta, the
@@ -251,10 +258,12 @@ class PowerLaw:
         field that set n: 8 per urn of the head for its probabilities, 8 per
         urn and grid time for its counts, and ``_TAIL_BALL_BYTES`` per ball
         expected beyond the head, n times the tail's share of the retained
-        mass."""
+        mass; a draw that maps each occupied urn to its count (``urn_map``)
+        needs ``_URN_MAP_BYTES`` per head urn and tail ball instead."""
         width = max(1, min(self.cutoff, int((self.c * n / grid_times) ** self.theta)))
         balls = n * (self.c * zeta_tail(self._s, width) - self.discarded_mass) / self.total_mass
-        need = 8 * width * (1 + grid_times) + _TAIL_BALL_BYTES * balls
+        need = 8 * width * (1 + grid_times) + (_URN_MAP_BYTES * (width + balls) if urn_map
+                                               else _TAIL_BALL_BYTES * balls)
         if need > USABLE_MEMORY:
             raise UsageError(f"{name} = {n} needs a head of {width} urns and about "
                              f"{balls:.3g} tail balls, {need:.3g} bytes, more than the "
@@ -265,8 +274,8 @@ class PowerLaw:
         """Occupancy of the first m balls of one draw of independent balls
         per generator of ``rngs``, for each m of the non-decreasing ``sizes``.
         A generator is any object with numpy's ``multinomial`` and ``random``,
-        such as one seed's stream of a shared, re-keyed generator, which draws
-        spare uniforms for its top-ups and replays its draws if they run out
+        such as one seed's stream of a shared, re-keyed generator, which
+        draws each top-up from a counter range of its own
         (``sampler._Stream``).
 
         Balls sizes[j-1]+1..sizes[j] form batch j.  Each generator draws, in
@@ -331,7 +340,7 @@ class PowerLaw:
             accepted = self._accepted(width + 1, rngs, uniforms, bounds)
         else:
             accepted = np.empty((len(rngs), 0))
-        del rngs, uniforms  # a stream's spare uniforms too
+        del rngs, uniforms
         # row i of prefix j: the first e_j accepted positions of generator i
         tails = np.where(np.arange(accepted.shape[1]) < counts[:, :, width:], accepted, np.inf)
         del accepted
@@ -386,8 +395,8 @@ class PowerLaw:
         Rejection-inversion with the hat x^-s, s = 1/theta (``bounds`` is
         :meth:`_tail_bounds` from ``first``) maps each uniform on its own,
         every row in one pass; a row that falls short then draws exactly the
-        count still missing from its own generator (a stream's spares first,
-        :meth:`draw_prefixes`), until every ball is kept.
+        count still missing from its own generator, one ``random`` call per
+        round, until every ball is kept.
         """
         top, span, quick = bounds
         want = np.array([u.size for u in uniforms])

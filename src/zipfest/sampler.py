@@ -9,15 +9,16 @@ and B grid times (``PowerLaw.head_width``), and one uniform per ball beyond
 them in one call; then, for a block of seeds at once, rejection-inversion
 maps the uniforms to positions of the retained support, renormalized (the
 law records the discarded mass), and each prefix's tail is sorted and
-counted into run lengths.  A seed whose uniforms fall short tops up from its
-own stream by exactly the balls still missing, so by the accepted-prefix
-rule each prefix holds the balls that drawing one batch at a time gives.
+counted into run lengths.  A seed whose uniforms fall short tops up by
+exactly the balls still missing, from a range of its own stream's counter
+that the main draw never reaches, so by the accepted-prefix rule each
+prefix holds the balls that drawing one batch at a time gives.
 ``sample_trajectories`` tallies each block in one pass
 (``occupancy.tally_block``) into ``occupancy.StatisticsSnapshot``s in their
 array form; ``sample_trajectory`` is its one-stream case, and the urn ->
 count maps of ``sample_fixed`` and ``sample_poissonized`` add the urn
 indices to a one-seed block.  A poissonized sample draws a Poisson total
-first.
+first, from its stream's counter 0.
 
 Streams: a master seed and a range of stream indices name one Philox
 counter-based generator (period 2^256) per stream, so replications can run
@@ -25,9 +26,9 @@ in parallel and still reproduce bit-for-bit, however they are cut into
 blocks.  Philox is counter-based (Salmon et al., SC 2011), so a stream is
 just its 128-bit key: the key numpy's ``SeedSequence(master,
 spawn_key=(stream,))`` would generate, derived for the whole range in one
-numpy pass of that hash (``_keys``).  ``sample_trajectories`` draws every
-stream of its range from one generator, re-keyed per stream (``_Stream``);
-``SeedSpec.generator`` keys the one-stream range.
+numpy pass of that hash (``_keys``).  Every sampler draws each stream of
+its range from one generator, re-keyed per stream and per top-up round
+(``_Stream``).
 """
 
 from __future__ import annotations
@@ -57,9 +58,6 @@ class SeedSpec:
     def __post_init__(self):
         for name in ("master", "stream"):
             object.__setattr__(self, name, _seed_int(name, getattr(self, name)))
-
-    def generator(self) -> np.random.Generator:
-        return _generator(_keys(self.master, range(self.stream, self.stream + 1))[0])
 
 
 def _seed_int(name: str, value) -> int:
@@ -180,39 +178,36 @@ def _generator(key) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-_SPARES = 4  # uniforms a stream draws beyond those asked for, for its top-ups
-
-
 class _Stream:
-    """One stream's draws from the one generator of a ``sample_trajectories``
-    call, bit for bit those of a generator of its own.  Each ``random`` draws
-    ``_SPARES`` uniforms more, which the next call serves first; a top-up
-    beyond them, once a later stream has been keyed, keys the generator
-    again and replays the log (the binomial cache depends on (n, p) alone)."""
+    """One stream's draws from the one generator of a sampler call, which
+    it keys with the stream's Philox key: its multinomials, a Poisson total
+    and its first ``random`` call draw from counter 0, in that order and
+    before the next stream's, and its r-th later ``random`` call, top-up
+    round r, from counter [0, 0, 0, r], which the main draw never reaches.
+    So a stream draws the same whatever shares the generator with it."""
 
     def __init__(self, shared: list, key: list):
-        self._shared, self._key, self._log, self._spares = shared, key, [], np.empty(0)
+        self._shared, self._key, self._round = shared, key, 0
 
-    def _draw(self, size: int, probs=None) -> np.ndarray:
-        """``size`` uniforms, or a multinomial of ``size`` balls over ``probs``."""
+    def _keyed(self, counter: int) -> np.random.Generator:
+        """The generator, keyed at ``[0, 0, 0, counter]`` unless it goes on
+        with this stream's draws from counter 0."""
         rng, keyed, state = self._shared
-        if keyed is not self._key:
-            state["state"]["key"] = self._key
+        if keyed is not self._key or counter:
+            state["state"]["key"], state["state"]["counter"][3] = self._key, counter
             rng.bit_generator.state = state
-            self._shared[1], log, self._log = self._key, self._log, []
-            for draw in log:  # none at a stream's first draw
-                self._draw(*draw)
-        self._log.append((size, probs))
-        return rng.random(size) if probs is None else rng.multinomial(size, probs)
+            self._shared[1] = self._key
+        return rng
 
-    multinomial = _draw
+    def multinomial(self, size: int, probs) -> np.ndarray:
+        return self._keyed(0).multinomial(size, probs)
+
+    def poisson(self, lam: float) -> int:
+        return self._keyed(0).poisson(lam)
 
     def random(self, size: int) -> np.ndarray:
-        if size > self._spares.size:
-            drawn = self._draw(size - self._spares.size + _SPARES)
-            self._spares = np.concatenate([self._spares, drawn]) if self._spares.size else drawn
-        out, self._spares = self._spares[:size], self._spares[size:]
-        return out
+        self._round += 1
+        return self._keyed(self._round - 1).random(size)
 
 
 def _streams(keys):
@@ -227,6 +222,12 @@ def _streams(keys):
     return (_Stream(shared, key.tolist()) for key in keys)
 
 
+def _stream(seed) -> _Stream:
+    """The :class:`_Stream` of one seed."""
+    seed = _as_seed(seed)
+    return next(_streams(_keys(seed.master, range(seed.stream, seed.stream + 1))))
+
+
 def check_grid(grid) -> list[float]:
     """``grid`` as floats, if it is a non-empty, strictly increasing list of
     times in (0, 1]; else a usage error."""
@@ -238,8 +239,9 @@ def check_grid(grid) -> list[float]:
     return grid
 
 
-def _counts_dict(law: PowerLaw, n: int, rng: np.random.Generator) -> dict:
-    head, _, tail_positions, tail_counts = next(law.draw_prefixes([n], [rng]))
+def _counts_dict(law: PowerLaw, n: int, stream: _Stream) -> dict:
+    law.head_width(n, urn_map=True)
+    head, _, tail_positions, tail_counts = next(law.draw_prefixes([n], [stream]))
     head = head[0, 0]
     occupied = np.flatnonzero(head)
     urns = law.positions_to_urns(np.concatenate([occupied + 1.0, tail_positions]))
@@ -254,7 +256,7 @@ def sample_fixed(law: PowerLaw, n: int, seed) -> OccupancyCounts:
     """n independent balls thrown into the urns of ``law``."""
     if not (isinstance(n, (int, np.integer)) and n >= 1):
         raise DomainError(f"n must be a positive integer, got {n!r}")
-    counts = _counts_dict(law, int(n), _as_seed(seed).generator())
+    counts = _counts_dict(law, int(n), _stream(seed))
     return OccupancyCounts(counts=counts, total=int(n))
 
 
@@ -310,10 +312,10 @@ def sample_poissonized(law: PowerLaw, t: float, seed) -> OccupancyCounts:
     (realized by splitting a Poisson(t * retained mass) total)."""
     if not t > 0.0:
         raise DomainError(f"t must be positive, got {t!r}")
-    rng = _as_seed(seed).generator()
-    total = int(rng.poisson(t * law.total_mass))
+    stream = _stream(seed)
+    total = int(stream.poisson(t * law.total_mass))
     if total:
-        counts = _counts_dict(law, total, rng)
+        counts = _counts_dict(law, total, stream)
     else:
         counts = {}
     return OccupancyCounts(counts=counts, total=float(t))

@@ -70,6 +70,15 @@ class TestRatioVariances:
             for k in range(1, 7):
                 assert ratio_k_variance(float(theta), k) > 0.0
 
+    @pytest.mark.parametrize("theta", [0.1, 0.5, np.array([0.3, 0.9])])
+    def test_k_up_to_2_63(self, theta):
+        # from k = 2^40 the second term, about 0.14 sqrt(k), is far below an
+        # ulp of the first, so the variance is the first alone, as just below
+        # 2^40; the full formula overflowed near k = 2^63
+        for k in (2 ** 40 - 1, 2 ** 40, 2 ** 62, 2 ** 63):
+            first = (k - theta) * (2 * k + 1 - theta)
+            assert np.array_equal(ratio_k_variance(theta, k), first), k
+
 
 class TestCovarianceFunction:
     def test_branch_values_at_half(self):

@@ -395,18 +395,19 @@ def test_a_tail_beyond_the_memory_is_one_usage_error_line(capsys, monkeypatch, t
     assert not any(tmp_path.iterdir())
 
 
-def _main_in_child(argv, address_space, cwd):
-    """(exit code, stdout, stderr) of ``zipfest`` with ``argv``, run in a
-    fresh interpreter in ``cwd`` whose soft address-space limit is
-    ``address_space`` bytes; the child sets it before it starts, so this
-    process keeps its own."""
+def _main_in_child(argv, address_space, cwd, script=None, stdin=None):
+    """(exit code, stdout, stderr) of ``zipfest`` with ``argv``, or of the
+    Python ``script`` with ``stdin``, run in a fresh interpreter in ``cwd``
+    whose soft address-space limit is ``address_space`` bytes; the child
+    sets it before it starts, so this process keeps its own."""
     src = os.path.dirname(os.path.dirname(cli.__file__))
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     hard = resource.getrlimit(resource.RLIMIT_AS)[1]
     done = subprocess.run(
-        [sys.executable, "-c", "import sys; from zipfest.cli import main; sys.exit(main())",
-         *argv], env=env, cwd=cwd, capture_output=True, text=True, timeout=120,
+        [sys.executable, "-c",
+         script or "import sys; from zipfest.cli import main; sys.exit(main())", *argv],
+        env=env, cwd=cwd, input=stdin, capture_output=True, text=True, timeout=120,
         preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (address_space, hard)))
     return done.returncode, done.stdout, done.stderr
 
@@ -719,6 +720,71 @@ def test_every_typed_flag_parses_or_is_one_usage_error_line():
                     # no typed flag takes nan: each has a range, or reads ints
                     assert value != "nan", (command, flag)
     assert {"--theta", "--n", "--t", "--workers", "--level", "--nu"} <= probed
+
+
+# one small run of each subcommand, that the running probes vary one flag of
+RUN_BASES = [
+    ["estimate", "--input", "text.txt", "--estimators", "all", "--c-model", "zeta"],
+    ["simulate", "--theta", "0.5", "--n", "100", "--output", "counts.csv"],
+    ["simulate", "--theta", "0.5", "--n", "100", "--mode", "poisson", "--output", "counts.csv"],
+    ["study-normality", "--theta", "0.5", "--n", "200", "--m", "100"],
+    ["study-covariance", "--theta", "0.5", "--n", "200", "--m", "100", "--grid", "1.0"],
+    ["eval-asymptotics", "--theta", "0.5"],
+]
+RUN_PROBES = ["0", "-1", str(2 ** 63), str(10 ** 19), "1e308", "nan", "inf"]
+
+# runs each argv of a JSON list on stdin with ``main``, in this one process,
+# and writes [exit code, stderr] of each, with a traceback for an exception
+# that escapes ``main``
+_RUN_CASES = """
+import contextlib, io, json, sys, traceback
+from zipfest.cli import main
+results = []
+for argv in json.load(sys.stdin):
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except (Exception, SystemExit):
+            code = None
+            traceback.print_exc()
+    results.append([code, err.getvalue()])
+json.dump(results, sys.stdout)
+"""
+
+
+def test_every_typed_flag_runs_to_an_exit_code_and_one_line(tmp_path):
+    # each numeric flag of the parser at values at and beyond its range, on
+    # a small run of its subcommand: the run ends in exit 0, 1 or 2, with one
+    # stderr line if not 0 and never a traceback.  All cases share one child
+    # under a 2 GiB address space, so a case that would page fails fast;
+    # --workers is left out, since a pool starts all its workers at once
+    (tmp_path / "text.txt").write_text("the cat sat on the mat and the dog sat on the log\n")
+    parser = cli.build_parser()
+    subcommands = _subcommands(parser)
+    cases = []
+    for base in RUN_BASES:
+        for action in subcommands[base[0]]._actions:
+            flag = action.option_strings[0] if action.option_strings else None
+            if action.type is None or flag == "--workers":
+                continue
+            if flag in base:  # replace the base's own value
+                at = base.index(flag)
+                cases += [[*base[:at + 1], value, *base[at + 2:]] for value in RUN_PROBES]
+            else:
+                cases += [[*base, flag, value] for value in RUN_PROBES]
+    assert len(cases) > 200
+    code, out, err = _main_in_child([], 2 ** 31, tmp_path, script=_RUN_CASES,
+                                    stdin=json.dumps(cases))
+    assert (code, err) == (0, "")
+    results = json.loads(out)
+    assert len(results) == len(cases)
+    codes = set()
+    for argv, (code, err) in zip(cases, results):
+        assert code in (0, 1, 2) and "Traceback" not in err, (argv, code, err)
+        assert code == 0 or err.count("\n") == 1, (argv, code, err)
+        codes.add(code)
+    assert {0, 2} <= codes
 
 
 @pytest.mark.parametrize("argv", [

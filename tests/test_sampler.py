@@ -19,6 +19,11 @@ from zipfest.specfun import zeta_tail
 from conftest import WORKERS
 
 
+def _own_generator(master, stream=0):
+    """A generator of its own for one stream's key, at counter 0."""
+    return _generator(_keys(master, range(stream, stream + 1))[0])
+
+
 class TestDeterminism:
     def test_bit_for_bit(self, law05):
         a = sample_fixed(law05, 10 ** 4, SeedSpec(123, 4))
@@ -55,7 +60,6 @@ class TestStreamKeys:
             assert key.tolist() == ref.generate_state(2, np.uint64).tolist(), seed
             first = np.random.Generator(np.random.Philox(ref)).random(8).tolist()
             assert _generator(key).random(8).tolist() == first, seed
-            assert seed.generator().random(8).tolist() == first, seed
 
     @pytest.mark.parametrize("master", [0, 2 ** 62, 10 ** 40], ids=["0", "2^62", "10^40"])
     @pytest.mark.parametrize("streams", [range(300), range(2 ** 32 - 3, 2 ** 32 + 3),
@@ -66,8 +70,7 @@ class TestStreamKeys:
         keys = _keys(master, streams)
         assert len(keys) == len(streams)
         for stream, key in zip(streams, keys):
-            first = SeedSpec(master, stream).generator().random(8).tolist()
-            assert _generator(key).random(8).tolist() == first, stream
+            assert key.tolist() == _keys(master, range(stream, stream + 1))[0].tolist(), stream
 
     @pytest.mark.parametrize("seeds", [(-1, range(3)), (0, range(-1, 3)), (0, range(0, 6, 2)),
                                        (1.5, range(3))])
@@ -76,7 +79,7 @@ class TestStreamKeys:
             _keys(*seeds)
 
     def test_a_generator_holds_no_seed_sequence(self):
-        rng = SeedSpec(1, 5).generator()
+        rng = _own_generator(1, 5)
         assert not isinstance(rng.bit_generator.seed_seq, np.random.SeedSequence)
 
     def test_numpy_integers_are_accepted_as_ints(self, law05):
@@ -89,7 +92,7 @@ class TestStreamKeys:
                                                 (True, 0), ("3", 0), (None, 0)])
     def test_a_bad_seed_is_a_domain_error(self, master, stream):
         with pytest.raises(DomainError, match="non-negative integer"):
-            SeedSpec(master, stream).generator()
+            SeedSpec(master, stream)
 
     def test_a_negative_int_seed_is_a_domain_error(self, law05):
         with pytest.raises(DomainError):
@@ -172,7 +175,7 @@ class TestRejectionInversion:
         law = make_zipf_law(theta)
         first = law.head_width(10 ** 5) + 1
         n = 10 ** 6
-        rng = SeedSpec(2024).generator()
+        rng = _own_generator(2024)
         pos = law._accepted(first, [rng], [rng.random(n)], law._tail_bounds(first))[0]
         mass = _tail_mass(law, first)
         for i in range(first, first + 5):
@@ -191,7 +194,7 @@ class TestRejectionInversion:
         assert first == law.counting_function(n / 3) + 1 < law.counting_function(n)
         urns = np.arange(first, first + 5, dtype=float)
         held = np.zeros((len(sizes), urns.size))
-        streams = (SeedSpec(2027, rep).generator() for rep in range(draws))
+        streams = (_own_generator(2027, rep) for rep in range(draws))
         for head, rows, positions, counts in law.draw_prefixes(sizes, streams):
             assert head.shape[2] == first - 1
             for i, urn in enumerate(urns):
@@ -210,7 +213,7 @@ class TestRejectionInversion:
         s = 1.0 / law.theta
         first = law.head_width(10 ** 5) + 1
         n = 10 ** 6
-        rng = SeedSpec(2025).generator()
+        rng = _own_generator(2025)
         pos = law._accepted(first, [rng], [rng.random(n)], law._tail_bounds(first))[0]
         p = law.c * (zeta_tail(s, 2 ** 53) - zeta_tail(s, law.cutoff)) / _tail_mass(law, first)
         se = math.sqrt(p * (1.0 - p) / n)
@@ -363,7 +366,7 @@ class TestBlocks:
         bounds = law_module.PowerLaw._tail_bounds
         monkeypatch.setattr(law_module.PowerLaw, "_tail_bounds",
                             lambda self, first: calls.append(first) or bounds(self, first))
-        streams = (SeedSpec(8, rep).generator() for rep in range(100))
+        streams = (_own_generator(8, rep) for rep in range(100))
         blocks = list(law.draw_prefixes([1000, 2000], streams))
         assert len(blocks) >= 4 and calls == [law.head_width(2000, 2) + 1]
 
@@ -379,8 +382,6 @@ class TestBlocks:
             head = 8 * width * (1 + len(grid))
             draws = [lambda: law.head_width(2000, len(grid)),
                      lambda: sample_trajectories(law, 2000, grid, 1, range(3))]
-            if len(grid) == 1:
-                draws.append(lambda: sample_fixed(law, 2000, 1))
             monkeypatch.setattr(law_module, "USABLE_MEMORY", head + 100)
             for draw in draws:
                 with pytest.raises(UsageError, match=f"about {balls} tail balls"):
@@ -391,6 +392,26 @@ class TestBlocks:
             monkeypatch.setattr(law_module, "USABLE_MEMORY", math.ceil(need))
             for draw in draws:
                 draw()
+
+    def test_a_map_of_urns_counts_its_own_bytes(self, monkeypatch):
+        # sample_fixed and sample_poissonized map each occupied urn to its
+        # count, a dict of Python ints that holds _URN_MAP_BYTES per head urn
+        # and tail ball, more than a draw's arrays do: with memory between
+        # the two needs the map is refused and the arrays are still drawn
+        law = make_zipf_law(0.9)
+        width = law.head_width(2000)
+        tail = 2000 * (law.c * zeta_tail(1 / 0.9, width) - law.discarded_mass) / law.total_mass
+        arrays = 16 * width + law_module._TAIL_BALL_BYTES * tail
+        mapped = 16 * width + law_module._URN_MAP_BYTES * (width + tail)
+        assert mapped > 2 * arrays
+        monkeypatch.setattr(law_module, "USABLE_MEMORY", math.ceil(arrays))
+        sample_trajectories(law, 2000, (1.0,), 1, range(3))
+        for draw in (lambda: sample_fixed(law, 2000, 1),
+                     lambda: sample_poissonized(law, 1900.0, 1)):
+            with pytest.raises(UsageError, match="tail balls"):
+                draw()
+        monkeypatch.setattr(law_module, "USABLE_MEMORY", math.ceil(mapped))
+        assert sum(sample_fixed(law, 2000, 1).counts.values()) == 2000
 
     def test_no_seeds_is_a_usage_error(self, law05):
         with pytest.raises(UsageError):
@@ -447,35 +468,44 @@ class TestBlocks:
 
     @pytest.mark.parametrize("grid", [(1.0,), (0.25, 0.5, 1.0)])
     @pytest.mark.parametrize("theta", [0.3, 0.9])
-    def test_rebuilt_streams_draw_as_their_own_generators(self, monkeypatch, theta, grid):
-        # with no spare uniforms, a top-up of any seed but the last one keyed
-        # keys the shared generator again and replays that seed's draws; at
-        # n = 40 a few of 300 seeds redraw a tail ball
+    def test_rebuilt_streams_draw_as_their_own_generators(self, theta, grid):
+        # a stream of the shared generator draws what generators of its own
+        # draw, whatever stream it served before: one at counter 0, and one
+        # at counter [0, 0, 0, r] for top-up round r; at n = 40 a few of 300
+        # seeds redraw a tail ball
         law, n = make_zipf_law(theta), 40
-        seeds = [SeedSpec(3, rep) for rep in range(300)]
-        default = sample_trajectories(law, n, grid, 3, range(300), k_max=3)
-        replays, draw = [], sampler._Stream._draw
-
-        def logged(stream, *args):
-            if stream._shared[1] is not stream._key and stream._log:
-                replays.append(stream)
-            return draw(stream, *args)
-
-        monkeypatch.setattr(sampler, "_SPARES", 0)
-        monkeypatch.setattr(sampler._Stream, "_draw", logged)
-        rebuilt = sample_trajectories(law, n, grid, 3, range(300), k_max=3)
-        assert replays
-        # every ball's urn, too: a snapshot may not see a wrong urn
         sizes = [math.floor(n * t) for t in grid]
-        blocks = law.draw_prefixes(sizes, sampler._streams(_keys(3, range(300))))
-        alone = law.draw_prefixes(sizes, (seed.generator() for seed in seeds))
-        for block, reference in zip(blocks, alone, strict=True):
+        keys = _keys(3, range(300))
+        own = [_Substreams(key) for key in keys]
+        blocks = law.draw_prefixes(sizes, sampler._streams(keys))
+        for block, reference in zip(blocks, law.draw_prefixes(sizes, own), strict=True):
             assert all(np.array_equal(a, b) for a, b in zip(block, reference))
-        for rep, seed in enumerate(seeds):
-            one = sample_trajectory(law, n, grid, seed, k_max=3)
-            assert [c.sample(rep) for c in rebuilt] == [c.sample(rep) for c in default] == one
-            if len(grid) == 1:  # a generator of its own, with no stream
-                assert one[0] == sample_fixed(law, n, seed).snapshot(k_max=3)
+        assert any(stream.round > 1 for stream in own)
+        # every ball's urn, too: a snapshot may not see a wrong urn
+        columns = sample_trajectories(law, n, grid, 3, range(300), k_max=3)
+        for rep in range(300):
+            one = sample_trajectory(law, n, grid, SeedSpec(3, rep), k_max=3)
+            assert [c.sample(rep) for c in columns] == one
+            if len(grid) == 1:  # the urn -> count map draws through the same stream
+                assert one[0] == sample_fixed(law, n, SeedSpec(3, rep)).snapshot(k_max=3)
+
+
+class _Substreams:
+    """One stream's draws from generators of its own: multinomials and the
+    first ``random`` call at counter 0, top-up round r of ``random`` at
+    counter [0, 0, 0, r]."""
+
+    def __init__(self, key):
+        self.key, self.round, self.main = key, 0, _generator(key)
+
+    def multinomial(self, n, probs):
+        return self.main.multinomial(n, probs)
+
+    def random(self, size):
+        rng = self.main if self.round == 0 else np.random.Generator(
+            np.random.Philox(key=self.key, counter=[0, 0, 0, self.round]))
+        self.round += 1
+        return rng.random(size)
 
 
 class TestTrajectory:
