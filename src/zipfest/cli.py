@@ -201,7 +201,8 @@ def _list_of(convert):
     return convert_list
 
 
-_k_list = _list_of(_positive)
+# no exact count k can exceed the ball limit
+_k_list = _list_of(_ball_count)
 
 
 def _build_c_model(spec: str | None):

@@ -184,19 +184,25 @@ class _Stream:
     and its first ``random`` call draw from counter 0, in that order and
     before the next stream's, and its r-th later ``random`` call, top-up
     round r, from counter [0, 0, 0, r], which the main draw never reaches.
-    So a stream draws the same whatever shares the generator with it."""
+    So a stream draws the same whatever shares the generator with it.  A
+    counter-0 draw after another stream's or a top-up round would re-key at
+    counter 0 and reuse bits, so it raises instead."""
 
     def __init__(self, shared: list, key: list):
-        self._shared, self._key, self._round = shared, key, 0
+        self._shared, self._key, self._round, self._drawn = shared, key, 0, False
 
     def _keyed(self, counter: int) -> np.random.Generator:
         """The generator, keyed at ``[0, 0, 0, counter]`` unless it goes on
         with this stream's draws from counter 0."""
         rng, keyed, state = self._shared
         if keyed is not self._key or counter:
+            if self._drawn and not counter:
+                raise RuntimeError("a stream's counter-0 draws must all come before another "
+                                   "stream's draws and its own top-up rounds")
             state["state"]["key"], state["state"]["counter"][3] = self._key, counter
             rng.bit_generator.state = state
-            self._shared[1] = self._key
+            self._shared[1] = None if counter else self._key
+        self._drawn = True
         return rng
 
     def multinomial(self, size: int, probs) -> np.ndarray:

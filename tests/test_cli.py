@@ -731,7 +731,7 @@ RUN_BASES = [
     ["study-covariance", "--theta", "0.5", "--n", "200", "--m", "100", "--grid", "1.0"],
     ["eval-asymptotics", "--theta", "0.5"],
 ]
-RUN_PROBES = ["0", "-1", str(2 ** 63), str(10 ** 19), "1e308", "nan", "inf"]
+RUN_PROBES = ["0", "-1", str(2 ** 63), str(10 ** 19), str(10 ** 400), "1e308", "nan", "inf"]
 
 # runs each argv of a JSON list on stdin with ``main``, in this one process,
 # and writes [exit code, stderr] of each, with a traceback for an exception

@@ -489,6 +489,20 @@ class TestBlocks:
             if len(grid) == 1:  # the urn -> count map draws through the same stream
                 assert one[0] == sample_fixed(law, n, SeedSpec(3, rep)).snapshot(k_max=3)
 
+    def test_a_counter_0_draw_out_of_order_raises(self):
+        # re-keyed at counter 0 after its first draw, a stream would draw
+        # again the bits it has already drawn
+        first, second = sampler._streams(_keys(3, range(2)))
+        first.multinomial(10, [0.5, 0.5])
+        second.multinomial(10, [0.5, 0.5])
+        with pytest.raises(RuntimeError):
+            first.random(3)
+        first, = sampler._streams(_keys(3, range(1)))
+        first.random(3)
+        first.random(3)  # top-up round 1
+        with pytest.raises(RuntimeError):
+            first.multinomial(10, [0.5, 0.5])
+
 
 class _Substreams:
     """One stream's draws from generators of its own: multinomials and the
