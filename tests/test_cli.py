@@ -225,6 +225,19 @@ def test_a_degenerate_estimate_has_an_ordered_interval(capsys, tmp_path):
         (-119, 0, 0), (2, 1, 1)]
 
 
+@pytest.mark.parametrize("fmt, text", [("text", SHORT_TEXT),
+                                       ("tokens", "token,count\nthe,4\ncat,2\nsat,1\n"),
+                                       ("occupancy", "urn_index,count\n3,4\n1,2\n2,1\n")])
+def test_a_leading_byte_order_mark_changes_no_output(capsys, tmp_path, fmt, text):
+    plain, marked = tmp_path / "plain", tmp_path / "marked"
+    plain.write_text(text, encoding="utf-8")
+    marked.write_text(text, encoding="utf-8-sig")
+    flags = ["--input-format", fmt, "--estimators", "ratio-r1,log-ratio"]
+    expected = run(capsys, ["estimate", "--input", str(plain), *flags])
+    assert expected[0] == 0 and expected[2] == ""
+    assert run(capsys, ["estimate", "--input", str(marked), *flags]) == expected
+
+
 @pytest.mark.parametrize("fmt", INPUTS)
 def test_invalid_utf8_is_one_line_with_exit_1(capsys, tmp_path, fmt):
     path = tmp_path / "bad"

@@ -2,6 +2,7 @@ import csv
 import random
 import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
@@ -14,10 +15,11 @@ from zipfest.occupancy import OccupancyCounts
 
 # letters whose case folding changes their length or needs a combining mark;
 # token characters that are not letters (so their words take the regex);
-# a combining mark, digits, underscores and punctuation as separators inside
-# a word; and whitespace that only ``str.split`` knows to split on
-ALPHABET = ("aAbZßẞǰİıﬁÉé" + "²½" + "\u0301" + "09_-.,"
-            + " \n\t\u3000\u00a0\x1c")
+# a combining mark, digits, underscores, punctuation and NUL as separators
+# inside a word; ASCII whitespace, some of which bytes.split does not split
+# on; and non-ASCII whitespace, which stays inside a byte word
+ALPHABET = ("aAbZßẞǰİıﬁÉé" + "²½" + "\u0301" + "09_-.,\x00"
+            + " \n\t\x1c\x1d\x1f" + "\u3000\u00a0\x85\u2028")
 
 
 def _reference_counts(text):
@@ -71,22 +73,25 @@ def test_invalid_utf8_offset_at_chunk_edges(tmp_path, monkeypatch, case, chunk):
 
 def test_tokenize_file_memory_is_one_chunk_not_the_file(tmp_path):
     rng = random.Random(3)
-    vocabulary = ["".join(rng.choice("abcdeé") for _ in range(rng.randint(12, 28)))
-                  for _ in range(500)]
-    block = " ".join(rng.choice(vocabulary) for _ in range(60_000)) + "\n"
-    path = tmp_path / "large.txt"
-    with open(path, "w", encoding="utf-8") as fh:
-        for _ in range(8):
-            fh.write(block)
-    assert path.stat().st_size >= 8 << 20
-    tracemalloc.start()
-    try:
-        corpus = tokenize_file(path)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert corpus.total == 8 * 60_000
-    assert peak < 4 << 20
+    # words of 12-28 letters, and words of 1-3 letters, where one chunk's
+    # arrays are largest per byte of text
+    for shortest, longest, words in [(12, 28, 60_000), (1, 3, 330_000)]:
+        vocabulary = ["".join(rng.choice("abcdeé") for _ in range(rng.randint(shortest, longest)))
+                      for _ in range(500)]
+        block = " ".join(rng.choice(vocabulary) for _ in range(words)) + "\n"
+        path = tmp_path / "large.txt"
+        with open(path, "w", encoding="utf-8") as fh:
+            for _ in range(8):
+                fh.write(block)
+        assert path.stat().st_size >= 8 << 20
+        tracemalloc.start()
+        try:
+            corpus = tokenize_file(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert corpus.total == 8 * words
+        assert peak < 4 << 20
 
 
 def test_tokens_are_casefolded_letter_runs():
@@ -109,6 +114,14 @@ def test_letters_are_token_characters_and_whitespace_is_not():
     assert ingest._TOKEN_RE.search(spaces) is None
 
 
+def test_the_separators_are_the_ascii_whitespace_and_no_other_byte():
+    assert ingest._SEPARATORS == bytes(b for b in range(128) if chr(b).isspace())
+    every_byte = bytes(range(256))
+    in_word = np.empty(256, dtype=bool)
+    ingest._in_word(every_byte, out=in_word)
+    assert bytes(b for b in every_byte if not in_word[b]) == ingest._SEPARATORS
+
+
 def _assert_matches_reference(text):
     corpus = tokenize_text(text)
     expected = _reference_counts(text)
@@ -124,6 +137,88 @@ def test_blocks_match_one_match_at_a_time():
     # one token longer than a block is never cut
     corpus = tokenize_text("ab" * ingest._CHUNK_SIZE + " ab")
     assert corpus.counts == {"ab" * ingest._CHUNK_SIZE: 1, "ab": 1}
+
+
+# texts whose byte words fall on the edges of the 8-byte limbs of their keys
+LIMB_EDGES = {
+    "words of 7, 8, 15 and 16 bytes": "abcdefg abcdefgh abcdefghijklmno abcdefghijklmnop "
+                                      "abcdefgh abcdefghijklmnop abcdefg abcdefghijklmno",
+    "multi-byte letters across a limb edge": "abcdefgé abcdeféé abcdefgé abcdefghijklmnéé "
+                                             "ééééééééé abcdefgé abcdefghijklmnéé",
+    "a next to a and NUL": "a a\x00 a\x00\x00 \x00a a a\x00 abcdefgh abcdefgh\x00",
+    "one word several chunks long": "é" * 40 + "abc " + "é" * 40 + "abc " + "é" * 40,
+    "a lone surrogate": "ab\ud800cd ef\udfffgh \udc00 abcdefgh\ud800ijk ab\ud800cd",
+}
+
+
+@pytest.mark.parametrize("chunk", [3, 8, None])
+@pytest.mark.parametrize("case", LIMB_EDGES)
+def test_words_at_limb_edges_match_reference(monkeypatch, case, chunk):
+    if chunk is not None:
+        monkeypatch.setattr(ingest, "_CHUNK_SIZE", chunk)
+    text = LIMB_EDGES[case]
+    _assert_matches_reference(text)
+    if case != "a lone surrogate":  # which is no UTF-8
+        assert tokenize_text(text.encode("utf-8")) == tokenize_text(text)
+
+
+def test_a_word_and_the_word_with_a_nul_are_two_byte_words():
+    # both give the token "a", so only the byte words tell the keys apart
+    words = ingest._Words()
+    data = b"a a\x00 a \x00a" + ingest._PAD
+    words.add(data, np.array([0, 2, 5, 7]), np.array([1, 4, 6, 9]), 0)
+    assert list(words.items()) == [(b"a", 2, 0), (b"a\x00", 1, 2), (b"\x00a", 1, 7)]
+
+
+@pytest.mark.parametrize("chunk", [5, 64, None])
+def test_words_whose_hashes_collide_are_counted_apart(monkeypatch, chunk):
+    # every word over 7 bytes takes one of two hashes, by the parity of its
+    # length, so nearly every one goes to its own serial key
+    if chunk is not None:
+        monkeypatch.setattr(ingest, "_CHUNK_SIZE", chunk)
+    monkeypatch.setattr(ingest, "_hash", lambda limbs, index, first_limb, lengths:
+                        (lengths.view(np.uint64) & np.uint64(1)) | ingest._HASHED)
+    rng = random.Random(5)
+    vocabulary = ["".join(rng.choice("abcé²") for _ in range(rng.randint(1, 30)))
+                  for _ in range(40)]
+    _assert_matches_reference(" ".join(rng.choice(vocabulary) for _ in range(2000)))
+
+
+# pieces of bytes, valid UTF-8 or not, around separators
+UTF8_PIECES = [b"a", b"\xc3\xa9", b"\xe2\x82\xac", b"\xf0\x9f\x98\x80", b" ", b"\n", b"\x1f",
+               b"\xff", b"\xc3", b"\xa9", b"\xe2\x82", b"\xed\xa0\x80", b"\xc0\xaf"]
+
+
+@settings(max_examples=100, deadline=None)
+@given(pieces=hst.lists(hst.sampled_from(UTF8_PIECES), max_size=30),
+       block=hst.integers(1, 8))
+def test_any_bytes_give_the_decoders_first_error_offset(text_path, pieces, block):
+    data = b"".join(pieces)
+    text_path.write_bytes(data)
+    saved = ingest._CHUNK_SIZE
+    ingest._CHUNK_SIZE = block
+    try:
+        try:
+            text = data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            for count in (lambda: tokenize_text(data), lambda: tokenize_file(text_path)):
+                with pytest.raises(InputFormatError) as err:
+                    count()
+                assert err.value.location == exc.start
+        else:
+            _assert_matches_reference(text)
+            assert tokenize_text(data) == tokenize_file(text_path) == tokenize_text(text)
+    finally:
+        ingest._CHUNK_SIZE = saved
+
+
+def test_a_byte_order_mark_before_the_first_word_changes_no_token(tmp_path):
+    text = "Ünïcode café\tx²y a_b 12,3\nÉTÉ été naïve\n"
+    path = tmp_path / "text.txt"
+    path.write_text(text, encoding="utf-8-sig")
+    assert path.read_bytes().startswith(b"\xef\xbb\xbf")
+    assert tokenize_file(path) == tokenize_text(text)
+    assert tokenize_text(path.read_bytes()) == tokenize_text("\ufeff" + text) == tokenize_text(text)
 
 
 @pytest.fixture(scope="module")
@@ -234,6 +329,27 @@ def test_invalid_utf8_in_a_csv_reports_its_byte_offset(tmp_path, fmt, rows):
     with pytest.raises(InputFormatError, match=f"invalid UTF-8 at byte offset {offset}$") as err:
         read(path)
     assert err.value.location == offset
+
+
+@pytest.mark.parametrize("fmt", CSV_FORMATS)
+def test_a_csv_may_start_with_a_byte_order_mark(tmp_path, fmt):
+    read, header, key = CSV_FORMATS[fmt]
+    plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+    text = f"{header}\n{key},3\n{key}1,2\n"
+    plain.write_text(text, encoding="utf-8")
+    marked.write_text(text, encoding="utf-8-sig")
+    assert marked.read_bytes() == b"\xef\xbb\xbf" + plain.read_bytes()
+    assert read(marked) == read(plain) and read(plain).total == 5
+    # the other header checks stand, and byte offsets count the mark
+    marked.write_bytes(b"\xef\xbb\xbfword,n\n" + f"{key},3\n".encode())
+    with pytest.raises(InputFormatError, match="expected header") as err:
+        read(marked)
+    assert err.value.location == 1
+    data = b"\xef\xbb\xbf" + f"{header}\n{key},3\n".encode() + b"\xff,1\n"
+    marked.write_bytes(data)
+    with pytest.raises(InputFormatError) as err:
+        read(marked)
+    assert err.value.location == data.index(b"\xff")
 
 
 @pytest.mark.parametrize("fmt", CSV_FORMATS)
