@@ -22,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, UsageError
+from .law import check_theta
 from .specfun import ln_beta, ln_gamma
 
 __all__ = ["log_growth", "implicit_variance", "ratio_r1_variance",
@@ -36,9 +37,7 @@ def _check_theta(theta):
         if not np.all((theta > 0.0) & (theta < 1.0)):
             raise DomainError(f"theta must lie in (0, 1), got {theta!r}")
         return theta
-    if not (isinstance(theta, (int, float)) and 0.0 < theta < 1.0):
-        raise DomainError(f"theta must lie in (0, 1), got {theta!r}")
-    return float(theta)
+    return check_theta(theta)
 
 
 def _check_k(k) -> int:
@@ -147,7 +146,7 @@ class CovarianceSpec:
     nu: int = 1
 
     def __post_init__(self):
-        _check_theta(self.theta)
+        object.__setattr__(self, "theta", _check_theta(self.theta))
         if not (isinstance(self.nu, (int, np.integer)) and self.nu >= 1):
             raise DomainError(f"nu must be a positive integer, got {self.nu!r}")
 

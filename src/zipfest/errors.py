@@ -30,4 +30,4 @@ class InputFormatError(ZipfestError, ValueError):
 
 
 class AmbiguousRootError(ZipfestError):
-    """Never raised; kept only for perfbench/replay.py's import until ROADMAP item 1 drops it."""
+    """Never raised; kept only for perfbench/replay.py's import until ROADMAP item 3 drops it."""

@@ -521,16 +521,23 @@ def _hat_integral_inverse(y, s: float, out=None):
     return np.exp(np.divide(x, 1.0 - s, out=out), out=out)
 
 
+def check_theta(theta) -> float:
+    """``theta`` as a float, if it is a real scalar in (0, 1), numpy's
+    included; a bool is refused."""
+    if not (isinstance(theta, (int, float, np.integer, np.floating))
+            and not isinstance(theta, bool) and 0.0 < theta < 1.0):
+        raise DomainError(f"theta must be a real number in (0, 1), got {theta!r}")
+    return float(theta)
+
+
 def make_zipf_law(theta: float, i0: int = 0, tail_epsilon: float = 1e-12) -> PowerLaw:
     """Construct the exact zeta law p_i = (i-i0)^(-1/theta) / zeta(1/theta)."""
-    if not (isinstance(theta, (int, float)) and 0.0 < theta < 1.0):
-        raise DomainError(f"theta must lie in (0, 1), got {theta!r}")
+    theta = check_theta(theta)
     if not (isinstance(i0, (int, np.integer)) and i0 >= 0):
         raise DomainError(f"i0 must be a non-negative integer, got {i0!r}")
     if not (0.0 < tail_epsilon <= 1e-6):
         raise DomainError(
             f"tail_epsilon must lie in (0, 1e-6], got {tail_epsilon!r}")
-    theta = float(theta)
     s = 1.0 / theta
     c = 1.0 / zeta(s)
     cutoff = _minimal_cutoff(s, c, tail_epsilon)

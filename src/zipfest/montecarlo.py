@@ -17,8 +17,12 @@ Both studies draw replication ``rep`` on stream ``SeedSpec(seed, rep)``,
 the normality study on the one-point grid (1.0,): a chunk hands
 ``sample_trajectories`` the master seed and the range of its replications,
 and gets one ``occupancy.StatisticsSnapshot`` per grid time, in its array
-form.  A normality chunk then estimates theta_hat and its standard error
-for every replication at once (``estimators.estimate_many`` with c(theta) =
+form.  Replication rep's Philox key is ``SeedSequence(seed,
+spawn_key=(0,))``'s key with rep XORed into its first word
+(``sampler._keys``), so a chunk builds one ``SeedSequence``; numpy's
+``Philox`` notes that distinct keys give independent sequences.  A
+normality chunk then estimates theta_hat and its standard error for every
+replication at once (``estimators.estimate_many`` with c(theta) =
 1/zeta(1/theta)), standardizes them and checks coverage, all on whole
 arrays; no per-replication ``EstimateResult`` is built, and the values equal
 those of one-snapshot estimates bit for bit.
@@ -39,7 +43,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -248,6 +252,7 @@ def normality_study(config: ExperimentConfig) -> StudyReport:
     # each estimator row keeps a standardized value and a coverage flag
     _check_memory(config, 1, k_max, 2 * len(requested))
     law = _law_from_config(config)
+    config = replace(config, theta=law.theta)  # a numpy float is echoed as a float
     law.head_width(config.n)  # a head beyond the memory is refused before any worker starts
     chunks = _run_chunked(config, law, _normality_chunk)
     values = {name: np.concatenate([c[0][name] for c in chunks]) for name, _, _ in requested}
@@ -313,6 +318,7 @@ def covariance_study(config: ExperimentConfig) -> StudyReport:
     # each grid time keeps nu + 1 raw and nu + 1 centered components
     _check_memory(config, len(grid), config.nu, 2 * len(grid) * (config.nu + 1))
     law = _law_from_config(config)
+    config = replace(config, theta=law.theta)  # a numpy float is echoed as a float
     # alpha(n) counts urns: counting_function(n) is i0 + alpha(n), or 0 if none
     alpha = max(law.counting_function(float(config.n)) - law.i0, 0)
     if alpha == 0:  # the top urn has n p_1 < 1, and p_1 = c

@@ -24,16 +24,17 @@ Streams: a master seed and a range of stream indices name one Philox
 counter-based generator (period 2^256) per stream, so replications can run
 in parallel and still reproduce bit-for-bit, however they are cut into
 blocks.  Philox is counter-based (Salmon et al., SC 2011), so a stream is
-just its 128-bit key: the key numpy's ``SeedSequence(master,
-spawn_key=(stream,))`` would generate, derived for the whole range in one
-numpy pass of that hash (``_keys``).  Every sampler draws each stream of
-its range from one generator, re-keyed per stream and per top-up round
-(``_Stream``).
+just its 128-bit key, and numpy's ``Philox`` notes that instances using
+different values of the key produce independent sequences.  Stream s's key
+is the ``SeedSequence(master, spawn_key=(s >> 64,))`` key of its block of
+2^64 streams with s's low 64 bits XORed into its first word, for the whole
+range in one XOR (``_keys``); stream 0's key is that ``SeedSequence``'s own,
+so plain numpy reproduces it.  Every sampler draws each stream of its range
+from one generator, re-keyed per stream and per top-up round (``_Stream``).
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -49,8 +50,9 @@ __all__ = ["SeedSpec", "sample_fixed", "sample_trajectory", "sample_trajectories
 
 @dataclass(frozen=True)
 class SeedSpec:
-    """(master seed, stream index), each a non-negative integer of any size;
-    distinct streams are independent."""
+    """(master seed, stream index), each a non-negative integer of any size.
+    A pair names one Philox key (``_keys``), and distinct keys give
+    independent streams."""
 
     master: int
     stream: int = 0
@@ -79,97 +81,26 @@ def _as_seed(seed) -> SeedSpec:
     raise UsageError(f"seed must be an int or SeedSpec, got {seed!r}")
 
 
-# ----------------------------------------------------------------------
-# stream keys: SeedSequence's hash (numpy/random/bit_generator.pyx), on
-# 32-bit words held in Python ints or int64 arrays, whose products wrap
-# without a warning; the masks keep the low 32 bits
-# ----------------------------------------------------------------------
-
-_MASK = 0xFFFFFFFF
-_POOL = 4  # SeedSequence's default pool size, in words
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
-
-
-def _words(value: int) -> list[int]:
-    """The 32-bit words of a non-negative int, lowest first; 0 is one word."""
-    if value <= _MASK:
-        return [value]
-    return [value >> shift & _MASK for shift in range(0, value.bit_length(), 32)]
-
-
-def _hashmix(value, const: int, mult: int = _MULT_A):
-    """``value`` hashed, and the hash constant after it."""
-    after = const * mult & _MASK
-    value = (value ^ const) * after & _MASK
-    return value ^ value >> 16, after
-
-
-def _mix(x, y):
-    # each product is masked, so a Python int never meets an array above 2^32
-    mixed = ((_MIX_L * x & _MASK) - (_MIX_R * y & _MASK)) & _MASK
-    return mixed ^ mixed >> 16
-
-
-def _absorb(pool: list, const: int, words) -> tuple[list, int]:
-    """Mix each of ``words`` into every pool word."""
-    for word in words:
-        for dst in range(_POOL):
-            value, const = _hashmix(word, const)
-            pool[dst] = _mix(pool[dst], value)
-    return pool, const
-
-
-@functools.lru_cache(maxsize=64)
-def _master_pool(master: int) -> tuple[tuple[int, ...], int]:
-    """The pool once the master's words are mixed in, and the hash constant
-    then: the part of a key that no stream changes.  A spawn key pads the
-    master with zero words to the pool size."""
-    words = _words(master)
-    words += [0] * (_POOL - len(words))
-    pool, const = [], _INIT_A
-    for word in words[:_POOL]:
-        value, const = _hashmix(word, const)
-        pool.append(value)
-    for src in range(_POOL):
-        for dst in range(_POOL):
-            if src != dst:
-                value, const = _hashmix(pool[src], const)
-                pool[dst] = _mix(pool[dst], value)
-    pool, const = _absorb(pool, const, words[_POOL:])
-    return tuple(pool), const
-
-
-def _philox_key(master: int, words) -> np.ndarray:
-    """``SeedSequence(master, spawn_key=(stream,)).generate_state(2, np.uint64)``
-    for streams given by their 32-bit ``words``, lowest first: an int64
-    array with one entry per stream, then the Python ints they share; one
-    key per row."""
-    pool, const = _master_pool(master)
-    pool, _ = _absorb(list(pool), const, words)
-    state, const = [], _INIT_B
-    for value in pool:
-        value, const = _hashmix(value, const, _MULT_B)
-        state.append(value)
-    return np.ascontiguousarray(np.array(state, dtype="<u4").T).view("<u8")
-
-
 def _keys(master, streams: range) -> np.ndarray:
     """The Philox key of each stream of ``streams``, a range of step 1, under
-    ``master``, one row per stream.  The streams that share their words
-    above the lowest share a key pass, so a range crossing a multiple of
-    2^32 splits there."""
+    ``master``, one row per stream.  Stream s's key is the base of its block
+    of 2^64 streams, ``SeedSequence(master, spawn_key=(s >> 64,))
+    .generate_state(2, np.uint64)``, with s's low 64 bits XORed into word 0:
+    one ``SeedSequence`` per block the range meets, and one XOR.  Stream 0's
+    key is the base itself.  Philox keys need no further mixing: numpy's
+    ``Philox`` notes that instances using different values of the key
+    produce independent sequences."""
     master = _seed_int("master", master)
     if not isinstance(streams, range) or streams.start < 0 or streams.step != 1:
         raise DomainError(f"seed streams must be a range of step 1 from 0, got {streams!r}")
     keys = np.empty((len(streams), 2), dtype=np.uint64)
     first = streams.start
     while first < streams.stop:
-        last = min(streams.stop, ((first >> 32) + 1) << 32)
-        low, *high = _words(first)
-        keys[first - streams.start:last - streams.start] = _philox_key(
-            master, [np.arange(low, low + last - first, dtype=np.int64), *high])
+        block = first >> 64
+        last = min(streams.stop, (block + 1) << 64)
+        part = keys[first - streams.start:last - streams.start]
+        part[:] = np.random.SeedSequence(master, spawn_key=(block,)).generate_state(2, np.uint64)
+        part[:, 0] ^= np.arange(last - first, dtype=np.uint64) + np.uint64(first - (block << 64))
         first = last
     return keys
 

@@ -179,3 +179,22 @@ class TestCovarianceFunction:
             CovarianceSpec(1.2, nu=1)
         with pytest.raises(DomainError):
             CovarianceSpec(0.5, nu=0)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float16])
+def test_a_numpy_float_theta_is_a_float(dtype):
+    theta, plain = dtype(0.3), float(dtype(0.3))
+    assert implicit_variance(theta, "rk", 2) == implicit_variance(plain, "rk", 2)
+    assert ratio_r1_variance(theta) == ratio_r1_variance(plain)
+    assert ratio_k_variance(theta, 3) == ratio_k_variance(plain, 3)
+    spec = CovarianceSpec(theta, nu=2)
+    assert type(spec.theta) is float
+    assert spec.cov(1, 2, 0.5, 1.0) == CovarianceSpec(plain, nu=2).cov(1, 2, 0.5, 1.0)
+
+
+@pytest.mark.parametrize("theta", [True, np.bool_(True), "0.5"])
+def test_a_theta_that_is_no_real_number_is_a_domain_error(theta):
+    for call in (lambda: implicit_variance(theta, "r"), lambda: ratio_r1_variance(theta),
+                 lambda: ratio_k_variance(theta, 1), lambda: CovarianceSpec(theta)):
+        with pytest.raises(DomainError, match="real number"):
+            call()

@@ -124,6 +124,18 @@ class TestConstruction:
         with pytest.raises(DomainError):
             make_zipf_law(0.5, tail_epsilon=1e-3)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float16])
+    def test_a_numpy_float_theta_is_a_float(self, dtype):
+        law, plain = make_zipf_law(dtype(0.3)), make_zipf_law(float(dtype(0.3)))
+        assert type(law.theta) is float and law.theta == float(dtype(0.3))
+        assert (law.c, law.cutoff, law.discarded_mass) == (plain.c, plain.cutoff,
+                                                           plain.discarded_mass)
+
+    @pytest.mark.parametrize("theta", [True, False, np.bool_(True), "0.5", None])
+    def test_a_theta_that_is_no_real_number_is_a_domain_error(self, theta):
+        with pytest.raises(DomainError, match="real number"):
+            make_zipf_law(theta)
+
 
 class TestCountingFunction:
     def test_closed_form_examples(self, law05):

@@ -265,7 +265,8 @@ def test_implicit_rk_rows_exclude_no_replication():
 
 
 def test_a_study_builds_no_seed_sequence(monkeypatch):
-    # every replication's Philox key comes from one key pass per chunk
+    # every replication's Philox key comes from one SeedSequence per chunk,
+    # not one per replication; one worker runs one chunk
     built = []
 
     class Counted(np.random.SeedSequence):
@@ -275,7 +276,7 @@ def test_a_study_builds_no_seed_sequence(monkeypatch):
 
     monkeypatch.setattr(np.random, "SeedSequence", Counted)
     normality_study(replace(SMALL, m=200))
-    assert built == []
+    assert len(built) == 1
 
 
 def test_a_study_builds_one_seed_spec(monkeypatch):
@@ -371,3 +372,19 @@ def test_a_negative_seed_is_a_domain_error_before_the_law(monkeypatch, study):
 def test_usage_errors(study, changes, message):
     with pytest.raises(UsageError, match=message):
         study(replace(SMALL, **changes))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float16])
+@pytest.mark.parametrize("study", [normality_study, covariance_study])
+def test_a_numpy_float_theta_is_a_float(study, dtype):
+    # the report, its config echo included, is that of the same theta as a float
+    theta = dtype(0.3)
+    assert _text(study(replace(SMALL, theta=theta))) == _text(
+        study(replace(SMALL, theta=float(theta))))
+
+
+@pytest.mark.parametrize("theta", [True, np.bool_(True), "0.5"])
+@pytest.mark.parametrize("study", [normality_study, covariance_study])
+def test_a_theta_that_is_no_real_number_is_a_domain_error(study, theta):
+    with pytest.raises(DomainError, match="real number"):
+        study(replace(SMALL, theta=theta))

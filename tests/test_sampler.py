@@ -4,6 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.stats as st
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
@@ -44,33 +45,54 @@ class TestDeterminism:
 
 class TestStreamKeys:
     MASTERS = [0, 1, 2 ** 31, 2 ** 32 + 5, 12345678901234567890, 2 ** 128 + 3]
-    STREAMS = [0, 1, 2 ** 32 - 1, 2 ** 32, 99999999999]
-
-    @staticmethod
-    def _reference(master, stream):
-        return np.random.SeedSequence(master, spawn_key=(stream,))
+    STREAMS = [0, 1, 2 ** 32, 99999999999, 2 ** 64 - 1, 2 ** 64, 2 ** 64 + 7, 2 ** 128 + 3]
 
     def test_keys_and_draws_match_seed_sequence(self):
-        # every master and stream width, each pair keyed as a one-stream
-        # range, and the one-stream generator of each pair
-        seeds = [SeedSpec(m, s) for m in self.MASTERS for s in self.STREAMS]
-        for seed in seeds:
-            key, = _keys(seed.master, range(seed.stream, seed.stream + 1))
-            ref = self._reference(seed.master, seed.stream)
-            assert key.tolist() == ref.generate_state(2, np.uint64).tolist(), seed
+        # stream 0 is SeedSequence(master, spawn_key=(0,)), key and draws, so
+        # plain numpy reproduces a default simulate; stream s is the base of
+        # its block of 2^64 streams with s's low 64 bits XORed into word 0
+        for master in self.MASTERS:
+            key, = _keys(master, range(1))
+            ref = np.random.SeedSequence(master, spawn_key=(0,))
+            assert key.tolist() == ref.generate_state(2, np.uint64).tolist(), master
             first = np.random.Generator(np.random.Philox(ref)).random(8).tolist()
-            assert _generator(key).random(8).tolist() == first, seed
+            assert _generator(key).random(8).tolist() == first, master
+            for stream in self.STREAMS:
+                key, = _keys(master, range(stream, stream + 1))
+                block = np.random.SeedSequence(master, spawn_key=(stream >> 64,))
+                word, high = block.generate_state(2, np.uint64).tolist()
+                assert key.tolist() == [word ^ stream % 2 ** 64, high], (master, stream)
 
     @pytest.mark.parametrize("master", [0, 2 ** 62, 10 ** 40], ids=["0", "2^62", "10^40"])
-    @pytest.mark.parametrize("streams", [range(300), range(2 ** 32 - 3, 2 ** 32 + 3),
-                                         range(75, 150)], ids=["0-299", "2^32", "75-149"])
+    @pytest.mark.parametrize("streams", [
+        range(300), range(2 ** 32 - 3, 2 ** 32 + 3), range(75, 150),
+        range(2 ** 64 - 3, 2 ** 64 + 3), range(2 ** 128 + 2 ** 64 - 3, 2 ** 128 + 2 ** 64 + 3),
+    ], ids=["0-299", "2^32", "75-149", "2^64", "2^128+2^64"])
     def test_keys_from_a_range_match_one_seed_at_a_time(self, master, streams):
         # a chunk's keys come from its range of replications, split where the
-        # range crosses 2^32, with no SeedSpec per stream
+        # range crosses a multiple of 2^64, with no SeedSpec per stream; no
+        # two streams share a key
         keys = _keys(master, streams)
         assert len(keys) == len(streams)
         for stream, key in zip(streams, keys):
             assert key.tolist() == _keys(master, range(stream, stream + 1))[0].tolist(), stream
+        assert len(set(map(tuple, keys.tolist()))) == len(streams)
+
+    def test_adjacent_keys_give_independent_streams(self):
+        # 4096 consecutive streams, whose keys differ in a few low bits:
+        # their first 64 uniforms are uncorrelated from one stream to the
+        # next, their first uniforms uniform, and each bit of one 63-bit
+        # integer per stream fair
+        streams = 4096
+        keys = _keys(2026, range(streams))
+        uniforms = np.array([_generator(key).random(64) for key in keys])
+        pairs = uniforms[:-1].size
+        r = np.corrcoef(uniforms[:-1].ravel(), uniforms[1:].ravel())[0, 1]
+        assert abs(r) < 4.0 / math.sqrt(pairs), r
+        assert st.kstest(uniforms[:, 0], "uniform").pvalue > 1e-3
+        draws = np.array([_generator(key).integers(2 ** 63) for key in keys], dtype=np.uint64)
+        bits = (draws[:, None] >> np.arange(63, dtype=np.uint64)) & np.uint64(1)
+        assert np.all(np.abs(bits.mean(axis=0) - 0.5) < 4.0 * 0.5 / math.sqrt(streams))
 
     @pytest.mark.parametrize("seeds", [(-1, range(3)), (0, range(-1, 3)), (0, range(0, 6, 2)),
                                        (1.5, range(3))])
@@ -529,11 +551,12 @@ class TestTrajectory:
         assert snaps[0] == single
 
     @pytest.mark.parametrize("master", [0, 2 ** 64 + 1], ids=["0", "2^64+1"])
-    @pytest.mark.parametrize("stream", [2 ** 32 - 1, 2 ** 32, 2 ** 40 + 3],
-                             ids=["2^32-1", "2^32", "2^40+3"])
+    @pytest.mark.parametrize("stream", [2 ** 32 - 1, 2 ** 32, 2 ** 40 + 3,
+                                        2 ** 64 - 1, 2 ** 64, 2 ** 128 + 3],
+                             ids=["2^32-1", "2^32", "2^40+3", "2^64-1", "2^64", "2^128+3"])
     def test_a_high_stream_matches_fixed(self, law05, master, stream):
         # sample_trajectory keys the one-stream range of its seed, which
-        # crosses no multiple of 2^32 but may start on or above one
+        # crosses no multiple of 2^64 but may start on or above one
         seed = SeedSpec(master, stream)
         snaps = sample_trajectory(law05, 10 ** 4, (1.0,), seed)
         assert snaps[0] == sample_fixed(law05, 10 ** 4, seed).snapshot()
