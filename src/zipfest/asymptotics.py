@@ -10,8 +10,17 @@ each scaled by sqrt(alpha(n)).  ``CovarianceSpec.cov`` evaluates the
 covariance function c_ij(tau, t); the process is self-similar with Hurst
 parameter theta/2, i.e. c_ij(a tau, a t) = a^theta c_ij(tau, t).
 
-Gamma ratios are computed in log space and exponentiated once so k up to 8
-stays stable.
+Every (i, j) is one per-urn Poisson identity (Karlin 1967; Gnedin, Hansen
+and Pitman 2007): component j >= 1 counts the urns with exactly j balls and
+component 0 is minus the count of empty urns.  For tau <= t, r = tau/t and
+a(m) = theta Gamma(m-theta)/m!, so that a(0) = -Gamma(1-theta),
+
+    c_ij(tau, t) = sigma t^theta r^i [C(j, i) a(j) (1-r)^(j-i)
+                                      - C(i+j, i) a(i+j) (1+r)^(theta-i-j)],
+
+with C(j, i) = 0 for i > j and sigma = -1 where exactly one of i, j is 0.
+Scaling t^theta out leaves every power of r, 1-r and 1+r in [0, 2], so no
+finite positive tau, t overflows a power; a value beyond the float range is inf.
 """
 
 from __future__ import annotations
@@ -40,9 +49,10 @@ def _check_theta(theta):
     return check_theta(theta)
 
 
-def _check_k(k) -> int:
-    if not (isinstance(k, (int, np.integer)) and k >= 1):
-        raise DomainError(f"k must be a positive integer, got {k!r}")
+def _check_k(k, name: str = "k") -> int:
+    """k as an int, if it is a positive integer; a bool is refused."""
+    if not (isinstance(k, (int, np.integer)) and not isinstance(k, bool) and k >= 1):
+        raise DomainError(f"{name} must be a positive integer, got {k!r}")
     return int(k)
 
 
@@ -147,11 +157,11 @@ class CovarianceSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "theta", _check_theta(self.theta))
-        if not (isinstance(self.nu, (int, np.integer)) and self.nu >= 1):
-            raise DomainError(f"nu must be a positive integer, got {self.nu!r}")
+        _check_k(self.nu, "nu")
 
     def cov(self, i: int, j: int, tau: float, t: float) -> float:
-        """c_ij(tau, t); arguments with tau > t route through the symmetry
+        """c_ij(tau, t) by the one formula of the module docstring, with
+        t^theta scaled out; arguments with tau > t route through the symmetry
         rule c_ij(tau, t) = c_ji(t, tau)."""
         if not (0 <= i <= self.nu and 0 <= j <= self.nu):
             raise UsageError(f"component indices must lie in 0..{self.nu}, got ({i}, {j})")
@@ -159,26 +169,11 @@ class CovarianceSpec:
             raise DomainError(f"times must be positive, got ({tau!r}, {t!r})")
         if tau > t:
             return self.cov(j, i, t, tau)
-        th = self.theta
-        if i == 0 and j == 0:
-            return ((t + tau) ** th - t ** th) * math.exp(ln_gamma(1.0 - th))
-        if i == j:
-            g_i = math.exp(ln_gamma(i - th) - ln_gamma(i + 1.0))
-            g_2i = math.exp(ln_gamma(2 * i - th) - 2.0 * ln_gamma(i + 1.0))
-            return th * (tau ** i * t ** (th - i) * g_i
-                         - tau ** i * t ** i * (t + tau) ** (th - 2 * i) * g_2i)
-        if i == 0:  # j > 0
-            g_j = math.exp(ln_gamma(j - th) - ln_gamma(j + 1.0))
-            return th * (t ** j * (t + tau) ** (th - j)
-                         - (t - tau) ** j * t ** (th - j)) * g_j
-        if j == 0:  # i > 0
-            g_i = math.exp(ln_gamma(i - th) - ln_gamma(i + 1.0))
-            return th * tau ** i * (t + tau) ** (th - i) * g_i
-        if i < j:
-            g_first = math.exp(ln_gamma(j - th) - ln_gamma(i + 1.0) - ln_gamma(j - i + 1.0))
-            g_second = math.exp(ln_gamma(i + j - th) - ln_gamma(i + 1.0) - ln_gamma(j + 1.0))
-            return th * (tau ** i * (t - tau) ** (j - i) * t ** (th - j) * g_first
-                         - tau ** i * t ** j * (t + tau) ** (th - i - j) * g_second)
-        # i > j >= 1
-        g_second = math.exp(ln_gamma(i + j - th) - ln_gamma(i + 1.0) - ln_gamma(j + 1.0))
-        return -th * tau ** i * t ** j * (t + tau) ** (th - i - j) * g_second
+        th, r = self.theta, tau / t
+
+        def a(m):  # theta Gamma(m - theta) / m!, which is -Gamma(1 - theta) at m = 0
+            return th * math.exp(ln_gamma(m + 1.0 - th) - math.log(math.factorial(m))) / (m - th)
+
+        first = math.comb(j, i) * a(j) * (1.0 - r) ** max(j - i, 0)
+        second = math.comb(i + j, i) * a(i + j) * (1.0 + r) ** (th - i - j)
+        return (-1) ** ((i == 0) + (j == 0)) * t ** th * r ** i * (first - second)

@@ -189,6 +189,15 @@ _ball_count = _ranged(int, lambda v: 1 <= v <= 9.2e18, "lie in [1, 9.2e18]")
 _horizon = _ranged(float, lambda v: 0.0 < v <= 9.2e18, "lie in (0, 9.2e18]")
 _workers = _ranged(int, lambda v: 1 <= v <= USABLE_CPUS,
                    f"lie in [1, {USABLE_CPUS}], the usable CPU count")
+_finite_positive = _ranged(float, lambda v: 0.0 < v < math.inf, "be finite and positive")
+
+
+def _tau_t(text: str) -> list[float]:
+    """An argparse ``type``: one tau:t pair of finite positive times."""
+    tau, colon, t = text.partition(":")
+    if not colon:
+        raise argparse.ArgumentTypeError(f"must be tau:t pairs, got {text!r}")
+    return [_finite_positive(tau), _finite_positive(t)]
 
 
 def _list_of(convert):
@@ -304,24 +313,7 @@ def _cmd_study_covariance(args) -> int:
 # eval-asymptotics
 # ----------------------------------------------------------------------
 
-def _parse_tau_t(spec: str) -> list[tuple[float, float]]:
-    pairs = []
-    for chunk in spec.split(","):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
-        if ":" not in chunk:
-            raise UsageError(f"bad tau:t pair {chunk!r}")
-        tau, _, t = chunk.partition(":")
-        pair = (_parse_float(tau, "tau"), _parse_float(t, "t"))
-        if not all(0.0 < v < math.inf for v in pair):
-            raise UsageError(f"tau and t must be finite and positive, got {chunk!r}")
-        pairs.append(pair)
-    return pairs
-
-
 def _cmd_eval_asymptotics(args) -> int:
-    pairs = _parse_tau_t(args.tau_t) if args.tau_t else []
     fields = ["kind", "theta", "k", "i", "j", "tau", "t", "value"]
     rows = []
 
@@ -338,11 +330,11 @@ def _cmd_eval_asymptotics(args) -> int:
         for k in args.k:
             add("implicit-variance-rk", theta,
                 asymptotics.implicit_variance(theta, "rk", k), k=k)
-        if pairs:
+        if args.tau_t:
             spec = asymptotics.CovarianceSpec(theta, nu=args.nu)
             for i in range(args.nu + 1):
                 for j in range(args.nu + 1):
-                    for tau, t in pairs:
+                    for tau, t in args.tau_t:
                         add("cov", theta, spec.cov(i, j, tau, t), i=i, j=j, tau=tau, t=t)
     return _emit_result(args, rows, rows, fields, _echo_args(args))
 
@@ -456,7 +448,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--theta", type=_list_of(_unit), required=True,
                    help="comma list of exponents in (0,1)")
     p.add_argument("--k", type=_k_list, default="1,2,3", help="comma list of k values")
-    p.add_argument("--tau-t", default="",
+    p.add_argument("--tau-t", type=_list_of(_tau_t), default=None,
                    help="comma list of tau:t pairs for covariance rows "
                         "(e.g. '0.5:1.0,1.0:1.0')")
     p.add_argument("--nu", type=_nu, default=1,

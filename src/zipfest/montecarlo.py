@@ -329,13 +329,11 @@ def covariance_study(config: ExperimentConfig) -> StudyReport:
     scale = math.sqrt(alpha)
     comps = config.nu + 1
     raw = np.concatenate(_run_chunked(config, law, _covariance_chunk), axis=0)
-    centered = np.empty_like(raw)
-    for a, t in enumerate(grid):
-        m = int(math.floor(config.n * t))
-        centered[:, a, 0] = (raw[:, a, 0] - law.expected_statistic(m, "r")) / scale
-        for j in range(1, comps):
-            centered[:, a, j] = (raw[:, a, j]
-                                 - law.expected_statistic(m, "rk", k=j)) / scale
+    means = np.array([[law.expected_statistic(m, "r")]
+                      + [law.expected_statistic(m, "rk", k=j) for j in range(1, comps)]
+                      for m in (math.floor(config.n * t) for t in grid)])
+    centered = raw - means
+    centered /= scale
 
     spec = asymptotics.CovarianceSpec(config.theta, nu=config.nu)
     m_reps = centered.shape[0]

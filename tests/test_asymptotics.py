@@ -19,6 +19,36 @@ def cov_matrix(spec, times):
     return np.array([[spec.cov(i, j, ta, tb) for tb, j in keys] for ta, i in keys])
 
 
+def six_branch_cov(theta, i, j, tau, t):
+    """c_ij(tau, t) as the six (i, j) cases of raw powers that the one formula
+    replaced, kept as a reference for times near 1."""
+    if tau > t:
+        return six_branch_cov(theta, j, i, t, tau)
+    th = theta
+    if i == 0 and j == 0:
+        return ((t + tau) ** th - t ** th) * math.exp(ln_gamma(1.0 - th))
+    if i == j:
+        g_i = math.exp(ln_gamma(i - th) - ln_gamma(i + 1.0))
+        g_2i = math.exp(ln_gamma(2 * i - th) - 2.0 * ln_gamma(i + 1.0))
+        return th * (tau ** i * t ** (th - i) * g_i
+                     - tau ** i * t ** i * (t + tau) ** (th - 2 * i) * g_2i)
+    if i == 0:  # j > 0
+        g_j = math.exp(ln_gamma(j - th) - ln_gamma(j + 1.0))
+        return th * (t ** j * (t + tau) ** (th - j)
+                     - (t - tau) ** j * t ** (th - j)) * g_j
+    if j == 0:  # i > 0
+        g_i = math.exp(ln_gamma(i - th) - ln_gamma(i + 1.0))
+        return th * tau ** i * (t + tau) ** (th - i) * g_i
+    if i < j:
+        g_first = math.exp(ln_gamma(j - th) - ln_gamma(i + 1.0) - ln_gamma(j - i + 1.0))
+        g_second = math.exp(ln_gamma(i + j - th) - ln_gamma(i + 1.0) - ln_gamma(j + 1.0))
+        return th * (tau ** i * (t - tau) ** (j - i) * t ** (th - j) * g_first
+                     - tau ** i * t ** j * (t + tau) ** (th - i - j) * g_second)
+    # i > j >= 1
+    g_second = math.exp(ln_gamma(i + j - th) - ln_gamma(i + 1.0) - ln_gamma(j + 1.0))
+    return -th * tau ** i * t ** j * (t + tau) ** (th - i - j) * g_second
+
+
 class TestImplicitVariance:
     def test_values_at_half(self):
         assert implicit_variance(0.5, "r") == pytest.approx(math.sqrt(2.0) - 1.0, rel=1e-12)
@@ -124,6 +154,18 @@ class TestCovarianceFunction:
                 / math.exp(ln_gamma(1.0 - theta))
             assert lhs == pytest.approx(ratio_r1_variance(theta), abs=1e-12)
 
+    def test_implicit_variance_identity_spot_grid(self):
+        # the implicit variances are c_00(1, 1) and c_kk(1, 1) over their
+        # growth terms Gamma(1-theta) and theta Gamma(k-theta)/k!
+        for theta in (0.05, 0.31, 0.5, 0.77, 0.95):
+            spec = CovarianceSpec(theta, nu=7)
+            assert spec.cov(0, 0, 1.0, 1.0) / math.exp(ln_gamma(1.0 - theta)) == \
+                pytest.approx(implicit_variance(theta, "r"), abs=1e-12)
+            for k in range(1, 8):
+                growth = theta * math.exp(ln_gamma(k - theta) - ln_gamma(k + 1.0))
+                assert spec.cov(k, k, 1.0, 1.0) / growth == \
+                    pytest.approx(implicit_variance(theta, "rk", k), abs=1e-12), k
+
     def test_ratio_k_identity_spot_grid(self):
         for theta in (0.1, 0.5, 0.9):
             spec = CovarianceSpec(theta, nu=7)
@@ -152,6 +194,36 @@ class TestCovarianceFunction:
         lhs = spec.cov(i, j, a * tau, a * t)
         rhs = a ** theta * spec.cov(i, j, tau, t)
         assert lhs == pytest.approx(rhs, rel=1e-10, abs=1e-13)
+
+    @pytest.mark.parametrize("a", [1e-300, 1e-150, 1e150, 1e300])
+    def test_self_similarity_at_extreme_scales(self, a):
+        # every time is a power of 2, so a tau / (a t) = tau / t exactly
+        for theta in (0.05, 0.5, 0.95):
+            spec = CovarianceSpec(theta, nu=8)
+            for tau, t in [(1.0, 1.0), (0.25, 1.0), (1.0, 0.5), (0.5, 2.0)]:
+                for i in range(9):
+                    for j in range(9):
+                        rhs = a ** theta * spec.cov(i, j, tau, t)
+                        if math.isfinite(rhs):
+                            assert spec.cov(i, j, a * tau, a * t) == pytest.approx(
+                                rhs, rel=1e-12, abs=0.0), (theta, tau, t, i, j)
+
+    @pytest.mark.parametrize("thetas, nu, indices, times", [
+        (np.linspace(0.01, 0.99, 99), 8, [(i, j) for i in range(9) for j in range(9)],
+         [(1, 1), (0.5, 1), (1, 0.5), (0.25, 0.5), (1e-3, 1), (3, 7)]),
+        # i + j > 170, where m! and Gamma(m - theta) exceed the float range
+        ((0.1, 0.5, 0.9), 200, [(85, 86), (100, 100), (3, 190), (190, 3), (200, 150)],
+         [(1.0, 1.0), (0.5, 1.0), (1.0, 0.75)]),
+    ], ids=["up-to-8", "past-170"])
+    def test_one_formula_matches_the_six_branches(self, thetas, nu, indices, times):
+        for theta in map(float, thetas):
+            spec = CovarianceSpec(theta, nu=nu)
+            for tau, t in times:
+                for i, j in indices:
+                    scale = math.sqrt(spec.cov(i, i, tau, tau) * spec.cov(j, j, t, t))
+                    reference = six_branch_cov(theta, i, j, tau, t)
+                    assert abs(spec.cov(i, j, tau, t) - reference) <= 1e-12 * scale, \
+                        (theta, tau, t, i, j)
 
     @settings(max_examples=40, deadline=None)
     @given(theta=hst.floats(0.05, 0.95), nu=hst.integers(1, 3),
@@ -197,4 +269,13 @@ def test_a_theta_that_is_no_real_number_is_a_domain_error(theta):
     for call in (lambda: implicit_variance(theta, "r"), lambda: ratio_r1_variance(theta),
                  lambda: ratio_k_variance(theta, 1), lambda: CovarianceSpec(theta)):
         with pytest.raises(DomainError, match="real number"):
+            call()
+
+
+@pytest.mark.parametrize("count", [True, False, np.bool_(True)])
+def test_a_bool_k_or_nu_is_a_domain_error(count):
+    for call in (lambda: ratio_k_variance(0.5, count),
+                 lambda: implicit_variance(0.5, "rk", count),
+                 lambda: CovarianceSpec(0.5, nu=count)):
+        with pytest.raises(DomainError, match="positive integer"):
             call()

@@ -582,12 +582,33 @@ def test_non_finite_floats_are_written_as_missing_values():
 
 
 def test_an_overflowing_covariance_is_strict_json(capsys):
-    # t + tau overflows to inf, so some covariance values are inf or NaN
-    code, out, err = run(capsys, ["eval-asymptotics", "--theta", "0.5",
+    # t^theta c_ij(1, 1) exceeds the float range at theta = 0.999, so some
+    # covariance values are inf; at theta = 0.5 every value is finite
+    code, out, err = run(capsys, ["eval-asymptotics", "--theta", "0.999",
                                   "--tau-t", "1e308:1e308"])
     assert (code, err) == (0, "")
     rows = strict_json(out)
     assert any(row["kind"] == "cov" and row["value"] is None for row in rows)
+    code, out, err = run(capsys, ["eval-asymptotics", "--theta", "0.5",
+                                  "--tau-t", "1e308:1e308"])
+    assert (code, err) == (0, "")
+    spec = asymptotics.CovarianceSpec(0.5)
+    for row in (row for row in strict_json(out) if row["kind"] == "cov"):
+        # the output keeps 10 significant digits
+        expected = 1e154 * spec.cov(row["i"], row["j"], 1.0, 1.0)
+        assert row["value"] == pytest.approx(float(f"{expected:.10g}"), rel=1e-12)
+
+
+@pytest.mark.parametrize("pair", ["1e200:1e200", "1e-200:1e-200", "1e155:1", "1:1e-300"])
+def test_a_covariance_at_extreme_times_is_finite(capsys, pair):
+    # c_ij(a tau, a t) = a^theta c_ij(tau, t) is finite at every such pair
+    code, out, err = run(capsys, ["eval-asymptotics", "--theta", "0.3,0.5,0.9", "--nu", "8",
+                                  "--tau-t", pair])
+    assert (code, err) == (0, "")
+    values = [row["value"] for row in strict_json(out) if row["kind"] == "cov"]
+    assert len(values) == 3 * 9 ** 2
+    # a value that underflows to 0 is written as the JSON int 0
+    assert all(isinstance(v, (int, float)) and math.isfinite(v) for v in values)
 
 
 def test_estimate_output_file_holds_stdout_and_a_manifest(capsys, tmp_path, corpus):
@@ -734,7 +755,7 @@ def test_every_typed_flag_parses_or_is_one_usage_error_line():
                 else:
                     # no typed flag takes nan: each has a range, or reads ints
                     assert value != "nan", (command, flag)
-    assert {"--theta", "--n", "--t", "--workers", "--level", "--nu"} <= probed
+    assert {"--theta", "--n", "--t", "--workers", "--level", "--nu", "--tau-t"} <= probed
 
 
 # one small run of each subcommand, that the running probes vary one flag of

@@ -264,7 +264,7 @@ def test_implicit_rk_rows_exclude_no_replication():
         assert (row.m_included, row.m_excluded) == (100, 0), row.estimator
 
 
-def test_a_study_builds_no_seed_sequence(monkeypatch):
+def test_a_study_builds_one_seed_sequence_per_chunk(monkeypatch):
     # every replication's Philox key comes from one SeedSequence per chunk,
     # not one per replication; one worker runs one chunk
     built = []
